@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff chaos cluster-accept search-accept wal-fuzz verify fmt
+.PHONY: build test race bench benchdiff chaos cluster-accept search-accept wal-fuzz verify fmt stress
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,16 @@ search-accept:
 # the durability path's input-hardening gate.
 wal-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/wal
+
+# stress repeats the timing-sensitive packages (membership polling,
+# the HTTP stack, the journal) 20 times, so a flaky test fails before
+# merge rather than on main.
+stress:
+	$(GO) test -count=20 ./internal/cluster ./internal/serve ./internal/wal
+
+# fmt fails when any file needs gofmt, listing the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # verify is the tier-1 gate: formatting, vet, build, the full test
 # suite under the race detector with shuffled execution order (hidden

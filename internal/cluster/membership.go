@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -32,12 +33,25 @@ func ParseMembers(s string) ([]Member, error) {
 }
 
 // LoadMembersFile reads a membership file: one name=addr per line,
-// blank lines and #-comments ignored.
+// blank lines and #-comments ignored. A file that lists no members is
+// an error (see parseMembersData).
 func LoadMembersFile(path string) ([]Member, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: read members file: %w", err)
 	}
+	return parseMembersData(data)
+}
+
+// errNoMembers rejects a roster with no members. An empty or
+// comment-only file is what a reader sees while the file is being
+// rewritten (os.WriteFile truncates before it writes); installing it
+// would collapse the ring to self-only. A fleet of one is configured by
+// giving no roster at all.
+var errNoMembers = errors.New("cluster: members file lists no members")
+
+// parseMembersData parses the contents of a membership file.
+func parseMembersData(data []byte) ([]Member, error) {
 	lines := strings.Split(string(data), "\n")
 	for i, l := range lines {
 		if c := strings.IndexByte(l, '#'); c >= 0 {
@@ -45,7 +59,14 @@ func LoadMembersFile(path string) ([]Member, error) {
 		}
 		lines[i] = l
 	}
-	return parseMemberList(lines)
+	ms, err := parseMemberList(lines)
+	if err != nil {
+		return nil, err
+	}
+	if len(ms) == 0 {
+		return nil, errNoMembers
+	}
+	return ms, nil
 }
 
 func parseMemberList(entries []string) ([]Member, error) {
@@ -70,10 +91,10 @@ func parseMemberList(entries []string) ([]Member, error) {
 
 // WatchFile polls a membership file and installs each successful parse
 // whose content differs from the last one, so nodes join and leave the
-// ring without a restart. A read or parse failure keeps the previous
-// membership (a half-written file must not empty the ring) and is
-// reported through onErr (nil ignores). Blocks until ctx is done; run
-// it in a goroutine.
+// ring without a restart. A read or parse failure — an empty roster
+// included — keeps the previous membership (a half-written file must
+// not empty the ring) and is reported through onErr (nil ignores).
+// Blocks until ctx is done; run it in a goroutine.
 func (p *Peers) WatchFile(ctx context.Context, path string, interval time.Duration, onErr func(error)) {
 	if interval <= 0 {
 		interval = 5 * time.Second
@@ -90,24 +111,28 @@ func (p *Peers) WatchFile(ctx context.Context, path string, interval time.Durati
 			return
 		case <-t.C:
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			if onErr != nil {
-				onErr(err)
-			}
-			continue
+		if err := p.reloadFile(path, &last); err != nil && onErr != nil {
+			onErr(err)
 		}
-		if string(data) == last {
-			continue
-		}
-		ms, err := LoadMembersFile(path)
-		if err != nil {
-			if onErr != nil {
-				onErr(err)
-			}
-			continue
-		}
-		last = string(data)
-		p.SetMembers(ms)
 	}
+}
+
+// reloadFile is one WatchFile poll: it reads path once and, when the
+// bytes differ from *last, installs the roster parsed from exactly
+// those bytes and records them in *last. On error nothing changes.
+func (p *Peers) reloadFile(path string, last *string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("cluster: read members file: %w", err)
+	}
+	if string(data) == *last {
+		return nil
+	}
+	ms, err := parseMembersData(data)
+	if err != nil {
+		return err
+	}
+	*last = string(data)
+	p.SetMembers(ms)
+	return nil
 }

@@ -152,7 +152,7 @@ func (r *Ring) Shares() map[string]float64 {
 	if r == nil || len(r.points) == 0 {
 		return shares
 	}
-	const span = float64(1 << 63) * 2 // 2^64 as a float64
+	const span = float64(1<<63) * 2 // 2^64 as a float64
 	for i, p := range r.points {
 		prev := r.points[(i+len(r.points)-1)%len(r.points)].hash
 		width := p.hash - prev // wraps correctly in uint64 arithmetic

@@ -89,12 +89,14 @@ func (s *Sweep) cacheGetBytes(key []byte) (core.Result, bool) {
 }
 
 // EvaluateBatch scores a batch of points through the engine — cache
-// lookups, batch dispatch to a BatchEvaluator, panic recovery, retries
-// and metrics included — returning one result per point in input order,
-// so a Sweep is itself a BatchEvaluator. Serving layers hand a
-// `{"points": [...]}` request straight to it and get the PR 5
-// degradation shape back: per-point error rows, never a lost batch. A
-// cancelled ctx degrades the not-yet-dispatched points with ctx.Err().
+// lookups, batch dispatch to a BatchEvaluator on the worker pool, panic
+// recovery, retries and metrics included — returning one result per
+// point in input order, so a Sweep is itself a BatchEvaluator. It is
+// Run's dispatcher without the progress window: no progress callback,
+// no events, no trace lines. Serving layers and search rounds hand their
+// points straight to it and get the degradation shape back: per-point
+// error rows, never a lost batch. A cancelled ctx degrades the points
+// never evaluated with ctx.Err().
 func (s *Sweep) EvaluateBatch(ctx context.Context, pts []core.DesignPoint) []core.Result {
 	out := make([]core.Result, len(pts))
 	if len(pts) == 0 {
@@ -103,38 +105,37 @@ func (s *Sweep) EvaluateBatch(ctx context.Context, pts []core.DesignPoint) []cor
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	complete := func(idx int, res core.Result, cached bool, dur time.Duration) {
-		out[idx] = res
-	}
-	if s.batch == nil || s.batchSize == 1 || len(pts) == 1 {
-		for i := range pts {
-			if err := ctx.Err(); err != nil {
+	// Workers complete distinct indices, so the writes never overlap.
+	done := make([]bool, len(pts))
+	s.dispatch(ctx, pts, func(idx int, res core.Result, _ bool, _ time.Duration) {
+		out[idx], done[idx] = res, true
+	})
+	if err := ctx.Err(); err != nil {
+		for i, ok := range done {
+			if !ok {
 				out[i] = core.Result{Point: pts[i], Err: err}
-				continue
 			}
-			out[i], _, _ = s.evalPoint(ctx, pts[i])
 		}
-		return out
-	}
-	for _, chunk := range chunkByGroup(pts, s.batchSize) {
-		if err := ctx.Err(); err != nil {
-			for _, idx := range chunk {
-				out[idx] = core.Result{Point: pts[idx], Err: err}
-			}
-			continue
-		}
-		s.evalChunk(ctx, pts, chunk, complete)
 	}
 	return out
 }
 
 // chunkByGroup orders point indices so points equal under GroupKey are
-// adjacent (first-seen group order, input order within a group) and
-// slices the ordering into chunks of at most size. Grid enumerations
+// adjacent (first-seen group order, input order within a group) and cuts
+// the ordering into chunks for workers (≥ 1) workers. Grid enumerations
 // interleave the ADC-resolution axis with the others, so without this
 // reordering a contiguous chunk would almost never contain the points
 // that can share an encoded waveform.
-func chunkByGroup(pts []core.DesignPoint, size int) [][]int {
+//
+// Each chunk aims at target = min(size, ceil(n/workers)) points, so a
+// batch smaller than workers × size still reaches every worker. It ends
+// at the group boundary nearest target points (the earlier one on a
+// tie), and is cut inside a group only where it reaches size points.
+// When target == size — a batch of at least workers × size points, or
+// any batch on one worker — that is flat slicing into chunks of size. A
+// single group of at most size points stays one chunk, so parallelism
+// never costs front-end sharing.
+func chunkByGroup(pts []core.DesignPoint, size, workers int) [][]int {
 	groups := make(map[core.DesignPoint][]int)
 	var order []core.DesignPoint
 	for i, p := range pts {
@@ -144,19 +145,41 @@ func chunkByGroup(pts []core.DesignPoint, size int) [][]int {
 		}
 		groups[k] = append(groups[k], i)
 	}
-	flat := make([]int, 0, len(pts))
+	n := len(pts)
+	flat := make([]int, 0, n)
+	boundary := make([]bool, n+1) // boundary[i]: a group ends before flat[i]
 	for _, k := range order {
 		flat = append(flat, groups[k]...)
+		boundary[len(flat)] = true
 	}
-	chunks := make([][]int, 0, (len(flat)+size-1)/size)
-	for off := 0; off < len(flat); off += size {
-		end := off + size
-		if end > len(flat) {
-			end = len(flat)
+	target := min(size, (n+workers-1)/workers)
+	var chunks [][]int
+	for off := 0; off < n; {
+		// Distance to target falls until the first cut at or past it,
+		// then only grows: stop there.
+		end := off
+		for i := off + 1; i <= min(n, off+size); i++ {
+			if !boundary[i] && i != off+size {
+				continue
+			}
+			if end == off || abs(i-off-target) < abs(end-off-target) {
+				end = i
+			}
+			if i-off >= target {
+				break
+			}
 		}
 		chunks = append(chunks, flat[off:end])
+		off = end
 	}
 	return chunks
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // evalChunk serves one chunk of point indices: cache hits complete
@@ -287,37 +310,4 @@ func batchErrorRows(pts []core.DesignPoint, err error) []core.Result {
 		rs[i] = core.Result{Point: p, Err: err}
 	}
 	return rs
-}
-
-// runBatched is Run's worker pool in batch mode: workers drain
-// group-ordered chunks instead of single indices. Cancellation stops
-// dispatching further chunks; in-flight chunks run to completion (the
-// batch evaluator itself degrades its remaining groups on a cancelled
-// ctx, so the wait is bounded).
-func (s *Sweep) runBatched(ctx context.Context, points []core.DesignPoint, workers int, complete func(idx int, res core.Result, cached bool, dur time.Duration)) {
-	chunks := chunkByGroup(points, s.batchSize)
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	jobs := make(chan []int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idxs := range jobs {
-				s.evalChunk(ctx, points, idxs, complete)
-			}
-		}()
-	}
-dispatch:
-	for _, c := range chunks {
-		select {
-		case jobs <- c:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -76,7 +78,7 @@ func TestWithBatchSizeValidation(t *testing.T) {
 
 func TestChunkByGroupOrdersAndBounds(t *testing.T) {
 	pts := batchTestPoints(12) // two groups of 6, interleaved in input order
-	chunks := chunkByGroup(pts, 4)
+	chunks := chunkByGroup(pts, 4, 1)
 	var flat []int
 	for _, c := range chunks {
 		if len(c) == 0 || len(c) > 4 {
@@ -102,6 +104,201 @@ func TestChunkByGroupOrdersAndBounds(t *testing.T) {
 			t.Fatalf("group %v split: positions %d and %d", k, last, pos)
 		}
 		lastGroup[k] = pos
+	}
+}
+
+// groupOrder is the group-ordered flattening chunkByGroup cuts: groups
+// in first-seen order, input order within a group.
+func groupOrder(pts []core.DesignPoint) []int {
+	var order []core.DesignPoint
+	groups := make(map[core.DesignPoint][]int)
+	for i, p := range pts {
+		k := p.GroupKey()
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], i)
+	}
+	var flat []int
+	for _, k := range order {
+		flat = append(flat, groups[k]...)
+	}
+	return flat
+}
+
+// TestChunkByGroupProperties checks the worker-aware cut rule over
+// random point sets: an exact cover in group order, chunks within size,
+// cuts inside a group only where a chunk is full, flat slicing whenever
+// target == size, and at least two chunks whenever two workers could
+// share the work.
+func TestChunkByGroupProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 2000; iter++ {
+		n := 1 + rng.Intn(60)
+		numGroups := 1 + rng.Intn(min(n, 8))
+		size := 1 + rng.Intn(20)
+		workers := 1 + rng.Intn(4)
+		pts := make([]core.DesignPoint, n)
+		for i := range pts {
+			pts[i] = core.DesignPoint{
+				Arch: core.ArchCS, Bits: 4 + rng.Intn(6), M: 100,
+				LNANoise: float64(1+rng.Intn(numGroups)) * 1e-6,
+			}
+		}
+		label := fmt.Sprintf("iter %d (n %d, size %d, workers %d)", iter, n, size, workers)
+		chunks := chunkByGroup(pts, size, workers)
+
+		flat := groupOrder(pts)
+		var got []int
+		for _, c := range chunks {
+			if len(c) == 0 || len(c) > size {
+				t.Fatalf("%s: chunk of %d points outside (0, %d]", label, len(c), size)
+			}
+			got = append(got, c...)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(flat) {
+			t.Fatalf("%s: chunks %v are not the group order %v cut up", label, got, flat)
+		}
+
+		// A chunk may end inside a group only where it is full, so a
+		// group of at most size points that opens a chunk is never split.
+		groupSize := make(map[core.DesignPoint]int)
+		for _, p := range pts {
+			groupSize[p.GroupKey()]++
+		}
+		off := 0
+		for _, c := range chunks {
+			first := pts[c[0]].GroupKey()
+			opens := off == 0 || pts[flat[off-1]].GroupKey() != first
+			off += len(c)
+			if off < n && pts[flat[off-1]].GroupKey() == pts[flat[off]].GroupKey() && len(c) != size {
+				t.Fatalf("%s: chunk of %d points ends inside a group", label, len(c))
+			}
+			if gs := groupSize[first]; opens && gs <= size {
+				if len(c) < gs {
+					t.Fatalf("%s: group of %d points opening a chunk of %d was split", label, gs, len(c))
+				}
+				for _, idx := range c[:gs] {
+					if pts[idx].GroupKey() != first {
+						t.Fatalf("%s: group of %d points opening a chunk is not contiguous", label, gs)
+					}
+				}
+			}
+		}
+
+		if target := min(size, (n+workers-1)/workers); target == size {
+			var want [][]int
+			for off := 0; off < n; off += size {
+				want = append(want, flat[off:min(off+size, n)])
+			}
+			if fmt.Sprint(chunks) != fmt.Sprint(want) {
+				t.Fatalf("%s: target == size should slice flat: %v, want %v", label, chunks, want)
+			}
+		}
+		if len(groupSize) >= 2 && workers >= 2 && len(chunks) < 2 {
+			t.Fatalf("%s: %d groups for %d workers in one chunk", label, len(groupSize), workers)
+		}
+		if len(groupSize) == 1 && n <= size && len(chunks) != 1 {
+			t.Fatalf("%s: a single group of %d points was cut into %d chunks", label, n, len(chunks))
+		}
+	}
+}
+
+// barrierBatchEvaluator records how many EvaluateBatch calls overlap.
+// With release set, each call waits until two calls are in flight at
+// once (or 10 s pass, which it records as a timeout instead of hanging).
+type barrierBatchEvaluator struct {
+	fakeEvaluator
+	inFlight, maxInFlight atomic.Int64
+	release               chan struct{}
+	releaseOnce           sync.Once
+	timedOut              atomic.Bool
+}
+
+func (b *barrierBatchEvaluator) EvaluateBatch(ctx context.Context, pts []core.DesignPoint) []core.Result {
+	n := b.inFlight.Add(1)
+	defer b.inFlight.Add(-1)
+	for {
+		cur := b.maxInFlight.Load()
+		if n <= cur || b.maxInFlight.CompareAndSwap(cur, n) {
+			break
+		}
+	}
+	if b.release != nil {
+		if n >= 2 {
+			b.releaseOnce.Do(func() { close(b.release) })
+		}
+		select {
+		case <-b.release:
+		case <-time.After(10 * time.Second):
+			b.timedOut.Store(true)
+			b.releaseOnce.Do(func() { close(b.release) }) // later calls need not wait too
+		}
+	}
+	rs := make([]core.Result, len(pts))
+	for i, p := range pts {
+		rs[i] = b.fakeEvaluator.Evaluate(p)
+	}
+	return rs
+}
+
+// TestEvaluateBatchUsesEveryWorker pins the parallel dispatch of
+// Sweep.EvaluateBatch: a two-group batch far below workers × batch size
+// is cut into two chunks that run at once on two workers, and one worker
+// never runs two chunks at once.
+func TestEvaluateBatchUsesEveryWorker(t *testing.T) {
+	pts := batchTestPoints(6) // two groups of 3
+	ev := &barrierBatchEvaluator{release: make(chan struct{})}
+	s, err := NewSweep(ev, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := s.EvaluateBatch(context.Background(), pts)
+	if ev.timedOut.Load() {
+		t.Fatal("EvaluateBatch never had two chunks in flight on two workers")
+	}
+	for i, r := range rs {
+		if r.Err != nil || r.Point != pts[i] {
+			t.Fatalf("row %d: %+v", i, r)
+		}
+	}
+
+	serial := &barrierBatchEvaluator{fakeEvaluator: fakeEvaluator{delay: time.Millisecond}}
+	s1, err := NewSweep(serial, WithWorkers(1), WithBatchSize(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.EvaluateBatch(context.Background(), batchTestPoints(24))
+	if got := serial.maxInFlight.Load(); got != 1 {
+		t.Fatalf("one worker ran %d chunks at once", got)
+	}
+}
+
+// TestEvaluateBatchPreCancelled: a batch whose ctx is already done
+// degrades every row with context.Canceled and never reaches the
+// evaluator, on the batch and the per-point path alike.
+func TestEvaluateBatchPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		batch := &fakeBatchEvaluator{}
+		perPoint := &fakeEvaluator{}
+		for _, ev := range []PointEvaluator{batch, perPoint} {
+			s, err := NewSweep(ev, WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts := batchTestPoints(12)
+			rs := s.EvaluateBatch(ctx, pts)
+			for i, r := range rs {
+				if !errors.Is(r.Err, context.Canceled) || r.Point != pts[i] {
+					t.Fatalf("%T, %d workers, row %d: %+v", ev, workers, i, r)
+				}
+			}
+		}
+		if c := batch.batchCalls.Load() + batch.calls.Load() + perPoint.calls.Load(); c != 0 {
+			t.Fatalf("%d workers: %d evaluator calls on a cancelled batch", workers, c)
+		}
 	}
 }
 

@@ -261,13 +261,6 @@ func (s *Sweep) RunWithHook(ctx context.Context, points []core.DesignPoint, hook
 	if len(points) == 0 {
 		return results, ctx.Err()
 	}
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
 	var (
 		mu        sync.Mutex // guards results, completed, done, progress
 		completed = make([]bool, len(points))
@@ -297,11 +290,7 @@ func (s *Sweep) RunWithHook(ctx context.Context, points []core.DesignPoint, hook
 		mu.Unlock()
 		s.writeTrace(ev)
 	}
-	if s.batch != nil && s.batchSize > 1 && len(points) > 1 {
-		s.runBatched(ctx, points, workers, complete)
-	} else {
-		s.runPerPoint(ctx, points, workers, complete)
-	}
+	s.dispatch(ctx, points, complete)
 	if err := ctx.Err(); err != nil {
 		partial := make([]core.Result, 0, len(points))
 		for i, ok := range completed {
@@ -314,25 +303,57 @@ func (s *Sweep) RunWithHook(ctx context.Context, points []core.DesignPoint, hook
 	return results, nil
 }
 
-// runPerPoint is Run's historical worker pool: workers drain single
-// point indices and every point goes through evalPoint.
-func (s *Sweep) runPerPoint(ctx context.Context, points []core.DesignPoint, workers int, complete func(idx int, res core.Result, cached bool, dur time.Duration)) {
+// dispatch is the engine's one dispatcher, shared by RunWithHook and
+// EvaluateBatch: it evaluates points on the worker pool and reports
+// each finished point through complete, from whichever worker finished
+// it. A BatchEvaluator gets its misses in group-ordered chunks cut to
+// fit the worker count (chunkByGroup); any other evaluator, a batch
+// size of 1 or a lone point takes the per-point path. Once ctx is done
+// no further chunk or point is evaluated, so some indices may never be
+// completed; callers decide what those become.
+func (s *Sweep) dispatch(ctx context.Context, points []core.DesignPoint, complete func(idx int, res core.Result, cached bool, dur time.Duration)) {
+	workers := s.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(points))
+	if s.batch == nil || s.batchSize == 1 || len(points) == 1 {
+		runPool(ctx, len(points), workers, func(idx int) {
+			res, cached, dur := s.evalPoint(ctx, points[idx])
+			complete(idx, res, cached, dur)
+		})
+		return
+	}
+	chunks := chunkByGroup(points, s.batchSize, workers)
+	runPool(ctx, len(chunks), workers, func(c int) {
+		s.evalChunk(ctx, points, chunks[c], complete)
+	})
+}
+
+// runPool runs job(0) … job(n-1) on up to workers goroutines.
+// Cancellation stops dispatch, and a worker checks ctx before each job
+// it takes, so no job starts after ctx is done; jobs already running
+// finish (a batch evaluator degrades its remaining groups on a
+// cancelled ctx, so the wait is bounded).
+func runPool(ctx context.Context, n, workers int, job func(int)) {
+	workers = min(workers, n)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range jobs {
-				res, cached, dur := s.evalPoint(ctx, points[idx])
-				complete(idx, res, cached, dur)
+			for j := range jobs {
+				if ctx.Err() == nil {
+					job(j)
+				}
 			}
 		}()
 	}
 dispatch:
-	for i := range points {
+	for j := 0; j < n; j++ {
 		select {
-		case jobs <- i:
+		case jobs <- j:
 		case <-ctx.Done():
 			break dispatch
 		}

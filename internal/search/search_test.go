@@ -8,8 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"efficsense/internal/classify"
 	"efficsense/internal/core"
 	"efficsense/internal/dse"
+	"efficsense/internal/eeg"
+	"efficsense/internal/tech"
 )
 
 func res(power, acc float64) core.Result {
@@ -511,5 +514,82 @@ func TestSpecQueryStringsAreStable(t *testing.T) {
 	}
 	if fmt.Sprint(MaxQuality, MinPower) != "max-quality min-power" {
 		t.Fatalf("goal strings: %v %v", MaxQuality, MinPower)
+	}
+}
+
+// cheapEvaluator is a real signal-chain evaluator kept cheap: two EEG
+// records and a detector trained for a few epochs on four.
+func cheapEvaluator(t *testing.T) *core.Evaluator {
+	t.Helper()
+	train := eeg.Synthesize(eeg.DefaultConfig(8, 4))
+	ev, err := core.NewEvaluator(core.Config{
+		Tech: tech.GPDK045(), Sys: tech.DefaultSystem(), Seed: 7,
+		Dataset: eeg.Synthesize(eeg.DefaultConfig(7, 2)),
+		Detector: classify.TrainDetector(train, classify.DetectorConfig{
+			Seed: 8, Train: classify.TrainOptions{Epochs: 10},
+		}),
+		WindowSeconds: classify.DefaultWindowSeconds,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
+// resultBits renders a result's point and the float64 bits of its
+// figures, so two results compare equal only when bit-identical.
+func resultBits(r core.Result) string {
+	return fmt.Sprintf("%s snr=%x acc=%x power=%x area=%x", r.Point.Key(),
+		math.Float64bits(r.MeanSNRdB), math.Float64bits(r.Accuracy),
+		math.Float64bits(r.TotalPower), math.Float64bits(r.AreaCaps))
+}
+
+// TestRunDeterministicAcrossWorkerCounts extends the determinism
+// contract to the engine's worker count: a search through a *dse.Sweep
+// over a real evaluator gives the same evaluations, answer and front,
+// bit for bit, on one worker and on two (where each round's batch is cut
+// into chunks that run at once).
+func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
+	ev := cheapEvaluator(t)
+	space := dse.Space{
+		Architectures: []core.Architecture{core.ArchBaseline, core.ArchCS},
+		Bits:          []int{6, 7, 8},
+		LNANoise:      dse.GeomRange(1e-6, 20e-6, 6),
+		M:             []int{96},
+	}
+	run := func(workers int) Outcome {
+		sweep, err := dse.NewSweep(ev, dse.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Run(context.Background(), Config{
+			Space: space,
+			Spec: Spec{Goal: MinPower, Metric: "accuracy", MinQuality: 0.5,
+				MaxEvaluations: 24, Seed: 1},
+			Fidelities: []Fidelity{{Name: "full", Eval: sweep}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Errors != 0 {
+			t.Fatalf("%d workers: %d degraded rows", workers, out.Errors)
+		}
+		return out
+	}
+	one, two := run(1), run(2)
+	if one.Evaluations != two.Evaluations || one.Partial != two.Partial ||
+		math.Float64bits(one.Hypervolume) != math.Float64bits(two.Hypervolume) {
+		t.Fatalf("outcome differs: 1 worker %+v, 2 workers %+v", one, two)
+	}
+	if one.HaveBest != two.HaveBest || resultBits(one.Best) != resultBits(two.Best) {
+		t.Fatalf("best differs: %s vs %s", resultBits(one.Best), resultBits(two.Best))
+	}
+	if len(one.Front) == 0 || len(one.Front) != len(two.Front) {
+		t.Fatalf("front sizes %d vs %d", len(one.Front), len(two.Front))
+	}
+	for i := range one.Front {
+		if a, b := resultBits(one.Front[i]), resultBits(two.Front[i]); a != b {
+			t.Fatalf("front[%d]: %s vs %s", i, a, b)
+		}
 	}
 }
