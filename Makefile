@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff chaos cluster-accept search-accept wal-fuzz verify fmt stress
+.PHONY: build test race bench benchdiff chaos cluster-accept search-accept wal-fuzz verify fmt stress purego
 
 build:
 	$(GO) build ./...
@@ -12,13 +12,14 @@ race:
 	$(GO) test -race ./...
 
 # bench writes a machine-readable baseline (BENCH_PR10.json, ignored by
-# git) for the hot paths: the obs histogram, the sweep engine, the HTTP
-# serving stack, and the headline cold-sweep throughput benchmark
-# (BenchmarkSweepColdCS, points/s). -count=6 gives benchstat enough
-# samples to call a regression; the target is informational, not a gate.
+# git) for the hot paths: the obs histogram, the OMP and block-OMP
+# solvers, the sweep engine, the HTTP serving stack, and the headline
+# cold-sweep throughput benchmark (BenchmarkSweepColdCS, points/s).
+# -count=6 gives benchstat enough samples to call a regression; the
+# target is informational, not a gate.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count=6 -json \
-		./internal/obs ./internal/dse ./internal/serve > BENCH_PR10.json
+		./internal/obs ./internal/cs ./internal/dse ./internal/serve > BENCH_PR10.json
 	$(GO) test -run '^$$' -bench 'SweepColdCS' -benchmem -count=6 -json \
 		. >> BENCH_PR10.json
 	@echo "wrote BENCH_PR10.json"
@@ -79,6 +80,13 @@ wal-fuzz:
 # merge rather than on main.
 stress:
 	$(GO) test -count=20 ./internal/cluster ./internal/serve ./internal/wal
+
+# purego runs the reconstruction, chain and evaluator suites with the
+# AVX kernels compiled out. The kernels promise results bit-identical to
+# their pure-Go loops; the block-OMP reference test and the session
+# identity tests check that promise in this build too.
+purego:
+	$(GO) test -tags purego ./internal/cs ./internal/chain ./internal/core
 
 # fmt fails when any file needs gofmt, listing the files.
 fmt:

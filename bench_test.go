@@ -425,7 +425,7 @@ func BenchmarkVariantsComparison(b *testing.B) {
 	b.ReportMetric(advantage, "passive_vs_active_x")
 }
 
-// BenchmarkAblationReconMethod compares the three reconstruction
+// BenchmarkAblationReconMethod compares the four reconstruction
 // algorithms on the same encoded record and reports each one's SNR.
 func BenchmarkAblationReconMethod(b *testing.B) {
 	grid := dsp.Resample(benchRecord.Samples, benchRecord.Rate, 2150.4)
@@ -435,7 +435,7 @@ func BenchmarkAblationReconMethod(b *testing.B) {
 	ref := chain.ReferenceGrid(common, grid)
 	snrs := map[cs.Method]float64{}
 	for i := 0; i < b.N; i++ {
-		for _, m := range []cs.Method{cs.MethodOMP, cs.MethodIHT, cs.MethodRidge} {
+		for _, m := range []cs.Method{cs.MethodOMP, cs.MethodBOMP, cs.MethodIHT, cs.MethodRidge} {
 			c := chain.NewCS(chain.CSConfig{Common: common, M: 150, ReconMethod: m})
 			out := c.RunGrid(grid)
 			n := min(len(ref), len(out.Samples))
@@ -443,6 +443,7 @@ func BenchmarkAblationReconMethod(b *testing.B) {
 		}
 	}
 	b.ReportMetric(snrs[cs.MethodOMP], "snr_db_omp")
+	b.ReportMetric(snrs[cs.MethodBOMP], "snr_db_bomp")
 	b.ReportMetric(snrs[cs.MethodIHT], "snr_db_iht")
 	b.ReportMetric(snrs[cs.MethodRidge], "snr_db_ridge")
 }

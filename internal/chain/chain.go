@@ -232,8 +232,11 @@ func (c CSConfig) withDefaults() CSConfig {
 
 // reconstructor abstracts the per-frame recovery backends (the default
 // Batch-OMP Reconstructor and the method-selectable MethodReconstructor).
+// ReconstructInto is the allocation-free form the session path uses; it
+// is bit-identical to Reconstruct.
 type reconstructor interface {
 	Reconstruct(y []float64) []float64
+	ReconstructInto(dst, y []float64, sc *cs.ReconScratch) []float64
 }
 
 // CSChain is the compressive-sensing chain of Fig 1b.

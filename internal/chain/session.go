@@ -194,12 +194,6 @@ func (b *Baseline) RunGridSession(s *EvalSession, grid, dst []float64) Output {
 	return b.DigitizeSession(s, b.AmplifySession(s, grid), dst)
 }
 
-// reconstructorInto is the optional allocation-free recovery fast path
-// (implemented by the Batch-OMP Reconstructor).
-type reconstructorInto interface {
-	ReconstructInto(dst, y []float64, sc *cs.ReconScratch) []float64
-}
-
 // EncodeSession runs the CS front half — LNA, ideal decimation, the
 // charge-sharing encoder — over one grid record. The returned measurement
 // vector is session scratch, valid until the next Amplify/Encode call.
@@ -228,14 +222,8 @@ func (c *CSChain) FinishSession(s *EvalSession, y, dst []float64) Output {
 	cfg := c.cfg
 	s.yq = c.sar.ConvertInto(s.yq, y)
 	yq := s.yq
-	var recon []float64
-	if ri, ok := c.rec.(reconstructorInto); ok {
-		recon = ri.ReconstructInto(dst, yq, &s.rs)
-	} else {
-		recon = c.rec.Reconstruct(yq)
-	}
 	return Output{
-		Samples:  recon,
+		Samples:  c.rec.ReconstructInto(dst, yq, &s.rs),
 		Rate:     cfg.Sys.FSample(),
 		Gain:     c.gain,
 		Power:    c.PowerBreakdown(dsp.RMS(yq), dsp.Mean(yq)),

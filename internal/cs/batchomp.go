@@ -106,6 +106,11 @@ func NewBatchOMP(cols [][]float64) *BatchOMP {
 	return b
 }
 
+// column returns dictionary column j, a view into the flat copy.
+func (b *BatchOMP) column(j int) []float64 {
+	return b.flat[j*b.m : (j+1)*b.m : (j+1)*b.m]
+}
+
 // Solve returns the sparse coefficient vector for measurement y, with the
 // same maxAtoms/tol semantics (and the same diminishing-returns early
 // exit) as OMP.

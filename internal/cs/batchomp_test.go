@@ -139,6 +139,25 @@ func BenchmarkBatchOMPSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkBOMPSolve times one block-OMP frame at the ECG scenario's
+// largest geometry (M 192, N_Φ 384, 48 atoms in blocks of 4) on the
+// session path's scratch.
+func BenchmarkBOMPSolve(b *testing.B) {
+	const m, n = 192, 384
+	enc := idealEncoder(m, n, 2, 7)
+	r := NewMethodReconstructor(enc.EffectiveMatrix(true), n, ReconOptions{
+		Method: MethodBOMP, MaxAtoms: 48, BlockLen: 4, Tol: 1e-4,
+	})
+	y := bompFrames(enc, 7, 1)[0]
+	theta := make([]float64, n)
+	var sc bompScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.bomp(theta, y, &sc)
+	}
+}
+
 func TestBatchOMPSupportBudgetProperty(t *testing.T) {
 	// The solution support never exceeds the atom budget, whatever the
 	// measurement.

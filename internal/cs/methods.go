@@ -72,9 +72,13 @@ type MethodReconstructor struct {
 	opts ReconOptions
 	n, m int
 	dct  *dsp.DCT
-	// Sparse-domain dictionary (OMP/IHT).
+	// Sparse-domain dictionary (OMP/IHT/BOMP): column views into the
+	// Batch-OMP state's flat copy, which also holds the Gram matrix and
+	// column norms.
 	dict   [][]float64
 	solver *BatchOMP
+	// zeroRow (length M) pads short BOMP residual-update groups.
+	zeroRow []float64
 	// IHT step size 1/L with L ≈ the dictionary's largest squared
 	// singular value.
 	ihtStep float64
@@ -120,12 +124,7 @@ func NewMethodReconstructor(a [][]float64, nPhi int, opts ReconOptions) *MethodR
 			}
 			dict[k] = col
 		}
-		r.dict = dict
-		// BOMP solves its own block least squares on the support; only the
-		// singleton-greedy methods need the Batch-OMP Gram machinery.
-		if opts.Method != MethodBOMP {
-			r.solver = NewBatchOMP(dict)
-		}
+		r.useDict(dict)
 		if opts.Method == MethodIHT {
 			r.ihtStep = 1 / spectralNormSq(r.solver)
 		}
@@ -157,6 +156,18 @@ func NewMethodReconstructor(a [][]float64, nPhi int, opts ReconOptions) *MethodR
 		panic(fmt.Sprintf("cs: unknown reconstruction method %d", opts.Method))
 	}
 	return r
+}
+
+// useDict builds the Batch-OMP state (flat dictionary, Gram matrix,
+// norms) over the sparse-domain dictionary cols and re-points cols at
+// column views of its flat copy, so the dictionary is stored once.
+func (r *MethodReconstructor) useDict(cols [][]float64) {
+	r.solver = NewBatchOMP(cols)
+	for j := range cols {
+		cols[j] = r.solver.column(j)
+	}
+	r.dict = cols
+	r.zeroRow = make([]float64, r.m)
 }
 
 // spectralNormSq estimates the largest eigenvalue of DᵀD via power
@@ -208,10 +219,74 @@ func (r *MethodReconstructor) ReconstructFrame(y []float64) []float64 {
 	case MethodIHT:
 		return r.dct.Inverse(r.iht(y))
 	case MethodBOMP:
-		return r.dct.Inverse(r.bomp(y))
+		return r.dct.Inverse(r.bomp(make([]float64, r.n), y, new(bompScratch)))
 	default:
 		return r.ridgeSolve(y)
 	}
+}
+
+// ReconstructInto is Reconstruct against caller-owned storage, with the
+// contract of Reconstructor.ReconstructInto: dst is grown (reallocating
+// only when capacity is exceeded) to frames·N_Φ and fully overwritten,
+// the returned slice aliases it, and results are bit-identical to
+// Reconstruct. OMP and BOMP solve against sc and allocate nothing in the
+// steady state; IHT and ridge run their per-frame code and copy. A
+// single MethodReconstructor may serve many goroutines concurrently as
+// long as each brings its own ReconScratch.
+func (r *MethodReconstructor) ReconstructInto(dst, y []float64, sc *ReconScratch) []float64 {
+	frames := len(y) / r.m
+	need := frames * r.n
+	if cap(dst) < need {
+		dst = make([]float64, need)
+	}
+	dst = dst[:need]
+	if cap(sc.theta) < r.n {
+		sc.theta = make([]float64, r.n)
+	}
+	theta := sc.theta[:r.n]
+	for f := 0; f < frames; f++ {
+		yf, out := y[f*r.m:(f+1)*r.m], dst[f*r.n:(f+1)*r.n]
+		switch r.opts.Method {
+		case MethodOMP:
+			r.dct.InverseInto(out, r.solver.SolveInto(theta, yf, r.opts.MaxAtoms, r.opts.Tol, &sc.omp))
+		case MethodBOMP:
+			r.dct.InverseInto(out, r.bomp(theta, yf, &sc.bomp))
+		default:
+			copy(out, r.ReconstructFrame(yf))
+		}
+	}
+	return dst
+}
+
+// bompScratch is the reusable working set of one block-OMP solving
+// goroutine. It grows to the largest geometry it has seen and is then
+// allocation-free. The zero value is ready to use. Not safe for
+// concurrent use.
+type bompScratch struct {
+	pY, corr []float64 // Dᵀy and Dᵀr, length K
+	resid    []float64 // r = y - D_S·coef, length M
+	selected []bool    // per block
+	support  []int
+	lf       []float64 // Cholesky factor of the support system, row i at i·stride
+	z, coef  []float64
+}
+
+func (s *bompScratch) grow(k, m, nBlocks, stride int) {
+	s.pY, s.corr = grown(s.pY, k), grown(s.corr, k)
+	s.resid = grown(s.resid, m)
+	s.selected = grown(s.selected, nBlocks)
+	s.support = grown(s.support, stride)
+	s.lf = grown(s.lf, stride*stride)
+	s.z, s.coef = grown(s.z, stride), grown(s.coef, stride)
+}
+
+// grown returns v resized to n, reallocating only when capacity is
+// exceeded; callers must not rely on its content.
+func grown[T any](v []T, n int) []T {
+	if cap(v) < n {
+		return make([]T, n)
+	}
+	return v[:n]
 }
 
 // bomp runs block orthogonal matching pursuit: the DCT dictionary is cut
@@ -219,80 +294,134 @@ func (r *MethodReconstructor) ReconstructFrame(y []float64) []float64 {
 // block with the largest aggregate residual correlation, and the
 // coefficients on the grown support are re-fit by least squares before
 // the residual is updated — OMP's orthogonalisation at block granularity.
-func (r *MethodReconstructor) bomp(y []float64) []float64 {
-	blockLen := r.opts.BlockLen
-	nBlocks := (r.n + blockLen - 1) / blockLen
-	resid := make([]float64, r.m)
-	copy(resid, y)
+//
+// It runs on the Batch-OMP state: one projections pass per frame (Dᵀy)
+// and one per step (Dᵀr), support Gram entries read from the
+// precomputed Gram matrix, the Cholesky factor of (D_SᵀD_S + 1e-12·I)
+// extended by the new block's rows only, and the residual rebuilt with
+// updatePass4. Every quantity sums its terms in the same order as a
+// from-scratch refit (dot products from +0 in ascending sample order,
+// factor rows exactly as cholesky computes them, coefficients applied in
+// support order), so the result is bit-identical to one. theta (length
+// K) is fully overwritten and returned; sc holds everything else.
+func (r *MethodReconstructor) bomp(theta, y []float64, sc *bompScratch) []float64 {
+	clear(theta)
 	energy0 := dsp.Energy(y)
-	theta := make([]float64, r.n)
 	if energy0 == 0 {
 		return theta
 	}
-	selected := make([]bool, nBlocks)
-	var support []int
-	for len(support) < r.opts.MaxAtoms {
+	b := r.solver
+	k, maxAtoms, blockLen := r.n, r.opts.MaxAtoms, r.opts.BlockLen
+	nBlocks := (k + blockLen - 1) / blockLen
+	// A block is admitted while the support is below maxAtoms, so the
+	// support can overshoot it by up to blockLen-1 atoms.
+	stride := min(maxAtoms+blockLen-1, k)
+	sc.grow(k, r.m, nBlocks, stride)
+	pY, resid, selected := sc.pY, sc.resid, sc.selected
+	lf, z, coef := sc.lf, sc.z, sc.coef
+	clear(selected)
+	support := sc.support[:0]
+	b.projections(pY, y)
+	corr := pY // the first step's residual is y itself
+	n := 0     // committed support: coef[:n] is the current fit
+steps:
+	for len(support) < maxAtoms {
+		if n > 0 {
+			b.projections(sc.corr, resid)
+			corr = sc.corr
+		}
 		best, bestScore := -1, 0.0
-		for b := 0; b < nBlocks; b++ {
-			if selected[b] {
+		for blk := 0; blk < nBlocks; blk++ {
+			if selected[blk] {
 				continue
 			}
 			var s float64
-			for k := b * blockLen; k < (b+1)*blockLen && k < r.n; k++ {
-				d := dsp.Dot(r.dict[k], resid)
+			for _, d := range corr[blk*blockLen : min((blk+1)*blockLen, k)] {
 				s += d * d
 			}
 			if s > bestScore {
-				best, bestScore = b, s
+				best, bestScore = blk, s
 			}
 		}
 		if best < 0 || bestScore <= 0 {
 			break
 		}
 		selected[best] = true
-		for k := best * blockLen; k < (best+1)*blockLen && k < r.n; k++ {
-			support = append(support, k)
+		for j := best * blockLen; j < min((best+1)*blockLen, k); j++ {
+			support = append(support, j)
 		}
-		// Least squares on the support: (DᵀD + εI)·c = Dᵀy, refactored each
-		// step (supports stay small — a handful of blocks).
+		// Extend the factor by the new rows. Row i of cholesky depends
+		// only on rows ≤ i of the system, so the committed rows are
+		// bitwise what a refactorisation would produce.
 		p := len(support)
-		g := make([]float64, p*p)
-		rhs := make([]float64, p)
-		for i := 0; i < p; i++ {
-			di := r.dict[support[i]]
-			for j := i; j < p; j++ {
-				dot := dsp.Dot(di, r.dict[support[j]])
-				g[i*p+j] = dot
-				g[j*p+i] = dot
+		for i := n; i < p; i++ {
+			gi := b.gram[support[i]*k : (support[i]+1)*k]
+			li := lf[i*stride : i*stride+i+1]
+			for j := 0; j <= i; j++ {
+				sum := gi[support[j]]
+				if j == i {
+					sum += 1e-12
+				}
+				for t, v := range lf[j*stride : j*stride+j] {
+					sum -= li[t] * v
+				}
+				if j < i {
+					li[j] = sum / lf[j*stride+j]
+				} else if sum <= 1e-300 {
+					break steps // numerically dependent block: stop
+				} else {
+					li[i] = math.Sqrt(sum)
+				}
 			}
-			g[i*p+i] += 1e-12
-			rhs[i] = dsp.Dot(di, y)
 		}
-		l, ok := cholesky(g, p)
-		if !ok {
-			break
+		// Forward solve L·z = D_Sᵀy for the new rows only (earlier rows
+		// are unchanged), then back-substitute Lᵀ·coef = z in full.
+		for i := n; i < p; i++ {
+			sum := pY[support[i]]
+			for t, v := range lf[i*stride : i*stride+i] {
+				sum -= v * z[t]
+			}
+			z[i] = sum / lf[i*stride+i]
 		}
-		c := choleskySolve(l, rhs, p)
+		for i := p - 1; i >= 0; i-- {
+			sum := z[i]
+			for t := i + 1; t < p; t++ {
+				sum -= lf[t*stride+i] * coef[t]
+			}
+			coef[i] = sum / lf[i*stride+i]
+		}
+		n = p
+		// resid = y - D_S·coef over the nonzero coefficients, four atoms
+		// per pass in support order: each element sees the subtractions
+		// one by one. A short last group is padded with +0 coefficients
+		// against a zero row, and x - (+0) is exact for every float64 x.
 		copy(resid, y)
-		for i, k := range support {
-			ci := c[i]
-			if ci == 0 {
+		var cols [4][]float64
+		var cf [4]float64
+		cnt := 0
+		for i, j := range support {
+			if coef[i] == 0 {
 				continue
 			}
-			col := r.dict[k]
-			for t := range resid {
-				resid[t] -= ci * col[t]
+			cols[cnt], cf[cnt] = b.column(j), coef[i]
+			cnt++
+			if cnt == 4 {
+				updatePass4(resid, resid, cols[0], cols[1], cols[2], cols[3], cf[0], cf[1], cf[2], cf[3])
+				cnt = 0
 			}
 		}
-		for k := range theta {
-			theta[k] = 0
-		}
-		for i, k := range support {
-			theta[k] = c[i]
+		if cnt > 0 {
+			for ; cnt < 4; cnt++ {
+				cols[cnt], cf[cnt] = r.zeroRow, 0
+			}
+			updatePass4(resid, resid, cols[0], cols[1], cols[2], cols[3], cf[0], cf[1], cf[2], cf[3])
 		}
 		if dsp.Energy(resid) <= r.opts.Tol*energy0 {
 			break
 		}
+	}
+	for i, j := range support[:n] {
+		theta[j] = coef[i]
 	}
 	return theta
 }

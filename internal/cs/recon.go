@@ -95,11 +95,13 @@ func (r *Reconstructor) Reconstruct(y []float64) []float64 {
 }
 
 // ReconScratch holds the per-goroutine working set of the allocation-free
-// reconstruction path: the coefficient vector plus the solver scratch. The
-// zero value is ready to use; it grows to the largest geometry seen.
+// reconstruction path: the coefficient vector plus the Batch-OMP and
+// block-OMP solver scratch. The zero value is ready to use; it grows to
+// the largest geometry seen.
 type ReconScratch struct {
 	theta []float64
 	omp   Scratch
+	bomp  bompScratch
 }
 
 // ReconstructInto is Reconstruct against caller-owned storage. dst is
