@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff chaos cluster-accept search-accept wal-fuzz verify fmt stress purego
+.PHONY: build test race bench benchdiff chaos cluster-accept search-accept wal-fuzz verify fmt stress purego setup-identity
 
 build:
 	$(GO) build ./...
@@ -13,14 +13,15 @@ race:
 
 # bench writes a machine-readable baseline (BENCH_PR10.json, ignored by
 # git) for the hot paths: the obs histogram, the OMP and block-OMP
-# solvers, the sweep engine, the HTTP serving stack, and the headline
-# cold-sweep throughput benchmark (BenchmarkSweepColdCS, points/s).
+# solvers, the sweep engine, the HTTP serving stack, the headline
+# cold-sweep throughput benchmark (BenchmarkSweepColdCS, points/s) and
+# one cold suite set-up per scenario (BenchmarkSuiteSetup).
 # -count=6 gives benchstat enough samples to call a regression; the
 # target is informational, not a gate.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count=6 -json \
 		./internal/obs ./internal/cs ./internal/dse ./internal/serve > BENCH_PR10.json
-	$(GO) test -run '^$$' -bench 'SweepColdCS' -benchmem -count=6 -json \
+	$(GO) test -run '^$$' -bench 'SweepColdCS|SuiteSetup' -benchmem -count=6 -json \
 		. >> BENCH_PR10.json
 	@echo "wrote BENCH_PR10.json"
 
@@ -87,6 +88,17 @@ stress:
 # identity tests check that promise in this build too.
 purego:
 	$(GO) test -tags purego ./internal/cs ./internal/chain ./internal/core
+
+# setup-identity runs the suite set-up golden and the oracle tests of the
+# set-up kernels (coloured noise, resampling, the forward DCT, the sparse
+# training copies, detector training, dataset synthesis and evaluator
+# prep) with one, two and four workers. Set-up fans records out over
+# GOMAXPROCS and assembles them in record order; this checks the result
+# is bit-identical with fewer and with more workers than records.
+setup-identity:
+	$(GO) test -count=1 -cpu 1,2,4 -run 'MatchesReference|TestSetupGolden' \
+		./internal/xrand ./internal/dsp ./internal/eeg ./internal/classify \
+		./internal/core ./internal/experiments
 
 # fmt fails when any file needs gofmt, listing the files.
 fmt:

@@ -227,6 +227,30 @@ func BenchmarkDetectorTraining(b *testing.B) {
 	}
 }
 
+// BenchmarkSuiteSetup times one cold suite set-up, as every figure
+// command and every new daemon option set pays for it before its first
+// design point: the quality metric (for EEG, training-set synthesis and
+// detector training), evaluation-set synthesis and evaluator prep. The
+// options are the repository benchmark's (bench/setup.go).
+func BenchmarkSuiteSetup(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		opts efficsense.SuiteOptions
+	}{
+		{"eeg", efficsense.SuiteOptions{Scenario: "eeg-epilepsy", Seed: 1, Records: 8, TrainRecords: 40, Epochs: 50}},
+		{"ecg", efficsense.SuiteOptions{Scenario: "ecg-telemonitoring", Seed: 1, Records: 8}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if efficsense.NewSuite(c.opts).Evaluator().Records() != 8 {
+					b.Fatal("bad evaluator")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDetectorInference measures one record classification.
 func BenchmarkDetectorInference(b *testing.B) {
 	train := eeg.Synthesize(eeg.DefaultConfig(11, 20))

@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sort"
 
 	"efficsense/internal/dsp"
 	"efficsense/internal/eeg"
+	"efficsense/internal/par"
 	"efficsense/internal/xrand"
 )
 
@@ -81,19 +83,53 @@ func sparsify(v []float64, frame, keep int) []float64 {
 	d := dsp.NewDCT(frame)
 	out := make([]float64, len(v))
 	copy(out, v)
+	c := make([]float64, frame)
+	mags := make([]float64, frame)
 	for start := 0; start+frame <= len(v); start += frame {
-		c := d.Forward(out[start : start+frame])
-		keepTopK(c, keep)
-		copy(out[start:start+frame], d.Inverse(c))
+		x := out[start : start+frame]
+		d.ForwardInto(c, x)
+		keepTopK(c, keep, mags)
+		d.InverseInto(x, c)
 	}
 	return out
 }
 
-// keepTopK zeroes all but the k largest-magnitude entries of c.
-func keepTopK(c []float64, k int) {
+// keepTopK zeroes all but the k largest-magnitude entries of c; mags
+// (at least len(c) long) is scratch. When exactly k entries reach the
+// k-th largest magnitude, those k are the ones any descending sort keeps,
+// so a quickselect threshold decides. When the k-th magnitude is tied
+// (or c holds a NaN), which tied entry survives depends on the order the
+// sort leaves them in, so that case still sorts.
+func keepTopK(c []float64, k int, mags []float64) {
 	if k >= len(c) {
 		return
 	}
+	mags = mags[:len(c)]
+	for i, x := range c {
+		mags[i] = math.Abs(x)
+	}
+	thr := dsp.KthLargest(mags, k)
+	atLeast, below := 0, 0
+	for _, m := range mags {
+		if m >= thr {
+			atLeast++
+		} else if m < thr {
+			below++
+		}
+	}
+	if atLeast != k || atLeast+below != len(c) {
+		keepTopKSorted(c, k)
+		return
+	}
+	for i, x := range c {
+		if math.Abs(x) < thr {
+			c[i] = 0
+		}
+	}
+}
+
+// keepTopKSorted is keepTopK by a full sort of the magnitudes.
+func keepTopKSorted(c []float64, k int) {
 	idx := make([]int, len(c))
 	for i := range idx {
 		idx[i] = i
@@ -106,46 +142,52 @@ func keepTopK(c []float64, k int) {
 	}
 }
 
-// TrainDetector fits a detector on the labelled dataset.
+// TrainDetector fits a detector on the labelled dataset. Every record
+// yields one training copy per AugmentNoise level, and each copy yields
+// its own examples and (unless SkipSparse) those of its sparsified
+// version. The augmentation noise comes from one stream, drawn serially
+// in record then level order; sparsification and feature extraction run
+// on every core, GOMAXPROCS records at a time, so at most that many
+// records' noisy copies are alive at once. Examples are assembled in
+// record, level, variant, window order whatever the worker count, so the
+// scaler and the network see the same inputs as a serial run.
 func TrainDetector(ds *eeg.Dataset, cfg DetectorConfig) *Detector {
 	cfg = cfg.withDefaults()
 	rng := xrand.Derive(cfg.Seed, "detector-augment")
+	levels := len(cfg.AugmentNoise)
+	batch := runtime.GOMAXPROCS(0)
 	var x [][]float64
 	var y []float64
-	for _, rec := range ds.Records {
-		label := 0.0
-		if rec.Label == eeg.Ictal {
-			label = 1.0
-		}
-		rms := rmsOf(rec.Samples)
-		for _, lvl := range cfg.AugmentNoise {
-			v := rec.Samples
-			if lvl > 0 {
-				noisy := make([]float64, len(v))
-				sigma := lvl * rms
-				for i, s := range v {
-					noisy[i] = s + rng.Normal(0, sigma)
-				}
-				v = noisy
-			}
-			variants := [][]float64{v}
-			if !cfg.SkipSparse {
-				variants = append(variants, sparsify(v, cfg.SparseFrame, cfg.SparseKeep))
-			}
-			win := 0
-			if cfg.WindowSeconds > 0 {
-				win = int(cfg.WindowSeconds * rec.Rate)
-			}
-			for _, w := range variants {
-				if win > 0 && len(w) >= win {
-					for start := 0; start+win <= len(w); start += win {
-						x = append(x, Features(w[start:start+win], rec.Rate))
-						y = append(y, label)
+	for lo := 0; lo < len(ds.Records); lo += batch {
+		recs := ds.Records[lo:min(lo+batch, len(ds.Records))]
+		copies := make([][]float64, len(recs)*levels)
+		for r, rec := range recs {
+			rms := rmsOf(rec.Samples)
+			for l, lvl := range cfg.AugmentNoise {
+				v := rec.Samples
+				if lvl > 0 {
+					noisy := make([]float64, len(v))
+					sigma := lvl * rms
+					for i, s := range v {
+						noisy[i] = s + rng.Normal(0, sigma)
 					}
-				} else {
-					x = append(x, Features(w, rec.Rate))
-					y = append(y, label)
+					v = noisy
 				}
+				copies[r*levels+l] = v
+			}
+		}
+		feats := make([][][]float64, len(copies))
+		par.For(len(copies), func(j int) {
+			feats[j] = copyFeatures(copies[j], recs[j/levels].Rate, cfg)
+		})
+		for j, rows := range feats {
+			label := 0.0
+			if recs[j/levels].Label == eeg.Ictal {
+				label = 1.0
+			}
+			for _, row := range rows {
+				x = append(x, row)
+				y = append(y, label)
 			}
 		}
 	}
@@ -156,6 +198,31 @@ func TrainDetector(ds *eeg.Dataset, cfg DetectorConfig) *Detector {
 	net := NewMLP(FeatureCount, cfg.Hidden, cfg.Seed)
 	net.Train(x, y, cfg.Train)
 	return &Detector{scaler: scaler, net: net, Threshold: 0.5}
+}
+
+// copyFeatures returns the training feature rows of one augmented copy
+// v: v's, then its sparsified version's, each per window (whole-copy
+// when windows are off or v is shorter than one window).
+func copyFeatures(v []float64, rate float64, cfg DetectorConfig) [][]float64 {
+	variants := [][]float64{v}
+	if !cfg.SkipSparse {
+		variants = append(variants, sparsify(v, cfg.SparseFrame, cfg.SparseKeep))
+	}
+	win := 0
+	if cfg.WindowSeconds > 0 {
+		win = int(cfg.WindowSeconds * rate)
+	}
+	var rows [][]float64
+	for _, w := range variants {
+		if win > 0 && len(w) >= win {
+			for start := 0; start+win <= len(w); start += win {
+				rows = append(rows, Features(w[start:start+win], rate))
+			}
+		} else {
+			rows = append(rows, Features(w, rate))
+		}
+	}
+	return rows
 }
 
 func rmsOf(v []float64) float64 {

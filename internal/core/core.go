@@ -21,6 +21,7 @@ import (
 	"efficsense/internal/cs"
 	"efficsense/internal/dsp"
 	"efficsense/internal/eeg"
+	"efficsense/internal/par"
 	"efficsense/internal/power"
 	"efficsense/internal/siggen"
 	"efficsense/internal/tech"
@@ -265,15 +266,34 @@ func NewEvaluator(cfg Config) (*Evaluator, error) {
 	e.scratch.New = func() any {
 		return &evalScratch{sess: chain.NewEvalSession(cfg.Seed)}
 	}
-	gridRate := e.common.GridRate()
-	for _, r := range cfg.Dataset.Records {
-		grid := dsp.Resample(r.Samples, r.Rate, gridRate)
-		e.grids = append(e.grids, grid)
-		e.refs = append(e.refs, chain.ReferenceGrid(e.common, grid))
-		e.labels = append(e.labels, r.Label)
-	}
+	e.grids = gridRecords(cfg.Dataset.Records, e.common.GridRate())
+	e.refs = make([][]float64, len(e.grids))
+	e.labels = make([]eeg.Class, len(e.grids))
+	par.For(len(e.grids), func(i int) {
+		e.refs[i] = chain.ReferenceGrid(e.common, e.grids[i])
+		e.labels[i] = cfg.Dataset.Records[i].Label
+	})
 	e.fingerprint = fingerprintConfig(cfg)
 	return e, nil
+}
+
+// gridRecords resamples every record onto the simulation grid. Records of
+// one length and rate (every registered scenario's datasets) share each
+// output's kernel weights, so they convert together; a dataset of mixed
+// geometries converts record by record, on every core either way.
+func gridRecords(recs []eeg.Record, gridRate float64) [][]float64 {
+	samples := make([][]float64, len(recs))
+	uniform := true
+	for i, r := range recs {
+		samples[i] = r.Samples
+		uniform = uniform && len(r.Samples) == len(recs[0].Samples) && r.Rate == recs[0].Rate
+	}
+	if !uniform || len(recs) == 0 {
+		grids := make([][]float64, len(recs))
+		par.For(len(recs), func(i int) { grids[i] = dsp.Resample(recs[i].Samples, recs[i].Rate, gridRate) })
+		return grids
+	}
+	return dsp.ResampleAll(samples, recs[0].Rate, gridRate)
 }
 
 // fingerprintConfig digests everything Evaluate's output depends on: the

@@ -477,7 +477,7 @@ func keepTopKAbs(v []float64, k int) {
 	for i, x := range v {
 		mags[i] = math.Abs(x)
 	}
-	thr := kthLargest(mags, k)
+	thr := dsp.KthLargest(mags, k)
 	kept := 0
 	for i, x := range v {
 		if math.Abs(x) >= thr && kept < k {
@@ -486,43 +486,6 @@ func keepTopKAbs(v []float64, k int) {
 		}
 		v[i] = 0
 	}
-}
-
-// kthLargest returns the k-th largest value of a (destructive, quickselect).
-func kthLargest(a []float64, k int) float64 {
-	if k <= 0 {
-		return math.Inf(1)
-	}
-	if k > len(a) {
-		return math.Inf(-1)
-	}
-	lo, hi := 0, len(a)-1
-	target := k - 1 // index in descending order
-	for lo < hi {
-		p := a[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] > p {
-				i++
-			}
-			for a[j] < p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if target <= j {
-			hi = j
-		} else if target >= i {
-			lo = i
-		} else {
-			break
-		}
-	}
-	return a[target]
 }
 
 // ridgeSolve computes x̂ = Aᵀ·(A·Aᵀ + λI)⁻¹·y.

@@ -12,8 +12,8 @@ import (
 type Reconstructor struct {
 	n, m int
 	dct  *dsp.DCT
-	// dict[k] is column k of D = A·Ψ, length M.
-	dict     [][]float64
+	// solver holds the only copy of the dictionary D = A·Ψ (with its Gram
+	// matrix and column norms).
 	solver   *BatchOMP
 	maxAtoms int
 	tol      float64
@@ -37,7 +37,9 @@ func NewReconstructor(enc *Encoder, maxAtoms int, tol float64) *Reconstructor {
 }
 
 // newReconstructorFromMatrix builds the D = A·Ψ dictionary for any
-// effective measurement matrix A (M×nPhi).
+// effective measurement matrix A (M×nPhi) and hands it to the Batch-OMP
+// solver, which keeps its own flat copy; the columns built here are
+// garbage once the solver exists.
 func newReconstructorFromMatrix(a [][]float64, nPhi, maxAtoms int, tol float64) *Reconstructor {
 	m := len(a)
 	if m == 0 || len(a[0]) != nPhi {
@@ -63,7 +65,7 @@ func newReconstructorFromMatrix(a [][]float64, nPhi, maxAtoms int, tol float64) 
 		dict[k] = col
 	}
 	return &Reconstructor{
-		n: nPhi, m: m, dct: d, dict: dict,
+		n: nPhi, m: m, dct: d,
 		solver: NewBatchOMP(dict), maxAtoms: maxAtoms, tol: tol,
 	}
 }

@@ -59,11 +59,36 @@ func (d *DCT) Forward(x []float64) []float64 {
 	if len(x) != d.n {
 		panic("dsp: DCT Forward length mismatch")
 	}
-	out := make([]float64, d.n)
-	for k := 0; k < d.n; k++ {
-		out[k] = Dot(d.table[k], x)
+	return d.ForwardInto(make([]float64, d.n), x)
+}
+
+// ForwardInto is Forward against caller-owned storage: dst (length N,
+// not aliasing x) is overwritten with the coefficients of x. Four basis
+// rows share each pass over x, with one accumulator each, so x is read a
+// quarter as often; every coefficient still sums its terms in
+// ascending-i order from +0, exactly as Dot does, so the result is
+// bit-identical to one Dot per row.
+func (d *DCT) ForwardInto(dst, x []float64) []float64 {
+	if len(x) != d.n || len(dst) != d.n {
+		panic("dsp: DCT ForwardInto length mismatch")
 	}
-	return out
+	k := 0
+	for ; k+4 <= d.n; k += 4 {
+		r0, r1 := d.table[k][:len(x)], d.table[k+1][:len(x)]
+		r2, r3 := d.table[k+2][:len(x)], d.table[k+3][:len(x)]
+		var s0, s1, s2, s3 float64
+		for i, xi := range x {
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		dst[k], dst[k+1], dst[k+2], dst[k+3] = s0, s1, s2, s3
+	}
+	for ; k < d.n; k++ {
+		dst[k] = Dot(d.table[k], x)
+	}
+	return dst
 }
 
 // Inverse reconstructs the signal from orthonormal DCT-II coefficients

@@ -166,3 +166,43 @@ func LeastSquaresGain(ref, x []float64) float64 {
 	}
 	return Dot(ref, x) / den
 }
+
+// KthLargest returns the k-th largest value of a (k = 1 is the maximum),
+// reordering a in place (quickselect). k <= 0 gives +Inf and k > len(a)
+// gives -Inf. The sparsifying thresholds (IHT's hard threshold, the
+// detector's sparse training copies) select their atoms with it.
+func KthLargest(a []float64, k int) float64 {
+	if k <= 0 {
+		return math.Inf(1)
+	}
+	if k > len(a) {
+		return math.Inf(-1)
+	}
+	lo, hi := 0, len(a)-1
+	target := k - 1 // index in descending order
+	for lo < hi {
+		p := a[(lo+hi)/2]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] > p {
+				i++
+			}
+			for a[j] < p {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		if target <= j {
+			hi = j
+		} else if target >= i {
+			lo = i
+		} else {
+			break
+		}
+	}
+	return a[target]
+}

@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"efficsense/internal/dsp"
+	"efficsense/internal/par"
 	"efficsense/internal/siggen"
 	"efficsense/internal/xrand"
 )
@@ -132,28 +133,37 @@ type Dataset struct {
 
 // Synthesize builds the dataset. Classes alternate so any prefix is
 // approximately balanced, which keeps reduced-record evaluations fair.
+// Each record derives its own stream from the seed and its index, so the
+// records are built on every core and come out the same whatever the
+// worker count. Every record has NativeSamples samples, so the Step 4
+// upsampling converts them together and computes each kernel weight once.
 func Synthesize(cfg Config) *Dataset {
 	if cfg.Records <= 0 {
 		cfg.Records = PaperRecordCount
 	}
+	raw := make([][]float64, cfg.Records)
+	par.For(len(raw), func(i int) {
+		rng := xrand.Derive(cfg.Seed, fmt.Sprintf("eeg-record-%d", i))
+		raw[i] = synthesizeRecord(rng, cfg, recordClass(i))
+	})
 	rate := NativeRate
 	if cfg.Upsample {
 		rate = UpsampledRate
+		raw = dsp.ResampleAll(raw, NativeRate, UpsampledRate)
 	}
 	ds := &Dataset{Rate: rate, Records: make([]Record, cfg.Records)}
-	for i := range ds.Records {
-		label := Interictal
-		if i%2 == 1 {
-			label = Ictal
-		}
-		rng := xrand.Derive(cfg.Seed, fmt.Sprintf("eeg-record-%d", i))
-		raw := synthesizeRecord(rng, cfg, label)
-		if cfg.Upsample {
-			raw = dsp.Resample(raw, NativeRate, UpsampledRate)
-		}
-		ds.Records[i] = Record{Samples: raw, Rate: rate, Label: label, ID: i}
+	for i, v := range raw {
+		ds.Records[i] = Record{Samples: v, Rate: rate, Label: recordClass(i), ID: i}
 	}
 	return ds
+}
+
+// recordClass is record i's label: classes alternate, interictal first.
+func recordClass(i int) Class {
+	if i%2 == 1 {
+		return Ictal
+	}
+	return Interictal
 }
 
 // synthesizeRecord builds a single native-rate record.

@@ -139,18 +139,27 @@ func (s *Source) OneOverF(dst []float64, alpha float64) {
 		return
 	}
 	// Sum of octave-spaced one-pole filtered white sources approximates a
-	// 1/f^alpha slope; the per-stage weight sets the slope.
+	// 1/f^alpha slope; the per-stage weight sets the slope. The poles and
+	// weights do not depend on the sample, so they are computed once. The
+	// per-sample expressions, (states[k]*weight)/norm included, must keep
+	// their operation order: every coloured-noise stream depends on it bit
+	// for bit.
 	const stages = 10
-	states := make([]float64, stages)
+	var states, pole, gain, weight [stages]float64
+	for k := range stages {
+		// Pole frequency halves per stage.
+		pole[k] = math.Exp(-2 * math.Pi * math.Pow(0.5, float64(k)) * 0.25)
+		gain[k] = 1 - pole[k]
+		// Stage weight sets overall slope: weight 2^(k*alpha/2) boosts
+		// low-frequency stages for larger alpha.
+		weight[k] = math.Pow(2, float64(k)*alpha/2)
+	}
+	norm := math.Pow(2, float64(stages)*alpha/4)
 	for i := 0; i < n; i++ {
 		var v float64
-		for k := 0; k < stages; k++ {
-			// Pole frequency halves per stage.
-			a := math.Exp(-2 * math.Pi * math.Pow(0.5, float64(k)) * 0.25)
-			states[k] = a*states[k] + (1-a)*s.rng.NormFloat64()
-			// Stage weight sets overall slope: weight 2^(k*alpha/2) boosts
-			// low-frequency stages for larger alpha.
-			v += states[k] * math.Pow(2, float64(k)*alpha/2) / math.Pow(2, float64(stages)*alpha/4)
+		for k := range stages {
+			states[k] = pole[k]*states[k] + gain[k]*s.rng.NormFloat64()
+			v += states[k] * weight[k] / norm
 		}
 		dst[i] = v
 	}
