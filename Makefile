@@ -82,12 +82,13 @@ wal-fuzz:
 stress:
 	$(GO) test -count=20 ./internal/cluster ./internal/serve ./internal/wal
 
-# purego runs the reconstruction, chain and evaluator suites with the
-# AVX kernels compiled out. The kernels promise results bit-identical to
-# their pure-Go loops; the block-OMP reference test and the session
-# identity tests check that promise in this build too.
+# purego runs the kernel, converter, reconstruction, chain and evaluator
+# suites with the AVX kernels (internal/dsp) compiled out. The kernels
+# promise results bit-identical to their pure-Go loops; the kernel, SAR,
+# OMP and block-OMP reference tests and the session identity tests check
+# that promise in this build too.
 purego:
-	$(GO) test -tags purego ./internal/cs ./internal/chain ./internal/core
+	$(GO) test -tags purego ./internal/dsp ./internal/adc ./internal/cs ./internal/chain ./internal/core
 
 # setup-identity runs the suite set-up golden and the oracle tests of the
 # set-up kernels (coloured noise, resampling, the forward DCT, the sparse

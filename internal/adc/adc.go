@@ -93,21 +93,28 @@ func (s *SAR) LSB() float64 { return s.lsb }
 // [0, 2^N). The successive approximation walks the *actual* (mismatched)
 // weights while the backend interprets codes with ideal weights — exactly
 // how static DAC errors become INL in silicon.
+//
+// The comparator decision is a 0/1 value (a SETcc, not a branch) that both
+// shifts into the code, MSB first, and indexes the next accumulator: acc[0]
+// is the level kept so far, acc[1] the trial level. Input-dependent
+// decisions would mispredict about half the time as branches.
 func (s *SAR) ConvertCode(v float64) int {
 	// Refer the bipolar input to the DAC's unipolar search.
 	target := v + s.vfs/2
 	code := 0
-	acc := 0.0
-	for i := 0; i < s.bits; i++ {
-		trial := acc + s.weights[i]
+	var acc [2]float64
+	for _, w := range s.weights {
+		acc[1] = acc[0] + w
 		noise := 0.0
 		if s.compStd > 0 {
 			noise = s.rng.Normal(0, s.compStd)
 		}
-		if target+noise >= trial {
-			acc = trial
-			code |= 1 << (s.bits - 1 - i)
+		bit := 0
+		if target+noise >= acc[1] {
+			bit = 1
 		}
+		acc[0] = acc[bit]
+		code = code<<1 | bit
 	}
 	return code
 }

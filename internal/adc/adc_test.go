@@ -175,3 +175,55 @@ func TestConstructorPanics(t *testing.T) {
 	mustPanic("zero vfs", func() { New(Config{Bits: 8}) })
 	mustPanic("ideal zero bits", func() { NewIdeal(0, 2) })
 }
+
+// referenceConvertCode is ConvertCode before its decision became an
+// index: a branch per bit that sets the code bit and keeps the trial.
+func referenceConvertCode(s *SAR, v float64) int {
+	target := v + s.vfs/2
+	code := 0
+	acc := 0.0
+	for i := 0; i < s.bits; i++ {
+		trial := acc + s.weights[i]
+		noise := 0.0
+		if s.compStd > 0 {
+			noise = s.rng.Normal(0, s.compStd)
+		}
+		if target+noise >= trial {
+			acc = trial
+			code |= 1 << (s.bits - 1 - i)
+		}
+	}
+	return code
+}
+
+// TestConvertCodeMatchesReference runs two identically seeded SARs side
+// by side, one through ConvertCode and one through the branchy
+// reference, at every resolution from 1 to 12 bits, with and without
+// mismatch and comparator noise. Inputs cover the range, overrange and
+// exact code boundaries (where the >= decision ties). Codes must agree,
+// and afterwards both comparator streams must be at the same position.
+func TestConvertCodeMatchesReference(t *testing.T) {
+	for bits := 1; bits <= 12; bits++ {
+		for _, cfg := range []Config{
+			{Bits: bits, VFS: 2, Seed: 3},
+			{Bits: bits, VFS: 2, Seed: 4, UnitCap: 1e-15, MismatchCoeff: 0.02},
+			{Bits: bits, VFS: 2, Seed: 5, UnitCap: 1e-15, MismatchCoeff: 0.02, ComparatorNoise: 0.5 * 2 / float64(int(1)<<bits)},
+		} {
+			got, want := New(cfg), New(cfg)
+			var in []float64
+			in = append(in, siggen.Ramp(997, -1.1, 1.1)...)
+			for code := 0; code <= 1<<bits; code++ {
+				in = append(in, float64(code)*got.LSB()-1)
+			}
+			for i, v := range in {
+				if g, w := got.ConvertCode(v), referenceConvertCode(want, v); g != w {
+					t.Fatalf("bits %d, noise %g: input %d (%v) converts to %d, reference %d",
+						bits, cfg.ComparatorNoise, i, v, g, w)
+				}
+			}
+			if g, w := got.rng.Float64(), want.rng.Float64(); g != w {
+				t.Fatalf("bits %d, noise %g: comparator streams diverged", bits, cfg.ComparatorNoise)
+			}
+		}
+	}
+}

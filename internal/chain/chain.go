@@ -230,15 +230,6 @@ func (c CSConfig) withDefaults() CSConfig {
 	return c
 }
 
-// reconstructor abstracts the per-frame recovery backends (the default
-// Batch-OMP Reconstructor and the method-selectable MethodReconstructor).
-// ReconstructInto is the allocation-free form the session path uses; it
-// is bit-identical to Reconstruct.
-type reconstructor interface {
-	Reconstruct(y []float64) []float64
-	ReconstructInto(dst, y []float64, sc *cs.ReconScratch) []float64
-}
-
 // CSChain is the compressive-sensing chain of Fig 1b.
 type CSChain struct {
 	cfg     CSConfig
@@ -246,7 +237,7 @@ type CSChain struct {
 	vfsCS   float64 // scaled measurement-converter reference
 	csample float64
 	enc     *cs.Encoder
-	rec     reconstructor
+	rec     *cs.MethodReconstructor
 	sar     *adc.SAR
 	lna     *blocks.LNA
 }

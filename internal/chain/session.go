@@ -256,7 +256,7 @@ type csPlanKey struct {
 // per-caller scratch.
 type csPlan struct {
 	phi      *cs.SRBM
-	rec      reconstructor
+	rec      *cs.MethodReconstructor
 	maxCount int
 }
 
@@ -296,16 +296,11 @@ func planForCS(cfg CSConfig, csample float64) *csPlan {
 		}
 	}
 	a := cs.NominalEffectiveMatrix(phi, csample, cfg.CHold)
-	var rec reconstructor
-	if cfg.ReconMethod == cs.MethodOMP {
-		rec = cs.NewMatrixReconstructor(a, cfg.NPhi, cfg.MaxAtoms, 1e-4)
-	} else {
-		rec = cs.NewMethodReconstructor(a, cfg.NPhi, cs.ReconOptions{
-			Method:   cfg.ReconMethod,
-			MaxAtoms: cfg.MaxAtoms,
-			Tol:      1e-4,
-		})
-	}
+	rec := cs.NewMethodReconstructor(a, cfg.NPhi, cs.ReconOptions{
+		Method:   cfg.ReconMethod,
+		MaxAtoms: cfg.MaxAtoms,
+		Tol:      1e-4,
+	})
 	p := &csPlan{phi: phi, rec: rec, maxCount: maxCount}
 	csPlanMu.Lock()
 	if prior, ok := csPlans[key]; ok {

@@ -28,7 +28,7 @@ type DigitalCS struct {
 	phi       *cs.SRBM
 	sar       *adc.SAR
 	lna       *blocks.LNA
-	rec       *cs.Reconstructor
+	rec       *cs.MethodReconstructor
 	accBits   int
 }
 
@@ -70,7 +70,9 @@ func NewDigitalCS(cfg CSConfig) *DigitalCS {
 			ClipLevel:    cfg.Sys.VFS / 2,
 		},
 	}
-	d.rec = cs.NewMatrixReconstructor(phi.Dense(), cfg.NPhi, cfg.MaxAtoms, 1e-4)
+	d.rec = cs.NewMethodReconstructor(phi.Dense(), cfg.NPhi, cs.ReconOptions{
+		Method: cs.MethodOMP, MaxAtoms: cfg.MaxAtoms, Tol: 1e-4,
+	})
 	return d
 }
 
@@ -152,7 +154,7 @@ type ActiveCS struct {
 	intGain  float64 // integrator scale Cs/Cint, sized for the busiest row
 	otaNoise float64
 	enc      *cs.ActiveEncoder
-	rec      *cs.Reconstructor
+	rec      *cs.MethodReconstructor
 	sar      *adc.SAR
 	lna      *blocks.LNA
 	maxCount int
@@ -200,7 +202,9 @@ func NewActiveCS(cfg CSConfig) *ActiveCS {
 		intGain:  intGain,
 		otaNoise: otaNoise,
 		enc:      enc,
-		rec:      cs.NewMatrixReconstructor(a, cfg.NPhi, cfg.MaxAtoms, 1e-4),
+		rec: cs.NewMethodReconstructor(a, cfg.NPhi, cs.ReconOptions{
+			Method: cs.MethodOMP, MaxAtoms: cfg.MaxAtoms, Tol: 1e-4,
+		}),
 		maxCount: maxCount,
 		sar: adc.New(adc.Config{
 			Bits:            cfg.Bits,

@@ -122,10 +122,3 @@ func DigitalEncode(phi *SRBM, x []float64) []float64 {
 	}
 	return out
 }
-
-// NewMatrixReconstructor builds a Reconstructor for an arbitrary effective
-// matrix (used by the active and digital CS chains, whose maps are not the
-// charge-sharing one).
-func NewMatrixReconstructor(a [][]float64, nPhi, maxAtoms int, tol float64) *Reconstructor {
-	return newReconstructorFromMatrix(a, nPhi, maxAtoms, tol)
-}

@@ -1,6 +1,10 @@
 package cs
 
-import "math"
+import (
+	"math"
+
+	"efficsense/internal/dsp"
+)
 
 // BatchOMP is an orthogonal-matching-pursuit solver specialised for a
 // fixed dictionary reused across many measurement vectors (every frame of
@@ -18,7 +22,7 @@ import "math"
 // construction and safe for concurrent solves with distinct Scratches.
 type BatchOMP struct {
 	flat  []float64 // column-major dictionary: column j at [j*m, (j+1)*m)
-	rows  []float64 // row-major mirror for the vector projections path; nil without AVX
+	rows  []float64 // row-major mirror for the vector projections path; nil without vector kernels
 	gram  []float64 // row-major K×K Gram matrix: row i at [i*k, (i+1)*k)
 	norms []float64 // column norms
 	k, m  int
@@ -28,24 +32,28 @@ type BatchOMP struct {
 // to the largest (K, maxAtoms) it has seen and is then allocation-free.
 // The zero value is ready to use. Not safe for concurrent use.
 type Scratch struct {
-	p, corr   []float64
-	w, z      []float64
-	lf, lfT   []float64
-	coef, pS  []float64
-	support   []int
-	inSupport []bool
+	p, corr  []float64
+	w, z     []float64
+	lf, lfT  []float64
+	coef, pS []float64
+	support  []int
+	// mask is the selection scan's exclusion mask (dsp.SubRows4ArgMax):
+	// absMask for an eligible column, 0 for a support atom or a
+	// zero-norm column. Every solve rebuilds it.
+	mask []uint64
 }
+
+// absMask clears the sign bit of a float64: the mask of an eligible
+// column.
+const absMask = 1<<63 - 1
 
 func (s *Scratch) grow(k, maxAtoms int) {
 	if cap(s.p) < k {
 		s.p = make([]float64, k)
 		s.corr = make([]float64, k)
+		s.mask = make([]uint64, k)
 	}
-	s.p, s.corr = s.p[:k], s.corr[:k]
-	if cap(s.inSupport) < k {
-		s.inSupport = make([]bool, k)
-	}
-	s.inSupport = s.inSupport[:k]
+	s.p, s.corr, s.mask = s.p[:k], s.corr[:k], s.mask[:k]
 	if cap(s.w) < maxAtoms {
 		s.w = make([]float64, maxAtoms)
 		s.z = make([]float64, maxAtoms)
@@ -77,7 +85,7 @@ func NewBatchOMP(cols [][]float64) *BatchOMP {
 	for j, c := range cols {
 		copy(b.flat[j*b.m:(j+1)*b.m], c)
 	}
-	if useAVX {
+	if dsp.VectorKernels() {
 		// Row-major mirror: row i holds element i of every column, so the
 		// vector projections path can accumulate four adjacent columns per
 		// instruction instead of gathering down one column at a time.
@@ -152,7 +160,13 @@ func (b *BatchOMP) solve(y []float64, maxAtoms int, tol float64, sc *Scratch) ([
 	p := sc.p
 	b.projections(p, y)
 	support := sc.support[:0]
-	inSupport := sc.inSupport
+	mask := sc.mask
+	for j, nj := range b.norms {
+		mask[j] = 0
+		if nj != 0 {
+			mask[j] = absMask
+		}
+	}
 	lf, lfT := sc.lf, sc.lfT
 	coef := sc.coef[:0]
 	pS := sc.pS[:0]
@@ -162,7 +176,7 @@ func (b *BatchOMP) solve(y []float64, maxAtoms int, tol float64, sc *Scratch) ([
 	if limit > b.m {
 		limit = b.m
 	}
-	best, bestVal := b.updateSelect(sc.corr, p, support, coef, inSupport)
+	best, bestVal := b.updateSelect(sc.corr, p, support, coef, mask)
 	for len(support) < limit {
 		if best < 0 || bestVal < 1e-15 {
 			break
@@ -170,18 +184,27 @@ func (b *BatchOMP) solve(y []float64, maxAtoms int, tol float64, sc *Scratch) ([
 		// Grow the Cholesky factor with atom `best`.
 		s := len(support)
 		w := sc.w[:s]
-		gBest := b.gram[best*b.k : (best+1)*b.k]
+		gBest := b.gramRow(best)
 		for i, si := range support {
 			w[i] = gBest[si]
 		}
-		// Forward substitution L·z = w.
-		for i := 0; i < s; i++ {
-			sum := w[i]
-			row := lf[i*maxAtoms : i*maxAtoms+i]
-			for t, lv := range row {
-				sum -= lv * w[t] // w reused as z in place
+		// Forward substitution L·w' = w in place, in column order, as one
+		// right-looking AXPY per column: once w[t] is final, column t of L
+		// (row t of lfT, contiguous) times w[t] is subtracted from every
+		// entry below it. Each w[i] still sees its subtractions in
+		// ascending t and its division last, exactly as in the row-by-row
+		// form, so the result is bitwise the same; but no entry waits on
+		// another's running sum, so the updates pipeline. The vectors are
+		// shorter than maxAtoms, too short to repay a kernel call.
+		for t := 0; t < s; t++ {
+			wt := w[t] / lf[t*maxAtoms+t]
+			w[t] = wt
+			rest := w[t+1 : s]
+			col := lfT[t*maxAtoms+t+1 : t*maxAtoms+s]
+			col = col[:len(rest)]
+			for i, lv := range col {
+				rest[i] -= lv * wt
 			}
-			w[i] = sum / lf[i*maxAtoms+i]
 		}
 		var zz float64
 		for _, v := range w {
@@ -199,7 +222,7 @@ func (b *BatchOMP) solve(y []float64, maxAtoms int, tol float64, sc *Scratch) ([
 		lf[s*maxAtoms+s] = d
 		lfT[s*maxAtoms+s] = d
 		support = append(support, best)
-		inSupport[best] = true
+		mask[best] = 0
 		pS = append(pS, p[best])
 		// Solve L·Lᵀ·coef = p_S. The forward solve is incremental: z[i]
 		// for i < s depends only on rows ≤ i of L and p_S, all untouched
@@ -248,11 +271,7 @@ func (b *BatchOMP) solve(y []float64, maxAtoms int, tol float64, sc *Scratch) ([
 		if len(support) >= limit {
 			break
 		}
-		best, bestVal = b.updateSelect(sc.corr, p, support, coef, inSupport)
-	}
-	// Reset the membership flags so the Scratch is clean for reuse.
-	for _, j := range support {
-		inSupport[j] = false
+		best, bestVal = b.updateSelect(sc.corr, p, support, coef, mask)
 	}
 	return support, coef
 }
@@ -294,28 +313,20 @@ func (b *BatchOMP) projections(p, y []float64) {
 }
 
 // projectionsRows is projections over the row-major mirror: p accumulates
-// y[i]·row_i for ascending i, two rows per pass, which vectorises across
+// y[i]·row_i for ascending i, four rows per pass, which vectorises across
 // adjacent columns. Each p[j] still sums its terms in ascending-i order
 // starting from +0 — the exact order of the scalar dot product — so the
 // two layouts produce bit-identical projections.
 func (b *BatchOMP) projectionsRows(p, y []float64) {
 	k := b.k
-	for j := range p {
-		p[j] = 0
-	}
+	clear(p)
 	i := 0
-	for ; i+2 <= len(y); i += 2 {
-		r0 := b.rows[(i+0)*k : (i+1)*k]
-		r1 := b.rows[(i+1)*k : (i+2)*k]
-		axpyPair(p, r0, r1, y[i], y[i+1])
+	for ; i+4 <= len(y); i += 4 {
+		dsp.AddRows4(p, b.rows[i*k:(i+1)*k], b.rows[(i+1)*k:(i+2)*k],
+			b.rows[(i+2)*k:(i+3)*k], b.rows[(i+3)*k:(i+4)*k], y[i], y[i+1], y[i+2], y[i+3])
 	}
 	for ; i < len(y); i++ {
-		r := b.rows[i*k : (i+1)*k]
-		yi := y[i]
-		r = r[:len(p)]
-		for j := range p {
-			p[j] += yi * r[j]
-		}
+		dsp.Axpy(p, b.rows[i*k:(i+1)*k], y[i])
 	}
 }
 
@@ -324,65 +335,44 @@ func (b *BatchOMP) projectionsRows(p, y []float64) {
 // sweep. Support atoms are applied four at a time in support order, so
 // every element sees the same sequence of subtractions as applying atoms
 // one by one — bit-identical values. The last group of 1–4 atoms is
-// folded into the selection scan itself: those values live only in
-// registers and are never stored, because corr is consumed solely by this
-// selection and the next call restarts from p. With an empty support the
-// scan runs over p directly (the first selection needs no copy at all).
-// Short groups are padded with zero coefficients against a positive dummy
-// row (b.norms), and x - (+0) is exact for every float64 x.
-func (b *BatchOMP) updateSelect(corr, p []float64, support []int, coef []float64, inSupport []bool) (int, float64) {
-	k := b.k
+// folded into the selection scan itself (dsp.SubRows4ArgMax): those values
+// live only in registers and are never stored, because corr is consumed
+// solely by this selection and the next call restarts from p. With an
+// empty support the scan runs over p directly (the first selection needs
+// no copy at all). Short groups are padded with zero coefficients against
+// a positive dummy row (b.norms), and x - (+0) is exact for every float64
+// x. mask excludes support atoms and zero-norm columns from the scan.
+func (b *BatchOMP) updateSelect(corr, p []float64, support []int, coef []float64, mask []uint64) (int, float64) {
 	s := len(support)
 	norms := b.norms
 	src := p
+	base := 0
 	if s > 4 {
 		// All but the final 1–4 atoms stream through corr, four atoms per
 		// pass (wider passes spill registers on amd64 and lose); the first
 		// pass reads p so no upfront copy is needed. Grouping only changes
 		// how often corr is loaded and stored — each element still sees
 		// the subtractions in support order.
-		head := (s - 1) &^ 3
+		base = (s - 1) &^ 3
 		in := p[:len(corr)]
-		for si := 0; si < head; si += 4 {
-			g0 := b.gram[support[si+0]*k : support[si+0]*k+k]
-			g1 := b.gram[support[si+1]*k : support[si+1]*k+k]
-			g2 := b.gram[support[si+2]*k : support[si+2]*k+k]
-			g3 := b.gram[support[si+3]*k : support[si+3]*k+k]
-			updatePass4(corr, in, g0, g1, g2, g3, coef[si+0], coef[si+1], coef[si+2], coef[si+3])
+		for si := 0; si < base; si += 4 {
+			dsp.SubRows4(corr, in, b.gramRow(support[si]), b.gramRow(support[si+1]),
+				b.gramRow(support[si+2]), b.gramRow(support[si+3]),
+				coef[si], coef[si+1], coef[si+2], coef[si+3])
 			in = corr
 		}
 		src = corr
 	}
-	base := 0
-	if s > 4 {
-		base = (s - 1) &^ 3
+	g := [4][]float64{norms, norms, norms, norms}
+	var c [4]float64
+	for i := base; i < s; i++ {
+		g[i-base], c[i-base] = b.gramRow(support[i]), coef[i]
 	}
-	g0, g1, g2, g3 := norms, norms, norms, norms
-	var c0, c1, c2, c3 float64
-	if n := s - base; n > 0 {
-		g0, c0 = b.gram[support[base+0]*k:support[base+0]*k+k], coef[base+0]
-		if n > 1 {
-			g1, c1 = b.gram[support[base+1]*k:support[base+1]*k+k], coef[base+1]
-		}
-		if n > 2 {
-			g2, c2 = b.gram[support[base+2]*k:support[base+2]*k+k], coef[base+2]
-		}
-		if n > 3 {
-			g3, c3 = b.gram[support[base+3]*k:support[base+3]*k+k], coef[base+3]
-		}
-	}
-	g0, g1, g2, g3 = g0[:len(src)], g1[:len(src)], g2[:len(src)], g3[:len(src)]
-	norms = norms[:len(src)]
-	inSupport = inSupport[:len(src)]
-	best, bestVal := -1, 0.0
-	for j, v := range src {
-		if inSupport[j] || norms[j] == 0 {
-			continue
-		}
-		v = (((v - c0*g0[j]) - c1*g1[j]) - c2*g2[j]) - c3*g3[j]
-		if a := math.Abs(v) / norms[j]; a > bestVal {
-			best, bestVal = j, a
-		}
-	}
-	return best, bestVal
+	return dsp.SubRows4ArgMax(src, g[0], g[1], g[2], g[3], c[0], c[1], c[2], c[3], mask, norms)
+}
+
+// gramRow returns row j of the Gram matrix: G_j·, the correlations of
+// column j with every column.
+func (b *BatchOMP) gramRow(j int) []float64 {
+	return b.gram[j*b.k : (j+1)*b.k : (j+1)*b.k]
 }

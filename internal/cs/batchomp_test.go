@@ -1,6 +1,7 @@
 package cs
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -127,15 +128,21 @@ func BenchmarkDirectOMP(b *testing.B) {
 	}
 }
 
+// BenchmarkBatchOMPSolve times one OMP frame at the EEG scenario's
+// largest geometry (M 192, N_Φ 384, 48 atoms) on the session path's
+// reused Scratch; it must report 0 allocs/op.
 func BenchmarkBatchOMPSolve(b *testing.B) {
-	rng := xrand.New(7)
-	cols := randomDict(rng, 150, 384)
-	solver := NewBatchOMP(cols)
-	y := make([]float64, 150)
-	rng.FillNormal(y, 0, 1)
+	const m, n = 192, 384
+	enc := idealEncoder(m, n, 2, 7)
+	r := NewMatrixReconstructor(enc.EffectiveMatrix(true), n, m/4, 1e-4)
+	y := bompFrames(enc, 7, 1)[0]
+	theta := make([]float64, n)
+	var sc Scratch
+	r.solver.SolveInto(theta, y, m/4, 1e-4, &sc) // grow the Scratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		solver.Solve(y, 24, 1e-6)
+		r.solver.SolveInto(theta, y, m/4, 1e-4, &sc)
 	}
 }
 
@@ -179,5 +186,192 @@ func TestBatchOMPSupportBudgetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceSolve is BatchOMP.solve before its selection scan and forward
+// solve ran on the dsp kernels: the correlation rebuilt from p one support
+// atom at a time, a scalar scan that skips support atoms and zero-norm
+// columns, and the row-by-row forward substitution. It is the oracle the
+// solver must match bit for bit.
+func referenceSolve(b *BatchOMP, y []float64, maxAtoms int, tol float64) []float64 {
+	k := b.k
+	theta := make([]float64, k)
+	if k == 0 || len(y) == 0 || maxAtoms <= 0 {
+		return theta
+	}
+	var yEnergy float64
+	for _, v := range y {
+		yEnergy += v * v
+	}
+	if yEnergy == 0 {
+		return theta
+	}
+	p := make([]float64, k)
+	for j := range p {
+		col := b.flat[j*b.m : (j+1)*b.m]
+		for i, v := range y {
+			p[j] += col[i] * v
+		}
+	}
+	inSupport := make([]bool, k)
+	var support []int
+	var coef, pS []float64
+	corr := make([]float64, k)
+	selectAtom := func() (int, float64) {
+		copy(corr, p)
+		for i, si := range support {
+			g := b.gram[si*k : (si+1)*k]
+			for j := range corr {
+				corr[j] -= coef[i] * g[j]
+			}
+		}
+		best, bestVal := -1, 0.0
+		for j, v := range corr {
+			if inSupport[j] || b.norms[j] == 0 {
+				continue
+			}
+			if a := math.Abs(v) / b.norms[j]; a > bestVal {
+				best, bestVal = j, a
+			}
+		}
+		return best, bestVal
+	}
+	lf := make([]float64, maxAtoms*maxAtoms) // row i at i*maxAtoms
+	z := make([]float64, maxAtoms)
+	limit := min(maxAtoms, b.m)
+	prevEnergy := yEnergy
+	best, bestVal := selectAtom()
+	for len(support) < limit {
+		if best < 0 || bestVal < 1e-15 {
+			break
+		}
+		s := len(support)
+		w := make([]float64, s)
+		for i, si := range support {
+			w[i] = b.gram[best*k+si]
+		}
+		for i := 0; i < s; i++ {
+			sum := w[i]
+			for t := 0; t < i; t++ {
+				sum -= lf[i*maxAtoms+t] * w[t]
+			}
+			w[i] = sum / lf[i*maxAtoms+i]
+		}
+		var zz float64
+		for _, v := range w {
+			zz += v * v
+		}
+		diag := b.gram[best*k+best] - zz
+		if diag <= 1e-300 {
+			break
+		}
+		copy(lf[s*maxAtoms:], w)
+		d := math.Sqrt(diag)
+		lf[s*maxAtoms+s] = d
+		support = append(support, best)
+		inSupport[best] = true
+		pS = append(pS, p[best])
+		sum := pS[s]
+		for t := 0; t < s; t++ {
+			sum -= lf[s*maxAtoms+t] * z[t]
+		}
+		z[s] = sum / d
+		n := len(support)
+		coef = make([]float64, n)
+		for i := n - 1; i >= 0; i-- {
+			sum := z[i]
+			for t := i + 1; t < n; t++ {
+				sum -= lf[t*maxAtoms+i] * coef[t]
+			}
+			coef[i] = sum / lf[i*maxAtoms+i]
+		}
+		rEnergy := yEnergy
+		for i, c := range coef {
+			rEnergy -= c * pS[i]
+		}
+		if rEnergy < 0 {
+			rEnergy = 0
+		}
+		if rEnergy <= tol*yEnergy {
+			break
+		}
+		if prevEnergy > 0 && (prevEnergy-rEnergy) < 0.005*prevEnergy {
+			break
+		}
+		prevEnergy = rEnergy
+		if len(support) >= limit {
+			break
+		}
+		best, bestVal = selectAtom()
+	}
+	for i, j := range support {
+		theta[j] = coef[i]
+	}
+	return theta
+}
+
+// TestBatchOMPMatchesReference pins the OMP solver to referenceSolve bit
+// for bit at the EEG geometries (N_Φ 384, M 75/150/192, MaxAtoms M/4,
+// Tol 1e-4) over white-noise, sparse and all-zero frames: the SolveInto
+// coefficients on a reused Scratch, and the frames ReconstructInto
+// produces from them.
+func TestBatchOMPMatchesReference(t *testing.T) {
+	for ci, m := range []int{75, 150, 192} {
+		t.Run(fmt.Sprintf("m%d", m), func(t *testing.T) {
+			const n, noise, tol = 384, 6, 1e-4
+			maxAtoms := m / 4
+			atoms := []int{3, 17, 60, 200}
+			enc := idealEncoder(m, n, 2, int64(80+ci))
+			r := NewMatrixReconstructor(enc.EffectiveMatrix(true), n, maxAtoms, tol)
+			var sc ReconScratch
+			theta := make([]float64, n)
+			var stream, want []float64
+			capped := 0
+			for fi, y := range bompFrames(enc, int64(90+ci), noise, atoms...) {
+				ref := referenceSolve(r.solver, y, maxAtoms, tol)
+				got := r.solver.SolveInto(theta, y, maxAtoms, tol, &sc.omp)
+				if i := bitDiff(got, ref); i >= 0 {
+					t.Fatalf("frame %d: coefficient %d = %v, reference %v", fi, i, got[i], ref[i])
+				}
+				nz := 0
+				for _, v := range ref {
+					if v != 0 {
+						nz++
+					}
+				}
+				if nz == maxAtoms {
+					capped++
+				}
+				if fi == noise && ref[atoms[0]] == 0 {
+					t.Fatalf("sparse frame: atom %d was never selected", atoms[0])
+				}
+				stream = append(stream, y...)
+				want = append(want, r.dct.Inverse(ref)...)
+			}
+			if capped == 0 {
+				t.Fatal("no frame ran to the atom cap")
+			}
+			if i := bitDiff(r.ReconstructInto(nil, stream, &sc), want); i >= 0 {
+				t.Fatalf("ReconstructInto differs from the reference at sample %d", i)
+			}
+		})
+	}
+}
+
+// TestBatchOMPSolveIntoAllocs pins the steady state of the OMP session
+// path: once the Scratch has grown, a solve allocates nothing.
+func TestBatchOMPSolveIntoAllocs(t *testing.T) {
+	const m, n = 192, 384
+	enc := idealEncoder(m, n, 2, 7)
+	r := NewMatrixReconstructor(enc.EffectiveMatrix(true), n, m/4, 1e-4)
+	y := bompFrames(enc, 7, 1)[0]
+	theta := make([]float64, n)
+	var sc Scratch
+	r.solver.SolveInto(theta, y, m/4, 1e-4, &sc)
+	if allocs := testing.AllocsPerRun(20, func() {
+		r.solver.SolveInto(theta, y, m/4, 1e-4, &sc)
+	}); allocs != 0 {
+		t.Fatalf("SolveInto: %v allocs per run, want 0", allocs)
 	}
 }

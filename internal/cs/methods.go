@@ -66,8 +66,12 @@ type ReconOptions struct {
 	BlockLen int
 }
 
-// MethodReconstructor recovers frames with a selectable algorithm. It
-// wraps the same effective-matrix machinery as Reconstructor.
+// MethodReconstructor recovers frames of N_Φ input samples from M
+// measurements with a selectable algorithm. The sparse methods solve
+// y ≈ A·Ψ·θ, where A is the *nominal* effective matrix of the encoder (the
+// designer knows the intended capacitor ratio, not the silicon's mismatch
+// realisation) and Ψ the orthonormal DCT dictionary in which EEG frames
+// are approximately sparse.
 type MethodReconstructor struct {
 	opts ReconOptions
 	n, m int
@@ -82,9 +86,24 @@ type MethodReconstructor struct {
 	// IHT step size 1/L with L ≈ the dictionary's largest squared
 	// singular value.
 	ihtStep float64
-	// Ridge: a (M×nPhi) and the Cholesky factor of A·Aᵀ + λI.
+	// Ridge: a (M×nPhi) and the Cholesky factor of A·Aᵀ + λI; nil for the
+	// other methods, which need only the dictionary.
 	a     [][]float64
 	ridge []float64
+}
+
+// NewReconstructor builds the default OMP reconstructor for an encoder,
+// over its nominal effective matrix. maxAtoms = 0 picks the default
+// budget M/3 (sub-Nyquist recovery needs the support well below M);
+// tol <= 0 selects 1e-6 relative residual.
+func NewReconstructor(enc *Encoder, maxAtoms int, tol float64) *MethodReconstructor {
+	return NewMatrixReconstructor(enc.EffectiveMatrix(true), enc.FrameLen(), maxAtoms, tol)
+}
+
+// NewMatrixReconstructor builds the OMP reconstructor for an arbitrary
+// effective matrix A (M×nPhi), with NewReconstructor's defaults.
+func NewMatrixReconstructor(a [][]float64, nPhi, maxAtoms int, tol float64) *MethodReconstructor {
+	return NewMethodReconstructor(a, nPhi, ReconOptions{Method: MethodOMP, MaxAtoms: maxAtoms, Tol: tol})
 }
 
 // NewMethodReconstructor precomputes whatever the chosen method needs for
@@ -112,7 +131,7 @@ func NewMethodReconstructor(a [][]float64, nPhi int, opts ReconOptions) *MethodR
 	if opts.BlockLen <= 0 {
 		opts.BlockLen = 4
 	}
-	r := &MethodReconstructor{opts: opts, n: nPhi, m: m, dct: dsp.NewDCT(nPhi), a: a}
+	r := &MethodReconstructor{opts: opts, n: nPhi, m: m, dct: dsp.NewDCT(nPhi)}
 	switch opts.Method {
 	case MethodOMP, MethodIHT, MethodBOMP:
 		dict := make([][]float64, nPhi)
@@ -151,7 +170,7 @@ func NewMethodReconstructor(a [][]float64, nPhi int, opts ReconOptions) *MethodR
 		if !ok {
 			panic("cs: ridge system not positive definite")
 		}
-		r.ridge = l
+		r.a, r.ridge = a, l
 	default:
 		panic(fmt.Sprintf("cs: unknown reconstruction method %d", opts.Method))
 	}
@@ -225,14 +244,23 @@ func (r *MethodReconstructor) ReconstructFrame(y []float64) []float64 {
 	}
 }
 
-// ReconstructInto is Reconstruct against caller-owned storage, with the
-// contract of Reconstructor.ReconstructInto: dst is grown (reallocating
-// only when capacity is exceeded) to frames·N_Φ and fully overwritten,
-// the returned slice aliases it, and results are bit-identical to
-// Reconstruct. OMP and BOMP solve against sc and allocate nothing in the
-// steady state; IHT and ridge run their per-frame code and copy. A
-// single MethodReconstructor may serve many goroutines concurrently as
-// long as each brings its own ReconScratch.
+// ReconScratch holds the per-goroutine working set of the allocation-free
+// reconstruction path: the coefficient vector plus the Batch-OMP and
+// block-OMP solver scratch. The zero value is ready to use; it grows to
+// the largest geometry seen.
+type ReconScratch struct {
+	theta []float64
+	omp   Scratch
+	bomp  bompScratch
+}
+
+// ReconstructInto is Reconstruct against caller-owned storage: dst is
+// grown (reallocating only when capacity is exceeded) to frames·N_Φ and
+// fully overwritten, the returned slice aliases it, and results are
+// bit-identical to Reconstruct. OMP and BOMP solve against sc and
+// allocate nothing in the steady state; IHT and ridge run their
+// per-frame code and copy. A single MethodReconstructor may serve many
+// goroutines concurrently as long as each brings its own ReconScratch.
 func (r *MethodReconstructor) ReconstructInto(dst, y []float64, sc *ReconScratch) []float64 {
 	frames := len(y) / r.m
 	need := frames * r.n
@@ -299,7 +327,7 @@ func grown[T any](v []T, n int) []T {
 // and one per step (Dᵀr), support Gram entries read from the
 // precomputed Gram matrix, the Cholesky factor of (D_SᵀD_S + 1e-12·I)
 // extended by the new block's rows only, and the residual rebuilt with
-// updatePass4. Every quantity sums its terms in the same order as a
+// dsp.SubRows4. Every quantity sums its terms in the same order as a
 // from-scratch refit (dot products from +0 in ascending sample order,
 // factor rows exactly as cholesky computes them, coefficients applied in
 // support order), so the result is bit-identical to one. theta (length
@@ -406,7 +434,7 @@ steps:
 			cols[cnt], cf[cnt] = b.column(j), coef[i]
 			cnt++
 			if cnt == 4 {
-				updatePass4(resid, resid, cols[0], cols[1], cols[2], cols[3], cf[0], cf[1], cf[2], cf[3])
+				dsp.SubRows4(resid, resid, cols[0], cols[1], cols[2], cols[3], cf[0], cf[1], cf[2], cf[3])
 				cnt = 0
 			}
 		}
@@ -414,7 +442,7 @@ steps:
 			for ; cnt < 4; cnt++ {
 				cols[cnt], cf[cnt] = r.zeroRow, 0
 			}
-			updatePass4(resid, resid, cols[0], cols[1], cols[2], cols[3], cf[0], cf[1], cf[2], cf[3])
+			dsp.SubRows4(resid, resid, cols[0], cols[1], cols[2], cols[3], cf[0], cf[1], cf[2], cf[3])
 		}
 		if dsp.Energy(resid) <= r.opts.Tol*energy0 {
 			break

@@ -97,34 +97,21 @@ func (d *DCT) Inverse(c []float64) []float64 {
 	if len(c) != d.n {
 		panic("dsp: DCT Inverse length mismatch")
 	}
-	out := make([]float64, d.n)
-	for k, ck := range c {
-		if ck == 0 {
-			continue
-		}
-		row := d.table[k]
-		for i := range out {
-			out[i] += ck * row[i]
-		}
-	}
-	return out
+	return d.InverseInto(make([]float64, d.n), c)
 }
 
 // InverseInto is Inverse against caller-owned storage: dst (length N) is
-// fully overwritten with the reconstruction. Coefficients are applied in
-// the same ascending-k order as Inverse, so the result is bit-identical.
+// fully overwritten with the reconstruction. Each element accumulates
+// c[k]·basis_k from +0 over the nonzero coefficients in ascending k;
+// AddRows4 applies four of them per pass, so dst is loaded and stored a
+// quarter as often as one Axpy per coefficient, with the same sums. The
+// sparse solver leaves only a few dozen nonzeros, so gathering them is
+// cheap next to the N-length passes.
 func (d *DCT) InverseInto(dst, c []float64) []float64 {
 	if len(c) != d.n || len(dst) != d.n {
 		panic("dsp: DCT InverseInto length mismatch")
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	// Apply four nonzero coefficients per pass: each element still
-	// accumulates its terms in ascending-k order (bit-identical to
-	// one-by-one application) while dst is loaded and stored 4× less
-	// often. The sparse solver leaves only a few dozen nonzeros, so the
-	// gather is cheap relative to the N-length passes it batches.
+	clear(dst)
 	var idx [4]int
 	cnt := 0
 	for k, ck := range c {
@@ -137,21 +124,11 @@ func (d *DCT) InverseInto(dst, c []float64) []float64 {
 			continue
 		}
 		cnt = 0
-		r0, r1 := d.table[idx[0]], d.table[idx[1]]
-		r2, r3 := d.table[idx[2]], d.table[idx[3]]
-		c0, c1, c2, c3 := c[idx[0]], c[idx[1]], c[idx[2]], c[idx[3]]
-		r0, r1, r2, r3 = r0[:len(dst)], r1[:len(dst)], r2[:len(dst)], r3[:len(dst)]
-		for i := range dst {
-			dst[i] = (((dst[i] + c0*r0[i]) + c1*r1[i]) + c2*r2[i]) + c3*r3[i]
-		}
+		AddRows4(dst, d.table[idx[0]], d.table[idx[1]], d.table[idx[2]], d.table[idx[3]],
+			c[idx[0]], c[idx[1]], c[idx[2]], c[idx[3]])
 	}
-	for t := 0; t < cnt; t++ {
-		row := d.table[idx[t]]
-		ck := c[idx[t]]
-		row = row[:len(dst)]
-		for i := range dst {
-			dst[i] += ck * row[i]
-		}
+	for _, k := range idx[:cnt] {
+		Axpy(dst, d.table[k], c[k])
 	}
 	return dst
 }

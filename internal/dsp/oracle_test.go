@@ -156,3 +156,50 @@ func TestDCTForwardIntoMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// dctInverseReference is Inverse before it ran on the row kernels: one
+// scalar pass per nonzero coefficient, in ascending k.
+func dctInverseReference(d *DCT, c []float64) []float64 {
+	out := make([]float64, d.n)
+	for k, ck := range c {
+		if ck == 0 {
+			continue
+		}
+		row := d.table[k]
+		for i := range out {
+			out[i] += ck * row[i]
+		}
+	}
+	return out
+}
+
+// TestDCTInverseIntoMatchesReference covers every count of nonzero
+// coefficients modulo 4 (the AddRows4 groups and their Axpy tail), at
+// lengths that exercise the kernels' scalar tails, including a dense and
+// an all-zero vector.
+func TestDCTInverseIntoMatchesReference(t *testing.T) {
+	rng := xrand.New(10)
+	for _, n := range []int{1, 2, 3, 5, 8, 13, 64, 384} {
+		d := NewDCT(n)
+		for _, nz := range []int{0, 1, 2, 3, 4, 5, 6, 7, 9, 13, 48, n} {
+			if nz > n {
+				continue
+			}
+			c := make([]float64, n)
+			for _, k := range rng.Choose(n, nz) {
+				c[k] = rng.Normal(0, 1)
+			}
+			want := dctInverseReference(d, c)
+			if i := sameBits(d.Inverse(c), want); i >= 0 {
+				t.Fatalf("n=%d nz=%d: Inverse differs from the reference at %d", n, nz, i)
+			}
+			dst := make([]float64, n)
+			for i := range dst {
+				dst[i] = math.NaN() // stale contents must be overwritten
+			}
+			if i := sameBits(d.InverseInto(dst, c), want); i >= 0 {
+				t.Fatalf("n=%d nz=%d: InverseInto differs from the reference at %d", n, nz, i)
+			}
+		}
+	}
+}

@@ -92,6 +92,15 @@ func AddTo(dst, src []float64) []float64 {
 	return dst
 }
 
+// Axpy computes y[j] += a*x[j] for j in [0, len(y)): one row of
+// AddRows4. x must be at least len(y) long.
+func Axpy(y, x []float64, a float64) {
+	x = x[:len(y)]
+	for j := range y {
+		y[j] += a * x[j]
+	}
+}
+
 // Sub returns a new slice a-b; the shorter length governs.
 func Sub(a, b []float64) []float64 {
 	n := len(a)
