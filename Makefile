@@ -11,29 +11,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench writes a machine-readable baseline (BENCH_PR10.json, ignored by
-# git) for the hot paths: the obs histogram, the OMP and block-OMP
-# solvers, the sweep engine, the HTTP serving stack, the headline
-# cold-sweep throughput benchmark (BenchmarkSweepColdCS, points/s) and
-# one cold suite set-up per scenario (BenchmarkSuiteSetup).
-# -count=6 gives benchstat enough samples to call a regression; the
-# target is informational, not a gate.
+# bench runs every workload of the repository's benchmark (bench/,
+# declared in BENCHMARK.json) once at seed 1, each in its own child
+# process, and writes the runs to bench/out/run-seed1.json. It exits 1
+# when a workload's output digest does not match bench/golden.json.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count=6 -json \
-		./internal/obs ./internal/cs ./internal/dse ./internal/serve > BENCH_PR10.json
-	$(GO) test -run '^$$' -bench 'SweepColdCS|SuiteSetup' -benchmem -count=6 -json \
-		. >> BENCH_PR10.json
-	@echo "wrote BENCH_PR10.json"
+	bash bench/run.sh run -seed 1
 
-# benchdiff prints a per-benchmark delta table between the release
-# baselines and the capture `make bench` just wrote — points/s, ns/op
-# and allocs/op side by side, each diffed against the best historical
-# mean so an old regression cannot hide a further slide. Informational
-# only: it never fails the build (a missing baseline is reported and
-# skipped), it exists so the batch-dispatch throughput claim stays
-# visible release over release.
+# benchdiff judges the runs `make bench` just wrote against the committed
+# baseline under BENCHMARK.json's bounds (better, no worse, regressed or
+# unresolved per workload and metric). Only runs made on the machine the
+# baseline was measured on compare meaningfully.
 benchdiff:
-	$(GO) run ./cmd/benchdiff BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR10.json
+	bash bench/run.sh compare bench/baseline.json bench/out/run-seed1.json
 
 # chaos runs the fault-injection acceptance suites — seeded schedules
 # through the failpoint registry, the engine's retry path, the cache's
@@ -82,13 +72,14 @@ wal-fuzz:
 stress:
 	$(GO) test -count=20 ./internal/cluster ./internal/serve ./internal/wal
 
-# purego runs the kernel, converter, reconstruction, chain and evaluator
-# suites with the AVX kernels (internal/dsp) compiled out. The kernels
-# promise results bit-identical to their pure-Go loops; the kernel, SAR,
-# OMP and block-OMP reference tests and the session identity tests check
-# that promise in this build too.
+# purego runs the kernel, converter, reconstruction, detector, chain and
+# evaluator suites with the AVX kernels (internal/dsp) compiled out. The
+# kernels promise results bit-identical to their pure-Go loops; the
+# kernel, FFT, Welch, DCT, SAR, OMP, block-OMP and detector reference
+# tests and the session identity tests check that promise in this build
+# too.
 purego:
-	$(GO) test -tags purego ./internal/dsp ./internal/adc ./internal/cs ./internal/chain ./internal/core
+	$(GO) test -tags purego ./internal/dsp ./internal/adc ./internal/cs ./internal/classify ./internal/chain ./internal/core
 
 # setup-identity runs the suite set-up golden and the oracle tests of the
 # set-up kernels (coloured noise, resampling, the forward DCT, the sparse

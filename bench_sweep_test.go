@@ -13,8 +13,8 @@ import (
 // BenchmarkSweepColdCS is the cold-cache sweep benchmark: a CS-family
 // noise×resolution grid (one frame geometry, the Fig 7a SNR workload)
 // swept through the engine with an empty memoisation cache on every
-// iteration, so every point is a genuine evaluation. points/s is the
-// headline throughput figure tracked across releases in BENCH_PR*.json.
+// iteration, so every point is a genuine evaluation, reported as
+// points/s.
 func BenchmarkSweepColdCS(b *testing.B) {
 	test := eeg.Synthesize(eeg.DefaultConfig(21, 2))
 	ev, err := core.NewEvaluator(core.Config{

@@ -77,9 +77,11 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 	return c
 }
 
-// sparsify projects v frame-by-frame onto its SparseKeep strongest DCT
-// atoms — a cheap stand-in for what a CS reconstruction does to a record.
-func sparsify(v []float64, frame, keep int) []float64 {
+// sparsify projects v frame-by-frame onto its keep strongest DCT atoms —
+// a cheap stand-in for what a CS reconstruction does to a record. fwd is
+// the forward layout of the frame-length DCT.
+func sparsify(v []float64, fwd *dsp.DCTForward, keep int) []float64 {
+	frame := fwd.N()
 	d := dsp.NewDCT(frame)
 	out := make([]float64, len(v))
 	copy(out, v)
@@ -87,7 +89,7 @@ func sparsify(v []float64, frame, keep int) []float64 {
 	mags := make([]float64, frame)
 	for start := 0; start+frame <= len(v); start += frame {
 		x := out[start : start+frame]
-		d.ForwardInto(c, x)
+		fwd.Into(c, x)
 		keepTopK(c, keep, mags)
 		d.InverseInto(x, c)
 	}
@@ -150,10 +152,16 @@ func keepTopKSorted(c []float64, k int) {
 // on every core, GOMAXPROCS records at a time, so at most that many
 // records' noisy copies are alive at once. Examples are assembled in
 // record, level, variant, window order whatever the worker count, so the
-// scaler and the network see the same inputs as a serial run.
+// scaler and the network see the same inputs as a serial run. The
+// sparsifier's forward DCT layout is built once here, shared by every
+// worker, and dropped when training returns.
 func TrainDetector(ds *eeg.Dataset, cfg DetectorConfig) *Detector {
 	cfg = cfg.withDefaults()
 	rng := xrand.Derive(cfg.Seed, "detector-augment")
+	var fwd *dsp.DCTForward
+	if !cfg.SkipSparse {
+		fwd = dsp.NewDCT(cfg.SparseFrame).ForwardLayout()
+	}
 	levels := len(cfg.AugmentNoise)
 	batch := runtime.GOMAXPROCS(0)
 	var x [][]float64
@@ -178,7 +186,7 @@ func TrainDetector(ds *eeg.Dataset, cfg DetectorConfig) *Detector {
 		}
 		feats := make([][][]float64, len(copies))
 		par.For(len(copies), func(j int) {
-			feats[j] = copyFeatures(copies[j], recs[j/levels].Rate, cfg)
+			feats[j] = copyFeatures(copies[j], recs[j/levels].Rate, fwd, cfg)
 		})
 		for j, rows := range feats {
 			label := 0.0
@@ -201,12 +209,13 @@ func TrainDetector(ds *eeg.Dataset, cfg DetectorConfig) *Detector {
 }
 
 // copyFeatures returns the training feature rows of one augmented copy
-// v: v's, then its sparsified version's, each per window (whole-copy
-// when windows are off or v is shorter than one window).
-func copyFeatures(v []float64, rate float64, cfg DetectorConfig) [][]float64 {
+// v: v's, then (when fwd is set) its sparsified version's, each per
+// window (whole-copy when windows are off or v is shorter than one
+// window).
+func copyFeatures(v []float64, rate float64, fwd *dsp.DCTForward, cfg DetectorConfig) [][]float64 {
 	variants := [][]float64{v}
-	if !cfg.SkipSparse {
-		variants = append(variants, sparsify(v, cfg.SparseFrame, cfg.SparseKeep))
+	if fwd != nil {
+		variants = append(variants, sparsify(v, fwd, cfg.SparseKeep))
 	}
 	win := 0
 	if cfg.WindowSeconds > 0 {

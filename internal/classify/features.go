@@ -64,20 +64,22 @@ func Features(v []float64, rate float64) []float64 {
 			out[i] = psd.BandPower(band[0], hi) / total
 		}
 	}
-	// Line length normalised by RMS and sample count: mean absolute
-	// derivative in units of the signal scale.
-	var ll float64
+	// One pass over the first difference feeds three features: the line
+	// length (sum of |Δ|), the zero crossings and the derivative energy
+	// of the Hjorth mobility below.
+	var ll, zc, de float64
 	for i := 1; i < len(w); i++ {
-		ll += math.Abs(w[i] - w[i-1])
-	}
-	out[5] = ll / (float64(len(w)-1) * rms)
-	// Zero-crossing rate.
-	var zc float64
-	for i := 1; i < len(w); i++ {
+		d := w[i] - w[i-1]
+		ll += math.Abs(d)
+		de += d * d
 		if (w[i] >= 0) != (w[i-1] >= 0) {
 			zc++
 		}
 	}
+	// Line length normalised by RMS and sample count: mean absolute
+	// derivative in units of the signal scale.
+	out[5] = ll / (float64(len(w)-1) * rms)
+	// Zero-crossing rate.
 	out[6] = zc / float64(len(w)-1)
 	// Spectral shape.
 	out[7] = psd.MedianFrequency() / nyq
@@ -85,11 +87,7 @@ func Features(v []float64, rate float64) []float64 {
 	// Peak factor (crest): peak over RMS, log-compressed.
 	out[9] = math.Log1p(dsp.MaxAbs(w) / rms)
 	// Hjorth mobility: RMS of derivative over RMS of signal, in cycles.
-	deriv := make([]float64, len(w)-1)
-	for i := range deriv {
-		deriv[i] = w[i+1] - w[i]
-	}
-	out[10] = dsp.RMS(deriv) / rms
+	out[10] = math.Sqrt(de/float64(len(w)-1)) / rms
 	// Rhythmicity: ictal spike-wave discharges are narrowband (a sharp
 	// 3–5 Hz peak), while broadband noise — including compressive-sensing
 	// reconstruction residue — spreads across the low band. The peak-to-

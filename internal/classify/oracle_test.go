@@ -98,6 +98,68 @@ func trainDetectorReference(ds *eeg.Dataset, cfg DetectorConfig) *Detector {
 	return &Detector{scaler: scaler, net: net, Threshold: 0.5}
 }
 
+// featuresReference is Features before its first-difference loops were
+// fused: line length, zero crossings and the derivative (a fresh slice,
+// then dsp.RMS) in three passes.
+func featuresReference(v []float64, rate float64) []float64 {
+	out := make([]float64, FeatureCount)
+	if len(v) < 32 || rate <= 0 {
+		return out
+	}
+	w := dsp.RemoveMean(dsp.Clone(v))
+	rms := dsp.RMS(w)
+	if rms == 0 {
+		return out
+	}
+	seg := 512
+	if len(w) < seg {
+		seg = len(w)
+	}
+	psd := dsp.Welch(w, rate, seg)
+	total := psd.TotalPower()
+	nyq := rate / 2
+	for i, band := range eegBands {
+		hi := math.Min(band[1], nyq)
+		if total > 0 && hi > band[0] {
+			out[i] = psd.BandPower(band[0], hi) / total
+		}
+	}
+	var ll float64
+	for i := 1; i < len(w); i++ {
+		ll += math.Abs(w[i] - w[i-1])
+	}
+	out[5] = ll / (float64(len(w)-1) * rms)
+	var zc float64
+	for i := 1; i < len(w); i++ {
+		if (w[i] >= 0) != (w[i-1] >= 0) {
+			zc++
+		}
+	}
+	out[6] = zc / float64(len(w)-1)
+	out[7] = psd.MedianFrequency() / nyq
+	out[8] = psd.SpectralEdge(0.9) / nyq
+	out[9] = math.Log1p(dsp.MaxAbs(w) / rms)
+	deriv := make([]float64, len(w)-1)
+	for i := range deriv {
+		deriv[i] = w[i+1] - w[i]
+	}
+	out[10] = dsp.RMS(deriv) / rms
+	peak, meanLow := psdPeakAndMean(psd, 2.5, 6.5, 0.5, 16)
+	if meanLow > 0 {
+		out[11] = math.Log1p(peak / meanLow)
+	}
+	f0 := psdArgmax(psd, 2.5, 6.5)
+	if f0 > 0 && total > 0 {
+		fund := psd.BandPower(f0-0.7, f0+0.7)
+		harm := psd.BandPower(2*f0-1, 2*f0+1)
+		if fund > 0 {
+			out[12] = harm / (fund + 1e-30)
+		}
+	}
+	out[13] = math.Log10(rms / 1e-6)
+	return out
+}
+
 func firstBitDiff(a, b []float64) int {
 	if len(a) != len(b) {
 		return min(len(a), len(b))
@@ -147,10 +209,33 @@ func TestKeepTopKMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFeaturesMatchesReference pins the feature vector bit for bit on
+// ictal and interictal records, their sparsified and noisy copies, and
+// the short and degenerate inputs.
+func TestFeaturesMatchesReference(t *testing.T) {
+	ds := eeg.Synthesize(eeg.DefaultConfig(8, 4))
+	rng := xrand.New(8)
+	var inputs [][]float64
+	for _, r := range ds.Records {
+		noisy := dsp.Clone(r.Samples)
+		for i := range noisy {
+			noisy[i] += rng.Normal(0, 2e-5)
+		}
+		inputs = append(inputs, r.Samples, noisy,
+			sparsify(r.Samples, dsp.NewDCT(384).ForwardLayout(), 24), r.Samples[:500], r.Samples[:32])
+	}
+	inputs = append(inputs, make([]float64, 600), []float64{1, 2})
+	for i, v := range inputs {
+		if j := firstBitDiff(Features(v, ds.Rate), featuresReference(v, ds.Rate)); j >= 0 {
+			t.Fatalf("input %d (%d samples): feature %d (%s) differs from the reference", i, len(v), j, FeatureNames[j])
+		}
+	}
+}
+
 func TestSparsifyMatchesReference(t *testing.T) {
 	rec := eeg.Synthesize(eeg.DefaultConfig(6, 2)).Records[1].Samples
 	for _, tc := range []struct{ frame, keep int }{{384, 24}, {64, 5}, {7, 2}} {
-		got := sparsify(rec, tc.frame, tc.keep)
+		got := sparsify(rec, dsp.NewDCT(tc.frame).ForwardLayout(), tc.keep)
 		want := sparsifyReference(rec, tc.frame, tc.keep)
 		if i := firstBitDiff(got, want); i >= 0 {
 			t.Fatalf("frame %d keep %d: sample %d = %v, reference %v", tc.frame, tc.keep, i, got[i], want[i])

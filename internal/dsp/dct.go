@@ -54,39 +54,60 @@ func NewDCT(n int) *DCT {
 func (d *DCT) N() int { return d.n }
 
 // Forward computes the orthonormal DCT-II coefficients of x
-// (len(x) == N, panic otherwise).
+// (len(x) == N, panic otherwise). It builds a DCTForward for the one
+// call; code that transforms many frames builds one and reuses it.
 func (d *DCT) Forward(x []float64) []float64 {
 	if len(x) != d.n {
 		panic("dsp: DCT Forward length mismatch")
 	}
-	return d.ForwardInto(make([]float64, d.n), x)
+	return d.ForwardLayout().Into(make([]float64, d.n), x)
 }
 
-// ForwardInto is Forward against caller-owned storage: dst (length N,
-// not aliasing x) is overwritten with the coefficients of x. Four basis
-// rows share each pass over x, with one accumulator each, so x is read a
-// quarter as often; every coefficient still sums its terms in
-// ascending-i order from +0, exactly as Dot does, so the result is
-// bit-identical to one Dot per row.
-func (d *DCT) ForwardInto(dst, x []float64) []float64 {
-	if len(x) != d.n || len(dst) != d.n {
-		panic("dsp: DCT ForwardInto length mismatch")
-	}
-	k := 0
-	for ; k+4 <= d.n; k += 4 {
-		r0, r1 := d.table[k][:len(x)], d.table[k+1][:len(x)]
-		r2, r3 := d.table[k+2][:len(x)], d.table[k+3][:len(x)]
-		var s0, s1, s2, s3 float64
-		for i, xi := range x {
-			s0 += r0[i] * xi
-			s1 += r1[i] * xi
-			s2 += r2[i] * xi
-			s3 += r3[i] * xi
+// DCTForward is the forward transform laid out for the row kernels: a
+// sample-major copy of the basis, row i holding sample i of every basis
+// function. It costs as much memory as the DCT itself (N² values, 1.2 MB
+// at N = 384), so nothing caches it: a caller that runs many forward
+// transforms builds one, shares it read-only across goroutines, and drops
+// it when done.
+type DCTForward struct {
+	rows [][]float64
+}
+
+// ForwardLayout builds the sample-major copy of d's basis.
+func (d *DCT) ForwardLayout() *DCTForward {
+	f := &DCTForward{rows: make([][]float64, d.n)}
+	flat := make([]float64, d.n*d.n)
+	for i := range f.rows {
+		row := flat[i*d.n : (i+1)*d.n : (i+1)*d.n]
+		for k, basis := range d.table {
+			row[k] = basis[i]
 		}
-		dst[k], dst[k+1], dst[k+2], dst[k+3] = s0, s1, s2, s3
+		f.rows[i] = row
 	}
-	for ; k < d.n; k++ {
-		dst[k] = Dot(d.table[k], x)
+	return f
+}
+
+// N returns the transform length.
+func (f *DCTForward) N() int { return len(f.rows) }
+
+// Into writes the orthonormal DCT-II coefficients of x to dst (both of
+// length N, not aliasing) and returns dst. Each coefficient sums its
+// terms basis_k[i]·x[i] in ascending i from +0, exactly as one Dot per
+// basis function does; AddRows4 adds four samples' rows per pass, so dst
+// is loaded and stored a quarter as often, and the last N mod 4 samples
+// go through Axpy.
+func (f *DCTForward) Into(dst, x []float64) []float64 {
+	n := len(f.rows)
+	if len(x) != n || len(dst) != n {
+		panic("dsp: DCTForward length mismatch")
+	}
+	clear(dst)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		AddRows4(dst, f.rows[i], f.rows[i+1], f.rows[i+2], f.rows[i+3], x[i], x[i+1], x[i+2], x[i+3])
+	}
+	for ; i < n; i++ {
+		Axpy(dst, f.rows[i], x[i])
 	}
 	return dst
 }

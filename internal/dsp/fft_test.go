@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/cmplx"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -146,4 +147,45 @@ func TestMagnitudeSpectrumAmplitude(t *testing.T) {
 	if math.Abs(peak-amp) > 0.05*amp {
 		t.Fatalf("windowed peak amplitude = %g, want ~%g", peak, amp)
 	}
+}
+
+// BenchmarkFFT512 is one Welch segment of the detector's features.
+func BenchmarkFFT512(b *testing.B) {
+	x := make([]complex128, 512)
+	rng := xrand.New(1)
+	for i := range x {
+		x[i] = complex(rng.Normal(0, 1), 0)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		FFT(x)
+	}
+}
+
+// TestFFTPlanConcurrentFirstUse: goroutines that all ask for a length no
+// other test plans race to build its plan; each transform still matches
+// the reference bit for bit (run under -race, this also checks the plan
+// is published safely).
+func TestFFTPlanConcurrentFirstUse(t *testing.T) {
+	const n = 1 << 14
+	x := make([]complex128, n)
+	rng := xrand.New(13)
+	for i := range x {
+		x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
+	}
+	want := append([]complex128(nil), x...)
+	referenceFFT(want, false)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := append([]complex128(nil), x...)
+			FFT(got)
+			if i := sameComplexBits(got, want); i >= 0 {
+				t.Errorf("bin %d = %v, reference %v", i, got[i], want[i])
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,9 +2,10 @@ package dsp
 
 import "math"
 
-// Vector kernels for the N-length loops of sparse reconstruction: the
-// Batch-OMP correlation update and atom selection (internal/cs), the
-// dictionary projections, and the inverse DCT. The AVX paths
+// Vector kernels for the N-length loops of sparse reconstruction and of
+// the transforms: the Batch-OMP correlation update and atom selection
+// (internal/cs), the dictionary projections, both DCT directions, and
+// the FFT's butterfly stages. The AVX paths
 // (kernel_amd64.s) use only per-lane IEEE-754 multiply, add, subtract,
 // divide, AND and compare — no FMA, no reassociation — so every element
 // sees exactly the arithmetic of the Go loops here, in the same order,
@@ -90,6 +91,40 @@ func SubRows4ArgMax(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask 
 		}
 	}
 	return best, bestVal
+}
+
+// butterflies runs one radix-2 decimation-in-time FFT stage over split
+// real and imaginary arrays: for each block of 2h elements (h =
+// len(wr)), element k of the first half and its partner k+h in the
+// second half become a+b·w and a−b·w, with w = (wr[k], wi[k]) and b·w
+// formed exactly as Go's complex multiply forms it, (br·wr − bi·wi,
+// br·wi + bi·wr). len(re) must be a multiple of 2h and im as long.
+func butterflies(re, im, wr, wi []float64) {
+	h := len(wr)
+	if useAVX && len(re) >= 8 && len(re)&7 == 0 {
+		switch {
+		case h&3 == 0:
+			butterfliesAVX(re, im, wr, wi)
+			return
+		case h == 1:
+			butterflies1AVX(re, im, wr, wi)
+			return
+		case h == 2:
+			butterflies2AVX(re, im, wr, wi)
+			return
+		}
+	}
+	wi = wi[:h]
+	for s := 0; s < len(re); s += 2 * h {
+		ar, ai := re[s:s+h], im[s:s+h]
+		br, bi := re[s+h:s+2*h], im[s+h:s+2*h]
+		for k, c := range wr {
+			tr := br[k]*c - bi[k]*wi[k]
+			ti := br[k]*wi[k] + bi[k]*c
+			ar[k], br[k] = ar[k]+tr, ar[k]-tr
+			ai[k], bi[k] = ai[k]+ti, ai[k]-ti
+		}
+	}
 }
 
 // argMaxLanes is the per-lane state of the vector SubRows4ArgMax: each

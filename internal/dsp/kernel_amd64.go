@@ -29,3 +29,19 @@ func addRows4AVX(dst, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64)
 //
 //go:noescape
 func subRows4ArgMaxAVX(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask []uint64, den []float64, lanes *argMaxLanes)
+
+// butterfliesAVX is the vector body of butterflies; len(wr) must be a
+// positive multiple of 4 and len(re) a multiple of 2·len(wr).
+//
+//go:noescape
+func butterfliesAVX(re, im, wr, wi []float64)
+
+// butterflies1AVX and butterflies2AVX are the vector bodies of
+// butterflies for h = len(wr) = 1 and 2; len(re) must be a positive
+// multiple of 8.
+//
+//go:noescape
+func butterflies1AVX(re, im, wr, wi []float64)
+
+//go:noescape
+func butterflies2AVX(re, im, wr, wi []float64)

@@ -18,3 +18,15 @@ func addRows4AVX(dst, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 func subRows4ArgMaxAVX(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask []uint64, den []float64, lanes *argMaxLanes) {
 	panic("dsp: AVX kernel called without AVX support")
 }
+
+func butterfliesAVX(re, im, wr, wi []float64) {
+	panic("dsp: AVX kernel called without AVX support")
+}
+
+func butterflies1AVX(re, im, wr, wi []float64) {
+	panic("dsp: AVX kernel called without AVX support")
+}
+
+func butterflies2AVX(re, im, wr, wi []float64) {
+	panic("dsp: AVX kernel called without AVX support")
+}

@@ -30,11 +30,9 @@ func Welch(v []float64, sampleRate float64, segLen int) PSD {
 	if n > len(v) {
 		n = len(v) // tiny input: single rectangular-ish segment
 	}
-	win := Hann(n)
-	var winPower float64
-	for _, w := range win {
-		winPower += w * w
-	}
+	// n is a power of two on every branch (the last only for len(v) = 1),
+	// so the plan's window is the segment's.
+	p := planFFT(n)
 	hop := n / 2
 	if hop == 0 {
 		hop = 1
@@ -42,30 +40,25 @@ func Welch(v []float64, sampleRate float64, segLen int) PSD {
 	m := n/2 + 1
 	acc := make([]float64, m)
 	segments := 0
-	buf := make([]complex128, NextPow2(n))
+	buf := make([]float64, 2*p.n)
+	re, im := buf[:p.n], buf[p.n:]
+	scale := 1 / (sampleRate * p.hannPower)
 	for start := 0; start+n <= len(v); start += hop {
-		for i := range buf {
-			buf[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			buf[i] = complex(v[start+i]*win[i], 0)
-		}
-		FFT(buf)
-		scale := 1 / (sampleRate * winPower)
-		for k := 0; k < m; k++ {
-			re, im := real(buf[k]), imag(buf[k])
-			p := (re*re + im*im) * scale
-			if k != 0 && k != len(buf)/2 {
-				p *= 2 // fold negative frequencies
+		p.load(re, im, v[start:start+n], p.hann)
+		p.run(re, im, false)
+		for k, a := range acc {
+			pk := (re[k]*re[k] + im[k]*im[k]) * scale
+			if k != 0 && k != n/2 {
+				pk *= 2 // fold negative frequencies
 			}
-			acc[k] += p
+			acc[k] = a + pk
 		}
 		segments++
 	}
 	if segments == 0 {
 		return PSD{}
 	}
-	binW := sampleRate / float64(NextPow2(n))
+	binW := sampleRate / float64(n)
 	freqs := make([]float64, m)
 	for k := range freqs {
 		freqs[k] = float64(k) * binW

@@ -92,3 +92,16 @@ func TestSpectralEdge(t *testing.T) {
 		t.Fatalf("edge(0) = %g out of range", got)
 	}
 }
+
+// BenchmarkWelchRecord is the detector's spectral estimate of one EEG
+// record: 12 080 samples in 512-point segments.
+func BenchmarkWelchRecord(b *testing.B) {
+	v := make([]float64, 12080)
+	xrand.New(1).FillNormal(v, 0, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		psdSink = Welch(v, 537.6, 512)
+	}
+}
+
+var psdSink PSD

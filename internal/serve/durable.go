@@ -125,10 +125,12 @@ type walJobRecord struct {
 }
 
 // walRowRecord journals one completed evaluation, keyed by the job and
-// the point's index in the job's original point order.
+// the point's index in the job's original point order, with the
+// fingerprint of the evaluator that computed it.
 type walRowRecord struct {
 	Job    string    `json:"job"`
 	I      int       `json:"i"`
+	Engine string    `json:"engine,omitempty"`
 	Result walResult `json:"r"`
 }
 
@@ -177,7 +179,7 @@ func (m *Manager) journalRow(job *Job, i int, r core.Result) {
 	if m.cfg.WAL == nil || job.kind != jobKindSweep {
 		return
 	}
-	rec := walRowRecord{Job: job.ID, I: i, Result: walResultOf(r)}
+	rec := walRowRecord{Job: job.ID, I: i, Engine: job.engineID, Result: walResultOf(r)}
 	if err := m.cfg.WAL.Append(walKindRow, rec); err != nil {
 		m.walWarn("wal: journaling row", err, slog.String("job_id", job.ID))
 	}
@@ -279,6 +281,7 @@ func (m *Manager) compactWAL() error {
 		state := j.state
 		results := j.results
 		searchOut := j.searchOut
+		engineID := j.engineID
 		var errMsg string
 		if j.err != nil {
 			errMsg = j.err.Error()
@@ -297,7 +300,7 @@ func (m *Manager) compactWAL() error {
 			}
 			for _, r := range results {
 				if i, ok := idx[r.Point]; ok {
-					if err := add(walKindRow, walRowRecord{Job: j.ID, I: i, Result: walResultOf(r)}); err != nil {
+					if err := add(walKindRow, walRowRecord{Job: j.ID, I: i, Engine: engineID, Result: walResultOf(r)}); err != nil {
 						return err
 					}
 				}
@@ -356,7 +359,7 @@ func (m *Manager) compactWAL() error {
 func (m *Manager) Recover(records []wal.Record) error {
 	type jobEntry struct {
 		rec  walJobRecord
-		rows map[int]core.Result
+		rows map[int]walRowRecord
 		st   *walStateRecord
 	}
 	byID := make(map[string]*jobEntry)
@@ -374,7 +377,7 @@ func (m *Manager) Recover(records []wal.Record) error {
 				e.rec = jr // doubled journal: last record wins, one job table
 				continue
 			}
-			byID[jr.ID] = &jobEntry{rec: jr, rows: make(map[int]core.Result)}
+			byID[jr.ID] = &jobEntry{rec: jr, rows: make(map[int]walRowRecord)}
 			order = append(order, jr.ID)
 		case walKindRow:
 			var rr walRowRecord
@@ -383,7 +386,7 @@ func (m *Manager) Recover(records []wal.Record) error {
 				continue
 			}
 			if e, ok := byID[rr.Job]; ok {
-				e.rows[rr.I] = rr.Result.result()
+				e.rows[rr.I] = rr
 			}
 		case walKindState:
 			var sr walStateRecord
@@ -464,8 +467,9 @@ func (m *Manager) bumpSeq(id string) {
 
 // recoverSweep rebuilds one journaled sweep job: terminal jobs become
 // queryable history, in-flight ones re-enqueue with their journaled rows
-// attached so only the complement is evaluated.
-func (m *Manager) recoverSweep(rec walJobRecord, rows map[int]core.Result, st *walStateRecord) error {
+// attached so only the complement is evaluated (checkReplayed decides,
+// once the engine is resolved, whether the rows may be kept).
+func (m *Manager) recoverSweep(rec walJobRecord, journaled map[int]walRowRecord, st *walStateRecord) error {
 	var req SweepRequest
 	if rec.Sweep != nil {
 		req = *rec.Sweep
@@ -488,9 +492,20 @@ func (m *Manager) recoverSweep(rec walJobRecord, rows map[int]core.Result, st *w
 	}
 	job.created = rec.Created
 	job.walJob = &rec
+	rows := make(map[int]core.Result, len(journaled))
+	engineID, first := "", true
+	for i, rr := range journaled {
+		rows[i] = rr.Result.result()
+		if first {
+			engineID, first = rr.Engine, false
+		} else if rr.Engine != engineID {
+			engineID = "" // rows from more than one evaluator
+		}
+	}
 
 	if st != nil && JobState(st.State).Terminal() {
 		// History: rebuild the terminal job exactly as finish left it.
+		job.engineID = engineID
 		results := make([]core.Result, 0, len(rows))
 		errs := 0
 		for i := 0; i < len(points); i++ {
@@ -522,7 +537,7 @@ func (m *Manager) recoverSweep(rec walJobRecord, rows map[int]core.Result, st *w
 
 	// In-flight: resume from the journaled rows.
 	if len(rows) > 0 {
-		job.replayed = rows
+		job.replayed, job.replayedEngine = rows, engineID
 	}
 	m.mu.Lock()
 	m.jobs[job.ID] = job
@@ -531,10 +546,33 @@ func (m *Manager) recoverSweep(rec walJobRecord, rows map[int]core.Result, st *w
 	m.enqueueLocked(ts, job)
 	m.mu.Unlock()
 	m.walResumedJobs.Add(1)
-	m.walReplayedRows.Add(int64(len(rows)))
 	m.logJob(job, "sweep resumed from wal",
 		slog.Int("replayed_rows", len(rows)), slog.Int("points", len(points)))
 	return nil
+}
+
+// checkReplayed runs once a resumed sweep's engine is resolved: the
+// journaled rows are kept (and counted as restored) only when they were
+// all computed under the engine's evaluator fingerprint. Otherwise —
+// an upgrade that changes results, a journal without fingerprints, an
+// engine without one — merging them with fresh rows would mix two
+// evaluation functions in one result cloud, so they are dropped with a
+// warning and the whole sweep is evaluated.
+func (m *Manager) checkReplayed(job *Job, engineID string) {
+	n := len(job.replayed)
+	if n == 0 {
+		return
+	}
+	if job.replayedEngine != "" && job.replayedEngine == engineID {
+		m.walReplayedRows.Add(int64(n))
+		return
+	}
+	m.walDiscardedRows.Add(int64(n))
+	m.walWarn("wal: re-evaluating a resumed sweep",
+		fmt.Errorf("its %d journaled rows were computed under evaluator %q, the engine is %q",
+			n, job.replayedEngine, engineID),
+		slog.String("job_id", job.ID))
+	job.replayed = nil
 }
 
 // recoverSearch rebuilds one journaled search job. Terminal jobs replay

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -25,9 +26,16 @@ import (
 // which compacts and closes the journal.
 func newDurableServer(t *testing.T, walLog *wal.Log, eval dse.PointEvaluator, cfg ManagerConfig) (*httptest.Server, *Manager) {
 	t.Helper()
+	return newDurableServerAs(t, walLog, eval, "test-eval", cfg)
+}
+
+// newDurableServerAs is newDurableServer with the engine's evaluator
+// fingerprint chosen by the caller.
+func newDurableServerAs(t *testing.T, walLog *wal.Log, eval dse.PointEvaluator, evalID string, cfg ManagerConfig) (*httptest.Server, *Manager) {
+	t.Helper()
 	store := cache.New(256)
 	eng, err := dse.NewSweep(eval,
-		dse.WithCache(store), dse.WithWorkers(1), dse.WithEvaluatorID("test-eval"))
+		dse.WithCache(store), dse.WithWorkers(1), dse.WithEvaluatorID(evalID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,20 +95,22 @@ func fetchNDJSON(t *testing.T, base, statusURL string) []byte {
 	return body
 }
 
-// TestChaosRestartResumesMidSweep is the durability acceptance test: a
-// sweep is killed after three of six points (the journal file is copied
-// byte-for-byte — the WAL uses unbuffered appends, so the copy IS the
-// SIGKILL disk image), a new manager over the copied journal resumes
-// it, evaluates only the complement, and the finished result stream is
-// bit-identical to an uninterrupted run's. The replay is accounted in
-// /metrics.
-func TestChaosRestartResumesMidSweep(t *testing.T) {
-	const totalPoints, journaled = 6, 3
-	req := SweepRequest{Space: &SpaceSpec{
+// restartSweep is the six-point sweep the kill-and-restart tests crash
+// after three journaled rows.
+func restartSweep() SweepRequest {
+	return SweepRequest{Space: &SpaceSpec{
 		Architectures: []string{"baseline"}, Bits: []int{4, 6}, NoiseSteps: 3,
 	}}
+}
 
-	// Phase 1: run the sweep and "crash" after three journaled rows.
+// crashMidSweep runs req on a journaling manager (evaluator fingerprint
+// "test-eval") whose evaluator blocks from point journaled+1 on, waits
+// until the first journaled rows are in the journal, and returns a
+// byte-for-byte copy of it — the WAL uses unbuffered appends, so the
+// copy IS the SIGKILL disk image — reopened in a fresh directory, with
+// the job's ID. The blocked manager is released at cleanup.
+func crashMidSweep(t *testing.T, req SweepRequest, journaled int) (*wal.Log, []wal.Record, string) {
+	t.Helper()
 	dirA := t.TempDir()
 	walA, recsA, err := wal.Open(dirA)
 	if err != nil {
@@ -109,16 +119,11 @@ func TestChaosRestartResumesMidSweep(t *testing.T) {
 	if len(recsA) != 0 {
 		t.Fatalf("fresh journal replayed %d records", len(recsA))
 	}
-	evalA := &gatedEval{limit: journaled, gate: make(chan struct{}), blocked: make(chan struct{}, 1)}
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			close(evalA.gate)
-		}
-	}
-	defer release()
+	evalA := &gatedEval{limit: int64(journaled), gate: make(chan struct{}), blocked: make(chan struct{}, 1)}
 	_, mgrA := newDurableServer(t, walA, evalA, ManagerConfig{MaxConcurrentJobs: 1})
+	// Registered after the manager's own cleanup, so it runs first and
+	// the "crashed" manager can drain.
+	t.Cleanup(func() { close(evalA.gate) })
 
 	jobA, err := mgrA.Submit(context.Background(), req)
 	if err != nil {
@@ -132,9 +137,9 @@ func TestChaosRestartResumesMidSweep(t *testing.T) {
 	// The worker is blocked inside point journaled+1; wait until the
 	// completion hooks (which append the row records) of the first
 	// `journaled` points have all run before snapshotting the journal.
-	deadlineA := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for jobA.Status().Progress.Done < journaled {
-		if time.Now().After(deadlineA) {
+		if time.Now().After(deadline) {
 			t.Fatalf("only %d rows journaled before the crash point", jobA.Status().Progress.Done)
 		}
 		time.Sleep(time.Millisecond)
@@ -143,16 +148,6 @@ func TestChaosRestartResumesMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Phase 2: the reference — the same sweep, uninterrupted, with no
-	// journal at all.
-	_, mgrRef := newDurableServer(t, nil, &slowEval{}, ManagerConfig{})
-	jobRef, err := mgrRef.Submit(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Phase 3: restart against the copied journal.
 	dirB := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dirB, wal.FileName), snapshot, 0o644); err != nil {
 		t.Fatal(err)
@@ -164,15 +159,48 @@ func TestChaosRestartResumesMidSweep(t *testing.T) {
 	if len(recsB) != 1+journaled { // the job record plus its rows
 		t.Fatalf("journal snapshot held %d records, want %d", len(recsB), 1+journaled)
 	}
+	return walB, recsB, jobA.ID
+}
+
+// referenceNDJSON runs req uninterrupted, with no journal, on an engine
+// over eval with fingerprint evalID, and returns its results stream.
+func referenceNDJSON(t *testing.T, req SweepRequest, eval dse.PointEvaluator, evalID string) []byte {
+	t.Helper()
+	_, mgr := newDurableServerAs(t, nil, eval, evalID, ManagerConfig{})
+	job, err := mgr.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); !job.State().Terminal(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("reference sweep never finished")
+		}
+	}
+	var ref bytes.Buffer
+	if err := experiments.NDJSONResults(&ref, job.Results()); err != nil {
+		t.Fatal(err)
+	}
+	return ref.Bytes()
+}
+
+// TestChaosRestartResumesMidSweep is the durability acceptance test: a
+// sweep is killed after three of six points, a new manager over the
+// copied journal resumes it, evaluates only the complement, and the
+// finished result stream is bit-identical to an uninterrupted run's.
+// The replay is accounted in /metrics.
+func TestChaosRestartResumesMidSweep(t *testing.T) {
+	const totalPoints, journaled = 6, 3
+	walB, recsB, id := crashMidSweep(t, restartSweep(), journaled)
+	ref := referenceNDJSON(t, restartSweep(), &slowEval{}, "test-eval")
+
 	evalB := &slowEval{}
 	srvB, mgrB := newDurableServer(t, walB, evalB, ManagerConfig{MaxConcurrentJobs: 1})
 	if err := mgrB.Recover(recsB); err != nil {
 		t.Fatal(err)
 	}
-
-	resumed, err := mgrB.Job(jobA.ID)
+	resumed, err := mgrB.Job(id)
 	if err != nil {
-		t.Fatalf("resumed job %s not tracked: %v", jobA.ID, err)
+		t.Fatalf("resumed job %s not tracked: %v", id, err)
 	}
 	stB := waitTerminal(t, srvB.URL, resumed.ID)
 	if stB.State != string(StateCompleted) {
@@ -190,20 +218,8 @@ func TestChaosRestartResumesMidSweep(t *testing.T) {
 	}
 
 	// Bit-identical to the uninterrupted run.
-	deadline := time.Now().Add(10 * time.Second)
-	for !jobRef.State().Terminal() {
-		if time.Now().After(deadline) {
-			t.Fatal("reference sweep never finished")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	var ref bytes.Buffer
-	if err := experiments.NDJSONResults(&ref, jobRef.Results()); err != nil {
-		t.Fatal(err)
-	}
-	got := fetchNDJSON(t, srvB.URL, "/v1/sweeps/"+resumed.ID)
-	if !bytes.Equal(got, ref.Bytes()) {
-		t.Fatalf("resumed results differ from the uninterrupted run:\nresumed:\n%s\nreference:\n%s", got, ref.Bytes())
+	if got := fetchNDJSON(t, srvB.URL, "/v1/sweeps/"+resumed.ID); !bytes.Equal(got, ref) {
+		t.Fatalf("resumed results differ from the uninterrupted run:\nresumed:\n%s\nreference:\n%s", got, ref)
 	}
 
 	// The replay is accounted in /metrics.
@@ -217,9 +233,92 @@ func TestChaosRestartResumesMidSweep(t *testing.T) {
 	if v := metricValue(t, metrics, "efficsense_wal_appends_total"); v < totalPoints-journaled {
 		t.Fatalf("efficsense_wal_appends_total = %g, want at least the fresh rows", v)
 	}
+}
 
-	// Unblock the "crashed" manager so its cleanup can drain.
-	release()
+// upgradedEval stands for the evaluator after an upgrade that changes
+// results: slowEval with a different accuracy.
+type upgradedEval struct{ slowEval }
+
+func (e *upgradedEval) Evaluate(p core.DesignPoint) core.Result {
+	r := e.slowEval.Evaluate(p)
+	r.Accuracy = 0.97
+	return r
+}
+
+// TestChaosRestartUnderNewEvaluator: the sweep killed after three of six
+// journaled rows restarts under an engine with another evaluator
+// fingerprint (an upgrade that changes results). The journaled rows must
+// not join the new ones: the whole sweep is evaluated again, the result
+// stream is bit-identical to an uninterrupted run of the new evaluator,
+// and the discard is logged and counted.
+func TestChaosRestartUnderNewEvaluator(t *testing.T) {
+	const totalPoints, journaled = 6, 3
+	walB, recsB, id := crashMidSweep(t, restartSweep(), journaled)
+	ref := referenceNDJSON(t, restartSweep(), &upgradedEval{}, "test-eval-v2")
+
+	sink := &logSink{}
+	evalB := &upgradedEval{}
+	srvB, mgrB := newDurableServerAs(t, walB, evalB, "test-eval-v2",
+		ManagerConfig{MaxConcurrentJobs: 1, Log: slog.New(sinkHandler{sink: sink})})
+	if err := mgrB.Recover(recsB); err != nil {
+		t.Fatal(err)
+	}
+	stB := waitTerminal(t, srvB.URL, id)
+	if stB.State != string(StateCompleted) || stB.Progress.Done != totalPoints {
+		t.Fatalf("resumed job: %+v", stB)
+	}
+	if got := evalB.calls.Load(); got != totalPoints {
+		t.Fatalf("restarted evaluator ran %d points, want all %d", got, totalPoints)
+	}
+	if got := fetchNDJSON(t, srvB.URL, "/v1/sweeps/"+id); !bytes.Equal(got, ref) {
+		t.Fatalf("resumed results differ from the new evaluator's run:\nresumed:\n%s\nreference:\n%s", got, ref)
+	}
+
+	metrics := fetchMetrics(t, srvB.URL)
+	for name, want := range map[string]float64{
+		"efficsense_wal_resumed_jobs_total":   1,
+		"efficsense_wal_replayed_rows_total":  0,
+		"efficsense_wal_discarded_rows_total": journaled,
+	} {
+		if v := metricValue(t, metrics, name); v != want {
+			t.Errorf("%s = %g, want %g", name, v, want)
+		}
+	}
+	if r := sink.find(t, "wal: re-evaluating a resumed sweep", map[string]string{"job_id": id}); r.level != slog.LevelWarn {
+		t.Errorf("discard logged at level %v, want WARN", r.level)
+	}
+}
+
+// TestWALReplayRowsWithoutFingerprint: rows journaled without an
+// evaluator fingerprint (a journal older than the field) cannot prove
+// which evaluator computed them, so the resumed sweep evaluates every
+// point.
+func TestWALReplayRowsWithoutFingerprint(t *testing.T) {
+	pts := twoPoints(t)
+	eval := &slowEval{}
+	dir := t.TempDir()
+	journalLines(t, dir,
+		encodeRecord(t, walKindJob, sweepJobRecord("sweep-1")),
+		encodeRecord(t, walKindRow, walRowRecord{Job: "sweep-1", I: 0, Result: walResultOf(eval.Evaluate(pts[0]))}),
+		encodeRecord(t, walKindRow, walRowRecord{Job: "sweep-1", I: 1, Result: walResultOf(eval.Evaluate(pts[1]))}))
+	eval.calls.Store(0)
+	walLog, recs, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, mgr := newDurableServer(t, walLog, eval, ManagerConfig{})
+	if err := mgr.Recover(recs); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, srv.URL, "sweep-1"); st.State != string(StateCompleted) || st.Progress.Done != 2 {
+		t.Fatalf("resumed job: %+v", st)
+	}
+	if got := eval.calls.Load(); got != 2 {
+		t.Fatalf("evaluator ran %d points, want 2 (no journaled row kept)", got)
+	}
+	if v := metricValue(t, fetchMetrics(t, srv.URL), "efficsense_wal_discarded_rows_total"); v != 2 {
+		t.Fatalf("efficsense_wal_discarded_rows_total = %g, want 2", v)
+	}
 }
 
 // journalLines hand-writes a journal file from encoded records (plus
@@ -276,9 +375,9 @@ func TestWALReplayTruncatedTail(t *testing.T) {
 	pts := twoPoints(t)
 	eval := &slowEval{}
 	row0 := encodeRecord(t, walKindRow,
-		walRowRecord{Job: "sweep-1", I: 0, Result: walResultOf(eval.Evaluate(pts[0]))})
+		walRowRecord{Job: "sweep-1", I: 0, Engine: "test-eval", Result: walResultOf(eval.Evaluate(pts[0]))})
 	row1 := encodeRecord(t, walKindRow,
-		walRowRecord{Job: "sweep-1", I: 1, Result: walResultOf(eval.Evaluate(pts[1]))})
+		walRowRecord{Job: "sweep-1", I: 1, Engine: "test-eval", Result: walResultOf(eval.Evaluate(pts[1]))})
 	eval.calls.Store(0)
 
 	dir := t.TempDir()

@@ -21,6 +21,15 @@ type Engine interface {
 	Metrics() dse.Snapshot
 }
 
+// engineFingerprint returns the evaluator identity behind e (what the
+// engine keys its cache on), or "" when e does not expose one.
+func engineFingerprint(e Engine) string {
+	if f, ok := e.(interface{ EvaluatorID() string }); ok {
+		return f.EvaluatorID()
+	}
+	return ""
+}
+
 // EngineFunc resolves the engine serving one option set. Implementations
 // must return the same Engine for equal options, so a repeated sweep of
 // the same space lands on a warm memoisation cache. Resolution may be

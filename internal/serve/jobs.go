@@ -178,10 +178,12 @@ type Manager struct {
 	timers      map[string]*time.Timer
 	// Durability counters (efficsense_wal_* series): jobs replayed as
 	// history, sweeps resumed mid-flight, rows restored from the journal
-	// instead of re-evaluated.
-	walReplayedJobs atomic.Int64
-	walResumedJobs  atomic.Int64
-	walReplayedRows atomic.Int64
+	// instead of re-evaluated, and journaled rows re-evaluated because a
+	// resumed sweep's engine has a different fingerprint.
+	walReplayedJobs  atomic.Int64
+	walResumedJobs   atomic.Int64
+	walReplayedRows  atomic.Int64
+	walDiscardedRows atomic.Int64
 
 	submitted, rejected  atomic.Int64
 	completed, cancelled atomic.Int64
@@ -261,9 +263,14 @@ type Job struct {
 	// accounting and the status response all key on it.
 	tenant string
 	// replayed holds WAL-journaled results by original point index for a
-	// resumed sweep: those points are never re-evaluated, the engine only
-	// runs the complement. Immutable after Recover; nil for fresh jobs.
-	replayed map[int]core.Result
+	// resumed sweep, and replayedEngine the evaluator fingerprint they were
+	// all computed under ("" when the journal does not name one, or names
+	// several). When the job's engine has that fingerprint, those points
+	// are never re-evaluated and the engine runs only the complement;
+	// otherwise run drops them and evaluates the whole sweep. Set by
+	// Recover, read and cleared only by run; nil for fresh jobs.
+	replayed       map[int]core.Result
+	replayedEngine string
 	// walJob is the journaled job record (nil when durability is off),
 	// re-emitted verbatim by the clean-shutdown compaction. Immutable
 	// after Submit/Recover.
@@ -294,6 +301,9 @@ type Job struct {
 	searchOut       *SearchOutcome
 	err             error
 	engine          Engine
+	// engineID is the fingerprint of the evaluator behind engine (or, for
+	// replayed history, of the journaled rows), journaled with each row.
+	engineID string
 }
 
 // jobID mints the next job identifier under m.mu. Single-node IDs stay
@@ -423,8 +433,10 @@ func (m *Manager) run(job *Job) {
 		return
 	}
 	m.registerEngine(engine)
+	engineID := engineFingerprint(engine)
 	job.mu.Lock()
 	job.engine = engine
+	job.engineID = engineID
 	job.mu.Unlock()
 	if job.ctx.Err() != nil { // cancelled while the suite was building
 		m.finish(job, nil, job.ctx.Err())
@@ -432,6 +444,8 @@ func (m *Manager) run(job *Job) {
 	}
 	job.setState(StateRunning)
 	m.logJob(job, "sweep started", slog.Int("points", len(job.points)))
+
+	m.checkReplayed(job, engineID)
 
 	// A resumed sweep evaluates only the complement of its journaled
 	// rows: remap maps complement indices back to original point indices
@@ -957,14 +971,16 @@ type Counters struct {
 	EngineBatchPoints int64
 	// WAL accounting (zero when durability is off): startup replay
 	// (terminal jobs restored as history, in-flight sweeps resumed, rows
-	// restored instead of re-evaluated) plus the journal's own stats.
-	WALReplayedJobs int64
-	WALResumedJobs  int64
-	WALReplayedRows int64
-	WALAppends      int64
-	WALFsyncs       int64
-	WALDropped      int64
-	WALSizeBytes    int64
+	// restored instead of re-evaluated, rows discarded because they were
+	// computed under another evaluator) plus the journal's own stats.
+	WALReplayedJobs  int64
+	WALResumedJobs   int64
+	WALReplayedRows  int64
+	WALDiscardedRows int64
+	WALAppends       int64
+	WALFsyncs        int64
+	WALDropped       int64
+	WALSizeBytes     int64
 	// EvalHist is the eval-duration histogram merged across every engine
 	// the manager has resolved — the efficsense_eval_duration_seconds
 	// exposition.
@@ -1002,6 +1018,7 @@ func (m *Manager) Counters() Counters {
 		WALReplayedJobs:       m.walReplayedJobs.Load(),
 		WALResumedJobs:        m.walResumedJobs.Load(),
 		WALReplayedRows:       m.walReplayedRows.Load(),
+		WALDiscardedRows:      m.walDiscardedRows.Load(),
 	}
 	if m.cfg.WAL != nil {
 		st := m.cfg.WAL.Stats()

@@ -175,6 +175,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("efficsense_wal_replayed_jobs_total", "Terminal jobs restored from the journal at startup.", c.WALReplayedJobs)
 	counter("efficsense_wal_resumed_jobs_total", "In-flight jobs resumed from the journal at startup.", c.WALResumedJobs)
 	counter("efficsense_wal_replayed_rows_total", "Result rows restored from the journal instead of re-evaluated.", c.WALReplayedRows)
+	counter("efficsense_wal_discarded_rows_total", "Journaled rows of resumed sweeps re-evaluated because they were computed under another evaluator fingerprint.", c.WALDiscardedRows)
 	counter("efficsense_wal_appends_total", "Records appended to the journal since it was opened.", c.WALAppends)
 	counter("efficsense_wal_fsyncs_total", "Explicit journal fsyncs (job-state transitions).", c.WALFsyncs)
 	counter("efficsense_wal_dropped_records_total", "Journal records dropped on open (torn tail, corrupt records).", c.WALDropped)
