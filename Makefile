@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff chaos cluster-accept search-accept wal-fuzz verify fmt stress purego setup-identity
+.PHONY: build test race bench benchdiff chaos search-accept wal-fuzz verify fmt stress purego setup-identity
 
 build:
 	$(GO) build ./...
@@ -34,19 +34,7 @@ benchdiff:
 # other test.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Retry|Inject' \
-		./internal/fault ./internal/cache ./internal/cluster ./internal/dse ./internal/serve
-
-# cluster-accept is the fleet-mode acceptance gate, race-enabled and
-# deterministic: the full internal/cluster suite (ring placement, wire
-# protocol, peer client, membership), plus the serve-layer fleet tests —
-# a three-node fleet evaluating each design point exactly once for the
-# same sweep submitted to two nodes, a peer killed mid-sweep degrading
-# to local compute without a partial result, a restarted peer rejoining
-# on a new address without double-evaluating journaled work, and
-# single-node mode left bit-identical to a fleet of none.
-cluster-accept:
-	$(GO) test -race -count=1 ./internal/cluster
-	$(GO) test -race -count=1 -run 'TestCluster|TestChaosCluster|TestJobNode' ./internal/serve
+		./internal/fault ./internal/cache ./internal/dse ./internal/serve
 
 # search-accept is the adaptive-search acceptance gate: the budgeted
 # search must recover >= 95 % of the exhaustive Pareto front while
@@ -66,11 +54,11 @@ search-accept:
 wal-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/wal
 
-# stress repeats the timing-sensitive packages (membership polling,
-# the HTTP stack, the journal) 20 times, so a flaky test fails before
-# merge rather than on main.
+# stress repeats the timing-sensitive packages (the HTTP stack, the
+# journal) 20 times, so a flaky test fails before merge rather than on
+# main.
 stress:
-	$(GO) test -count=20 ./internal/cluster ./internal/serve ./internal/wal
+	$(GO) test -count=20 ./internal/serve ./internal/wal
 
 # purego runs the kernel, converter, reconstruction, detector, chain and
 # evaluator suites with the AVX kernels (internal/dsp) compiled out. The
@@ -99,8 +87,12 @@ fmt:
 # verify is the tier-1 gate: formatting, vet, build, the full test
 # suite under the race detector with shuffled execution order (hidden
 # inter-test dependencies fail loudly), and short fuzz smokes over the
-# streaming report emitters, the search query parser and the scenario
-# name validator (a wire-facing parser like the rest).
+# streaming report emitters, the search query parser, the journal
+# decoder, the scenario name validator and the POST /v1/evaluate body
+# decoder (wire-facing parsers all). The evaluate smoke bounds
+# minimisation of each new corpus entry to 1 s: its seed is a
+# 96-point batch body, and minimising a body that size would otherwise
+# take the whole smoke.
 verify: fmt
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -109,4 +101,4 @@ verify: fmt
 	$(GO) test -run '^$$' -fuzz FuzzParseGoal -fuzztime 10s ./internal/search
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzParseScenarioName -fuzztime 10s ./internal/scenario
-	$(GO) test -run '^$$' -fuzz FuzzDecodePeerRequest -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEvaluateRequest -fuzztime 10s -fuzzminimizetime 1s ./internal/serve

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"efficsense/internal/cache"
 	"efficsense/internal/core"
 	"efficsense/internal/dse"
 	"efficsense/internal/eeg"
@@ -37,7 +38,7 @@ func BenchmarkSweepColdCS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw, err := dse.NewSweep(ev, dse.WithCache(dse.NewMemoryCache()))
+		sw, err := dse.NewSweep(ev, dse.WithCache(cache.New(0)))
 		if err != nil {
 			b.Fatal(err)
 		}

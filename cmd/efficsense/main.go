@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"efficsense/internal/classify"
-	"efficsense/internal/cluster"
 	"efficsense/internal/core"
 	"efficsense/internal/dse"
 	"efficsense/internal/eeg"
@@ -69,8 +68,6 @@ func main() {
 		err = cmdSearch(args)
 	case "scenarios":
 		err = cmdScenarios(args)
-	case "ring":
-		err = cmdRing(args)
 	case "variants":
 		err = cmdVariants(args)
 	case "refine":
@@ -105,8 +102,6 @@ func usage() {
   efficsense variants [-bits N] [-noise V] [-m M] [suite flags]
   efficsense refine   -arch A -bits N [-m M] [-min-accuracy A] [suite flags]
   efficsense scenarios                  list the registered workload scenarios
-  efficsense ring     -peers a=http://…,b=http://… [-vnodes N] [-key K]
-                                        fleet keyspace placement (efficsensed -peers)
   efficsense all      [suite flags]
 
 suite flags: -scenario NAME (workload; default eeg-epilepsy)
@@ -403,43 +398,6 @@ func cmdScenarios(args []string) error {
 			sc.Description)
 	}
 	t.Render(os.Stdout)
-	return nil
-}
-
-// cmdRing previews a fleet's keyspace placement: the exact consistent-
-// hash ring efficsensed builds from the same -peers list and vnode
-// count, so an operator can check the split (and where a given cache
-// key would land) before pointing traffic at it.
-func cmdRing(args []string) error {
-	fs := flag.NewFlagSet("ring", flag.ExitOnError)
-	peerList := fs.String("peers", "", "fleet membership as name=addr,name=addr (same syntax as efficsensed -peers)")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per member (0 = the daemon default)")
-	key := fs.String("key", "", "optional cache key; prints its owning member")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *peerList == "" {
-		return fmt.Errorf("-peers is required")
-	}
-	members, err := cluster.ParseMembers(*peerList)
-	if err != nil {
-		return err
-	}
-	ring := cluster.NewRing(*vnodes, members)
-	shares := ring.Shares()
-	t := report.NewTable("member", "addr", "share")
-	for _, m := range ring.Members() {
-		t.AddRow(m.Name, m.Addr, fmt.Sprintf("%.1f%%", shares[m.Name]*100))
-	}
-	t.Render(os.Stdout)
-	fmt.Printf("ring: %d members x %d vnodes\n", ring.Size(), ring.VNodes())
-	if *key != "" {
-		owner, ok := ring.Owner(*key)
-		if !ok {
-			return fmt.Errorf("empty ring")
-		}
-		fmt.Printf("key %q -> %s (%s)\n", *key, owner.Name, owner.Addr)
-	}
 	return nil
 }
 

@@ -14,13 +14,6 @@
 // memoisation cache, so repeated or overlapping studies get warmer the
 // longer the daemon runs.
 //
-// Fleet mode (-self name=addr, -peers list-or-@file) joins this daemon
-// to a peer group: a consistent-hash ring splits the evaluation
-// keyspace across nodes, cache misses for remotely-owned keys are
-// fetched from their owner before being computed, job requests redirect
-// to the node running them, and GET /v1/cluster reports ring and peer
-// health. See the README's "Fleet mode" section.
-//
 // Logs are structured (log/slog, text format): every request line and
 // sweep lifecycle event carries the request_id assigned or propagated
 // by the X-Request-ID middleware, so one grep follows a request across
@@ -44,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"efficsense/internal/cluster"
 	"efficsense/internal/dse"
 	"efficsense/internal/experiments"
 	"efficsense/internal/fault"
@@ -81,11 +73,6 @@ type config struct {
 	chaosSeed int64
 
 	walDir string
-
-	self          string
-	peerList      string
-	peersInterval time.Duration
-	clusterVNodes int
 
 	tenantSubmitRate  float64
 	tenantSubmitBurst int
@@ -140,14 +127,6 @@ func parseFlags(args []string) (*config, error) {
 		"root seed for the -chaos schedule (replays a chaos run exactly)")
 	fs.StringVar(&cfg.walDir, "wal-dir", "",
 		"directory for the durable-jobs journal (empty = jobs are in-memory only); on startup the journal is replayed: finished jobs become queryable history, interrupted sweeps resume from their last journaled row")
-	fs.StringVar(&cfg.self, "self", "",
-		"this node's fleet identity as name=addr, e.g. node-a=http://10.0.0.1:8080 (empty = single-node mode)")
-	fs.StringVar(&cfg.peerList, "peers", "",
-		"fleet membership: a name=addr,name=addr list, or @/path/to/file (one name=addr per line, #-comments) polled for changes; requires -self")
-	fs.DurationVar(&cfg.peersInterval, "peers-interval", 5*time.Second,
-		"poll interval for a file-watched -peers membership")
-	fs.IntVar(&cfg.clusterVNodes, "cluster-vnodes", 0,
-		"virtual nodes per member on the consistent-hash ring (0 = default; every node must agree)")
 	fs.Float64Var(&cfg.tenantSubmitRate, "tenant-submit-rate", 0,
 		"per-tenant sustained job submissions per second (0 = unlimited)")
 	fs.IntVar(&cfg.tenantSubmitBurst, "tenant-submit-burst", 1,
@@ -204,9 +183,6 @@ func (cfg *config) validate() error {
 		{cfg.tenantEvalBurst > 0, fmt.Sprintf("-tenant-eval-burst must be positive, got %d", cfg.tenantEvalBurst)},
 		{cfg.tenantMaxJobs >= 0, fmt.Sprintf("-tenant-max-jobs must be non-negative, got %d", cfg.tenantMaxJobs)},
 		{cfg.tenantMaxQueue >= 0, fmt.Sprintf("-tenant-max-queue must be non-negative, got %d", cfg.tenantMaxQueue)},
-		{cfg.clusterVNodes >= 0, fmt.Sprintf("-cluster-vnodes must be non-negative, got %d", cfg.clusterVNodes)},
-		{cfg.peersInterval > 0, fmt.Sprintf("-peers-interval must be positive, got %s", cfg.peersInterval)},
-		{cfg.peerList == "" || cfg.self != "", "-peers requires -self"},
 	}
 	for _, c := range checks {
 		if !c.ok {
@@ -222,16 +198,6 @@ func (cfg *config) validate() error {
 	if cfg.chaos != "" {
 		if _, err := fault.ParseSpec(cfg.chaos, cfg.chaosSeed); err != nil {
 			return fmt.Errorf("-chaos: %w", err)
-		}
-	}
-	if cfg.self != "" {
-		if _, err := cluster.ParseMember(cfg.self); err != nil {
-			return fmt.Errorf("-self: %w", err)
-		}
-		if cfg.peerList != "" && !strings.HasPrefix(cfg.peerList, "@") {
-			if _, err := cluster.ParseMembers(cfg.peerList); err != nil {
-				return fmt.Errorf("-peers: %w", err)
-			}
 		}
 	}
 	return nil
@@ -319,43 +285,6 @@ func run(ctx context.Context, cfg *config, ready func(addr, opsAddr string)) err
 	mcfg.Cache = engines.Cache()
 	mcfg.Log = srvLog
 	mcfg.Tenancy = cfg.tenancy()
-	if cfg.self != "" {
-		selfM, err := cluster.ParseMember(cfg.self) // validated at startup
-		if err != nil {
-			return fmt.Errorf("-self: %w", err)
-		}
-		peers, err := cluster.NewPeers(cluster.Config{
-			Self:   selfM,
-			VNodes: cfg.clusterVNodes,
-			Seed:   cfg.defaults.Seed,
-		})
-		if err != nil {
-			return err
-		}
-		if file, ok := strings.CutPrefix(cfg.peerList, "@"); ok {
-			members, err := cluster.LoadMembersFile(file)
-			if err != nil {
-				return fmt.Errorf("-peers: %w", err)
-			}
-			peers.SetMembers(members)
-			go peers.WatchFile(ctx, file, cfg.peersInterval, func(err error) {
-				logger.Warn("fleet membership reload failed; keeping previous ring", "error", err.Error())
-			})
-		} else if cfg.peerList != "" {
-			members, err := cluster.ParseMembers(cfg.peerList)
-			if err != nil {
-				return fmt.Errorf("-peers: %w", err)
-			}
-			peers.SetMembers(members)
-		} else {
-			peers.SetMembers(nil) // fleet of one: ring = {self}
-		}
-		engines.UseCluster(peers)
-		mcfg.Cluster = peers
-		logger.Info("fleet mode enabled",
-			"self", selfM.Name, "members", len(peers.Members()),
-			"vnodes", peers.Status().VNodes)
-	}
 	var walRecords []wal.Record
 	if cfg.walDir != "" {
 		walLog, records, err := wal.Open(cfg.walDir)

@@ -26,7 +26,6 @@ import (
 	"efficsense/internal/cache"
 	"efficsense/internal/chain"
 	"efficsense/internal/classify"
-	"efficsense/internal/cluster"
 	"efficsense/internal/core"
 	"efficsense/internal/dse"
 	"efficsense/internal/dsp"
@@ -200,15 +199,13 @@ type (
 	// per-point Evaluate whenever the evaluator implements it, and a
 	// *Sweep is itself a BatchEvaluator, so engines compose.
 	BatchEvaluator = dse.BatchEvaluator
-	// SweepCache memoises design-point evaluations across sweeps.
-	SweepCache = dse.Cache
-	// MemoryCache is the unbounded in-memory SweepCache with hit/miss
-	// accounting — right for one-shot CLI runs.
-	MemoryCache = dse.MemoryCache
-	// LRUCache is the bounded sharded SweepCache with LRU eviction and
-	// singleflight de-duplication — right for long-running servers.
-	LRUCache = cache.LRU
-	// CacheStats is an LRUCache accounting snapshot.
+	// SweepCache memoises design-point evaluations across sweeps: a
+	// sharded store with hit/miss accounting and singleflight
+	// de-duplication of concurrent identical evaluations, unbounded
+	// (NewMemoryCache, right for one-shot runs) or bounded with LRU
+	// eviction (NewLRUCache, right for long-running servers).
+	SweepCache = cache.LRU
+	// CacheStats is a SweepCache accounting snapshot.
 	CacheStats = cache.Stats
 	// SweepMetrics is a snapshot of a sweep engine's counters, including
 	// the evaluation-duration histogram and its p50/p90/p99 quantiles.
@@ -239,21 +236,20 @@ func NewSweep(ev PointEvaluator, opts ...SweepOption) (*Sweep, error) {
 	return dse.NewSweep(ev, opts...)
 }
 
-// NewMemoryCache returns an empty memoisation cache, shareable between
-// sweeps (keys embed the evaluator identity).
-func NewMemoryCache() *MemoryCache { return dse.NewMemoryCache() }
+// NewMemoryCache returns an empty unbounded memoisation cache,
+// shareable between sweeps (keys embed the evaluator identity).
+func NewMemoryCache() *SweepCache { return cache.New(0) }
 
-// NewLRUCache returns an empty bounded memoisation cache holding at
-// most entries results, with LRU eviction and singleflight
-// de-duplication of concurrent identical evaluations. It panics when
-// entries is not positive.
-func NewLRUCache(entries int) *LRUCache { return cache.New(entries) }
+// NewLRUCache returns an empty memoisation cache holding at most
+// entries results, evicting the least recently used beyond that;
+// entries = 0 makes it unbounded. It panics when entries is negative.
+func NewLRUCache(entries int) *SweepCache { return cache.New(entries) }
 
 // Sweep options (see the dse package for semantics).
 func WithWorkers(n int) SweepOption                     { return dse.WithWorkers(n) }
 func WithBatchSize(n int) SweepOption                   { return dse.WithBatchSize(n) }
 func WithProgress(fn func(done, total int)) SweepOption { return dse.WithProgress(fn) }
-func WithCache(c SweepCache) SweepOption                { return dse.WithCache(c) }
+func WithCache(c *SweepCache) SweepOption               { return dse.WithCache(c) }
 func WithTrace(w io.Writer) SweepOption                 { return dse.WithTrace(w) }
 func WithEventHook(fn func(SweepEvent)) SweepOption     { return dse.WithEventHook(fn) }
 func WithEvaluatorID(id string) SweepOption             { return dse.WithEvaluatorID(id) }
@@ -412,49 +408,3 @@ func EncodeWALRecord(kind string, payload interface{}) ([]byte, error) {
 // DecodeWALRecord parses one journal line, verifying its checksum. It
 // never panics on hostile input.
 func DecodeWALRecord(line []byte) (WALRecord, error) { return wal.Decode(line) }
-
-// Fleet mode (multi-node efficsensed with consistent-hash cache
-// peering; see DESIGN.md §15). A fleet splits the evaluation keyspace
-// over a consistent-hash ring; each node fills remotely-owned cache
-// misses from the key's owner before computing, and peer failures
-// degrade to local compute — never an error row.
-type (
-	// ClusterMember identifies one node of a fleet: a stable name (ring
-	// placement hashes the name, so a node keeps its keyspace segment
-	// across address changes) and a reachable base URL.
-	ClusterMember = cluster.Member
-	// ClusterRing is an immutable consistent-hash ring over a member
-	// set; lookups are lock-free.
-	ClusterRing = cluster.Ring
-	// ClusterPeers is a node's view of its peer group: the current
-	// ring, the peer-protocol client with per-peer health, and the
-	// hit/miss/fill/error accounting behind GET /v1/cluster.
-	ClusterPeers = cluster.Peers
-	// ClusterConfig sizes a peer group client.
-	ClusterConfig = cluster.Config
-	// ClusterStatus is a point-in-time snapshot of the group.
-	ClusterStatus = cluster.Status
-)
-
-// NewClusterRing places each member at vnodes positions derived from
-// its name; vnodes <= 0 selects the default (64).
-func NewClusterRing(vnodes int, members []ClusterMember) *ClusterRing {
-	return cluster.NewRing(vnodes, members)
-}
-
-// NewClusterPeers builds a peer-group client for the configured self
-// node. The group is empty until SetMembers installs a roster.
-func NewClusterPeers(cfg ClusterConfig) (*ClusterPeers, error) { return cluster.NewPeers(cfg) }
-
-// ParseClusterMember parses one "name=addr" entry;
-// ParseClusterMembers a comma-separated list of them (the -peers flag).
-func ParseClusterMember(s string) (ClusterMember, error) { return cluster.ParseMember(s) }
-
-// ParseClusterMembers parses "name=addr,name=addr" membership lists.
-func ParseClusterMembers(s string) ([]ClusterMember, error) { return cluster.ParseMembers(s) }
-
-// LoadClusterMembersFile reads a membership file: one name=addr per
-// line, blank lines and #-comments ignored.
-func LoadClusterMembersFile(path string) ([]ClusterMember, error) {
-	return cluster.LoadMembersFile(path)
-}

@@ -14,16 +14,52 @@ func res(power float64) core.Result {
 	return core.Result{TotalPower: power}
 }
 
-func TestNewRejectsNonPositiveCapacity(t *testing.T) {
-	for _, n := range []int{0, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%d) did not panic", n)
-				}
-			}()
-			New(n)
-		}()
+func TestNewRejectsNegativeCapacity(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New(-1) did not panic")
+		}
+	}()
+	New(-1)
+}
+
+// TestUnboundedNeverEvicts: capacity 0 is the unbounded store — every
+// key stays, and the byte-key lookups see what Put stored.
+func TestUnboundedNeverEvicts(t *testing.T) {
+	c := New(0)
+	const n = 500
+	for i := 0; i < n; i++ {
+		c.Put(fmt.Sprintf("key-%d", i), res(float64(i)))
+	}
+	if st := c.Stats(); st.Entries != n || st.Capacity != 0 || st.Evictions != 0 {
+		t.Fatalf("stats %+v, want %d entries, capacity 0, no evictions", st, n)
+	}
+	for i := 0; i < n; i++ {
+		key := []byte(fmt.Sprintf("key-%d", i))
+		if v, ok := c.GetBytes(key); !ok || v.TotalPower != float64(i) {
+			t.Fatalf("GetBytes(%s) = %+v, %v", key, v, ok)
+		}
+		if v, hit, _ := c.Do(key, func() core.Result { t.Error("recomputed a stored key"); return res(-1) }); !hit || v.TotalPower != float64(i) {
+			t.Fatalf("Do(%s) = %+v, hit %v", key, v, hit)
+		}
+	}
+}
+
+// TestWarmLookupsAllocateNothing pins the store's half of the engine's
+// allocation-free warm path: a hit off a byte key, through either
+// GetBytes or Do, never copies the key.
+func TestWarmLookupsAllocateNothing(t *testing.T) {
+	for _, capacity := range []int{0, 64} {
+		c := New(capacity)
+		key := []byte("evaluator-fingerprint/cs/8/2e-06/150/8e-14")
+		c.Put(string(key), res(1))
+		fn := func() core.Result { return res(2) }
+		if n := testing.AllocsPerRun(100, func() {
+			c.GetBytes(key)
+			c.Do(key, fn)
+		}); n != 0 {
+			t.Errorf("New(%d): warm lookups allocate %.1f times per run, want 0", capacity, n)
+		}
 	}
 }
 
@@ -104,7 +140,7 @@ func TestDoComputesOncePerKey(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			v, _, _ := c.Do("hot", func() core.Result {
+			v, _, _ := c.Do([]byte("hot"), func() core.Result {
 				computed.Add(1)
 				time.Sleep(10 * time.Millisecond)
 				return res(42)
@@ -135,16 +171,16 @@ func TestDoComputesOncePerKey(t *testing.T) {
 func TestDoErrorResultsAreSharedNotStored(t *testing.T) {
 	c := New(16)
 	bad := core.Result{Err: fmt.Errorf("transient")}
-	if v, hit, shared := c.Do("k", func() core.Result { return bad }); v.Err == nil || hit || shared {
+	if v, hit, shared := c.Do([]byte("k"), func() core.Result { return bad }); v.Err == nil || hit || shared {
 		t.Fatalf("error compute: %+v hit=%v shared=%v", v, hit, shared)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("error result was stored (len %d)", c.Len())
 	}
-	if v, hit, _ := c.Do("k", func() core.Result { return res(7) }); v.TotalPower != 7 || hit {
+	if v, hit, _ := c.Do([]byte("k"), func() core.Result { return res(7) }); v.TotalPower != 7 || hit {
 		t.Fatalf("retry after error: %+v hit=%v", v, hit)
 	}
-	if v, hit, _ := c.Do("k", func() core.Result { t.Error("recomputed a stored key"); return res(0) }); !hit || v.TotalPower != 7 {
+	if v, hit, _ := c.Do([]byte("k"), func() core.Result { t.Error("recomputed a stored key"); return res(0) }); !hit || v.TotalPower != 7 {
 		t.Fatalf("stored result not served: %+v hit=%v", v, hit)
 	}
 }
@@ -157,7 +193,7 @@ func TestDoPanicReleasesWaiters(t *testing.T) {
 	waited := make(chan core.Result, 1)
 	go func() {
 		defer func() { recover() }()
-		c.Do("boom", func() core.Result {
+		c.Do([]byte("boom"), func() core.Result {
 			close(started)
 			time.Sleep(20 * time.Millisecond)
 			panic("evaluator exploded")
@@ -165,7 +201,7 @@ func TestDoPanicReleasesWaiters(t *testing.T) {
 	}()
 	<-started
 	go func() {
-		v, _, _ := c.Do("boom", func() core.Result { return res(1) })
+		v, _, _ := c.Do([]byte("boom"), func() core.Result { return res(1) })
 		waited <- v
 	}()
 	select {
@@ -207,7 +243,7 @@ func TestStressBoundAndCoherenceUnderRace(t *testing.T) {
 				want := float64(k)
 				switch i % 3 {
 				case 0:
-					if v, _, _ := c.Do(key, func() core.Result { return res(want) }); v.TotalPower != want {
+					if v, _, _ := c.Do([]byte(key), func() core.Result { return res(want) }); v.TotalPower != want {
 						t.Errorf("Do(%s) = %v, want %v", key, v.TotalPower, want)
 					}
 				case 1:

@@ -41,7 +41,7 @@ func TestDoAccountingUnderInjectedPanics(t *testing.T) {
 							panicked.add(1)
 						}
 					}()
-					c.Do(key, func() core.Result {
+					c.Do([]byte(key), func() core.Result {
 						return core.Result{MeanSNRdB: 1}
 					})
 				}()
@@ -73,7 +73,7 @@ func TestDoAccountingUnderInjectedPanics(t *testing.T) {
 	// No stuck flights: with injection disarmed, every key computes again.
 	fault.Reset()
 	for k := 0; k < keys; k++ {
-		r, _, _ := c.Do(fmt.Sprintf("k%d", k), func() core.Result {
+		r, _, _ := c.Do([]byte(fmt.Sprintf("k%d", k)), func() core.Result {
 			return core.Result{MeanSNRdB: 2}
 		})
 		if r.Err != nil {
@@ -93,14 +93,14 @@ func TestDoErrorInjectionSharedNotStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(8)
-	r, hit, shared := c.Do("k", func() core.Result { return core.Result{MeanSNRdB: 3} })
+	r, hit, shared := c.Do([]byte("k"), func() core.Result { return core.Result{MeanSNRdB: 3} })
 	if hit || shared || !errors.Is(r.Err, fault.ErrInjected) {
 		t.Fatalf("first call: hit=%v shared=%v err=%v, want cold injected error", hit, shared, r.Err)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("injected error was stored: %d entries", c.Len())
 	}
-	r, _, _ = c.Do("k", func() core.Result { return core.Result{MeanSNRdB: 3} })
+	r, _, _ = c.Do([]byte("k"), func() core.Result { return core.Result{MeanSNRdB: 3} })
 	if r.Err != nil || r.MeanSNRdB != 3 {
 		t.Fatalf("retry after exhausted injection: %+v", r)
 	}

@@ -12,12 +12,12 @@ import (
 
 // BatchEvaluator is optionally implemented by evaluators that can score
 // several design points in one call — the batch-first contract of the
-// evaluation redesign. The engine prefers it over per-point Evaluate
-// (the same upgrade pattern as the Flight cache interface): cache-miss
-// points are dispatched to EvaluateBatch in group-ordered chunks, so an
-// evaluator that shares work across points (notably *core.Evaluator,
-// which amplifies and encodes each record once per GroupKey group)
-// actually receives the points that can share it together.
+// evaluation redesign. The engine prefers it over per-point Evaluate:
+// cache-miss points are dispatched to EvaluateBatch in group-ordered
+// chunks, so an evaluator that shares work across points (notably
+// *core.Evaluator, which amplifies and encodes each record once per
+// GroupKey group) actually receives the points that can share it
+// together.
 //
 // EvaluateBatch must return exactly one Result per input point, in input
 // order, with Result.Err set on per-point failures (the degradation
@@ -43,7 +43,7 @@ const DefaultBatchSize = 16
 //
 // Batched misses trade singleflight de-duplication for work sharing: a
 // chunk with two or more misses evaluates them in one EvaluateBatch call
-// outside any Flight cache's flight table (results are still Put, so
+// outside the store's flight table (results are still Put, so
 // concurrent identical sweeps can at worst duplicate work, never corrupt
 // it). A chunk with a single miss keeps the per-point path and with it
 // the exactly-once flight guarantee.
@@ -55,14 +55,6 @@ func WithBatchSize(n int) Option {
 		s.batchSize = n
 		return nil
 	}
-}
-
-// BytesCache is optionally implemented by caches that can serve lookups
-// for a key built in a caller-owned byte buffer, sparing the hot warm
-// path the string conversion. GetBytes must behave exactly like
-// Get(string(key)) and must not retain key.
-type BytesCache interface {
-	GetBytes(key []byte) (core.Result, bool)
 }
 
 // keyBuf is a pooled cache-key buffer: the warm path builds
@@ -77,15 +69,6 @@ func (s *Sweep) appendKey(dst []byte, p core.DesignPoint) []byte {
 	dst = append(dst, s.evalID...)
 	dst = append(dst, '/')
 	return p.AppendKey(dst)
-}
-
-// cacheGetBytes looks key up, using the cache's byte-key fast path when
-// it has one.
-func (s *Sweep) cacheGetBytes(key []byte) (core.Result, bool) {
-	if bc, ok := s.cache.(BytesCache); ok {
-		return bc.GetBytes(key)
-	}
-	return s.cache.Get(string(key))
 }
 
 // EvaluateBatch scores a batch of points through the engine — cache
@@ -184,7 +167,7 @@ func abs(x int) int {
 
 // evalChunk serves one chunk of point indices: cache hits complete
 // immediately, a lone miss takes the per-point path (keeping the
-// singleflight guarantee of Flight caches), and two or more misses go to
+// store's singleflight guarantee), and two or more misses go to
 // the batch evaluator in one call. Per-point faults — the dse/evaluate
 // failpoint, error rows out of the batch — degrade (or retry) that point
 // alone; a batch-level fault or panic degrades exactly the points of
@@ -195,7 +178,7 @@ func (s *Sweep) evalChunk(ctx context.Context, points []core.DesignPoint, idxs [
 		kb := keyBufPool.Get().(*keyBuf)
 		for _, idx := range idxs {
 			kb.b = s.appendKey(kb.b[:0], points[idx])
-			if r, ok := s.cacheGetBytes(kb.b); ok {
+			if r, ok := s.cache.GetBytes(kb.b); ok {
 				s.metrics.cacheHits.Add(1)
 				complete(idx, r, true, 0)
 				continue
@@ -205,25 +188,6 @@ func (s *Sweep) evalChunk(ctx context.Context, points []core.DesignPoint, idxs [
 		keyBufPool.Put(kb)
 	} else {
 		miss = append(miss, idxs...)
-	}
-	// A partitioned cache (cluster peering) owns only part of the
-	// keyspace: misses owned elsewhere leave the batch and take the
-	// per-point path, where the cache can fetch them from the key's
-	// owner instead of computing here. Owned misses keep batching.
-	if part, ok := s.cache.(Partitioned); ok && len(miss) > 0 {
-		owned := make([]int, 0, len(miss))
-		kb := keyBufPool.Get().(*keyBuf)
-		for _, idx := range miss {
-			kb.b = s.appendKey(kb.b[:0], points[idx])
-			if part.Owned(string(kb.b)) {
-				owned = append(owned, idx)
-				continue
-			}
-			res, cached, dur := s.evalPoint(ctx, points[idx])
-			complete(idx, res, cached, dur)
-		}
-		keyBufPool.Put(kb)
-		miss = owned
 	}
 	switch len(miss) {
 	case 0:

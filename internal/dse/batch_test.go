@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"efficsense/internal/cache"
 	"efficsense/internal/core"
 	"efficsense/internal/fault"
 )
@@ -308,7 +309,7 @@ func TestEvaluateBatchPreCancelled(t *testing.T) {
 func TestRunPrefersBatchDispatch(t *testing.T) {
 	pts := batchTestPoints(12)
 	ev := &fakeBatchEvaluator{}
-	s, err := NewSweep(ev, WithCache(NewMemoryCache()), WithEvaluatorID("batch"))
+	s, err := NewSweep(ev, WithCache(cache.New(0)), WithEvaluatorID("batch"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,9 +349,9 @@ func TestRunPrefersBatchDispatch(t *testing.T) {
 // participation, and ctx degradation.
 func TestSweepEvaluateBatch(t *testing.T) {
 	pts := batchTestPoints(8)
-	cache := NewMemoryCache()
+	store := cache.New(0)
 	ev := &fakeBatchEvaluator{}
-	s, err := NewSweep(ev, WithCache(cache), WithEvaluatorID("srv"))
+	s, err := NewSweep(ev, WithCache(store), WithEvaluatorID("srv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,23 +486,61 @@ func TestBatchLengthMismatchDegrades(t *testing.T) {
 	}
 }
 
-// TestEvaluateWarmZeroAllocs pins the allocation-lean hot path: a warm
-// memoised Evaluate (key build, byte-key cache hit, metrics) must not
-// allocate.
+// TestEvaluateWarmZeroAllocs pins the allocation-lean hot path on both
+// shapes of the one store — unbounded (the CLI's) and bounded (the
+// daemon's): a warm memoised Evaluate (key build, byte-key cache hit,
+// metrics) must not allocate.
 func TestEvaluateWarmZeroAllocs(t *testing.T) {
-	s, err := NewSweep(&fakeEvaluator{}, WithCache(NewMemoryCache()), WithEvaluatorID("alloc"))
-	if err != nil {
-		t.Fatal(err)
+	for _, capacity := range []int{0, 64} {
+		t.Run(fmt.Sprintf("cap%d", capacity), func(t *testing.T) {
+			s, err := NewSweep(&fakeEvaluator{}, WithCache(cache.New(capacity)), WithEvaluatorID("alloc"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := core.DesignPoint{Arch: core.ArchCS, Bits: 8, LNANoise: 2e-6, M: 100, CHold: 80e-15}
+			s.Evaluate(p) // prime
+			avg := testing.AllocsPerRun(1000, func() {
+				if r := s.Evaluate(p); r.Err != nil {
+					t.Fatal(r.Err)
+				}
+			})
+			if avg > 0.1 {
+				t.Fatalf("warm Evaluate allocates %.2f allocs/op, want 0", avg)
+			}
+		})
 	}
-	p := core.DesignPoint{Arch: core.ArchCS, Bits: 8, LNANoise: 2e-6, M: 100, CHold: 80e-15}
-	s.Evaluate(p) // prime
-	avg := testing.AllocsPerRun(1000, func() {
-		if r := s.Evaluate(p); r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	})
-	if avg > 0.1 {
-		t.Fatalf("warm Evaluate allocates %.2f allocs/op, want 0", avg)
+}
+
+// TestRunOneWarmPointAllocBound bounds the synchronous-evaluate path: a
+// one-point RunWithHook that hits the cache pays only for the run's own
+// bookkeeping (result slices, the completion closure, one pool worker),
+// never for the cache lookup.
+func TestRunOneWarmPointAllocBound(t *testing.T) {
+	for _, capacity := range []int{0, 64} {
+		t.Run(fmt.Sprintf("cap%d", capacity), func(t *testing.T) {
+			s, err := NewSweep(&fakeEvaluator{}, WithCache(cache.New(capacity)), WithEvaluatorID("alloc"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts := []core.DesignPoint{{Arch: core.ArchCS, Bits: 8, LNANoise: 2e-6, M: 100, CHold: 80e-15}}
+			ctx := context.Background()
+			if _, err := s.Run(ctx, pts); err != nil { // prime
+				t.Fatal(err)
+			}
+			hook := func(ev Event) {
+				if !ev.Cached {
+					t.Error("primed point missed the cache")
+				}
+			}
+			avg := testing.AllocsPerRun(500, func() {
+				if _, err := s.RunWithHook(ctx, pts, hook); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg > 10 {
+				t.Fatalf("warm one-point RunWithHook allocates %.1f allocs/op, want at most 10", avg)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"efficsense/internal/cache"
 	"efficsense/internal/core"
 )
 
@@ -11,7 +12,7 @@ import (
 // lookup, metrics, histogram observation — the cost every memoised
 // point pays on a repeat sweep or a warm /v1/evaluate.
 func BenchmarkEvaluateWarm(b *testing.B) {
-	s, err := NewSweep(&fakeEvaluator{}, WithCache(NewMemoryCache()), WithEvaluatorID("bench"))
+	s, err := NewSweep(&fakeEvaluator{}, WithCache(cache.New(0)), WithEvaluatorID("bench"))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"efficsense/internal/cache"
 	"efficsense/internal/classify"
 	"efficsense/internal/core"
 	"efficsense/internal/eeg"
@@ -249,8 +250,8 @@ func TestSweepRunsAllPointsInParallel(t *testing.T) {
 	// Sequential and parallel runs agree bit-for-bit; the serial engine
 	// also shares cached evaluations with an equivalent evaluator rebuilt
 	// from the same config (fingerprint-keyed cache).
-	cache := NewMemoryCache()
-	serial, err := NewSweep(ev, WithWorkers(1), WithCache(cache))
+	store := cache.New(0)
+	serial, err := NewSweep(ev, WithWorkers(1), WithCache(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestSweepRunsAllPointsInParallel(t *testing.T) {
 	if ev2.Fingerprint() != ev.Fingerprint() {
 		t.Fatal("equal configs should produce equal fingerprints")
 	}
-	rebuilt, err := NewSweep(ev2, WithCache(cache))
+	rebuilt, err := NewSweep(ev2, WithCache(store))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"efficsense/internal/cache"
 	"efficsense/internal/core"
 	"efficsense/internal/fault"
 )
@@ -68,7 +69,7 @@ type Event struct {
 //
 //   - cancellation: Run honours its context and returns promptly with the
 //     results completed so far;
-//   - memoisation: with a Cache attached, each (evaluator, point) pair is
+//   - memoisation: with a cache attached, each (evaluator, point) pair is
 //     evaluated once, so repeated constrained queries over the same grid
 //     (the Fig 9 area-capped and Fig 10 minimum-accuracy searches over
 //     the Fig 7 cloud) cost nothing after the first sweep;
@@ -92,7 +93,7 @@ type Sweep struct {
 	workers   int
 	progress  func(done, total int)
 	hook      func(Event)
-	cache     Cache
+	cache     *cache.LRU
 	retry     *retrier
 	metrics   Metrics
 
@@ -126,19 +127,23 @@ func WithProgress(fn func(done, total int)) Option {
 	}
 }
 
-// WithCache attaches a memoisation cache. Entries are keyed on the
-// evaluator identity plus core.DesignPoint.Key, so a single cache may be
-// shared between sweeps and across evaluator rebuilds (see
-// Fingerprinter). Error-carrying results are never cached. A cache
-// that additionally implements Flight de-duplicates concurrent
-// evaluations of one key (the engine calls Do instead of Get/Put). A
-// nil cache is a no-op.
-func WithCache(c Cache) Option {
+// WithCache attaches a memoisation store (cache.New(0) for an unbounded
+// one). Entries are keyed on the evaluator identity plus
+// core.DesignPoint.Key, so a single store may be shared between sweeps
+// and across evaluator rebuilds (see Fingerprinter). Error-carrying
+// results are never cached, and concurrent evaluations of one key
+// collapse into one (singleflight). A nil store is a no-op.
+func WithCache(c *cache.LRU) Option {
 	return func(s *Sweep) error {
 		s.cache = c
 		return nil
 	}
 }
+
+// NewMemoryCache returns an empty unbounded store.
+//
+// Deprecated: use cache.New(0), which it returns.
+func NewMemoryCache() *cache.LRU { return cache.New(0) }
 
 // WithTrace attaches a JSONL trace sink: one JSON object per completed
 // point ({index, point, cached, duration_ms, done, total, err?}), written
@@ -363,101 +368,51 @@ dispatch:
 }
 
 // evalPoint serves one point from the cache or the evaluator, recovering
-// panics into error-carrying results. When the cache implements Flight,
-// concurrent misses on one key collapse into a single evaluation whose
-// result every caller shares (counted as Deduped in the metrics). ctx
-// only bounds retry backoff (see WithRetry); an in-flight evaluation
-// always runs to its end.
+// panics into error-carrying results. The key is built in a pooled
+// buffer and handed to the store's Do, which serves a hit off the raw
+// bytes — so a memoised point costs zero allocations — and collapses
+// concurrent misses on one key into a single evaluation whose result
+// every caller shares (counted as Deduped in the metrics). ctx only
+// bounds retry backoff (see WithRetry); an in-flight evaluation always
+// runs to its end.
 func (s *Sweep) evalPoint(ctx context.Context, p core.DesignPoint) (res core.Result, cached bool, dur time.Duration) {
-	if pf, ok := s.cache.(PointFlight); ok {
-		key := s.evalID + "/" + p.Key()
-		var evalDur time.Duration
-		res, hit, shared := s.flightDoPoint(ctx, pf, key, p, func() core.Result {
-			start := time.Now()
-			r := s.evaluate(ctx, p)
-			evalDur = time.Since(start)
-			return r
-		})
-		switch {
-		case hit:
-			s.metrics.cacheHits.Add(1)
-			return res, true, 0
-		case shared:
-			s.metrics.deduped.Add(1)
-			return res, true, 0
-		}
-		return res, false, evalDur
-	}
-	if fl, ok := s.cache.(Flight); ok {
-		key := s.evalID + "/" + p.Key()
-		var evalDur time.Duration
-		res, hit, shared := s.flightDo(fl, key, p, func() core.Result {
-			start := time.Now()
-			r := s.evaluate(ctx, p)
-			evalDur = time.Since(start)
-			return r
-		})
-		switch {
-		case hit:
-			s.metrics.cacheHits.Add(1)
-			return res, true, 0
-		case shared:
-			s.metrics.deduped.Add(1)
-			return res, true, 0
-		}
-		return res, false, evalDur
-	}
-	if s.cache != nil {
-		// The key lives in a pooled buffer and warm hits are served off
-		// the raw bytes, so the steady state — a memoised point — costs
-		// zero allocations.
-		kb := keyBufPool.Get().(*keyBuf)
-		kb.b = s.appendKey(kb.b[:0], p)
-		if r, ok := s.cacheGetBytes(kb.b); ok {
-			keyBufPool.Put(kb)
-			s.metrics.cacheHits.Add(1)
-			return r, true, 0
-		}
-		key := string(kb.b)
-		keyBufPool.Put(kb)
+	if s.cache == nil {
 		start := time.Now()
 		res = s.evaluate(ctx, p)
-		dur = time.Since(start)
-		if res.Err == nil {
-			s.cache.Put(key, res)
-		}
-		return res, false, dur
+		return res, false, time.Since(start)
 	}
-	start := time.Now()
-	res = s.evaluate(ctx, p)
-	return res, false, time.Since(start)
+	kb := keyBufPool.Get().(*keyBuf)
+	kb.b = s.appendKey(kb.b[:0], p)
+	res, hit, shared := s.cacheDo(kb.b, p, func() core.Result {
+		start := time.Now()
+		r := s.evaluate(ctx, p)
+		dur = time.Since(start)
+		return r
+	})
+	keyBufPool.Put(kb)
+	switch {
+	case hit:
+		s.metrics.cacheHits.Add(1)
+		return res, true, 0
+	case shared:
+		s.metrics.deduped.Add(1)
+		return res, true, 0
+	}
+	return res, false, dur
 }
 
-// flightDo guards the cache's singleflight path with the same no-panic
+// cacheDo guards the store's singleflight with the same no-panic
 // contract safeEvaluate gives the evaluator: a panic inside the cache
 // layer itself (a bug, or an armed cache/flight failpoint) degrades
 // this point instead of killing the worker — and with it the daemon.
-func (s *Sweep) flightDo(fl Flight, key string, p core.DesignPoint, fn func() core.Result) (res core.Result, hit, shared bool) {
+func (s *Sweep) cacheDo(key []byte, p core.DesignPoint, fn func() core.Result) (res core.Result, hit, shared bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.panics.Add(1)
 			res = core.Result{Point: p, Err: fmt.Errorf("dse: cache flight for %s panicked: %v", p, r)}
 		}
 	}()
-	return fl.Do(key, fn)
-}
-
-// flightDoPoint is flightDo for the context-and-point-aware variant
-// (the cluster peering cache): the same recovery contract, so a panic
-// anywhere in the peer path degrades one point, never a worker.
-func (s *Sweep) flightDoPoint(ctx context.Context, pf PointFlight, key string, p core.DesignPoint, fn func() core.Result) (res core.Result, hit, shared bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.metrics.panics.Add(1)
-			res = core.Result{Point: p, Err: fmt.Errorf("dse: cache flight for %s panicked: %v", p, r)}
-		}
-	}()
-	return pf.DoPoint(ctx, key, p, fn)
+	return s.cache.Do(key, fn)
 }
 
 // safeEvaluate is one guarded evaluator call: the dse/evaluate failpoint

@@ -153,7 +153,7 @@ func TestRunCancellationReturnsPartialResultsPromptly(t *testing.T) {
 func TestRunRecoversPanicsWithoutLosingOtherPoints(t *testing.T) {
 	bad := func(p core.DesignPoint) bool { return p.M == 80 }
 	fe := &fakeEvaluator{panicOn: bad}
-	s, err := NewSweep(fe, WithWorkers(4), WithCache(NewMemoryCache()))
+	s, err := NewSweep(fe, WithWorkers(4), WithCache(cache.New(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +206,12 @@ func TestRunRecoversPanicsWithoutLosingOtherPoints(t *testing.T) {
 }
 
 func TestCacheSharingIsKeyedOnEvaluatorIdentity(t *testing.T) {
-	cache := NewMemoryCache()
+	store := cache.New(0)
 	pts := fakePoints(10)
 
 	feA, feB := &fakeEvaluator{}, &fakeEvaluator{}
-	a, _ := NewSweep(feA, WithCache(cache))
-	b, _ := NewSweep(feB, WithCache(cache))
+	a, _ := NewSweep(feA, WithCache(store))
+	b, _ := NewSweep(feB, WithCache(store))
 	if _, err := a.Run(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +225,8 @@ func TestCacheSharingIsKeyedOnEvaluatorIdentity(t *testing.T) {
 
 	// Explicit shared identity opts in to reuse.
 	feC, feD := &fakeEvaluator{}, &fakeEvaluator{}
-	c, _ := NewSweep(feC, WithCache(cache), WithEvaluatorID("shared"))
-	d, _ := NewSweep(feD, WithCache(cache), WithEvaluatorID("shared"))
+	c, _ := NewSweep(feC, WithCache(store), WithEvaluatorID("shared"))
+	d, _ := NewSweep(feD, WithCache(store), WithEvaluatorID("shared"))
 	if _, err := c.Run(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
@@ -245,9 +245,8 @@ func TestCacheSharingIsKeyedOnEvaluatorIdentity(t *testing.T) {
 			t.Fatalf("cached result %d out of order", i)
 		}
 	}
-	hits, misses := cache.Stats()
-	if hits == 0 || misses == 0 || cache.Len() == 0 {
-		t.Fatalf("cache accounting broken: hits %d misses %d len %d", hits, misses, cache.Len())
+	if st := store.Stats(); st.Hits == 0 || st.Misses == 0 || st.Entries == 0 {
+		t.Fatalf("cache accounting broken: %+v", st)
 	}
 }
 
@@ -277,9 +276,9 @@ func TestProgressIsMonotonicAcrossManyWorkers(t *testing.T) {
 
 func TestTraceSinkEmitsOneJSONLinePerPoint(t *testing.T) {
 	var buf bytes.Buffer
-	cache := NewMemoryCache()
+	store := cache.New(0)
 	s, err := NewSweep(&fakeEvaluator{panicOn: func(p core.DesignPoint) bool { return p.M == 77 }},
-		WithWorkers(4), WithTrace(&buf), WithCache(cache))
+		WithWorkers(4), WithTrace(&buf), WithCache(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +326,7 @@ func TestTraceSinkEmitsOneJSONLinePerPoint(t *testing.T) {
 }
 
 func TestMetricsSnapshotFields(t *testing.T) {
-	s, err := NewSweep(&fakeEvaluator{delay: time.Millisecond}, WithWorkers(2), WithCache(NewMemoryCache()))
+	s, err := NewSweep(&fakeEvaluator{delay: time.Millisecond}, WithWorkers(2), WithCache(cache.New(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +366,7 @@ func TestMetricsSnapshotFields(t *testing.T) {
 // cache hits do not pollute the distribution.
 func TestMetricsEvalQuantilesAndHistogram(t *testing.T) {
 	s, err := NewSweep(&fakeEvaluator{delay: 2 * time.Millisecond},
-		WithWorkers(2), WithCache(NewMemoryCache()))
+		WithWorkers(2), WithCache(cache.New(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +406,7 @@ func TestMetricsEvalQuantilesAndHistogram(t *testing.T) {
 
 func TestEventHooksAreSerialAndCarryResults(t *testing.T) {
 	var global []Event
-	s, err := NewSweep(&fakeEvaluator{}, WithWorkers(8), WithCache(NewMemoryCache()),
+	s, err := NewSweep(&fakeEvaluator{}, WithWorkers(8), WithCache(cache.New(0)),
 		WithEventHook(func(ev Event) {
 			global = append(global, ev) // serial by contract: no lock needed
 		}))
@@ -654,7 +653,7 @@ func TestSweepCacheHitSpeedup(t *testing.T) {
 	// per-point work is a real (if small) sleep, so the ≥5× bound is far
 	// from the observed ~1000× and does not flake under load.
 	fe := &fakeEvaluator{delay: 5 * time.Millisecond}
-	s, err := NewSweep(fe, WithWorkers(4), WithCache(NewMemoryCache()))
+	s, err := NewSweep(fe, WithWorkers(4), WithCache(cache.New(0)))
 	if err != nil {
 		t.Fatal(err)
 	}

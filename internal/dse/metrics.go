@@ -103,8 +103,8 @@ type Snapshot struct {
 	Total, Done int
 	// Evaluated counts real evaluator calls; CacheHits counts points
 	// served from the memoisation cache; Deduped counts points served by
-	// joining an identical in-flight evaluation (singleflight, caches
-	// implementing Flight); Panics counts evaluations that panicked and
+	// joining an identical in-flight evaluation (the store's
+	// singleflight); Panics counts evaluations that panicked and
 	// were degraded into error-carrying results. All four are cumulative
 	// across Runs.
 	Evaluated, CacheHits, Deduped, Panics int64

@@ -59,18 +59,12 @@ type Options struct {
 	// Trace, if set, receives the sweep engine's JSONL per-point trace
 	// (see dse.WithTrace).
 	Trace io.Writer
-	// Cache, if set, replaces the suite's private memoisation cache, so
-	// many suites (for example a server's per-option-set instances) share
-	// one warm store. Entries are keyed on the evaluator fingerprint, so
-	// sharing is always safe. Pass a cache.LRU to bound the store and
-	// de-duplicate concurrent evaluations (singleflight).
-	Cache dse.Cache
-	// CacheEntries bounds the suite's private cache when Cache is nil:
-	// a positive value builds a sharded LRU of that capacity (with
-	// singleflight de-duplication); 0 keeps the historical unbounded
-	// MemoryCache, the right default for CLI one-shots over finite paper
-	// spaces.
-	CacheEntries int
+	// Cache, if set, replaces the suite's private unbounded store, so
+	// many suites (for example a server's per-option-set instances)
+	// share one warm store — bounded, if it was built with a capacity.
+	// Entries are keyed on the evaluator fingerprint, so sharing is
+	// always safe.
+	Cache *cache.LRU
 	// Retry, if set, opts the suite's engine into bounded per-point
 	// retries with backoff (see dse.WithRetry) — the daemon's resilience
 	// knob against transient evaluation failures. A zero policy Seed
@@ -115,7 +109,7 @@ type Suite struct {
 	metric    core.Metric
 	detector  *classify.Detector
 	engine    *dse.Sweep
-	cache     dse.Cache
+	cache     *cache.LRU
 
 	sweepMu sync.Mutex
 	sweep   []core.Result
@@ -169,11 +163,7 @@ func (s *Suite) init() {
 		// suite built over it.
 		s.cache = s.opts.Cache
 		if s.cache == nil {
-			if s.opts.CacheEntries > 0 {
-				s.cache = cache.New(s.opts.CacheEntries)
-			} else {
-				s.cache = dse.NewMemoryCache()
-			}
+			s.cache = cache.New(0)
 		}
 		sweepOpts := []dse.Option{
 			dse.WithWorkers(max(s.opts.Workers, 0)),
@@ -268,7 +258,7 @@ func (s *Suite) Engine() *dse.Sweep {
 }
 
 // Cache exposes the suite-wide memoisation cache.
-func (s *Suite) Cache() dse.Cache {
+func (s *Suite) Cache() *cache.LRU {
 	s.init()
 	return s.cache
 }

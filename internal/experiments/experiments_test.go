@@ -5,8 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"efficsense/internal/cache"
 	"efficsense/internal/core"
-	"efficsense/internal/dse"
 	"efficsense/internal/power"
 )
 
@@ -38,17 +38,17 @@ func TestSharedCacheInjection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains two (tiny) detectors")
 	}
-	cache := dse.NewMemoryCache()
-	opts := Options{Seed: 5, Records: 1, TrainRecords: 4, NoiseSteps: 1, Epochs: 1, Cache: cache}
+	store := cache.New(0)
+	opts := Options{Seed: 5, Records: 1, TrainRecords: 4, NoiseSteps: 1, Epochs: 1, Cache: store}
 	optsB := opts
 	optsB.Seed = 6
 	a, b := NewSuite(opts), NewSuite(optsB)
-	if a.Cache() != cache || b.Cache() != cache {
+	if a.Cache() != store || b.Cache() != store {
 		t.Fatal("injected cache not adopted by the suites")
 	}
 	p := core.DesignPoint{Arch: core.ArchBaseline, Bits: 6, LNANoise: 10e-6}
 	a.Engine().Evaluate(p)
-	n := cache.Len()
+	n := store.Len()
 	if n == 0 {
 		t.Fatal("evaluation did not reach the shared cache")
 	}
@@ -56,17 +56,17 @@ func TestSharedCacheInjection(t *testing.T) {
 	// evaluator fingerprint differs, so the shared store grows instead of
 	// cross-contaminating.
 	b.Engine().Evaluate(p)
-	if cache.Len() <= n {
-		t.Fatalf("distinct evaluators collided in the shared cache (len %d)", cache.Len())
+	if store.Len() <= n {
+		t.Fatalf("distinct evaluators collided in the shared cache (len %d)", store.Len())
 	}
 	// A rebuilt suite with identical options computes the identical
 	// function: the value-hashed fingerprint matches and it reuses the
 	// first suite's entries instead of re-evaluating.
-	m := cache.Len()
+	m := store.Len()
 	c := NewSuite(opts)
 	c.Engine().Evaluate(p)
-	if cache.Len() != m {
-		t.Fatalf("identical evaluators did not share cache entries (len %d → %d)", m, cache.Len())
+	if store.Len() != m {
+		t.Fatalf("identical evaluators did not share cache entries (len %d → %d)", m, store.Len())
 	}
 }
 

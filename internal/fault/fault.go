@@ -51,7 +51,7 @@ const (
 	// batch into error-carrying results — and only that batch: the
 	// engine's other batches, and the job above them, continue.
 	PointBatch = "dse/evaluate-batch"
-	// PointFlight fires inside the bounded cache's singleflight, in the
+	// PointFlight fires inside the evaluation cache's singleflight, in the
 	// computing goroutine, before the evaluation closure runs. A panic
 	// exercises the waiter-release path.
 	PointFlight = "cache/flight"
@@ -63,11 +63,6 @@ const (
 	// stream mid-job (the client reconnects with Last-Event-ID); a
 	// latency stalls the flush.
 	PointSSEFlush = "serve/sse-flush"
-	// PointPeerFetch fires before each peer-protocol HTTP attempt in the
-	// cluster client. An error simulates an unreachable owner: the
-	// requester retries with seeded jitter, then degrades to local
-	// compute — never an error row.
-	PointPeerFetch = "cluster/peer-fetch"
 )
 
 // Kind selects what an armed failpoint injects when it fires.

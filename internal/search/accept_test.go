@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"efficsense/internal/cache"
 	"efficsense/internal/core"
 	"efficsense/internal/dse"
 )
@@ -134,7 +135,7 @@ func recall(truth, found []core.Result, q dse.Quality) float64 {
 func runStudy(t *testing.T, space dse.Space, spec Spec) Outcome {
 	t.Helper()
 	sweep, err := dse.NewSweep(acceptModel{}, dse.WithWorkers(4),
-		dse.WithCache(dse.NewMemoryCache()), dse.WithEvaluatorID("accept"))
+		dse.WithCache(cache.New(0)), dse.WithEvaluatorID("accept"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,11 +85,19 @@ func (p PointSpec) DesignPoint(scn *scenario.Scenario) (core.DesignPoint, error)
 		return core.DesignPoint{}, fmt.Errorf("lna_noise must be positive, got %g", p.LNANoise)
 	}
 	dp := core.DesignPoint{Arch: arch, Bits: p.Bits, LNANoise: p.LNANoise}
+	one := dse.Space{Architectures: []core.Architecture{arch}, Bits: []int{dp.Bits}, LNANoise: []float64{dp.LNANoise}}
 	if arch != core.ArchBaseline {
 		if p.M <= 0 {
 			return core.DesignPoint{}, fmt.Errorf("%s needs a positive measurement count m, got %d", p.Arch, p.M)
 		}
 		dp.M, dp.CHold = p.M, p.CHold
+		one.M, one.CHold = []int{dp.M}, []float64{dp.CHold}
+	}
+	// A point is held to the rule a sweep's space is: the one-point grid
+	// that enumerates it must validate (this is what rejects a negative
+	// chold, which the chain would otherwise replace by its default).
+	if err := one.Validate(); err != nil {
+		return core.DesignPoint{}, err
 	}
 	return dp, nil
 }

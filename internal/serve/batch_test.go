@@ -208,6 +208,36 @@ func TestEvaluateBatchValidation(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejectsNegativeCHold: a wire point is held to the rule a
+// sweep's space is. A negative hold capacitance used to be accepted,
+// evaluated with the chain's default capacitor and cached under its own
+// key — a wrong row, not an error row. Both forms of the request answer
+// 400 naming the field (the batch form naming the index too), and
+// nothing is evaluated.
+func TestEvaluateRejectsNegativeCHold(t *testing.T) {
+	ts, _, eval := newBatchTestServer(t, ManagerConfig{})
+	const good = `{"arch":"cs","bits":8,"lna_noise":2e-6,"m":150}`
+	const bad = `{"arch":"cs","bits":8,"lna_noise":2e-6,"m":150,"chold":-1e-12}`
+	for _, c := range []struct{ name, body, index string }{
+		{"point", `{"point":` + bad + `}`, "point:"},
+		{"points", `{"points":[` + good + `,` + bad + `]}`, "points[1]:"},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/evaluate", c.body)
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", c.name, resp.StatusCode, raw)
+			continue
+		}
+		if !strings.Contains(string(raw), c.index) || !strings.Contains(string(raw), "CHold") {
+			t.Errorf("%s: error %s does not name %q and the CHold field", c.name, raw, c.index)
+		}
+	}
+	if n := eval.calls.Load(); n != 0 {
+		t.Fatalf("rejected points reached the evaluator %d times", n)
+	}
+}
+
 // TestEvaluateBatchDeadlineDegradesRows: a deadline that fires mid-batch
 // yields HTTP 200 with error rows for the unfinished points — the batch
 // shape degrades, it does not turn into the single-point 504. The

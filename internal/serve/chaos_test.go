@@ -35,7 +35,7 @@ func armFault(t *testing.T, name string, cfg fault.Config) {
 
 // newChaosServer is newTestServerWithCache plus engine options (retry
 // policies, worker counts) chosen by the test.
-func newChaosServer(t *testing.T, delay time.Duration, cfg ManagerConfig, store dse.Cache, extra ...dse.Option) (*httptest.Server, *Manager, *slowEval) {
+func newChaosServer(t *testing.T, delay time.Duration, cfg ManagerConfig, store *cache.LRU, extra ...dse.Option) (*httptest.Server, *Manager, *slowEval) {
 	t.Helper()
 	eval := &slowEval{delay: delay}
 	opts := append([]dse.Option{

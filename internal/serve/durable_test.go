@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -368,6 +369,43 @@ func sweepJobRecord(id string) walJobRecord {
 	}
 }
 
+// TestWALRecoversFleetJobIDs: a journal written by a daemon that ran in
+// fleet mode names its jobs "<kind>-<node>-<seq>". Such a sweep still
+// resumes under its journaled ID from its journaled rows, and the next
+// submission's sequence number continues past the journaled one.
+func TestWALRecoversFleetJobIDs(t *testing.T) {
+	pts := twoPoints(t)
+	eval := &slowEval{}
+	const id = "sweep-node-a-3"
+	dir := t.TempDir()
+	journalLines(t, dir,
+		encodeRecord(t, walKindJob, sweepJobRecord(id)),
+		encodeRecord(t, walKindRow, walRowRecord{Job: id, I: 0, Engine: "test-eval", Result: walResultOf(eval.Evaluate(pts[0]))}),
+		encodeRecord(t, walKindRow, walRowRecord{Job: id, I: 1, Engine: "test-eval", Result: walResultOf(eval.Evaluate(pts[1]))}))
+	eval.calls.Store(0)
+	walLog, recs, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, mgr := newDurableServer(t, walLog, eval, ManagerConfig{})
+	if err := mgr.Recover(recs); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, srv.URL, id); st.State != string(StateCompleted) || st.Progress.Done != 2 {
+		t.Fatalf("resumed fleet job: %+v", st)
+	}
+	if got := eval.calls.Load(); got != 0 {
+		t.Fatalf("evaluator ran %d points, want 0 (both rows journaled)", got)
+	}
+	resp := postJSON(t, srv.URL+"/v1/sweeps", smallSweep)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("post-recovery submission: status %d", resp.StatusCode)
+	}
+	if got := decodeStatus(t, resp).ID; got != "sweep-4" {
+		t.Fatalf("post-recovery job ID %q, want sweep-4 (sequence past %s)", got, id)
+	}
+}
+
 // TestWALReplayTruncatedTail: a journal whose final line was torn
 // mid-append (the crash signature) resumes the job from the rows that
 // survived; the torn row is simply re-evaluated.
@@ -510,5 +548,76 @@ func TestWALReplayIdempotent(t *testing.T) {
 	}
 	if v := metricValue(t, fetchMetrics(t, srv.URL), "efficsense_wal_replayed_jobs_total"); v != 1 {
 		t.Fatalf("efficsense_wal_replayed_jobs_total = %g, want 1", v)
+	}
+}
+
+// TestChaosTenantBucketSurvivesRestart pins the PR 8 follow-on fix: a
+// tenant's token-bucket levels are journaled, so a crash-restart cannot
+// refill an exhausted bucket and hand the tenant a fresh burst.
+func TestChaosTenantBucketSurvivesRestart(t *testing.T) {
+	const sweep = `{"space":{"architectures":["baseline"],"bits":[4],"noise_steps":1}}`
+	tenancy := TenantPolicy{Default: TenantLimits{
+		// Refill is negligible on test timescales: the burst is the
+		// whole budget.
+		SubmitRate:  0.0001,
+		SubmitBurst: 2,
+	}}
+
+	dirA := t.TempDir()
+	walA, _, err := wal.Open(dirA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvA, mgrA := newDurableServer(t, walA, &slowEval{}, ManagerConfig{Tenancy: tenancy})
+
+	// Spend the whole burst, then confirm the bucket is empty.
+	for i := 0; i < 2; i++ {
+		resp := postJSON(t, srvA.URL+"/v1/sweeps", sweep)
+		st := decodeStatus(t, resp)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submission %d rejected: %d", i+1, resp.StatusCode)
+		}
+		waitTerminal(t, srvA.URL, st.ID)
+	}
+	if _, err := mgrA.Submit(context.Background(), SweepRequest{}); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("third submission before restart: %v, want ErrRateLimited", err)
+	}
+
+	// SIGKILL disk image, restart, recover.
+	snapshot, err := os.ReadFile(filepath.Join(dirA, wal.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirB := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dirB, wal.FileName), snapshot, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	walB, recs, err := wal.Open(dirB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvB, mgrB := newDurableServer(t, walB, &slowEval{}, ManagerConfig{Tenancy: tenancy})
+	if err := mgrB.Recover(recs); err != nil {
+		t.Fatal(err)
+	}
+
+	// The exhausted bucket survived the restart: still rate-limited.
+	if _, err := mgrB.Submit(context.Background(), SweepRequest{}); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("submission after restart: %v, want ErrRateLimited (bucket state lost)", err)
+	}
+	resp := postJSON(t, srvB.URL+"/v1/sweeps", sweep)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("HTTP submission after restart: %d, want 429", resp.StatusCode)
+	}
+
+	// Control: an unrelated fresh deployment (no journal) does get its
+	// burst — the limit above came from the restored levels, not the
+	// policy alone.
+	srvC, _ := newDurableServer(t, nil, &slowEval{}, ManagerConfig{Tenancy: tenancy})
+	resp = postJSON(t, srvC.URL+"/v1/sweeps", sweep)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("fresh deployment first submission: %d, want 202", resp.StatusCode)
 	}
 }

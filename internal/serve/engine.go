@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"efficsense/internal/cache"
-	"efficsense/internal/cluster"
 	"efficsense/internal/core"
 	"efficsense/internal/dse"
 	"efficsense/internal/experiments"
@@ -57,7 +56,6 @@ type SuiteEngines struct {
 	mu     sync.Mutex
 	cache  *cache.LRU
 	suites map[string]*experiments.Suite
-	peers  *cluster.Peers
 }
 
 // NewSuiteEngines builds an empty provider around a fresh shared
@@ -74,12 +72,6 @@ func NewSuiteEngines(cacheEntries int) *SuiteEngines {
 
 // Cache exposes the shared memoisation store (for /metrics exposition).
 func (se *SuiteEngines) Cache() *cache.LRU { return se.cache }
-
-// UseCluster puts the provider in fleet mode: every engine built from
-// here on fills remotely-owned cache misses through the peer group
-// before computing. Call once, before serving — membership changes go
-// through the Peers client, not through this method.
-func (se *SuiteEngines) UseCluster(p *cluster.Peers) { se.peers = p }
 
 // optionsKey canonicalises an option set: two option sets that build
 // equivalent evaluators map to the same key. Sinks (Progress, Trace),
@@ -109,12 +101,6 @@ func optionsKey(o experiments.Options) string {
 func (se *SuiteEngines) Engine(opts experiments.Options) (eng Engine, err error) {
 	opts.Progress, opts.Trace = nil, nil
 	opts.Cache = se.cache
-	if se.peers != nil {
-		// The peering cache carries this option set's wire spec so the
-		// owner evaluates exactly what this suite would; it wraps (and
-		// shares) the same LRU, so local behaviour is unchanged.
-		opts.Cache = newClusterCache(se.cache, se.peers, opts)
-	}
 	suite := experiments.NewSuite(opts)
 	key := optionsKey(suite.Options())
 

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"efficsense/internal/cluster"
 	"efficsense/internal/core"
 	"efficsense/internal/experiments"
 	"efficsense/internal/obs"
@@ -68,14 +67,6 @@ func NewServer(mgr *Manager, logger *slog.Logger) *Server {
 	s.route("GET /v1/scenarios", s.handleScenarios)
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /metrics", s.handleMetrics)
-	// Fleet mode only: the peer protocol and the cluster view exist
-	// solely when a peer group is configured, so a single-node daemon's
-	// surface — routes, metrics series, job-ID shapes — is bit-identical
-	// to the pre-fleet contract.
-	if mgr.cfg.Cluster != nil {
-		s.route("POST "+cluster.PeerPath, s.handlePeerEval)
-		s.route("GET /v1/cluster", s.handleClusterStatus)
-	}
 	return s
 }
 
@@ -462,9 +453,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	job, err := s.mgr.Job(r.PathValue("id"))
 	if err != nil {
-		if s.redirectJob(w, r) {
-			return nil, false
-		}
 		s.error(w, r, http.StatusNotFound, CodeNotFound, "%v", err)
 		return nil, false
 	}
@@ -500,9 +488,6 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	job, err := s.mgr.Cancel(r.Context(), r.PathValue("id"))
 	if err != nil {
-		if s.redirectJob(w, r) {
-			return
-		}
 		s.error(w, r, http.StatusNotFound, CodeNotFound, "%v", err)
 		return
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"efficsense/internal/cache"
-	"efficsense/internal/cluster"
 	"efficsense/internal/core"
 	"efficsense/internal/dse"
 	"efficsense/internal/experiments"
@@ -88,10 +87,9 @@ type ManagerConfig struct {
 	// ((*SuiteEngines).Engine in production).
 	Engines EngineFunc
 	// Cache, if set, is reported under /metrics (pass the SuiteEngines
-	// shared cache). Both the bounded *cache.LRU (occupancy, capacity,
-	// evictions, singleflight shares) and the unbounded *dse.MemoryCache
-	// (occupancy, hit/miss) are understood.
-	Cache dse.Cache
+	// shared cache): occupancy, capacity, hits and misses, evictions and
+	// singleflight shares.
+	Cache *cache.LRU
 	// MaxConcurrentJobs bounds simultaneously running sweeps (default 2).
 	// Submissions beyond it are rejected with ErrSaturated — the caller
 	// retries after Retry-After — rather than queued, so a burst cannot
@@ -119,13 +117,6 @@ type ManagerConfig struct {
 	// the pre-tenancy contract: one default tenant, no rate limits, no
 	// queueing.
 	Tenancy TenantPolicy
-	// Cluster, when set, puts the manager in fleet mode: job IDs embed
-	// this node's name so any member can redirect a request to the job's
-	// accepting node (sticky routing), /v1/cluster and the
-	// efficsense_cluster_* series go live, and the peer-protocol
-	// endpoint serves the keyspace segment this node owns. Pass the same
-	// client given to SuiteEngines.UseCluster.
-	Cluster *cluster.Peers
 	// WAL, when set, makes jobs durable: specs and completed result rows
 	// are journaled (fsync on job-state transitions), Recover replays
 	// terminal jobs as history and resumes in-flight sweeps from their
@@ -306,18 +297,9 @@ type Job struct {
 	engineID string
 }
 
-// jobID mints the next job identifier under m.mu. Single-node IDs stay
-// "<kind>-<seq>", bit-identical to the pre-fleet contract; in fleet
-// mode the accepting node's name rides in the middle
-// ("<kind>-<node>-<seq>") so every member can route a request for the
-// job back to the node running it. Recovery's bumpSeq parses the suffix
-// after the last '-', which both shapes satisfy.
-func (m *Manager) jobID(kind string) string {
-	if m.cfg.Cluster != nil {
-		return fmt.Sprintf("%s-%s-%d", kind, m.cfg.Cluster.Self().Name, m.seq)
-	}
-	return fmt.Sprintf("%s-%d", kind, m.seq)
-}
+// jobID mints the next job identifier, "<kind>-<seq>", under m.mu.
+// Recovery's bumpSeq parses the suffix after the last '-'.
+func (m *Manager) jobID(kind string) string { return fmt.Sprintf("%s-%d", kind, m.seq) }
 
 func (m *Manager) newJob(opts experiments.Options, space dse.Space, points []core.DesignPoint) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -464,6 +446,11 @@ func (m *Manager) run(job *Job) {
 				pts = append(pts, p)
 			}
 		}
+		// Progress starts at the journaled rows, so a sweep whose every
+		// row was journaled still reports them done.
+		job.mu.Lock()
+		job.done = base
+		job.mu.Unlock()
 		m.logJob(job, "sweep resumed",
 			slog.Int("replayed_rows", base), slog.Int("remaining", len(pts)))
 	}
@@ -1063,16 +1050,12 @@ func (m *Manager) Counters() Counters {
 	if meanN > 0 {
 		c.EngineMeanEval = meanSum / time.Duration(meanN)
 	}
-	switch cc := m.cfg.Cache.(type) {
-	case *cache.LRU:
-		st := cc.Stats()
+	if m.cfg.Cache != nil {
+		st := m.cfg.Cache.Stats()
 		c.CacheEntries, c.CacheCapacity = st.Entries, st.Capacity
 		c.CacheHits, c.CacheMisses = st.Hits, st.Misses
 		c.CacheEvictions, c.CacheDeduped = st.Evictions, st.FlightShared
 		c.CacheFlightPanics = st.FlightPanics
-	case *dse.MemoryCache:
-		c.CacheEntries = cc.Len()
-		c.CacheHits, c.CacheMisses = cc.Stats()
 	}
 	return c
 }

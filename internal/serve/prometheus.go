@@ -147,30 +147,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Fleet-mode series, rendered only when a peer group is configured —
-	// a single-node exposition stays byte-compatible with the pre-fleet
-	// contract. Reconciliation invariant: summed over the fleet,
-	// peer_fills equals peer_hits + peer_misses (every filled request
-	// was someone's successful fetch), and peer_errors counts fetches
-	// that degraded to local compute instead.
-	if st, ok := s.mgr.ClusterStatus(); ok {
-		gauge("efficsense_cluster_ring_size", "Members on the consistent-hash ring, as this node sees it.", st.RingSize)
-		gauge("efficsense_cluster_ring_vnodes", "Virtual nodes per member on the ring.", st.VNodes)
-		counter("efficsense_cluster_peer_hits_total", "Peer fetches answered from the owner's cache.", st.Hits)
-		counter("efficsense_cluster_peer_misses_total", "Peer fetches the owner had to compute.", st.Misses)
-		counter("efficsense_cluster_peer_fills_total", "Peer requests this node served as keyspace owner.", st.Fills)
-		counter("efficsense_cluster_peer_errors_total", "Peer fetches that failed and degraded to local compute.", st.Errors)
-		fmt.Fprintf(w, "# HELP efficsense_cluster_peer_request_duration_seconds Peer-protocol request latency, by peer.\n")
-		fmt.Fprintf(w, "# TYPE efficsense_cluster_peer_request_duration_seconds histogram\n")
-		for _, ps := range st.Peers {
-			if ps.Self {
-				continue
-			}
-			ps.Latency.WritePrometheus(w,
-				"efficsense_cluster_peer_request_duration_seconds", fmt.Sprintf("peer=%q", ps.Member.Name))
-		}
-	}
-
 	// Durability series (all zero when no -wal-dir is configured).
 	counter("efficsense_wal_replayed_jobs_total", "Terminal jobs restored from the journal at startup.", c.WALReplayedJobs)
 	counter("efficsense_wal_resumed_jobs_total", "In-flight jobs resumed from the journal at startup.", c.WALResumedJobs)

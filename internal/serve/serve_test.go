@@ -54,7 +54,7 @@ func newTestServer(t *testing.T, delay time.Duration, cfg ManagerConfig) (*httpt
 
 // newTestServerWithCache is newTestServer with the memoisation store
 // chosen by the caller (a tiny capacity, say, to force evictions).
-func newTestServerWithCache(t *testing.T, delay time.Duration, cfg ManagerConfig, store dse.Cache) (*httptest.Server, *Manager, *slowEval) {
+func newTestServerWithCache(t *testing.T, delay time.Duration, cfg ManagerConfig, store *cache.LRU) (*httptest.Server, *Manager, *slowEval) {
 	t.Helper()
 	eval := &slowEval{delay: delay}
 	eng, err := dse.NewSweep(eval,

@@ -422,11 +422,20 @@ func TestShutdownStopsEvictionTimers(t *testing.T) {
 	id := decodeStatus(t, resp).ID
 	waitTerminal(t, ts.URL, id)
 
-	mgr.mu.Lock()
-	armed := len(mgr.timers)
-	mgr.mu.Unlock()
-	if armed != 1 {
-		t.Fatalf("%d eviction timers armed after one finished job, want 1", armed)
+	// The job turns terminal before its goroutine arms the timer, so
+	// wait for the timer rather than read the count once.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mgr.mu.Lock()
+		armed := len(mgr.timers)
+		mgr.mu.Unlock()
+		if armed == 1 {
+			break
+		}
+		if armed > 1 || time.Now().After(deadline) {
+			t.Fatalf("%d eviction timers armed after one finished job, want 1", armed)
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
