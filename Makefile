@@ -61,13 +61,17 @@ stress:
 	$(GO) test -count=20 ./internal/serve ./internal/wal
 
 # purego runs the kernel, converter, reconstruction, detector, chain and
-# evaluator suites with the AVX kernels (internal/dsp) compiled out. The
-# kernels promise results bit-identical to their pure-Go loops; the
+# evaluator suites with the vector kernels (internal/dsp) compiled out.
+# The kernels promise results bit-identical to their pure-Go loops; the
 # kernel, FFT, Welch, DCT, SAR, OMP, block-OMP and detector reference
 # tests and the session identity tests check that promise in this build
-# too.
+# too. It then reruns the kernel, converter, reconstruction and chain
+# suites built for GOAMD64=v3, where the compiler could use FMA: the Go
+# loops match the kernels only while it does not fuse a*b ± c, so a
+# toolchain that starts fusing fails here instead of moving results.
 purego:
 	$(GO) test -tags purego ./internal/dsp ./internal/adc ./internal/cs ./internal/classify ./internal/chain ./internal/core
+	GOAMD64=v3 $(GO) test ./internal/dsp ./internal/cs ./internal/adc ./internal/chain
 
 # setup-identity runs the suite set-up golden and the oracle tests of the
 # set-up kernels (coloured noise, resampling, the forward DCT, the sparse

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"efficsense/internal/dsp"
 	"efficsense/internal/serve"
 )
 
@@ -252,6 +253,7 @@ func TestOpsListenerServesPprofPrivately(t *testing.T) {
 	}
 	var bi struct {
 		GoVersion string `json:"go_version"`
+		Kernels   string `json:"kernels"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&bi); err != nil {
 		t.Fatal(err)
@@ -259,6 +261,9 @@ func TestOpsListenerServesPprofPrivately(t *testing.T) {
 	resp.Body.Close()
 	if !strings.HasPrefix(bi.GoVersion, "go") {
 		t.Fatalf("build info go_version %q", bi.GoVersion)
+	}
+	if bi.Kernels != dsp.Kernels() {
+		t.Fatalf("build info kernels %q, want %q", bi.Kernels, dsp.Kernels())
 	}
 
 	cancel()

@@ -17,14 +17,16 @@ import (
 //
 // The dictionary and Gram matrix are stored flat (column- and row-major
 // respectively) so the two O(atoms·K) inner loops stream contiguous
-// memory, and every solve can run against a caller-owned Scratch, which
-// makes the steady state allocation-free. A BatchOMP is read-only after
-// construction and safe for concurrent solves with distinct Scratches.
+// memory, the dictionary once more in the panel layout of dsp.Project
+// for the Dᵀy projections, and every solve can run against a
+// caller-owned Scratch, which makes the steady state allocation-free. A
+// BatchOMP is read-only after construction and safe for concurrent
+// solves with distinct Scratches.
 type BatchOMP struct {
-	flat  []float64 // column-major dictionary: column j at [j*m, (j+1)*m)
-	rows  []float64 // row-major mirror for the vector projections path; nil without vector kernels
-	gram  []float64 // row-major K×K Gram matrix: row i at [i*k, (i+1)*k)
-	norms []float64 // column norms
+	flat  []float64  // column-major dictionary: column j at [j*m, (j+1)*m)
+	pan   dsp.Panels // the dictionary in panels, for Dᵀy
+	gram  []float64  // row-major K×K Gram matrix: row i at [i*k, (i+1)*k)
+	norms []float64  // column norms
 	k, m  int
 }
 
@@ -32,7 +34,7 @@ type BatchOMP struct {
 // to the largest (K, maxAtoms) it has seen and is then allocation-free.
 // The zero value is ready to use. Not safe for concurrent use.
 type Scratch struct {
-	p, corr  []float64
+	p, corr  []float64 // Dᵀy (SolveInto's own) and the correlations
 	w, z     []float64
 	lf, lfT  []float64
 	coef, pS []float64
@@ -48,12 +50,11 @@ type Scratch struct {
 const absMask = 1<<63 - 1
 
 func (s *Scratch) grow(k, maxAtoms int) {
-	if cap(s.p) < k {
-		s.p = make([]float64, k)
+	if cap(s.corr) < k {
 		s.corr = make([]float64, k)
 		s.mask = make([]uint64, k)
 	}
-	s.p, s.corr, s.mask = s.p[:k], s.corr[:k], s.mask[:k]
+	s.corr, s.mask = s.corr[:k], s.mask[:k]
 	if cap(s.w) < maxAtoms {
 		s.w = make([]float64, maxAtoms)
 		s.z = make([]float64, maxAtoms)
@@ -85,17 +86,7 @@ func NewBatchOMP(cols [][]float64) *BatchOMP {
 	for j, c := range cols {
 		copy(b.flat[j*b.m:(j+1)*b.m], c)
 	}
-	if dsp.VectorKernels() {
-		// Row-major mirror: row i holds element i of every column, so the
-		// vector projections path can accumulate four adjacent columns per
-		// instruction instead of gathering down one column at a time.
-		b.rows = make([]float64, k*b.m)
-		for j, c := range cols {
-			for i, v := range c {
-				b.rows[i*k+j] = v
-			}
-		}
-	}
+	b.pan = dsp.NewPanels(cols)
 	b.norms = make([]float64, k)
 	b.gram = make([]float64, k*k)
 	for i := 0; i < k; i++ {
@@ -129,22 +120,31 @@ func (b *BatchOMP) Solve(y []float64, maxAtoms int, tol float64) []float64 {
 
 // SolveInto is Solve against caller-owned storage: theta (length K)
 // receives the coefficient vector and sc holds the working set, so
-// repeated solves allocate nothing. theta is fully overwritten.
+// repeated solves allocate nothing. theta is fully overwritten. A
+// non-empty y must be M long.
 func (b *BatchOMP) SolveInto(theta, y []float64, maxAtoms int, tol float64, sc *Scratch) []float64 {
-	for i := range theta {
-		theta[i] = 0
+	sc.p = grown(sc.p, b.k)
+	if b.k > 0 && len(y) > 0 {
+		b.pan.Project([][]float64{sc.p}, [][]float64{y})
 	}
-	support, coef := b.solve(y, maxAtoms, tol, sc)
+	return b.solveInto(theta, y, sc.p, maxAtoms, tol, sc)
+}
+
+// solveInto is SolveInto given p = Dᵀy, which it only reads.
+func (b *BatchOMP) solveInto(theta, y, p []float64, maxAtoms int, tol float64, sc *Scratch) []float64 {
+	clear(theta)
+	support, coef := b.solve(y, p, maxAtoms, tol, sc)
 	for i, j := range support {
 		theta[j] = coef[i]
 	}
 	return theta
 }
 
-// solve runs the pursuit and returns the selected atoms with their
-// least-squares coefficients, both backed by sc (valid until the next
-// solve on the same Scratch).
-func (b *BatchOMP) solve(y []float64, maxAtoms int, tol float64, sc *Scratch) ([]int, []float64) {
+// solve runs the pursuit from p = Dᵀy, the only O(K·M) quantity of a
+// solve, and returns the selected atoms with their least-squares
+// coefficients, both backed by sc (valid until the next solve on the
+// same Scratch).
+func (b *BatchOMP) solve(y, p []float64, maxAtoms int, tol float64, sc *Scratch) ([]int, []float64) {
 	if b.k == 0 || len(y) == 0 || maxAtoms <= 0 {
 		return nil, nil
 	}
@@ -156,9 +156,6 @@ func (b *BatchOMP) solve(y []float64, maxAtoms int, tol float64, sc *Scratch) ([
 		return nil, nil
 	}
 	sc.grow(b.k, maxAtoms)
-	// p = Dᵀy, the only O(K·M) step per solve.
-	p := sc.p
-	b.projections(p, y)
 	support := sc.support[:0]
 	mask := sc.mask
 	for j, nj := range b.norms {
@@ -274,60 +271,6 @@ func (b *BatchOMP) solve(y []float64, maxAtoms int, tol float64, sc *Scratch) ([
 		best, bestVal = b.updateSelect(sc.corr, p, support, coef, mask)
 	}
 	return support, coef
-}
-
-// projections computes p = Dᵀy. Columns are processed four at a time with
-// independent accumulators — each column's dot product still sums in the
-// original sequential order (bit-identical results), but y is streamed
-// once per group instead of once per column and the four dependency
-// chains overlap (wider groups spill registers on amd64 and lose).
-func (b *BatchOMP) projections(p, y []float64) {
-	if b.rows != nil && len(y) == b.m {
-		b.projectionsRows(p, y)
-		return
-	}
-	m := b.m
-	j := 0
-	for ; j+4 <= b.k; j += 4 {
-		c0 := b.flat[(j+0)*m : (j+1)*m]
-		c1 := b.flat[(j+1)*m : (j+2)*m]
-		c2 := b.flat[(j+2)*m : (j+3)*m]
-		c3 := b.flat[(j+3)*m : (j+4)*m]
-		var d0, d1, d2, d3 float64
-		for i, v := range y {
-			d0 += c0[i] * v
-			d1 += c1[i] * v
-			d2 += c2[i] * v
-			d3 += c3[i] * v
-		}
-		p[j], p[j+1], p[j+2], p[j+3] = d0, d1, d2, d3
-	}
-	for ; j < b.k; j++ {
-		c := b.flat[j*m : (j+1)*m]
-		var dot float64
-		for i, v := range y {
-			dot += c[i] * v
-		}
-		p[j] = dot
-	}
-}
-
-// projectionsRows is projections over the row-major mirror: p accumulates
-// y[i]·row_i for ascending i, four rows per pass, which vectorises across
-// adjacent columns. Each p[j] still sums its terms in ascending-i order
-// starting from +0 — the exact order of the scalar dot product — so the
-// two layouts produce bit-identical projections.
-func (b *BatchOMP) projectionsRows(p, y []float64) {
-	k := b.k
-	clear(p)
-	i := 0
-	for ; i+4 <= len(y); i += 4 {
-		dsp.AddRows4(p, b.rows[i*k:(i+1)*k], b.rows[(i+1)*k:(i+2)*k],
-			b.rows[(i+2)*k:(i+3)*k], b.rows[(i+3)*k:(i+4)*k], y[i], y[i+1], y[i+2], y[i+3])
-	}
-	for ; i < len(y); i++ {
-		dsp.Axpy(p, b.rows[i*k:(i+1)*k], y[i])
-	}
 }
 
 // updateSelect computes the residual correlation corr = p - G_S·coef and

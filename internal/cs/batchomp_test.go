@@ -156,12 +156,12 @@ func BenchmarkBOMPSolve(b *testing.B) {
 		Method: MethodBOMP, MaxAtoms: 48, BlockLen: 4, Tol: 1e-4,
 	})
 	y := bompFrames(enc, 7, 1)[0]
-	theta := make([]float64, n)
 	var sc bompScratch
+	done := func(int, []float64) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.bomp(theta, y, &sc)
+		r.bompRecord(y, &sc, done)
 	}
 }
 

@@ -151,15 +151,38 @@ func referenceBOMP(r *MethodReconstructor, y []float64) []float64 {
 }
 
 // dictBOMP builds a BOMP reconstructor over an explicit sparse-domain
-// dictionary (no DCT), for geometries no measurement matrix produces.
+// dictionary, for geometries no measurement matrix produces; frames are
+// synthesised from the coefficients with the DCT of length K.
 func dictBOMP(cols [][]float64, maxAtoms, blockLen int, tol float64) *MethodReconstructor {
-	r := &MethodReconstructor{
-		opts: ReconOptions{Method: MethodBOMP, MaxAtoms: maxAtoms, BlockLen: blockLen, Tol: tol},
-		n:    len(cols),
-		m:    len(cols[0]),
-	}
+	return dictReconstructor(cols, ReconOptions{Method: MethodBOMP, MaxAtoms: maxAtoms, BlockLen: blockLen, Tol: tol})
+}
+
+// dictReconstructor builds a reconstructor of the given (OMP or BOMP)
+// options over an explicit sparse-domain dictionary.
+func dictReconstructor(cols [][]float64, opts ReconOptions) *MethodReconstructor {
+	r := &MethodReconstructor{opts: opts, n: len(cols), m: len(cols[0]), dct: dsp.NewDCT(len(cols))}
 	r.useDict(cols)
 	return r
+}
+
+// bompThetas runs bompRecord over the record y and returns every
+// frame's coefficients, failing the test unless each frame finished
+// exactly once.
+func bompThetas(t testing.TB, r *MethodReconstructor, y []float64, sc *bompScratch) [][]float64 {
+	t.Helper()
+	out := make([][]float64, len(y)/r.m)
+	r.bompRecord(y, sc, func(f int, theta []float64) {
+		if out[f] != nil {
+			t.Fatalf("frame %d finished twice", f)
+		}
+		out[f] = append([]float64(nil), theta...)
+	})
+	for f, theta := range out {
+		if theta == nil {
+			t.Fatalf("frame %d never finished", f)
+		}
+	}
+	return out
 }
 
 // bompFrames encodes test frames through enc: the given number of
@@ -233,7 +256,7 @@ func TestBOMPMatchesReference(t *testing.T) {
 			maxSupport := 0
 			for fi, y := range bompFrames(enc, int64(50+ci), noise, tc.atoms...) {
 				want := referenceBOMP(r, y)
-				got := r.bomp(make([]float64, tc.n), y, &sc.bomp)
+				got := bompThetas(t, r, y, &sc.bomp)[0]
 				if i := bitDiff(got, want); i >= 0 {
 					t.Fatalf("frame %d: coefficient %d = %v, reference %v", fi, i, got[i], want[i])
 				}
@@ -290,7 +313,7 @@ func TestBOMPCholeskyFailureMatchesReference(t *testing.T) {
 	y := []float64{1, 1, 1, 1, 0, 0.5, 0.5, 0.5, 0, 0, 0, 0}
 	r := dictBOMP(cols, 12, 4, 1e-12)
 	want := referenceBOMP(r, y)
-	got := r.bomp(make([]float64, k), y, new(bompScratch))
+	got := bompThetas(t, r, y, new(bompScratch))[0]
 	if i := bitDiff(got, want); i >= 0 {
 		t.Fatalf("coefficient %d = %v, reference %v", i, got[i], want[i])
 	}

@@ -238,29 +238,39 @@ func (r *MethodReconstructor) ReconstructFrame(y []float64) []float64 {
 	case MethodIHT:
 		return r.dct.Inverse(r.iht(y))
 	case MethodBOMP:
-		return r.dct.Inverse(r.bomp(make([]float64, r.n), y, new(bompScratch)))
+		out := make([]float64, r.n)
+		r.bompRecord(y, new(bompScratch), func(_ int, theta []float64) { r.dct.InverseInto(out, theta) })
+		return out
 	default:
 		return r.ridgeSolve(y)
 	}
 }
 
 // ReconScratch holds the per-goroutine working set of the allocation-free
-// reconstruction path: the coefficient vector plus the Batch-OMP and
-// block-OMP solver scratch. The zero value is ready to use; it grows to
-// the largest geometry seen.
+// reconstruction path: the coefficient vector, the projections of the
+// OMP frames in flight and the Batch-OMP solver scratch, and the
+// block-OMP lanes. The zero value is ready to use; it grows to the
+// largest geometry seen.
 type ReconScratch struct {
 	theta []float64
+	p     [projectLanes][]float64
 	omp   Scratch
 	bomp  bompScratch
 }
+
+// projectLanes is the number of frames whose Dᵀy or Dᵀr one dsp.Project
+// pass computes: every vector shares each load of the dictionary.
+const projectLanes = 4
 
 // ReconstructInto is Reconstruct against caller-owned storage: dst is
 // grown (reallocating only when capacity is exceeded) to frames·N_Φ and
 // fully overwritten, the returned slice aliases it, and results are
 // bit-identical to Reconstruct. OMP and BOMP solve against sc and
-// allocate nothing in the steady state; IHT and ridge run their
-// per-frame code and copy. A single MethodReconstructor may serve many
-// goroutines concurrently as long as each brings its own ReconScratch.
+// allocate nothing in the steady state; both project four frames per
+// pass over the dictionary (OMP its frames' Dᵀy, BOMP its lanes' Dᵀy or
+// Dᵀr). IHT and ridge run their per-frame code and copy. A single
+// MethodReconstructor may serve many goroutines concurrently as long as
+// each brings its own ReconScratch.
 func (r *MethodReconstructor) ReconstructInto(dst, y []float64, sc *ReconScratch) []float64 {
 	frames := len(y) / r.m
 	need := frames * r.n
@@ -268,44 +278,65 @@ func (r *MethodReconstructor) ReconstructInto(dst, y []float64, sc *ReconScratch
 		dst = make([]float64, need)
 	}
 	dst = dst[:need]
-	if cap(sc.theta) < r.n {
-		sc.theta = make([]float64, r.n)
-	}
-	theta := sc.theta[:r.n]
-	for f := 0; f < frames; f++ {
-		yf, out := y[f*r.m:(f+1)*r.m], dst[f*r.n:(f+1)*r.n]
-		switch r.opts.Method {
-		case MethodOMP:
-			r.dct.InverseInto(out, r.solver.SolveInto(theta, yf, r.opts.MaxAtoms, r.opts.Tol, &sc.omp))
-		case MethodBOMP:
-			r.dct.InverseInto(out, r.bomp(theta, yf, &sc.bomp))
-		default:
-			copy(out, r.ReconstructFrame(yf))
+	switch r.opts.Method {
+	case MethodOMP:
+		sc.theta = grown(sc.theta, r.n)
+		var ys [projectLanes][]float64
+		for f0 := 0; f0 < frames; f0 += projectLanes {
+			g := min(projectLanes, frames-f0)
+			for i := range g {
+				ys[i] = y[(f0+i)*r.m : (f0+i+1)*r.m]
+				sc.p[i] = grown(sc.p[i], r.n)
+			}
+			r.solver.pan.Project(sc.p[:g], ys[:g])
+			for i := range g {
+				theta := r.solver.solveInto(sc.theta, ys[i], sc.p[i], r.opts.MaxAtoms, r.opts.Tol, &sc.omp)
+				r.dct.InverseInto(dst[(f0+i)*r.n:(f0+i+1)*r.n], theta)
+			}
+		}
+	case MethodBOMP:
+		r.bompRecord(y[:frames*r.m], &sc.bomp, func(f int, theta []float64) {
+			r.dct.InverseInto(dst[f*r.n:(f+1)*r.n], theta)
+		})
+	default:
+		for f := 0; f < frames; f++ {
+			copy(dst[f*r.n:(f+1)*r.n], r.ReconstructFrame(y[f*r.m:(f+1)*r.m]))
 		}
 	}
 	return dst
 }
 
 // bompScratch is the reusable working set of one block-OMP solving
-// goroutine. It grows to the largest geometry it has seen and is then
-// allocation-free. The zero value is ready to use. Not safe for
-// concurrent use.
+// goroutine: the lanes of bompRecord. It grows to the largest
+// geometry it has seen and is then allocation-free. The zero value is
+// ready to use. Not safe for concurrent use.
 type bompScratch struct {
+	lanes [projectLanes]bompLane
+}
+
+// bompLane is one frame in flight in bompRecord's lanes: the
+// frame and the working set of its pursuit.
+type bompLane struct {
+	frame    int       // index of the frame in the record
+	y        []float64 // its M measurements
+	energy0  float64   // ||y||²
 	pY, corr []float64 // Dᵀy and Dᵀr, length K
 	resid    []float64 // r = y - D_S·coef, length M
 	selected []bool    // per block
 	support  []int
+	n        int       // committed support: coef[:n] is the current fit
 	lf       []float64 // Cholesky factor of the support system, row i at i·stride
 	z, coef  []float64
+	theta    []float64 // the finished frame's coefficients, length K
 }
 
-func (s *bompScratch) grow(k, m, nBlocks, stride int) {
-	s.pY, s.corr = grown(s.pY, k), grown(s.corr, k)
-	s.resid = grown(s.resid, m)
-	s.selected = grown(s.selected, nBlocks)
-	s.support = grown(s.support, stride)
-	s.lf = grown(s.lf, stride*stride)
-	s.z, s.coef = grown(s.z, stride), grown(s.coef, stride)
+func (l *bompLane) grow(k, m, nBlocks, stride int) {
+	l.pY, l.corr, l.theta = grown(l.pY, k), grown(l.corr, k), grown(l.theta, k)
+	l.resid = grown(l.resid, m)
+	l.selected = grown(l.selected, nBlocks)
+	l.support = grown(l.support, stride)
+	l.lf = grown(l.lf, stride*stride)
+	l.z, l.coef = grown(l.z, stride), grown(l.coef, stride)
 }
 
 // grown returns v resized to n, reallocating only when capacity is
@@ -317,141 +348,205 @@ func grown[T any](v []T, n int) []T {
 	return v[:n]
 }
 
-// bomp runs block orthogonal matching pursuit: the DCT dictionary is cut
-// into contiguous blocks of BlockLen atoms, each greedy step admits the
-// block with the largest aggregate residual correlation, and the
+// bompRecord runs block orthogonal matching pursuit over every frame of
+// the record y (a whole number of M-measurement frames) and calls
+// done(f, theta) as frame f finishes, frames finishing in any order;
+// theta (length K) is valid only during the call. The DCT dictionary is
+// cut into contiguous blocks of BlockLen atoms, each greedy step admits
+// the block with the largest aggregate residual correlation, and the
 // coefficients on the grown support are re-fit by least squares before
-// the residual is updated — OMP's orthogonalisation at block granularity.
+// the residual is updated — OMP's orthogonalisation at block
+// granularity.
 //
-// It runs on the Batch-OMP state: one projections pass per frame (Dᵀy)
-// and one per step (Dᵀr), support Gram entries read from the
-// precomputed Gram matrix, the Cholesky factor of (D_SᵀD_S + 1e-12·I)
-// extended by the new block's rows only, and the residual rebuilt with
-// dsp.SubRows4. Every quantity sums its terms in the same order as a
-// from-scratch refit (dot products from +0 in ascending sample order,
-// factor rows exactly as cholesky computes them, coefficients applied in
-// support order), so the result is bit-identical to one. theta (length
-// K) is fully overwritten and returned; sc holds everything else.
-func (r *MethodReconstructor) bomp(theta, y []float64, sc *bompScratch) []float64 {
-	clear(theta)
-	energy0 := dsp.Energy(y)
-	if energy0 == 0 {
-		return theta
-	}
-	b := r.solver
-	k, maxAtoms, blockLen := r.n, r.opts.MaxAtoms, r.opts.BlockLen
+// Frames are independent, so up to four run in lock-step lanes: each
+// tick is one dsp.Project pass over the live lanes, a lane contributing
+// its y on its first step (Dᵀy) and its residual after that (Dᵀr), and
+// then every live lane takes one step (bompStep). A lane whose frame
+// finishes takes the record's next frame. Project computes each vector's
+// projections exactly as a pass of its own would, so a frame's result
+// does not depend on which frames share its ticks.
+func (r *MethodReconstructor) bompRecord(y []float64, sc *bompScratch, done func(f int, theta []float64)) {
+	frames := len(y) / r.m
+	k, blockLen := r.n, r.opts.BlockLen
 	nBlocks := (k + blockLen - 1) / blockLen
 	// A block is admitted while the support is below maxAtoms, so the
 	// support can overshoot it by up to blockLen-1 atoms.
-	stride := min(maxAtoms+blockLen-1, k)
-	sc.grow(k, r.m, nBlocks, stride)
-	pY, resid, selected := sc.pY, sc.resid, sc.selected
-	lf, z, coef := sc.lf, sc.z, sc.coef
-	clear(selected)
-	support := sc.support[:0]
-	b.projections(pY, y)
-	corr := pY // the first step's residual is y itself
-	n := 0     // committed support: coef[:n] is the current fit
-steps:
-	for len(support) < maxAtoms {
-		if n > 0 {
-			b.projections(sc.corr, resid)
-			corr = sc.corr
+	stride := min(r.opts.MaxAtoms+blockLen-1, k)
+	var live [projectLanes]*bompLane
+	nLive, next := 0, 0
+	for i := range min(projectLanes, frames) {
+		l := &sc.lanes[i]
+		l.grow(k, r.m, nBlocks, stride)
+		var ok bool
+		if next, ok = r.bompAdmit(l, y, next, done); ok {
+			live[nLive] = l
+			nLive++
 		}
-		best, bestScore := -1, 0.0
-		for blk := 0; blk < nBlocks; blk++ {
-			if selected[blk] {
+	}
+	var ys, ds [projectLanes][]float64
+	for nLive > 0 {
+		for i, l := range live[:nLive] {
+			if l.n == 0 {
+				ys[i], ds[i] = l.y, l.pY
+			} else {
+				ys[i], ds[i] = l.resid, l.corr
+			}
+		}
+		r.solver.pan.Project(ds[:nLive], ys[:nLive])
+		for i := 0; i < nLive; {
+			l := live[i]
+			if r.bompStep(l, stride) {
+				i++
 				continue
 			}
-			var s float64
-			for _, d := range corr[blk*blockLen : min((blk+1)*blockLen, k)] {
-				s += d * d
-			}
-			if s > bestScore {
-				best, bestScore = blk, s
-			}
-		}
-		if best < 0 || bestScore <= 0 {
-			break
-		}
-		selected[best] = true
-		for j := best * blockLen; j < min((best+1)*blockLen, k); j++ {
-			support = append(support, j)
-		}
-		// Extend the factor by the new rows. Row i of cholesky depends
-		// only on rows ≤ i of the system, so the committed rows are
-		// bitwise what a refactorisation would produce.
-		p := len(support)
-		for i := n; i < p; i++ {
-			gi := b.gram[support[i]*k : (support[i]+1)*k]
-			li := lf[i*stride : i*stride+i+1]
-			for j := 0; j <= i; j++ {
-				sum := gi[support[j]]
-				if j == i {
-					sum += 1e-12
-				}
-				for t, v := range lf[j*stride : j*stride+j] {
-					sum -= li[t] * v
-				}
-				if j < i {
-					li[j] = sum / lf[j*stride+j]
-				} else if sum <= 1e-300 {
-					break steps // numerically dependent block: stop
-				} else {
-					li[i] = math.Sqrt(sum)
-				}
-			}
-		}
-		// Forward solve L·z = D_Sᵀy for the new rows only (earlier rows
-		// are unchanged), then back-substitute Lᵀ·coef = z in full.
-		for i := n; i < p; i++ {
-			sum := pY[support[i]]
-			for t, v := range lf[i*stride : i*stride+i] {
-				sum -= v * z[t]
-			}
-			z[i] = sum / lf[i*stride+i]
-		}
-		for i := p - 1; i >= 0; i-- {
-			sum := z[i]
-			for t := i + 1; t < p; t++ {
-				sum -= lf[t*stride+i] * coef[t]
-			}
-			coef[i] = sum / lf[i*stride+i]
-		}
-		n = p
-		// resid = y - D_S·coef over the nonzero coefficients, four atoms
-		// per pass in support order: each element sees the subtractions
-		// one by one. A short last group is padded with +0 coefficients
-		// against a zero row, and x - (+0) is exact for every float64 x.
-		copy(resid, y)
-		var cols [4][]float64
-		var cf [4]float64
-		cnt := 0
-		for i, j := range support {
-			if coef[i] == 0 {
+			r.bompFinish(l, done)
+			var ok bool
+			if next, ok = r.bompAdmit(l, y, next, done); ok {
+				i++
 				continue
 			}
-			cols[cnt], cf[cnt] = b.column(j), coef[i]
-			cnt++
-			if cnt == 4 {
-				dsp.SubRows4(resid, resid, cols[0], cols[1], cols[2], cols[3], cf[0], cf[1], cf[2], cf[3])
-				cnt = 0
+			// Retire the lane: the last live lane, not yet stepped this
+			// tick, takes its place.
+			nLive--
+			live[i] = live[nLive]
+		}
+	}
+}
+
+// bompAdmit loads lane l with the record's next frame that needs a
+// pursuit, starting at frame next and finishing all-zero frames on the
+// way. It returns the frame after the admitted one and true, or the
+// frame count and false when no frame was left to admit.
+func (r *MethodReconstructor) bompAdmit(l *bompLane, y []float64, next int, done func(f int, theta []float64)) (int, bool) {
+	for ; next < len(y)/r.m; next++ {
+		l.frame, l.y = next, y[next*r.m:(next+1)*r.m]
+		l.support, l.n = l.support[:0], 0
+		clear(l.selected)
+		if l.energy0 = dsp.Energy(l.y); l.energy0 == 0 || r.opts.MaxAtoms <= 0 {
+			r.bompFinish(l, done)
+			continue
+		}
+		return next + 1, true
+	}
+	return next, false
+}
+
+// bompFinish hands lane l's frame to done: the committed coefficients on
+// their atoms, zero elsewhere.
+func (r *MethodReconstructor) bompFinish(l *bompLane, done func(f int, theta []float64)) {
+	clear(l.theta)
+	for i, j := range l.support[:l.n] {
+		l.theta[j] = l.coef[i]
+	}
+	done(l.frame, l.theta)
+}
+
+// bompStep takes one block-OMP step of lane l, whose correlations this
+// tick's projection pass has just computed, and reports whether the
+// pursuit goes on. The support Gram entries come from the precomputed
+// Gram matrix, the Cholesky factor of (D_SᵀD_S + 1e-12·I) is extended by
+// the new block's rows only, and the residual is rebuilt with
+// dsp.SubRows4. Every quantity sums its terms in the same order as a
+// from-scratch refit (dot products from +0 in ascending sample order,
+// factor rows exactly as cholesky computes them, coefficients applied in
+// support order), so the result is bit-identical to one.
+func (r *MethodReconstructor) bompStep(l *bompLane, stride int) bool {
+	b := r.solver
+	k, blockLen := r.n, r.opts.BlockLen
+	nBlocks := len(l.selected)
+	corr := l.corr
+	if l.n == 0 {
+		corr = l.pY // the first step's residual is y itself
+	}
+	best, bestScore := -1, 0.0
+	for blk := 0; blk < nBlocks; blk++ {
+		if l.selected[blk] {
+			continue
+		}
+		var s float64
+		for _, d := range corr[blk*blockLen : min((blk+1)*blockLen, k)] {
+			s += d * d
+		}
+		if s > bestScore {
+			best, bestScore = blk, s
+		}
+	}
+	if best < 0 || bestScore <= 0 {
+		return false
+	}
+	l.selected[best] = true
+	for j := best * blockLen; j < min((best+1)*blockLen, k); j++ {
+		l.support = append(l.support, j)
+	}
+	// Extend the factor by the new rows. Row i of cholesky depends only
+	// on rows ≤ i of the system, so the committed rows are bitwise what a
+	// refactorisation would produce.
+	support, lf, z, coef, n := l.support, l.lf, l.z, l.coef, l.n
+	p := len(support)
+	for i := n; i < p; i++ {
+		gi := b.gram[support[i]*k : (support[i]+1)*k]
+		li := lf[i*stride : i*stride+i+1]
+		for j := 0; j <= i; j++ {
+			sum := gi[support[j]]
+			if j == i {
+				sum += 1e-12
+			}
+			for t, v := range lf[j*stride : j*stride+j] {
+				sum -= li[t] * v
+			}
+			if j < i {
+				li[j] = sum / lf[j*stride+j]
+			} else if sum <= 1e-300 {
+				return false // numerically dependent block: stop
+			} else {
+				li[i] = math.Sqrt(sum)
 			}
 		}
-		if cnt > 0 {
-			for ; cnt < 4; cnt++ {
-				cols[cnt], cf[cnt] = r.zeroRow, 0
-			}
+	}
+	// Forward solve L·z = D_Sᵀy for the new rows only (earlier rows are
+	// unchanged), then back-substitute Lᵀ·coef = z in full.
+	for i := n; i < p; i++ {
+		sum := l.pY[support[i]]
+		for t, v := range lf[i*stride : i*stride+i] {
+			sum -= v * z[t]
+		}
+		z[i] = sum / lf[i*stride+i]
+	}
+	for i := p - 1; i >= 0; i-- {
+		sum := z[i]
+		for t := i + 1; t < p; t++ {
+			sum -= lf[t*stride+i] * coef[t]
+		}
+		coef[i] = sum / lf[i*stride+i]
+	}
+	l.n = p
+	// resid = y - D_S·coef over the nonzero coefficients, four atoms per
+	// pass in support order: each element sees the subtractions one by
+	// one. A short last group is padded with +0 coefficients against a
+	// zero row, and x - (+0) is exact for every float64 x.
+	resid := l.resid
+	copy(resid, l.y)
+	var cols [4][]float64
+	var cf [4]float64
+	cnt := 0
+	for i, j := range support {
+		if coef[i] == 0 {
+			continue
+		}
+		cols[cnt], cf[cnt] = b.column(j), coef[i]
+		cnt++
+		if cnt == 4 {
 			dsp.SubRows4(resid, resid, cols[0], cols[1], cols[2], cols[3], cf[0], cf[1], cf[2], cf[3])
-		}
-		if dsp.Energy(resid) <= r.opts.Tol*energy0 {
-			break
+			cnt = 0
 		}
 	}
-	for i, j := range support[:n] {
-		theta[j] = coef[i]
+	if cnt > 0 {
+		for ; cnt < 4; cnt++ {
+			cols[cnt], cf[cnt] = r.zeroRow, 0
+		}
+		dsp.SubRows4(resid, resid, cols[0], cols[1], cols[2], cols[3], cf[0], cf[1], cf[2], cf[3])
 	}
-	return theta
+	return dsp.Energy(resid) > r.opts.Tol*l.energy0 && p < r.opts.MaxAtoms
 }
 
 // Reconstruct recovers a concatenated measurement stream.

@@ -5,28 +5,47 @@ import "math"
 // Vector kernels for the N-length loops of sparse reconstruction and of
 // the transforms: the Batch-OMP correlation update and atom selection
 // (internal/cs), the dictionary projections, both DCT directions, and
-// the FFT's butterfly stages. The AVX paths
-// (kernel_amd64.s) use only per-lane IEEE-754 multiply, add, subtract,
-// divide, AND and compare — no FMA, no reassociation — so every element
-// sees exactly the arithmetic of the Go loops here, in the same order,
-// and results are bit-identical across the scalar and vector paths. The
-// Go loops in turn rely on the compiler not fusing x - a*b into an FMA,
-// which holds on amd64 at the default GOAMD64 level. Lengths not
-// divisible by the vector width finish in the scalar loops.
+// the FFT's butterfly stages. The vector paths (kernel_amd64.s) use only
+// per-lane IEEE-754 multiply, add, subtract, divide, AND and compare —
+// no FMA, no reassociation — so every element sees exactly the
+// arithmetic of the Go loops here, in the same order, and results are
+// bit-identical across the scalar and vector paths. The Go loops in turn
+// rely on the compiler not fusing a*b ± c into an FMA, which holds on
+// amd64 at GOAMD64 v1 and v3 (make purego runs the suites under v3).
+// Lengths not divisible by the vector width finish in the scalar loops.
 
-// VectorKernels reports whether the kernels run on AVX. Callers use it
-// only to pick a data layout (a row-major mirror pays off only when the
-// row kernels are vectorised); results never depend on it.
-func VectorKernels() bool { return useAVX }
+// kernelTier is an instruction-set level of the kernel bodies.
+type kernelTier int
+
+const (
+	tierGo     kernelTier = iota // the Go loops
+	tierAVX                      // 256-bit bodies
+	tierAVX512                   // 512-bit bodies (AVX512F)
+)
+
+var tierNames = [...]string{tierGo: "go", tierAVX: "avx", tierAVX512: "avx512"}
+
+// tier selects the bodies every kernel runs: the best the host supports
+// (hostTier, from CPUID alone). Only this package's tests lower it, to
+// run each body the host has.
+var tier = hostTier
+
+// Kernels names the kernel bodies in use: "avx512", "avx" or "go".
+// Results never depend on it; throughput does.
+func Kernels() string { return tierNames[tier] }
 
 // SubRows4 computes dst[j] = (((src[j] - c0*r0[j]) - c1*r1[j]) -
 // c2*r2[j]) - c3*r3[j] for j in [0, len(dst)). All slices must be at
 // least len(dst) long; dst may alias src.
 func SubRows4(dst, src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 	n := 0
-	if useAVX {
+	if tier >= tierAVX {
 		if n = len(dst) &^ 7; n > 0 {
-			subRows4AVX(dst[:n], src[:n], r0[:n], r1[:n], r2[:n], r3[:n], c0, c1, c2, c3)
+			if tier == tierAVX512 {
+				subRows4AVX512(dst[:n], src[:n], r0[:n], r1[:n], r2[:n], r3[:n], c0, c1, c2, c3)
+			} else {
+				subRows4AVX(dst[:n], src[:n], r0[:n], r1[:n], r2[:n], r3[:n], c0, c1, c2, c3)
+			}
 		}
 	}
 	src = src[:len(dst)]
@@ -42,9 +61,13 @@ func SubRows4(dst, src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 // loaded and stored once. The rows must be at least len(dst) long.
 func AddRows4(dst, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 	n := 0
-	if useAVX {
+	if tier >= tierAVX {
 		if n = len(dst) &^ 7; n > 0 {
-			addRows4AVX(dst[:n], r0[:n], r1[:n], r2[:n], r3[:n], c0, c1, c2, c3)
+			if tier == tierAVX512 {
+				addRows4AVX512(dst[:n], r0[:n], r1[:n], r2[:n], r3[:n], c0, c1, c2, c3)
+			} else {
+				addRows4AVX(dst[:n], r0[:n], r1[:n], r2[:n], r3[:n], c0, c1, c2, c3)
+			}
 		}
 	}
 	r0, r1, r2, r3 = r0[:len(dst)], r1[:len(dst)], r2[:len(dst)], r3[:len(dst)]
@@ -67,7 +90,7 @@ func AddRows4(dst, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 func SubRows4ArgMax(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask []uint64, den []float64) (int, float64) {
 	best, bestVal := -1, 0.0
 	n := 0
-	if useAVX {
+	if tier >= tierAVX {
 		if n = len(src) &^ 3; n > 0 {
 			// Each lane keeps the first of its own maxima (strict >, in
 			// ascending index); the overall winner is the largest lane
@@ -93,6 +116,114 @@ func SubRows4ArgMax(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask 
 	return best, bestVal
 }
 
+// panelWidth is the number of dictionary columns in one panel.
+const panelWidth = 16
+
+// Panels is an M×K dictionary in the layout of Project: the columns cut
+// into panels of 16, panel p holding rows 0…M−1 of columns [16p, 16p+16)
+// contiguously, row i at [16i, 16i+16) within the panel. The last panel
+// is zero-padded to 16 columns. A Panels is read-only after NewPanels and
+// safe for concurrent use.
+type Panels struct {
+	data []float64
+	m, k int
+}
+
+// NewPanels lays out the dictionary given as its K columns, each of
+// length M.
+func NewPanels(cols [][]float64) Panels {
+	k := len(cols)
+	if k == 0 {
+		return Panels{}
+	}
+	m := len(cols[0])
+	np := (k + panelWidth - 1) / panelWidth
+	data := make([]float64, np*panelWidth*m)
+	for j, c := range cols {
+		panel := data[j/panelWidth*panelWidth*m:]
+		for i, v := range c[:m] {
+			panel[i*panelWidth+j%panelWidth] = v
+		}
+	}
+	return Panels{data: data, m: m, k: k}
+}
+
+// Project computes Dᵀy for one to four vectors in one pass over the
+// dictionary: dst[f][j] = Σ_i D[i][j]·ys[f][i] for j in [0, K), each sum
+// taken in ascending i from +0, one multiply and then one add per term —
+// bit-identical to a Dot of column j with ys[f]. Every ys[f] must be M
+// long and every dst[f] at least K long; dst[f][K:] is left untouched.
+// The vector bodies load each panel row once for all the vectors and
+// keep their sums in registers; a call with fewer vectors runs a body
+// with fewer accumulators, not the four-vector body.
+func (p *Panels) Project(dst, ys [][]float64) {
+	n := len(ys)
+	if n < 1 || n > 4 || len(dst) != n {
+		panic("dsp: Project takes one to four vectors and as many outputs")
+	}
+	var y, d [4][]float64
+	for f := range ys {
+		if len(ys[f]) != p.m || len(dst[f]) < p.k {
+			panic("dsp: Project vector length mismatch")
+		}
+		y[f], d[f] = ys[f], dst[f]
+	}
+	if p.m == 0 {
+		for f := range dst {
+			clear(dst[f][:p.k])
+		}
+		return
+	}
+	size := panelWidth * p.m
+	full := p.k / panelWidth
+	if full > 0 {
+		projectPanels(p.data[:full*size], p.m, n, &y, &d)
+	}
+	if tail := p.k - full*panelWidth; tail > 0 {
+		// The padded last panel goes through a buffer, so dst needs no
+		// room for the padding columns.
+		var buf [4][panelWidth]float64
+		var bd [4][]float64
+		for f := range ys {
+			bd[f] = buf[f][:]
+		}
+		projectPanels(p.data[full*size:], p.m, n, &y, &bd)
+		for f := range ys {
+			copy(dst[f][full*panelWidth:p.k], buf[f][:tail])
+		}
+	}
+}
+
+// projectPanels runs the Project body of the current tier for n vectors
+// over whole panels: pan is a run of panels of m rows, y[:n] the vectors
+// and d[:n] the outputs, 16 per panel.
+func projectPanels(pan []float64, m, n int, y, d *[4][]float64) {
+	if tier == tierGo {
+		projectGo(pan, m, n, y, d)
+		return
+	}
+	projectVec(pan, m, n, y, d)
+}
+
+// projectGo is the Go body of Project: one Dot-shaped loop per panel
+// column and vector, the sum held in a register as Dot holds it.
+func projectGo(pan []float64, m, n int, y, d *[4][]float64) {
+	size := panelWidth * m
+	for q := 0; q*size < len(pan); q++ {
+		panel := pan[q*size : (q+1)*size]
+		for f := 0; f < n; f++ {
+			yf, out := y[f][:m], d[f][q*panelWidth:(q+1)*panelWidth]
+			for c := range out {
+				var s float64
+				for i := range yf {
+					s += panel[i*panelWidth+c] * yf[i]
+				}
+				out[c] = s
+			}
+		}
+	}
+}
+
 // butterflies runs one radix-2 decimation-in-time FFT stage over split
 // real and imaginary arrays: for each block of 2h elements (h =
 // len(wr)), element k of the first half and its partner k+h in the
@@ -101,7 +232,7 @@ func SubRows4ArgMax(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask 
 // br·wi + bi·wr). len(re) must be a multiple of 2h and im as long.
 func butterflies(re, im, wr, wi []float64) {
 	h := len(wr)
-	if useAVX && len(re) >= 8 && len(re)&7 == 0 {
+	if tier >= tierAVX && len(re) >= 8 && len(re)&7 == 0 {
 		switch {
 		case h&3 == 0:
 			butterfliesAVX(re, im, wr, wi)

@@ -13,6 +13,27 @@ GLOBL lanes0123<>(SB), RODATA|NOPTR, $32
 DATA four<>+0(SB)/8, $4.0
 GLOBL four<>(SB), RODATA|NOPTR, $8
 
+// PROJ_ARGS is the prologue of the Project bodies below (defined before
+// the first TEXT, so vet checks its argument names against no other
+// function): SI = pan, CX = the end of pan, DX = m, R8–R11 = the vectors
+// y_0…y_3 and R12, R13, AX, DI = the outputs d_0…d_3 (unused ones are
+// nil and never dereferenced).
+#define PROJ_ARGS \
+	MOVQ pan_base+0(FP), SI \
+	MOVQ pan_len+8(FP), CX  \
+	LEAQ (SI)(CX*8), CX     \
+	MOVQ m+24(FP), DX       \
+	MOVQ y+32(FP), AX       \
+	MOVQ 0(AX), R8          \
+	MOVQ 24(AX), R9         \
+	MOVQ 48(AX), R10        \
+	MOVQ 72(AX), R11        \
+	MOVQ d+40(FP), AX       \
+	MOVQ 0(AX), R12         \
+	MOVQ 24(AX), R13        \
+	MOVQ 72(AX), DI         \
+	MOVQ 48(AX), AX
+
 // func cpuidHasAVX() bool
 // AVX needs CPUID.1:ECX bits 27 (OSXSAVE) and 28 (AVX), plus XCR0 bits
 // 1 and 2 (the OS saves XMM and YMM state on context switch).
@@ -31,6 +52,32 @@ TEXT ·cpuidHasAVX(SB), NOSPLIT, $0-1
 	RET
 
 no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func cpuidHasAVX512() bool
+// AVX512F is CPUID.(EAX=7, ECX=0):EBX bit 16; the OS must also save the
+// opmask and ZMM state: XCR0 bits 5 (opmask), 6 (ZMM_Hi256) and 7
+// (Hi16_ZMM) on top of bits 1 and 2.
+TEXT ·cpuidHasAVX512(SB), NOSPLIT, $0-1
+	MOVL $0, AX
+	CPUID
+	CMPL AX, $7
+	JLT  no512
+	MOVL $7, AX
+	MOVL $0, CX
+	CPUID
+	BTL  $16, BX
+	JCC  no512
+	MOVL $0, CX
+	XGETBV
+	ANDL $0xe6, AX
+	CMPL AX, $0xe6
+	JNE  no512
+	MOVB $1, ret+0(FP)
+	RET
+
+no512:
 	MOVB $0, ret+0(FP)
 	RET
 
@@ -124,6 +171,132 @@ aloop:
 	VZEROUPPER
 	RET
 
+// The AVX-512 bodies of SubRows4 and AddRows4 run 16 elements per
+// iteration in two ZMM registers, then a last 8 in one, with the per-lane
+// order of the AVX bodies. They use only AVX512F instructions and
+// Z0–Z15, and return through VZEROUPPER like the AVX kernels.
+
+// func subRows4AVX512(dst, src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64)
+TEXT ·subRows4AVX512(SB), NOSPLIT, $0-176
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         src_base+24(FP), SI
+	MOVQ         r0_base+48(FP), R8
+	MOVQ         r1_base+72(FP), R9
+	MOVQ         r2_base+96(FP), R10
+	MOVQ         r3_base+120(FP), R11
+	VBROADCASTSD c0+144(FP), Z0
+	VBROADCASTSD c1+152(FP), Z1
+	VBROADCASTSD c2+160(FP), Z2
+	VBROADCASTSD c3+168(FP), Z3
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	SHRQ         $4, DX
+	JZ           s512tail
+
+s512loop:
+	VMOVUPD (SI)(AX*8), Z4
+	VMOVUPD 64(SI)(AX*8), Z5
+	VMULPD  (R8)(AX*8), Z0, Z6
+	VSUBPD  Z6, Z4, Z4
+	VMULPD  64(R8)(AX*8), Z0, Z7
+	VSUBPD  Z7, Z5, Z5
+	VMULPD  (R9)(AX*8), Z1, Z6
+	VSUBPD  Z6, Z4, Z4
+	VMULPD  64(R9)(AX*8), Z1, Z7
+	VSUBPD  Z7, Z5, Z5
+	VMULPD  (R10)(AX*8), Z2, Z6
+	VSUBPD  Z6, Z4, Z4
+	VMULPD  64(R10)(AX*8), Z2, Z7
+	VSUBPD  Z7, Z5, Z5
+	VMULPD  (R11)(AX*8), Z3, Z6
+	VSUBPD  Z6, Z4, Z4
+	VMULPD  64(R11)(AX*8), Z3, Z7
+	VSUBPD  Z7, Z5, Z5
+	VMOVUPD Z4, (DI)(AX*8)
+	VMOVUPD Z5, 64(DI)(AX*8)
+	ADDQ    $16, AX
+	DECQ    DX
+	JNZ     s512loop
+
+s512tail:
+	TESTQ   $8, CX
+	JZ      s512done
+	VMOVUPD (SI)(AX*8), Z4
+	VMULPD  (R8)(AX*8), Z0, Z6
+	VSUBPD  Z6, Z4, Z4
+	VMULPD  (R9)(AX*8), Z1, Z6
+	VSUBPD  Z6, Z4, Z4
+	VMULPD  (R10)(AX*8), Z2, Z6
+	VSUBPD  Z6, Z4, Z4
+	VMULPD  (R11)(AX*8), Z3, Z6
+	VSUBPD  Z6, Z4, Z4
+	VMOVUPD Z4, (DI)(AX*8)
+
+s512done:
+	VZEROUPPER
+	RET
+
+// func addRows4AVX512(dst, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64)
+TEXT ·addRows4AVX512(SB), NOSPLIT, $0-152
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         r0_base+24(FP), R8
+	MOVQ         r1_base+48(FP), R9
+	MOVQ         r2_base+72(FP), R10
+	MOVQ         r3_base+96(FP), R11
+	VBROADCASTSD c0+120(FP), Z0
+	VBROADCASTSD c1+128(FP), Z1
+	VBROADCASTSD c2+136(FP), Z2
+	VBROADCASTSD c3+144(FP), Z3
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	SHRQ         $4, DX
+	JZ           a512tail
+
+a512loop:
+	VMOVUPD (DI)(AX*8), Z4
+	VMOVUPD 64(DI)(AX*8), Z5
+	VMULPD  (R8)(AX*8), Z0, Z6
+	VADDPD  Z6, Z4, Z4
+	VMULPD  64(R8)(AX*8), Z0, Z7
+	VADDPD  Z7, Z5, Z5
+	VMULPD  (R9)(AX*8), Z1, Z6
+	VADDPD  Z6, Z4, Z4
+	VMULPD  64(R9)(AX*8), Z1, Z7
+	VADDPD  Z7, Z5, Z5
+	VMULPD  (R10)(AX*8), Z2, Z6
+	VADDPD  Z6, Z4, Z4
+	VMULPD  64(R10)(AX*8), Z2, Z7
+	VADDPD  Z7, Z5, Z5
+	VMULPD  (R11)(AX*8), Z3, Z6
+	VADDPD  Z6, Z4, Z4
+	VMULPD  64(R11)(AX*8), Z3, Z7
+	VADDPD  Z7, Z5, Z5
+	VMOVUPD Z4, (DI)(AX*8)
+	VMOVUPD Z5, 64(DI)(AX*8)
+	ADDQ    $16, AX
+	DECQ    DX
+	JNZ     a512loop
+
+a512tail:
+	TESTQ   $8, CX
+	JZ      a512done
+	VMOVUPD (DI)(AX*8), Z4
+	VMULPD  (R8)(AX*8), Z0, Z6
+	VADDPD  Z6, Z4, Z4
+	VMULPD  (R9)(AX*8), Z1, Z6
+	VADDPD  Z6, Z4, Z4
+	VMULPD  (R10)(AX*8), Z2, Z6
+	VADDPD  Z6, Z4, Z4
+	VMULPD  (R11)(AX*8), Z3, Z6
+	VADDPD  Z6, Z4, Z4
+	VMOVUPD Z4, (DI)(AX*8)
+
+a512done:
+	VZEROUPPER
+	RET
+
 // func subRows4ArgMaxAVX(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask []uint64, den []float64, lanes *argMaxLanes)
 // Per lane, 4 elements per iteration: v = (((src - c0*r0) - c1*r1) -
 // c2*r2) - c3*r3 as in subRows4AVX, a = (v AND mask) / den, and the
@@ -173,6 +346,383 @@ mloop:
 	JNZ       mloop
 	VMOVUPD   Y6, 0(DI)
 	VMOVUPD   Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+// Project bodies. func projectN<tier>(pan []float64, m int, y, d *[4][]float64)
+// runs whole panels: pan holds len(pan)/(16·m) panels of m rows, row i of
+// a panel being 16 consecutive columns at byte offset 128·i. For each
+// panel, vector f's 16 column sums start from +0 (VPXORQ, VXORPD) and
+// take, row by row in ascending i, panel[i][c]·y_f[i] (VMULPD) added
+// onto the sum (VADDPD) — Dot's arithmetic and order for every column,
+// so the outputs are bitwise its results. The
+// sums then go to d_f[16p, 16p+16) and the next panel starts. BX counts
+// rows.
+
+// ZROW loads row BX of the panel at SI into Z8 (columns 0–7) and Z9
+// (columns 8–15).
+#define ZROW \
+	VMOVUPD (SI), Z8 \
+	VMOVUPD 64(SI), Z9
+
+// ZTERM adds panel row × y[BX] onto the ZMM sums (za, zb).
+#define ZTERM(yp, za, zb) \
+	VBROADCASTSD (yp)(BX*8), Z10 \
+	VMULPD       Z10, Z8, Z12    \
+	VMULPD       Z10, Z9, Z13    \
+	VADDPD       Z12, za, za     \
+	VADDPD       Z13, zb, zb
+
+// ZSTORE writes the sums (za, zb) to the output at dp and moves dp to
+// the next panel's 16 columns.
+#define ZSTORE(dp, za, zb) \
+	VMOVUPD za, (dp)   \
+	VMOVUPD zb, 64(dp) \
+	ADDQ    $128, dp
+
+// NEXTROW steps SI and BX to the next row and jumps to label while rows
+// remain.
+#define NEXTROW(label) \
+	ADDQ $128, SI \
+	INCQ BX       \
+	CMPQ BX, DX   \
+	JLT  label
+
+// func project1AVX512(pan []float64, m int, y, d *[4][]float64)
+// Two panels at a time (the second at SI + R9, R9 = 128·m) give four
+// independent sums; an odd last panel runs alone.
+TEXT ·project1AVX512(SB), NOSPLIT, $0-48
+	PROJ_ARGS
+	MOVQ DX, R9
+	SHLQ $7, R9
+	LEAQ (SI)(R9*1), R10
+
+p1zpair:
+	CMPQ   R10, CX
+	JCC    p1zsingle
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	XORQ   BX, BX
+
+p1zprow:
+	VBROADCASTSD (R8)(BX*8), Z10
+	VMOVUPD      (SI), Z8
+	VMOVUPD      64(SI), Z9
+	VMULPD       Z10, Z8, Z12
+	VMULPD       Z10, Z9, Z13
+	VADDPD       Z12, Z0, Z0
+	VADDPD       Z13, Z1, Z1
+	VMOVUPD      (SI)(R9*1), Z8
+	VMOVUPD      64(SI)(R9*1), Z9
+	VMULPD       Z10, Z8, Z14
+	VMULPD       Z10, Z9, Z15
+	VADDPD       Z14, Z2, Z2
+	VADDPD       Z15, Z3, Z3
+	NEXTROW(p1zprow)
+	ZSTORE(R12, Z0, Z1)
+	ZSTORE(R12, Z2, Z3)
+	ADDQ R9, SI
+	LEAQ (SI)(R9*1), R10
+	JMP  p1zpair
+
+p1zsingle:
+	CMPQ   SI, CX
+	JCC    p1zdone
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	XORQ   BX, BX
+
+p1zsrow:
+	ZROW
+	ZTERM(R8, Z0, Z1)
+	NEXTROW(p1zsrow)
+	ZSTORE(R12, Z0, Z1)
+
+p1zdone:
+	VZEROUPPER
+	RET
+
+// func project2AVX512(pan []float64, m int, y, d *[4][]float64)
+TEXT ·project2AVX512(SB), NOSPLIT, $0-48
+	PROJ_ARGS
+
+p2zpanel:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	XORQ   BX, BX
+
+p2zrow:
+	ZROW
+	ZTERM(R8, Z0, Z1)
+	ZTERM(R9, Z2, Z3)
+	NEXTROW(p2zrow)
+	ZSTORE(R12, Z0, Z1)
+	ZSTORE(R13, Z2, Z3)
+	CMPQ SI, CX
+	JCS  p2zpanel
+	VZEROUPPER
+	RET
+
+// func project3AVX512(pan []float64, m int, y, d *[4][]float64)
+TEXT ·project3AVX512(SB), NOSPLIT, $0-48
+	PROJ_ARGS
+
+p3zpanel:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	XORQ   BX, BX
+
+p3zrow:
+	ZROW
+	ZTERM(R8, Z0, Z1)
+	ZTERM(R9, Z2, Z3)
+	ZTERM(R10, Z4, Z5)
+	NEXTROW(p3zrow)
+	ZSTORE(R12, Z0, Z1)
+	ZSTORE(R13, Z2, Z3)
+	ZSTORE(AX, Z4, Z5)
+	CMPQ SI, CX
+	JCS  p3zpanel
+	VZEROUPPER
+	RET
+
+// func project4AVX512(pan []float64, m int, y, d *[4][]float64)
+TEXT ·project4AVX512(SB), NOSPLIT, $0-48
+	PROJ_ARGS
+
+p4zpanel:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	XORQ   BX, BX
+
+p4zrow:
+	ZROW
+	ZTERM(R8, Z0, Z1)
+	ZTERM(R9, Z2, Z3)
+	ZTERM(R10, Z4, Z5)
+	ZTERM(R11, Z6, Z7)
+	NEXTROW(p4zrow)
+	ZSTORE(R12, Z0, Z1)
+	ZSTORE(R13, Z2, Z3)
+	ZSTORE(AX, Z4, Z5)
+	ZSTORE(DI, Z6, Z7)
+	CMPQ SI, CX
+	JCS  p4zpanel
+	VZEROUPPER
+	RET
+
+// The AVX bodies. One and two vectors keep all 16 columns in four YMM
+// sums each (Y8–Y11 hold the row); three and four run each panel as two
+// 8-column halves (Y8, Y9 hold the half row), the second half starting
+// 64 bytes into the panel, so every vector has two YMM sums per half.
+
+// YROW16 loads row BX of the panel at SI into Y8–Y11.
+#define YROW16 \
+	VMOVUPD (SI), Y8    \
+	VMOVUPD 32(SI), Y9  \
+	VMOVUPD 64(SI), Y10 \
+	VMOVUPD 96(SI), Y11
+
+// YTERM16 adds the 16-column row × y[BX] onto the sums (ya…yd).
+#define YTERM16(yp, ya, yb, yc, yd) \
+	VBROADCASTSD (yp)(BX*8), Y12 \
+	VMULPD       Y12, Y8, Y13    \
+	VMULPD       Y12, Y9, Y14    \
+	VADDPD       Y13, ya, ya     \
+	VADDPD       Y14, yb, yb     \
+	VMULPD       Y12, Y10, Y13   \
+	VMULPD       Y12, Y11, Y14   \
+	VADDPD       Y13, yc, yc     \
+	VADDPD       Y14, yd, yd
+
+// YSTORE16 writes the 16 sums (ya…yd) to dp and moves dp on by a panel.
+#define YSTORE16(dp, ya, yb, yc, yd) \
+	VMOVUPD ya, (dp)   \
+	VMOVUPD yb, 32(dp) \
+	VMOVUPD yc, 64(dp) \
+	VMOVUPD yd, 96(dp) \
+	ADDQ    $128, dp
+
+// func project1AVX(pan []float64, m int, y, d *[4][]float64)
+TEXT ·project1AVX(SB), NOSPLIT, $0-48
+	PROJ_ARGS
+
+p1ypanel:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ   BX, BX
+
+p1yrow:
+	YROW16
+	YTERM16(R8, Y0, Y1, Y2, Y3)
+	NEXTROW(p1yrow)
+	YSTORE16(R12, Y0, Y1, Y2, Y3)
+	CMPQ SI, CX
+	JCS  p1ypanel
+	VZEROUPPER
+	RET
+
+// func project2AVX(pan []float64, m int, y, d *[4][]float64)
+TEXT ·project2AVX(SB), NOSPLIT, $0-48
+	PROJ_ARGS
+
+p2ypanel:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ   BX, BX
+
+p2yrow:
+	YROW16
+	YTERM16(R8, Y0, Y1, Y2, Y3)
+	YTERM16(R9, Y4, Y5, Y6, Y7)
+	NEXTROW(p2yrow)
+	YSTORE16(R12, Y0, Y1, Y2, Y3)
+	YSTORE16(R13, Y4, Y5, Y6, Y7)
+	CMPQ SI, CX
+	JCS  p2ypanel
+	VZEROUPPER
+	RET
+
+// The half-panel bodies address row BX of the panel at SI through R14 =
+// 128·BX, so SI stays at the panel start while both halves run.
+//
+// YTERM8 adds the half row (Y8, Y9) × y[BX] onto the sums (ya, yb).
+#define YTERM8(yp, ya, yb) \
+	VBROADCASTSD (yp)(BX*8), Y12 \
+	VMULPD       Y12, Y8, Y13    \
+	VMULPD       Y12, Y9, Y14    \
+	VADDPD       Y13, ya, ya     \
+	VADDPD       Y14, yb, yb
+
+// YROW8 loads the half row at byte offset off of row BX into Y8, Y9.
+#define YROW8(off) \
+	VMOVUPD off(SI)(R14*1), Y8 \
+	VMOVUPD off+32(SI)(R14*1), Y9
+
+// NEXTROW8 steps R14 and BX to the next row and jumps to label while
+// rows remain.
+#define NEXTROW8(label) \
+	ADDQ $128, R14 \
+	INCQ BX        \
+	CMPQ BX, DX    \
+	JLT  label
+
+// YZERO6 clears the sums Y0–Y5 and starts at row 0.
+#define YZERO6 \
+	VXORPD Y0, Y0, Y0 \
+	VXORPD Y1, Y1, Y1 \
+	VXORPD Y2, Y2, Y2 \
+	VXORPD Y3, Y3, Y3 \
+	VXORPD Y4, Y4, Y4 \
+	VXORPD Y5, Y5, Y5 \
+	XORQ   BX, BX     \
+	XORQ   R14, R14
+
+// YSTORE8 writes the 8 sums (ya, yb) of a half to byte offset off of dp.
+#define YSTORE8(dp, off, ya, yb) \
+	VMOVUPD ya, off(dp) \
+	VMOVUPD yb, off+32(dp)
+
+// func project3AVX(pan []float64, m int, y, d *[4][]float64)
+TEXT ·project3AVX(SB), NOSPLIT, $0-48
+	PROJ_ARGS
+
+p3ypanel:
+	YZERO6
+
+p3ylo:
+	YROW8(0)
+	YTERM8(R8, Y0, Y1)
+	YTERM8(R9, Y2, Y3)
+	YTERM8(R10, Y4, Y5)
+	NEXTROW8(p3ylo)
+	YSTORE8(R12, 0, Y0, Y1)
+	YSTORE8(R13, 0, Y2, Y3)
+	YSTORE8(AX, 0, Y4, Y5)
+	YZERO6
+
+p3yhi:
+	YROW8(64)
+	YTERM8(R8, Y0, Y1)
+	YTERM8(R9, Y2, Y3)
+	YTERM8(R10, Y4, Y5)
+	NEXTROW8(p3yhi)
+	YSTORE8(R12, 64, Y0, Y1)
+	YSTORE8(R13, 64, Y2, Y3)
+	YSTORE8(AX, 64, Y4, Y5)
+	ADDQ $128, R12
+	ADDQ $128, R13
+	ADDQ $128, AX
+	ADDQ R14, SI
+	CMPQ SI, CX
+	JCS  p3ypanel
+	VZEROUPPER
+	RET
+
+// func project4AVX(pan []float64, m int, y, d *[4][]float64)
+TEXT ·project4AVX(SB), NOSPLIT, $0-48
+	PROJ_ARGS
+
+p4ypanel:
+	YZERO6
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+p4ylo:
+	YROW8(0)
+	YTERM8(R8, Y0, Y1)
+	YTERM8(R9, Y2, Y3)
+	YTERM8(R10, Y4, Y5)
+	YTERM8(R11, Y6, Y7)
+	NEXTROW8(p4ylo)
+	YSTORE8(R12, 0, Y0, Y1)
+	YSTORE8(R13, 0, Y2, Y3)
+	YSTORE8(AX, 0, Y4, Y5)
+	YSTORE8(DI, 0, Y6, Y7)
+	YZERO6
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+p4yhi:
+	YROW8(64)
+	YTERM8(R8, Y0, Y1)
+	YTERM8(R9, Y2, Y3)
+	YTERM8(R10, Y4, Y5)
+	YTERM8(R11, Y6, Y7)
+	NEXTROW8(p4yhi)
+	YSTORE8(R12, 64, Y0, Y1)
+	YSTORE8(R13, 64, Y2, Y3)
+	YSTORE8(AX, 64, Y4, Y5)
+	YSTORE8(DI, 64, Y6, Y7)
+	ADDQ $128, R12
+	ADDQ $128, R13
+	ADDQ $128, AX
+	ADDQ $128, DI
+	ADDQ R14, SI
+	CMPQ SI, CX
+	JCS  p4ypanel
 	VZEROUPPER
 	RET
 

@@ -16,6 +16,7 @@ import (
 
 	"efficsense/internal/cache"
 	"efficsense/internal/dse"
+	"efficsense/internal/dsp"
 	"efficsense/internal/experiments"
 	"efficsense/internal/obs"
 )
@@ -493,7 +494,20 @@ func TestOpsHandlerAndPublicIsolation(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ops.URL + "/debug/pprof/goroutine?debug=1")
+	resp, err := http.Get(ops.URL + "/debug/build")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bi struct {
+		Kernels string `json:"kernels"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&bi)
+	resp.Body.Close()
+	if err != nil || bi.Kernels != dsp.Kernels() {
+		t.Errorf("build info kernels %q (%v), want %q", bi.Kernels, err, dsp.Kernels())
+	}
+
+	resp, err = http.Get(ops.URL + "/debug/pprof/goroutine?debug=1")
 	if err != nil {
 		t.Fatal(err)
 	}

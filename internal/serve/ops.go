@@ -8,6 +8,8 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+
+	"efficsense/internal/dsp"
 )
 
 // NewOpsHandler builds the handler for the private operations listener
@@ -16,7 +18,7 @@ import (
 //
 //	/debug/pprof/     runtime profiles (net/http/pprof)
 //	/debug/vars       expvar JSON (memstats, cmdline)
-//	/debug/build      module, VCS and toolchain info as JSON
+//	/debug/build      module, VCS, toolchain and kernel-tier info as JSON
 //
 // The handler is self-contained: importing net/http/pprof registers its
 // handlers on http.DefaultServeMux as a side effect, but the public API
@@ -55,12 +57,16 @@ type buildInfoJSON struct {
 	Version   string            `json:"version,omitempty"`
 	Settings  map[string]string `json:"settings,omitempty"`
 	NumCPU    int               `json:"num_cpu"`
+	// Kernels names the dsp vector kernels in use ("avx512", "avx" or
+	// "go"): results never depend on it, throughput does.
+	Kernels string `json:"kernels"`
 }
 
 func handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 	out := buildInfoJSON{
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
+		Kernels:   dsp.Kernels(),
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		out.Path = bi.Path
