@@ -90,17 +90,20 @@ fmt:
 
 # verify is the tier-1 gate: formatting, vet, build, the full test
 # suite under the race detector with shuffled execution order (hidden
-# inter-test dependencies fail loudly), and short fuzz smokes over the
-# streaming report emitters, the search query parser, the journal
-# decoder, the scenario name validator and the POST /v1/evaluate body
-# decoder (wire-facing parsers all). The evaluate smoke bounds
-# minimisation of each new corpus entry to 1 s: its seed is a
-# 96-point batch body, and minimising a body that size would otherwise
-# take the whole smoke.
+# inter-test dependencies fail loudly), one run of every benchmark of
+# the kernel and reconstruction packages (`go test` compiles benchmarks
+# but never runs them, and a benchmark cited as evidence must not
+# panic), and short fuzz smokes over the streaming report emitters, the
+# search query parser, the journal decoder, the scenario name validator
+# and the POST /v1/evaluate body decoder (wire-facing parsers all). The
+# evaluate smoke bounds minimisation of each new corpus entry to 1 s:
+# its seed is a 96-point batch body, and minimising a body that size
+# would otherwise take the whole smoke.
 verify: fmt
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dsp ./internal/cs
 	$(GO) test -run '^$$' -fuzz FuzzNDJSONRow -fuzztime 10s ./internal/report
 	$(GO) test -run '^$$' -fuzz FuzzParseGoal -fuzztime 10s ./internal/search
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/wal

@@ -30,48 +30,48 @@ type BatchOMP struct {
 	k, m  int
 }
 
-// Scratch is the reusable working set of one solving goroutine. It grows
-// to the largest (K, maxAtoms) it has seen and is then allocation-free.
-// The zero value is ready to use. Not safe for concurrent use.
+// Scratch is the reusable working set of one solving goroutine: the
+// lanes of solveLanes and their factor algebra. It grows to the largest
+// (K, maxAtoms) it has seen and is then allocation-free. The zero value
+// is ready to use. Not safe for concurrent use.
 type Scratch struct {
-	p, corr  []float64 // Dᵀy (SolveInto's own) and the correlations
-	w, z     []float64
-	lf, lfT  []float64
-	coef, pS []float64
-	support  []int
+	lanes [dsp.Lanes]ompLane
+	// The lanes' Cholesky factors, forward-solve vectors z, coefficients
+	// and support projections p_S, lane-interleaved for the dsp lane
+	// kernels.
+	lf          dsp.LaneTri
+	z, coef, pS dsp.LaneVec
+	theta       []float64 // a finished frame's coefficients, length K
+}
+
+// ompLane is one frame in flight in solveLanes.
+type ompLane struct {
+	p, corr []float64 // Dᵀy and the correlations, length K
 	// mask is the selection scan's exclusion mask (dsp.SubRows4ArgMax):
 	// absMask for an eligible column, 0 for a support atom or a
 	// zero-norm column. Every solve rebuilds it.
-	mask []uint64
+	mask       []uint64
+	support    []int
+	prevEnergy float64 // the residual energy before the last atom
+	best       int     // the next atom and its selection score
+	bestVal    float64
 }
 
 // absMask clears the sign bit of a float64: the mask of an eligible
 // column.
 const absMask = 1<<63 - 1
 
-func (s *Scratch) grow(k, maxAtoms int) {
-	if cap(s.corr) < k {
-		s.corr = make([]float64, k)
-		s.mask = make([]uint64, k)
+func (s *Scratch) grow(k, rows int) {
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		l.p, l.corr, l.mask = grown(l.p, k), grown(l.corr, k), grown(l.mask, k)
+		l.support = grown(l.support, rows)
 	}
-	s.corr, s.mask = s.corr[:k], s.mask[:k]
-	if cap(s.w) < maxAtoms {
-		s.w = make([]float64, maxAtoms)
-		s.z = make([]float64, maxAtoms)
-		s.coef = make([]float64, maxAtoms)
-		s.pS = make([]float64, maxAtoms)
-		s.support = make([]int, maxAtoms)
-	}
-	// The Cholesky factor (and its transpose, kept so back-substitution
-	// streams rows instead of striding columns) is indexed with stride
-	// maxAtoms; rows are written before they are read, so stale content
-	// is harmless.
-	if cap(s.lf) < maxAtoms*maxAtoms {
-		s.lf = make([]float64, maxAtoms*maxAtoms)
-		s.lfT = make([]float64, maxAtoms*maxAtoms)
-	}
-	s.lf = s.lf[:maxAtoms*maxAtoms]
-	s.lfT = s.lfT[:maxAtoms*maxAtoms]
+	s.theta = grown(s.theta, k)
+	// Factor rows and vector entries are written before they are read,
+	// so stale content is harmless.
+	s.lf.Grow(rows)
+	s.z, s.coef, s.pS = grown(s.z, dsp.Lanes*rows), grown(s.coef, dsp.Lanes*rows), grown(s.pS, dsp.Lanes*rows)
 }
 
 // NewBatchOMP precomputes the Gram matrix of the dictionary columns.
@@ -121,174 +121,170 @@ func (b *BatchOMP) Solve(y []float64, maxAtoms int, tol float64) []float64 {
 // SolveInto is Solve against caller-owned storage: theta (length K)
 // receives the coefficient vector and sc holds the working set, so
 // repeated solves allocate nothing. theta is fully overwritten. A
-// non-empty y must be M long.
+// non-empty y must be M long. It runs solveLanes with one lane.
 func (b *BatchOMP) SolveInto(theta, y []float64, maxAtoms int, tol float64, sc *Scratch) []float64 {
-	sc.p = grown(sc.p, b.k)
-	if b.k > 0 && len(y) > 0 {
-		b.pan.Project([][]float64{sc.p}, [][]float64{y})
+	if len(y) == 0 {
+		clear(theta)
+		return theta
 	}
-	return b.solveInto(theta, y, sc.p, maxAtoms, tol, sc)
-}
-
-// solveInto is SolveInto given p = Dᵀy, which it only reads.
-func (b *BatchOMP) solveInto(theta, y, p []float64, maxAtoms int, tol float64, sc *Scratch) []float64 {
-	clear(theta)
-	support, coef := b.solve(y, p, maxAtoms, tol, sc)
-	for i, j := range support {
-		theta[j] = coef[i]
-	}
+	b.solveLanes([][]float64{y}, maxAtoms, tol, sc, func(_ int, th []float64) { copy(theta, th) })
 	return theta
 }
 
-// solve runs the pursuit from p = Dᵀy, the only O(K·M) quantity of a
-// solve, and returns the selected atoms with their least-squares
-// coefficients, both backed by sc (valid until the next solve on the
-// same Scratch).
-func (b *BatchOMP) solve(y, p []float64, maxAtoms int, tol float64, sc *Scratch) ([]int, []float64) {
-	if b.k == 0 || len(y) == 0 || maxAtoms <= 0 {
-		return nil, nil
-	}
-	var yEnergy float64
-	for _, v := range y {
-		yEnergy += v * v
-	}
-	if yEnergy == 0 {
-		return nil, nil
-	}
-	sc.grow(b.k, maxAtoms)
-	support := sc.support[:0]
-	mask := sc.mask
-	for j, nj := range b.norms {
-		mask[j] = 0
-		if nj != 0 {
-			mask[j] = absMask
+// solveLanes runs the pursuits of one to four frames ys (each M long)
+// in lock-step lanes and calls emit(f, theta) as frame f's pursuit
+// stops, frames stopping in any order; theta (length K) is valid only
+// during the call.
+//
+// One dsp.Project pass computes every frame's p = Dᵀy, the only
+// O(K·M) quantity of a solve. Every live lane then takes one step per
+// tick: its own correlation update and atom selection (updateSelect,
+// against its own correlations and mask), then one stream of lane
+// kernels, masked to the live lanes, that grows every lane's Cholesky
+// factor by the new atom's row, appends the new z entry, back-solves the
+// coefficients in full and forms the residual energy. Lanes start
+// together and each step adds one atom to every live lane, so the live
+// lanes always share one support size and every kernel call serves all
+// of them. The exit checks run per lane; a stopped lane emits its frame
+// and drops out of the mask. Each lane performs exactly the scalar
+// operations of a solve of its own, in the same order, so a frame's
+// coefficients do not depend on which frames share its lanes.
+func (b *BatchOMP) solveLanes(ys [][]float64, maxAtoms int, tol float64, sc *Scratch, emit func(f int, theta []float64)) {
+	limit := max(min(maxAtoms, b.m), 0)
+	sc.grow(b.k, limit)
+	finish := func(f int) {
+		clear(sc.theta)
+		for i, j := range sc.lanes[f].support {
+			sc.theta[j] = sc.coef.At(f, i)
 		}
+		emit(f, sc.theta)
 	}
-	lf, lfT := sc.lf, sc.lfT
-	coef := sc.coef[:0]
-	pS := sc.pS[:0]
-	z := sc.z
-	prevEnergy := yEnergy
-	limit := maxAtoms
-	if limit > b.m {
-		limit = b.m
+	if limit == 0 { // no atom budget, or an empty dictionary (M = 0)
+		for f := range ys {
+			sc.lanes[f].support = sc.lanes[f].support[:0]
+			finish(f)
+		}
+		return
 	}
-	best, bestVal := b.updateSelect(sc.corr, p, support, coef, mask)
-	for len(support) < limit {
-		if best < 0 || bestVal < 1e-15 {
-			break
+	var ps [dsp.Lanes][]float64
+	for f := range ys {
+		ps[f] = sc.lanes[f].p
+	}
+	b.pan.Project(ps[:len(ys)], ys)
+	var live uint8
+	var energy0 [dsp.Lanes]float64 // ||y||² per lane
+	for f, y := range ys {
+		l := &sc.lanes[f]
+		l.support = l.support[:0]
+		if energy0[f] = dsp.Energy(y); energy0[f] == 0 {
+			finish(f)
+			continue
 		}
-		// Grow the Cholesky factor with atom `best`.
-		s := len(support)
-		w := sc.w[:s]
-		gBest := b.gramRow(best)
-		for i, si := range support {
-			w[i] = gBest[si]
-		}
-		// Forward substitution L·w' = w in place, in column order, as one
-		// right-looking AXPY per column: once w[t] is final, column t of L
-		// (row t of lfT, contiguous) times w[t] is subtracted from every
-		// entry below it. Each w[i] still sees its subtractions in
-		// ascending t and its division last, exactly as in the row-by-row
-		// form, so the result is bitwise the same; but no entry waits on
-		// another's running sum, so the updates pipeline. The vectors are
-		// shorter than maxAtoms, too short to repay a kernel call.
-		for t := 0; t < s; t++ {
-			wt := w[t] / lf[t*maxAtoms+t]
-			w[t] = wt
-			rest := w[t+1 : s]
-			col := lfT[t*maxAtoms+t+1 : t*maxAtoms+s]
-			col = col[:len(rest)]
-			for i, lv := range col {
-				rest[i] -= lv * wt
+		for j, nj := range b.norms {
+			l.mask[j] = 0
+			if nj != 0 {
+				l.mask[j] = absMask
 			}
 		}
-		var zz float64
-		for _, v := range w {
-			zz += v * v
+		l.prevEnergy = energy0[f]
+		l.best, l.bestVal = b.updateSelect(l, sc.coef, f)
+		live |= 1 << f
+	}
+	for s := 0; ; s++ {
+		for f := range ys {
+			if l := &sc.lanes[f]; live>>f&1 != 0 && (l.best < 0 || l.bestVal < 1e-15) {
+				finish(f)
+				live &^= 1 << f
+			}
 		}
-		diag := gBest[best] - zz
-		if diag <= 1e-300 {
-			break // numerically dependent atom: stop
+		if live == 0 {
+			return
 		}
-		for t := 0; t < s; t++ {
-			lf[s*maxAtoms+t] = w[t]
-			lfT[t*maxAtoms+s] = w[t]
+		// Grow each factor with its lane's atom: row s is w = G[best][S],
+		// solved in place against the rows above it, and its diagonal is
+		// sqrt(G[best][best] - ||w||²).
+		row := sc.lf.Row(s)
+		for f := range ys {
+			if live>>f&1 != 0 {
+				l := &sc.lanes[f]
+				g := b.gramRow(l.best)
+				for i, si := range l.support {
+					row.Set(f, i, g[si])
+				}
+			}
 		}
-		d := math.Sqrt(diag)
-		lf[s*maxAtoms+s] = d
-		lfT[s*maxAtoms+s] = d
-		support = append(support, best)
-		mask[best] = 0
-		pS = append(pS, p[best])
+		sc.lf.SolveLower(live, row, 0, s)
+		zz := dsp.LaneDot(row, row, s)
+		for f := range ys {
+			if live>>f&1 == 0 {
+				continue
+			}
+			l := &sc.lanes[f]
+			diag := b.gramRow(l.best)[l.best] - zz[f]
+			if diag <= 1e-300 {
+				finish(f) // numerically dependent atom: stop
+				live &^= 1 << f
+				continue
+			}
+			sc.lf.Set(f, s, s, math.Sqrt(diag))
+			l.support = append(l.support, l.best)
+			l.mask[l.best] = 0
+			sc.pS.Set(f, s, l.p[l.best])
+			sc.z.Set(f, s, l.p[l.best])
+		}
+		if live == 0 {
+			return
+		}
 		// Solve L·Lᵀ·coef = p_S. The forward solve is incremental: z[i]
 		// for i < s depends only on rows ≤ i of L and p_S, all untouched
-		// by this append, so those entries are bitwise what a full
-		// recompute would produce — only the new row's entry is computed,
-		// O(s) instead of O(s²) per atom.
-		{
-			sum := pS[s]
-			row := lf[s*maxAtoms : s*maxAtoms+s]
-			for t, lv := range row {
-				sum -= lv * z[t]
-			}
-			z[s] = sum / d
-		}
-		n := len(support)
-		coef = coef[:n]
-		// Back-substitution Lᵀ·coef = z reads column i of L, kept as the
-		// contiguous row i of the transposed factor.
-		for i := n - 1; i >= 0; i-- {
-			sum := z[i]
-			row := lfT[i*maxAtoms+i+1 : i*maxAtoms+n]
-			for t, lv := range row {
-				sum -= lv * coef[i+1+t]
-			}
-			coef[i] = sum / lf[i*maxAtoms+i]
-		}
+		// by this append, so only the new row's entry is computed.
+		n := s + 1
+		sc.lf.SolveLower(live, sc.z, s, n)
+		sc.lf.SolveUpper(live, sc.coef, sc.z, n)
 		// Residual energy for the exact LS solution: ||y||² - coefᵀ·p_S.
 		// The exit checks run before the next selection — the correlation
 		// update only feeds atom selection, so the final iteration's
 		// O(atoms·K) update (the largest one) is skipped entirely when any
 		// exit fires.
-		rEnergy := yEnergy
-		for i, c := range coef {
-			rEnergy -= c * pS[i]
+		energy := dsp.LaneSubDot(energy0, sc.coef, sc.pS, n)
+		for f := range ys {
+			if live>>f&1 == 0 {
+				continue
+			}
+			l := &sc.lanes[f]
+			rEnergy := energy[f]
+			if rEnergy < 0 {
+				rEnergy = 0
+			}
+			if rEnergy <= tol*energy0[f] || (l.prevEnergy > 0 && (l.prevEnergy-rEnergy) < 0.005*l.prevEnergy) || n >= limit {
+				finish(f)
+				live &^= 1 << f
+				continue
+			}
+			l.prevEnergy = rEnergy
+			l.best, l.bestVal = b.updateSelect(l, sc.coef, f)
 		}
-		if rEnergy < 0 {
-			rEnergy = 0
-		}
-		if rEnergy <= tol*yEnergy {
-			break
-		}
-		if prevEnergy > 0 && (prevEnergy-rEnergy) < 0.005*prevEnergy {
-			break
-		}
-		prevEnergy = rEnergy
-		if len(support) >= limit {
-			break
-		}
-		best, bestVal = b.updateSelect(sc.corr, p, support, coef, mask)
 	}
-	return support, coef
 }
 
-// updateSelect computes the residual correlation corr = p - G_S·coef and
-// returns the best next atom (index and |corr|/norm score) in one fused
-// sweep. Support atoms are applied four at a time in support order, so
-// every element sees the same sequence of subtractions as applying atoms
-// one by one — bit-identical values. The last group of 1–4 atoms is
-// folded into the selection scan itself (dsp.SubRows4ArgMax): those values
-// live only in registers and are never stored, because corr is consumed
-// solely by this selection and the next call restarts from p. With an
-// empty support the scan runs over p directly (the first selection needs
-// no copy at all). Short groups are padded with zero coefficients against
-// a positive dummy row (b.norms), and x - (+0) is exact for every float64
-// x. mask excludes support atoms and zero-norm columns from the scan.
-func (b *BatchOMP) updateSelect(corr, p []float64, support []int, coef []float64, mask []uint64) (int, float64) {
+// updateSelect computes lane f's residual correlation corr = p -
+// G_S·coef and returns its best next atom (index and |corr|/norm score)
+// in one fused sweep. Support atoms are applied four at a time in support
+// order, so every element sees the same sequence of subtractions as
+// applying atoms one by one — bit-identical values. The last group of
+// 1–4 atoms is folded into the selection scan itself
+// (dsp.SubRows4ArgMax): those values live only in registers and are
+// never stored, because corr is consumed solely by this selection and
+// the next call restarts from p. With an empty support the scan runs over
+// p directly (the first selection needs no copy at all). Short groups
+// are padded with zero coefficients against a positive dummy row
+// (b.norms), and x - (+0) is exact for every float64 x. The lane's mask
+// excludes support atoms and zero-norm columns from the scan.
+func (b *BatchOMP) updateSelect(l *ompLane, coef dsp.LaneVec, f int) (int, float64) {
+	support, corr := l.support, l.corr
 	s := len(support)
 	norms := b.norms
-	src := p
+	src := l.p
 	base := 0
 	if s > 4 {
 		// All but the final 1–4 atoms stream through corr, four atoms per
@@ -297,11 +293,11 @@ func (b *BatchOMP) updateSelect(corr, p []float64, support []int, coef []float64
 		// how often corr is loaded and stored — each element still sees
 		// the subtractions in support order.
 		base = (s - 1) &^ 3
-		in := p[:len(corr)]
+		in := l.p[:len(corr)]
 		for si := 0; si < base; si += 4 {
 			dsp.SubRows4(corr, in, b.gramRow(support[si]), b.gramRow(support[si+1]),
 				b.gramRow(support[si+2]), b.gramRow(support[si+3]),
-				coef[si], coef[si+1], coef[si+2], coef[si+3])
+				coef.At(f, si), coef.At(f, si+1), coef.At(f, si+2), coef.At(f, si+3))
 			in = corr
 		}
 		src = corr
@@ -309,9 +305,9 @@ func (b *BatchOMP) updateSelect(corr, p []float64, support []int, coef []float64
 	g := [4][]float64{norms, norms, norms, norms}
 	var c [4]float64
 	for i := base; i < s; i++ {
-		g[i-base], c[i-base] = b.gramRow(support[i]), coef[i]
+		g[i-base], c[i-base] = b.gramRow(support[i]), coef.At(f, i)
 	}
-	return dsp.SubRows4ArgMax(src, g[0], g[1], g[2], g[3], c[0], c[1], c[2], c[3], mask, norms)
+	return dsp.SubRows4ArgMax(src, g[0], g[1], g[2], g[3], c[0], c[1], c[2], c[3], l.mask, norms)
 }
 
 // gramRow returns row j of the Gram matrix: G_j·, the correlations of

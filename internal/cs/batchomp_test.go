@@ -189,23 +189,44 @@ func TestBatchOMPSupportBudgetProperty(t *testing.T) {
 	}
 }
 
-// referenceSolve is BatchOMP.solve before its selection scan and forward
-// solve ran on the dsp kernels: the correlation rebuilt from p one support
-// atom at a time, a scalar scan that skips support atoms and zero-norm
-// columns, and the row-by-row forward substitution. It is the oracle the
+// ompExit names the check that stopped an OMP pursuit.
+type ompExit int
+
+const (
+	exitNone      ompExit = iota // no pursuit: empty dictionary, y or atom budget
+	exitZero                     // ||y||² = 0
+	exitSelect                   // no atom correlates (best < 0 or bestVal < 1e-15)
+	exitDependent                // the chosen atom's new diagonal <= 1e-300
+	exitTol                      // residual energy <= Tol·||y||²
+	exitReturns                  // the last atom removed < 0.5 % of the residual energy
+	exitCap                      // the support reached min(maxAtoms, M)
+)
+
+// referenceSolve is BatchOMP's pursuit before it ran on the dsp kernels:
+// the correlation rebuilt from p one support atom at a time, a scalar
+// scan that skips support atoms and zero-norm columns, the Cholesky
+// factor grown one row at a time by the row-by-row forward substitution,
+// and the scalar back-substitution and energy sums. It is the oracle the
 // solver must match bit for bit.
 func referenceSolve(b *BatchOMP, y []float64, maxAtoms int, tol float64) []float64 {
+	theta, _ := referenceSolveExit(b, y, maxAtoms, tol)
+	return theta
+}
+
+// referenceSolveExit is referenceSolve that also reports which check
+// stopped the pursuit.
+func referenceSolveExit(b *BatchOMP, y []float64, maxAtoms int, tol float64) ([]float64, ompExit) {
 	k := b.k
 	theta := make([]float64, k)
 	if k == 0 || len(y) == 0 || maxAtoms <= 0 {
-		return theta
+		return theta, exitNone
 	}
 	var yEnergy float64
 	for _, v := range y {
 		yEnergy += v * v
 	}
 	if yEnergy == 0 {
-		return theta
+		return theta, exitZero
 	}
 	p := make([]float64, k)
 	for j := range p {
@@ -241,9 +262,11 @@ func referenceSolve(b *BatchOMP, y []float64, maxAtoms int, tol float64) []float
 	z := make([]float64, maxAtoms)
 	limit := min(maxAtoms, b.m)
 	prevEnergy := yEnergy
+	exit := exitCap
 	best, bestVal := selectAtom()
 	for len(support) < limit {
 		if best < 0 || bestVal < 1e-15 {
+			exit = exitSelect
 			break
 		}
 		s := len(support)
@@ -264,6 +287,7 @@ func referenceSolve(b *BatchOMP, y []float64, maxAtoms int, tol float64) []float
 		}
 		diag := b.gram[best*k+best] - zz
 		if diag <= 1e-300 {
+			exit = exitDependent
 			break
 		}
 		copy(lf[s*maxAtoms:], w)
@@ -294,9 +318,11 @@ func referenceSolve(b *BatchOMP, y []float64, maxAtoms int, tol float64) []float
 			rEnergy = 0
 		}
 		if rEnergy <= tol*yEnergy {
+			exit = exitTol
 			break
 		}
 		if prevEnergy > 0 && (prevEnergy-rEnergy) < 0.005*prevEnergy {
+			exit = exitReturns
 			break
 		}
 		prevEnergy = rEnergy
@@ -308,14 +334,14 @@ func referenceSolve(b *BatchOMP, y []float64, maxAtoms int, tol float64) []float
 	for i, j := range support {
 		theta[j] = coef[i]
 	}
-	return theta
+	return theta, exit
 }
 
 // TestBatchOMPMatchesReference pins the OMP solver to referenceSolve bit
 // for bit at the EEG geometries (N_Φ 384, M 75/150/192, MaxAtoms M/4,
 // Tol 1e-4) over white-noise, sparse and all-zero frames: the SolveInto
-// coefficients on a reused Scratch, and the frames ReconstructInto
-// produces from them.
+// coefficients on a reused Scratch, and the frames ReconstructInto and
+// Reconstruct produce from them.
 func TestBatchOMPMatchesReference(t *testing.T) {
 	for ci, m := range []int{75, 150, 192} {
 		t.Run(fmt.Sprintf("m%d", m), func(t *testing.T) {
@@ -354,6 +380,9 @@ func TestBatchOMPMatchesReference(t *testing.T) {
 			}
 			if i := bitDiff(r.ReconstructInto(nil, stream, &sc), want); i >= 0 {
 				t.Fatalf("ReconstructInto differs from the reference at sample %d", i)
+			}
+			if i := bitDiff(r.Reconstruct(stream), want); i >= 0 {
+				t.Fatalf("Reconstruct differs from the reference at sample %d", i)
 			}
 		})
 	}

@@ -228,7 +228,8 @@ func bitDiff(a, b []float64) int {
 
 // TestBOMPMatchesReference pins the incremental block-OMP solver to the
 // from-scratch reference bit for bit, on the coefficients and on the
-// reconstructed frames of both the allocating and the scratch path.
+// reconstructed frames of ReconstructFrame, and of ReconstructInto and
+// Reconstruct over the whole stream.
 func TestBOMPMatchesReference(t *testing.T) {
 	cases := []struct {
 		name                   string
@@ -252,10 +253,11 @@ func TestBOMPMatchesReference(t *testing.T) {
 				Method: MethodBOMP, MaxAtoms: tc.maxAtoms, BlockLen: tc.blockL, Tol: tc.tol,
 			})
 			var sc ReconScratch
-			var stream []float64
+			var stream, wantStream []float64
 			maxSupport := 0
 			for fi, y := range bompFrames(enc, int64(50+ci), noise, tc.atoms...) {
 				want := referenceBOMP(r, y)
+				wantStream = append(wantStream, r.dct.Inverse(want)...)
 				got := bompThetas(t, r, y, &sc.bomp)[0]
 				if i := bitDiff(got, want); i >= 0 {
 					t.Fatalf("frame %d: coefficient %d = %v, reference %v", fi, i, got[i], want[i])
@@ -278,10 +280,13 @@ func TestBOMPMatchesReference(t *testing.T) {
 			if tc.maxAtoms%tc.blockL != 0 && maxSupport <= tc.maxAtoms {
 				t.Fatalf("largest support %d never overshot the cap %d", maxSupport, tc.maxAtoms)
 			}
-			// The scratch path over the whole stream, reusing sc.
-			got := r.ReconstructInto(nil, stream, &sc)
-			if i := bitDiff(got, r.Reconstruct(stream)); i >= 0 {
-				t.Fatalf("ReconstructInto differs from Reconstruct at sample %d", i)
+			// The whole stream, on the scratch path reusing sc and on fresh
+			// storage.
+			if i := bitDiff(r.ReconstructInto(nil, stream, &sc), wantStream); i >= 0 {
+				t.Fatalf("ReconstructInto differs from the reference at sample %d", i)
+			}
+			if i := bitDiff(r.Reconstruct(stream), wantStream); i >= 0 {
+				t.Fatalf("Reconstruct differs from the reference at sample %d", i)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package cs
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"efficsense/internal/dsp"
 )
@@ -227,50 +228,40 @@ func (r *MethodReconstructor) FrameLen() int { return r.n }
 // Measurements returns M.
 func (r *MethodReconstructor) Measurements() int { return r.m }
 
-// ReconstructFrame recovers one frame from its M measurements.
+// ReconstructFrame recovers one frame from its M measurements. OMP and
+// BOMP run their record driver with one frame.
 func (r *MethodReconstructor) ReconstructFrame(y []float64) []float64 {
 	if len(y) != r.m {
 		panic("cs: measurement vector length mismatch")
 	}
 	switch r.opts.Method {
-	case MethodOMP:
-		return r.dct.Inverse(r.solver.Solve(y, r.opts.MaxAtoms, r.opts.Tol))
 	case MethodIHT:
 		return r.dct.Inverse(r.iht(y))
-	case MethodBOMP:
-		out := make([]float64, r.n)
-		r.bompRecord(y, new(bompScratch), func(_ int, theta []float64) { r.dct.InverseInto(out, theta) })
-		return out
-	default:
+	case MethodRidge:
 		return r.ridgeSolve(y)
 	}
+	return r.Reconstruct(y)
 }
 
 // ReconScratch holds the per-goroutine working set of the allocation-free
-// reconstruction path: the coefficient vector, the projections of the
-// OMP frames in flight and the Batch-OMP solver scratch, and the
-// block-OMP lanes. The zero value is ready to use; it grows to the
-// largest geometry seen.
+// reconstruction path: the lanes of the OMP and the block-OMP drivers.
+// The zero value is ready to use; it grows to the largest geometry seen.
 type ReconScratch struct {
-	theta []float64
-	p     [projectLanes][]float64
-	omp   Scratch
-	bomp  bompScratch
+	omp  Scratch
+	bomp bompScratch
 }
-
-// projectLanes is the number of frames whose Dᵀy or Dᵀr one dsp.Project
-// pass computes: every vector shares each load of the dictionary.
-const projectLanes = 4
 
 // ReconstructInto is Reconstruct against caller-owned storage: dst is
 // grown (reallocating only when capacity is exceeded) to frames·N_Φ and
-// fully overwritten, the returned slice aliases it, and results are
-// bit-identical to Reconstruct. OMP and BOMP solve against sc and
-// allocate nothing in the steady state; both project four frames per
-// pass over the dictionary (OMP its frames' Dᵀy, BOMP its lanes' Dᵀy or
-// Dᵀr). IHT and ridge run their per-frame code and copy. A single
-// MethodReconstructor may serve many goroutines concurrently as long as
-// each brings its own ReconScratch.
+// fully overwritten, and the returned slice aliases it. OMP and BOMP
+// solve against sc and allocate nothing in the steady state, four frames
+// in lock-step lanes that share each dsp.Project pass over the
+// dictionary and each lane kernel call: OMP steps a group of four frames
+// until all have stopped, then takes the next four; BOMP refills a lane
+// with the record's next frame as soon as its frame stops. IHT and ridge
+// run their per-frame code and copy. A single MethodReconstructor may
+// serve many goroutines concurrently as long as each brings its own
+// ReconScratch.
 func (r *MethodReconstructor) ReconstructInto(dst, y []float64, sc *ReconScratch) []float64 {
 	frames := len(y) / r.m
 	need := frames * r.n
@@ -280,19 +271,15 @@ func (r *MethodReconstructor) ReconstructInto(dst, y []float64, sc *ReconScratch
 	dst = dst[:need]
 	switch r.opts.Method {
 	case MethodOMP:
-		sc.theta = grown(sc.theta, r.n)
-		var ys [projectLanes][]float64
-		for f0 := 0; f0 < frames; f0 += projectLanes {
-			g := min(projectLanes, frames-f0)
+		var ys [dsp.Lanes][]float64
+		for f0 := 0; f0 < frames; f0 += dsp.Lanes {
+			g := min(dsp.Lanes, frames-f0)
 			for i := range g {
 				ys[i] = y[(f0+i)*r.m : (f0+i+1)*r.m]
-				sc.p[i] = grown(sc.p[i], r.n)
 			}
-			r.solver.pan.Project(sc.p[:g], ys[:g])
-			for i := range g {
-				theta := r.solver.solveInto(sc.theta, ys[i], sc.p[i], r.opts.MaxAtoms, r.opts.Tol, &sc.omp)
+			r.solver.solveLanes(ys[:g], r.opts.MaxAtoms, r.opts.Tol, &sc.omp, func(i int, theta []float64) {
 				r.dct.InverseInto(dst[(f0+i)*r.n:(f0+i+1)*r.n], theta)
-			}
+			})
 		}
 	case MethodBOMP:
 		r.bompRecord(y[:frames*r.m], &sc.bomp, func(f int, theta []float64) {
@@ -307,11 +294,16 @@ func (r *MethodReconstructor) ReconstructInto(dst, y []float64, sc *ReconScratch
 }
 
 // bompScratch is the reusable working set of one block-OMP solving
-// goroutine: the lanes of bompRecord. It grows to the largest
-// geometry it has seen and is then allocation-free. The zero value is
-// ready to use. Not safe for concurrent use.
+// goroutine: the lanes of bompRecord and their factor algebra. It grows
+// to the largest geometry it has seen and is then allocation-free. The
+// zero value is ready to use. Not safe for concurrent use.
 type bompScratch struct {
-	lanes [projectLanes]bompLane
+	lanes [dsp.Lanes]bompLane
+	// The lanes' Cholesky factors of the support system, forward-solve
+	// vectors and coefficients, lane-interleaved for the dsp lane
+	// kernels.
+	lf      dsp.LaneTri
+	z, coef dsp.LaneVec
 }
 
 // bompLane is one frame in flight in bompRecord's lanes: the
@@ -324,9 +316,7 @@ type bompLane struct {
 	resid    []float64 // r = y - D_S·coef, length M
 	selected []bool    // per block
 	support  []int
-	n        int       // committed support: coef[:n] is the current fit
-	lf       []float64 // Cholesky factor of the support system, row i at i·stride
-	z, coef  []float64
+	n        int       // committed support: the lane's coef[:n] is the current fit
 	theta    []float64 // the finished frame's coefficients, length K
 }
 
@@ -335,8 +325,6 @@ func (l *bompLane) grow(k, m, nBlocks, stride int) {
 	l.resid = grown(l.resid, m)
 	l.selected = grown(l.selected, nBlocks)
 	l.support = grown(l.support, stride)
-	l.lf = grown(l.lf, stride*stride)
-	l.z, l.coef = grown(l.z, stride), grown(l.coef, stride)
 }
 
 // grown returns v resized to n, reallocating only when capacity is
@@ -363,7 +351,8 @@ func grown[T any](v []T, n int) []T {
 // its y on its first step (Dᵀy) and its residual after that (Dᵀr), and
 // then every live lane takes one step (bompStep). A lane whose frame
 // finishes takes the record's next frame. Project computes each vector's
-// projections exactly as a pass of its own would, so a frame's result
+// projections exactly as a pass of its own would, and each lane kernel
+// gives each lane what a solve of its own would, so a frame's result
 // does not depend on which frames share its ticks.
 func (r *MethodReconstructor) bompRecord(y []float64, sc *bompScratch, done func(f int, theta []float64)) {
 	frames := len(y) / r.m
@@ -372,58 +361,58 @@ func (r *MethodReconstructor) bompRecord(y []float64, sc *bompScratch, done func
 	// A block is admitted while the support is below maxAtoms, so the
 	// support can overshoot it by up to blockLen-1 atoms.
 	stride := min(r.opts.MaxAtoms+blockLen-1, k)
-	var live [projectLanes]*bompLane
-	nLive, next := 0, 0
-	for i := range min(projectLanes, frames) {
-		l := &sc.lanes[i]
-		l.grow(k, r.m, nBlocks, stride)
+	sc.lf.Grow(stride)
+	sc.z, sc.coef = grown(sc.z, dsp.Lanes*stride), grown(sc.coef, dsp.Lanes*stride)
+	var live uint8
+	next := 0
+	for f := range min(dsp.Lanes, frames) {
+		sc.lanes[f].grow(k, r.m, nBlocks, stride)
 		var ok bool
-		if next, ok = r.bompAdmit(l, y, next, done); ok {
-			live[nLive] = l
-			nLive++
+		if next, ok = r.bompAdmit(sc, f, y, next, done); ok {
+			live |= 1 << f
 		}
 	}
-	var ys, ds [projectLanes][]float64
-	for nLive > 0 {
-		for i, l := range live[:nLive] {
-			if l.n == 0 {
-				ys[i], ds[i] = l.y, l.pY
+	var ys, ds [dsp.Lanes][]float64
+	for live != 0 {
+		nv := 0
+		for f := range sc.lanes {
+			if live>>f&1 == 0 {
+				continue
+			}
+			if l := &sc.lanes[f]; l.n == 0 {
+				ys[nv], ds[nv] = l.y, l.pY
 			} else {
-				ys[i], ds[i] = l.resid, l.corr
+				ys[nv], ds[nv] = l.resid, l.corr
 			}
+			nv++
 		}
-		r.solver.pan.Project(ds[:nLive], ys[:nLive])
-		for i := 0; i < nLive; {
-			l := live[i]
-			if r.bompStep(l, stride) {
-				i++
+		r.solver.pan.Project(ds[:nv], ys[:nv])
+		stopped := live &^ r.bompStep(sc, live)
+		for f := range sc.lanes {
+			if stopped>>f&1 == 0 {
 				continue
 			}
-			r.bompFinish(l, done)
+			r.bompFinish(sc, f, done)
 			var ok bool
-			if next, ok = r.bompAdmit(l, y, next, done); ok {
-				i++
-				continue
+			if next, ok = r.bompAdmit(sc, f, y, next, done); !ok {
+				live &^= 1 << f
 			}
-			// Retire the lane: the last live lane, not yet stepped this
-			// tick, takes its place.
-			nLive--
-			live[i] = live[nLive]
 		}
 	}
 }
 
-// bompAdmit loads lane l with the record's next frame that needs a
+// bompAdmit loads lane f with the record's next frame that needs a
 // pursuit, starting at frame next and finishing all-zero frames on the
 // way. It returns the frame after the admitted one and true, or the
 // frame count and false when no frame was left to admit.
-func (r *MethodReconstructor) bompAdmit(l *bompLane, y []float64, next int, done func(f int, theta []float64)) (int, bool) {
+func (r *MethodReconstructor) bompAdmit(sc *bompScratch, f int, y []float64, next int, done func(f int, theta []float64)) (int, bool) {
+	l := &sc.lanes[f]
 	for ; next < len(y)/r.m; next++ {
 		l.frame, l.y = next, y[next*r.m:(next+1)*r.m]
 		l.support, l.n = l.support[:0], 0
 		clear(l.selected)
 		if l.energy0 = dsp.Energy(l.y); l.energy0 == 0 || r.opts.MaxAtoms <= 0 {
-			r.bompFinish(l, done)
+			r.bompFinish(sc, f, done)
 			continue
 		}
 		return next + 1, true
@@ -431,109 +420,159 @@ func (r *MethodReconstructor) bompAdmit(l *bompLane, y []float64, next int, done
 	return next, false
 }
 
-// bompFinish hands lane l's frame to done: the committed coefficients on
+// bompFinish hands lane f's frame to done: the committed coefficients on
 // their atoms, zero elsewhere.
-func (r *MethodReconstructor) bompFinish(l *bompLane, done func(f int, theta []float64)) {
+func (r *MethodReconstructor) bompFinish(sc *bompScratch, f int, done func(f int, theta []float64)) {
+	l := &sc.lanes[f]
 	clear(l.theta)
 	for i, j := range l.support[:l.n] {
-		l.theta[j] = l.coef[i]
+		l.theta[j] = sc.coef.At(f, i)
 	}
 	done(l.frame, l.theta)
 }
 
-// bompStep takes one block-OMP step of lane l, whose correlations this
-// tick's projection pass has just computed, and reports whether the
-// pursuit goes on. The support Gram entries come from the precomputed
-// Gram matrix, the Cholesky factor of (D_SᵀD_S + 1e-12·I) is extended by
-// the new block's rows only, and the residual is rebuilt with
-// dsp.SubRows4. Every quantity sums its terms in the same order as a
-// from-scratch refit (dot products from +0 in ascending sample order,
-// factor rows exactly as cholesky computes them, coefficients applied in
-// support order), so the result is bit-identical to one.
-func (r *MethodReconstructor) bompStep(l *bompLane, stride int) bool {
-	b := r.solver
+// bompStep takes one block-OMP step of every lane in live, whose
+// correlations this tick's projection pass has just computed, and
+// returns the lanes whose pursuit goes on. Each lane admits its best
+// block; the lanes that did are then grouped by support size (their
+// committed and their grown one), and one bompExtend per group runs the
+// factor algebra of all its lanes through the lane kernels. Lanes of one
+// record share their sizes except after a ragged last block (K not a
+// multiple of BlockLen) or a refill, so there is usually one group.
+// Finally every extended lane rebuilds its residual with dsp.SubRows4
+// and runs the exit checks. Every quantity sums its terms in the same
+// order as a from-scratch refit (dot products from +0 in ascending sample
+// order, factor rows exactly as cholesky computes them, coefficients
+// applied in support order), so the result is bit-identical to one.
+func (r *MethodReconstructor) bompStep(sc *bompScratch, live uint8) uint8 {
 	k, blockLen := r.n, r.opts.BlockLen
-	nBlocks := len(l.selected)
-	corr := l.corr
-	if l.n == 0 {
-		corr = l.pY // the first step's residual is y itself
-	}
-	best, bestScore := -1, 0.0
-	for blk := 0; blk < nBlocks; blk++ {
-		if l.selected[blk] {
+	var grew uint8
+	for f := range sc.lanes {
+		if live>>f&1 == 0 {
 			continue
 		}
-		var s float64
-		for _, d := range corr[blk*blockLen : min((blk+1)*blockLen, k)] {
-			s += d * d
+		l := &sc.lanes[f]
+		corr := l.corr
+		if l.n == 0 {
+			corr = l.pY // the first step's residual is y itself
 		}
-		if s > bestScore {
-			best, bestScore = blk, s
+		best, bestScore := -1, 0.0
+		for blk := range l.selected {
+			if l.selected[blk] {
+				continue
+			}
+			var s float64
+			for _, d := range corr[blk*blockLen : min((blk+1)*blockLen, k)] {
+				s += d * d
+			}
+			if s > bestScore {
+				best, bestScore = blk, s
+			}
+		}
+		if best < 0 || bestScore <= 0 {
+			continue
+		}
+		l.selected[best] = true
+		for j := best * blockLen; j < min((best+1)*blockLen, k); j++ {
+			l.support = append(l.support, j)
+		}
+		grew |= 1 << f
+	}
+	var extended uint8
+	for pending := grew; pending != 0; {
+		lead := &sc.lanes[bits.TrailingZeros8(pending)]
+		var group uint8
+		for f := range sc.lanes {
+			if l := &sc.lanes[f]; pending>>f&1 != 0 && l.n == lead.n && len(l.support) == len(lead.support) {
+				group |= 1 << f
+			}
+		}
+		pending &^= group
+		extended |= r.bompExtend(sc, group, lead.n, len(lead.support))
+	}
+	var goOn uint8
+	for f := range sc.lanes {
+		if extended>>f&1 != 0 && r.bompResidual(sc, f) {
+			goOn |= 1 << f
 		}
 	}
-	if best < 0 || bestScore <= 0 {
-		return false
-	}
-	l.selected[best] = true
-	for j := best * blockLen; j < min((best+1)*blockLen, k); j++ {
-		l.support = append(l.support, j)
-	}
-	// Extend the factor by the new rows. Row i of cholesky depends only
-	// on rows ≤ i of the system, so the committed rows are bitwise what a
-	// refactorisation would produce.
-	support, lf, z, coef, n := l.support, l.lf, l.z, l.coef, l.n
-	p := len(support)
-	for i := n; i < p; i++ {
-		gi := b.gram[support[i]*k : (support[i]+1)*k]
-		li := lf[i*stride : i*stride+i+1]
-		for j := 0; j <= i; j++ {
-			sum := gi[support[j]]
-			if j == i {
-				sum += 1e-12
+	return goOn
+}
+
+// bompExtend grows the factors of the lanes in group, which share the
+// committed support size n and the grown size p, by rows n…p-1, solves
+// forward for the new entries of z and back-substitutes the coefficients
+// in full, and returns the lanes whose extension succeeded. Row i of
+// cholesky depends only on rows ≤ i of the system, so the committed rows
+// are bitwise what a refactorisation would produce: entry j < i of row i
+// is (G_ij - Σ_{t<j} L_it·L_jt) / L_jj, a forward solve of the gathered
+// Gram row against the rows above, and the diagonal is the square root
+// of G_ii + 1e-12 - Σ_{t<i} L_it², subtracted term by term. A lane whose
+// new diagonal is not positive stops there (a numerically dependent
+// block) and keeps its committed fit, coef[:n].
+func (r *MethodReconstructor) bompExtend(sc *bompScratch, group uint8, n, p int) uint8 {
+	b := r.solver
+	for i := n; i < p && group != 0; i++ {
+		row := sc.lf.Row(i)
+		var diag [dsp.Lanes]float64
+		for f := range sc.lanes {
+			if group>>f&1 != 0 {
+				support := sc.lanes[f].support
+				gi := b.gramRow(support[i])
+				for j, sj := range support[:i] {
+					row.Set(f, j, gi[sj])
+				}
+				diag[f] = gi[support[i]] + 1e-12
 			}
-			for t, v := range lf[j*stride : j*stride+j] {
-				sum -= li[t] * v
+		}
+		sc.lf.SolveLower(group, row, 0, i)
+		diag = dsp.LaneSubDot(diag, row, row, i)
+		for f := range sc.lanes {
+			if group>>f&1 == 0 {
+				continue
 			}
-			if j < i {
-				li[j] = sum / lf[j*stride+j]
-			} else if sum <= 1e-300 {
-				return false // numerically dependent block: stop
-			} else {
-				li[i] = math.Sqrt(sum)
+			if diag[f] <= 1e-300 {
+				group &^= 1 << f // numerically dependent block: stop
+				continue
 			}
+			sc.lf.Set(f, i, i, math.Sqrt(diag[f]))
 		}
 	}
 	// Forward solve L·z = D_Sᵀy for the new rows only (earlier rows are
 	// unchanged), then back-substitute Lᵀ·coef = z in full.
-	for i := n; i < p; i++ {
-		sum := l.pY[support[i]]
-		for t, v := range lf[i*stride : i*stride+i] {
-			sum -= v * z[t]
+	for f := range sc.lanes {
+		if group>>f&1 != 0 {
+			l := &sc.lanes[f]
+			for i := n; i < p; i++ {
+				sc.z.Set(f, i, l.pY[l.support[i]])
+			}
 		}
-		z[i] = sum / lf[i*stride+i]
 	}
-	for i := p - 1; i >= 0; i-- {
-		sum := z[i]
-		for t := i + 1; t < p; t++ {
-			sum -= lf[t*stride+i] * coef[t]
-		}
-		coef[i] = sum / lf[i*stride+i]
-	}
-	l.n = p
-	// resid = y - D_S·coef over the nonzero coefficients, four atoms per
-	// pass in support order: each element sees the subtractions one by
-	// one. A short last group is padded with +0 coefficients against a
-	// zero row, and x - (+0) is exact for every float64 x.
+	sc.lf.SolveLower(group, sc.z, n, p)
+	sc.lf.SolveUpper(group, sc.coef, sc.z, p)
+	return group
+}
+
+// bompResidual commits lane f's extended support, rebuilds its residual
+// and reports whether its pursuit goes on: resid = y - D_S·coef over the
+// nonzero coefficients, four atoms per pass in support order, so each
+// element sees the subtractions one by one. A short last group is padded
+// with +0 coefficients against a zero row, and x - (+0) is exact for
+// every float64 x.
+func (r *MethodReconstructor) bompResidual(sc *bompScratch, f int) bool {
+	l := &sc.lanes[f]
+	l.n = len(l.support)
 	resid := l.resid
 	copy(resid, l.y)
 	var cols [4][]float64
 	var cf [4]float64
 	cnt := 0
-	for i, j := range support {
-		if coef[i] == 0 {
+	for i, j := range l.support {
+		c := sc.coef.At(f, i)
+		if c == 0 {
 			continue
 		}
-		cols[cnt], cf[cnt] = b.column(j), coef[i]
+		cols[cnt], cf[cnt] = r.solver.column(j), c
 		cnt++
 		if cnt == 4 {
 			dsp.SubRows4(resid, resid, cols[0], cols[1], cols[2], cols[3], cf[0], cf[1], cf[2], cf[3])
@@ -546,17 +585,13 @@ func (r *MethodReconstructor) bompStep(l *bompLane, stride int) bool {
 		}
 		dsp.SubRows4(resid, resid, cols[0], cols[1], cols[2], cols[3], cf[0], cf[1], cf[2], cf[3])
 	}
-	return dsp.Energy(resid) > r.opts.Tol*l.energy0 && p < r.opts.MaxAtoms
+	return dsp.Energy(resid) > r.opts.Tol*l.energy0 && l.n < r.opts.MaxAtoms
 }
 
-// Reconstruct recovers a concatenated measurement stream.
+// Reconstruct recovers a concatenated measurement stream: ReconstructInto
+// on fresh storage.
 func (r *MethodReconstructor) Reconstruct(y []float64) []float64 {
-	frames := len(y) / r.m
-	out := make([]float64, 0, frames*r.n)
-	for f := 0; f < frames; f++ {
-		out = append(out, r.ReconstructFrame(y[f*r.m:(f+1)*r.m])...)
-	}
-	return out
+	return r.ReconstructInto(nil, y, new(ReconScratch))
 }
 
 // iht runs iterative hard thresholding: θ ← H_K(θ + µ·Dᵀ(y − D·θ)).

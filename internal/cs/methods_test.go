@@ -73,6 +73,28 @@ func TestMethodReconstructorStream(t *testing.T) {
 	}
 }
 
+// TestReconstructMatchesFrames pins Reconstruct of the per-frame methods,
+// IHT and ridge, to ReconstructFrame frame by frame, bit for bit; the
+// OMP and BOMP streams are pinned to their oracles
+// (TestBatchOMPMatchesReference, TestBOMPMatchesReference).
+func TestReconstructMatchesFrames(t *testing.T) {
+	const n, m, frames = 64, 32, 3
+	enc, _, _ := sparseFrameProblem(n, m, 26)
+	x := make([]float64, frames*n)
+	xrand.New(27).FillNormal(x, 0, 1)
+	y := enc.Encode(x)
+	for _, method := range []Method{MethodIHT, MethodRidge} {
+		r := NewMethodReconstructor(enc.EffectiveMatrix(true), n, ReconOptions{Method: method})
+		var want []float64
+		for f := 0; f < frames; f++ {
+			want = append(want, r.ReconstructFrame(y[f*m:(f+1)*m])...)
+		}
+		if i := bitDiff(r.Reconstruct(y), want); i >= 0 {
+			t.Fatalf("%v: Reconstruct differs from ReconstructFrame at sample %d", method, i)
+		}
+	}
+}
+
 func TestMethodReconstructorPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {

@@ -129,43 +129,91 @@ func checkLaneKind(t *testing.T, f, kind int, theta []float64, maxAtoms int) {
 	}
 }
 
+// ompPattern assigns the frames of an OMP lane-oracle record the exit
+// each is built to take, frame f taking ompPattern[f%8]. The first group
+// of four lanes holds the four exits a pursuit takes mid-step — an exact
+// fit meeting Tol, a numerically dependent atom, diminishing returns and
+// the atom cap — so each stops while other lanes of its group go on. The
+// second group adds the exits taken before any factor grows: an all-zero
+// frame and a frame no atom correlates with.
+var ompPattern = [...]ompExit{exitTol, exitDependent, exitReturns, exitCap, exitZero, exitSelect, exitCap, exitReturns}
+
+// ompLaneDict builds the M = 24 dictionary of the OMP lane oracle with k
+// columns. Column 0 is e0 and column 1 is e0 + 1e-9·e1: their Gram
+// entries all round to 1, so once column 1 is in the support column 0
+// has a new Cholesky diagonal of exactly 0. Columns 2–4 are e5, e6 and
+// e7, no column touches rows 2–4, and every other column is zero on rows
+// 0–7 and Gaussian below.
+func ompLaneDict(rng *xrand.Source, k int) [][]float64 {
+	const m = 24
+	cols := make([][]float64, k)
+	for j := range cols {
+		cols[j] = make([]float64, m)
+		switch j {
+		case 0:
+			cols[j][0] = 1
+		case 1:
+			cols[j][0], cols[j][1] = 1, 1e-9
+		case 2, 3, 4:
+			cols[j][j+3] = 1
+		default:
+			rng.FillNormal(cols[j][8:], 0, 1)
+		}
+	}
+	return cols
+}
+
+// ompLaneRecord builds a record of the given number of frames for
+// ompLaneDict, frame f built to take exit ompPattern[f%8], and returns it
+// with the exits.
+func ompLaneRecord(rng *xrand.Source, frames int) ([]float64, []ompExit) {
+	const m = 24
+	y := make([]float64, frames*m)
+	exits := make([]ompExit, frames)
+	for f := range exits {
+		exits[f] = ompPattern[f%len(ompPattern)]
+		yf := y[f*m : (f+1)*m]
+		switch exits[f] {
+		case exitTol: // columns 2, 3 and 4 in turn, then an exact fit
+			yf[5], yf[6], yf[7] = 3, 2, 1
+		case exitDependent: // column 1 first, then column 0
+			yf[0], yf[1] = 1, 1
+		case exitReturns: // mostly on row 4, which no atom can explain
+			rng.FillNormal(yf[8:], 0, 0.1)
+			yf[4] = 10
+		case exitCap:
+			rng.FillNormal(yf[8:], 0, 1)
+		case exitSelect:
+			yf[4] = 1
+		}
+	}
+	return y, exits
+}
+
 // TestOMPRecordsMatchReference runs records of 1 to 33 frames through
-// the OMP ReconstructInto, which projects four frames per pass, at a K
-// that is a multiple of the 16-column panel and at one that is not, and
-// pins every frame to referenceSolve bit for bit. The dictionary holds a
-// duplicated atom, and the records mix noise, all-zero and sparse
-// frames.
+// the OMP ReconstructInto, which steps four frames in lock-step lanes, at
+// a K that is a multiple of the 16-column panel and at one that is not,
+// and pins every frame to referenceSolve bit for bit. The records mix
+// every exit of the pursuit (ompPattern), and each frame must take the
+// exit it was built for.
 func TestOMPRecordsMatchReference(t *testing.T) {
-	const m, maxAtoms, tol = 24, 10, 1e-9
+	const maxAtoms, tol = 10, 1e-9
 	for _, k := range []int{32, 42} {
 		rng := xrand.New(int64(70 + k))
-		cols := randomDict(rng, m, k)
-		copy(cols[9], cols[2])
-		r := dictReconstructor(cols, ReconOptions{Method: MethodOMP, MaxAtoms: maxAtoms, Tol: tol})
+		r := dictReconstructor(ompLaneDict(rng, k), ReconOptions{Method: MethodOMP, MaxAtoms: maxAtoms, Tol: tol})
 		var sc ReconScratch
 		var dst []float64
 		for _, frames := range recordLengths {
 			t.Run(fmt.Sprintf("k%d/frames%d", k, frames), func(t *testing.T) {
-				y := make([]float64, frames*m)
-				for f := range frames {
-					yf := y[f*m : (f+1)*m]
-					switch f % 3 {
-					case 0:
-						rng.FillNormal(yf, 0, 1)
-					case 2:
-						for _, j := range rng.Choose(k, 3) {
-							c := rng.Normal(0, 1) + 1
-							for i := range yf {
-								yf[i] += c * cols[j][i]
-							}
-						}
-					}
-				}
+				y, exits := ompLaneRecord(rng, frames)
 				dst = r.ReconstructInto(dst, y, &sc)
-				for f := range frames {
-					want := referenceSolve(r.solver, y[f*m:(f+1)*m], maxAtoms, tol)
-					if i := bitDiff(dst[f*k:(f+1)*k], r.dct.Inverse(want)); i >= 0 {
-						t.Fatalf("frame %d: ReconstructInto differs from the reference at sample %d", f, i)
+				for f, want := range exits {
+					ref, exit := referenceSolveExit(r.solver, y[f*r.m:(f+1)*r.m], maxAtoms, tol)
+					if exit != want {
+						t.Fatalf("frame %d was built for exit %d but the reference took exit %d", f, want, exit)
+					}
+					if i := bitDiff(dst[f*k:(f+1)*k], r.dct.Inverse(ref)); i >= 0 {
+						t.Fatalf("frame %d (exit %d): ReconstructInto differs from the reference at sample %d", f, exit, i)
 					}
 				}
 			})
@@ -193,10 +241,11 @@ func TestOMPReconstructIntoAllocs(t *testing.T) {
 
 // BenchmarkReconstructRecord times ReconstructInto over a whole record
 // on the session path's reused scratch, where the lanes share each
-// dictionary pass: an 11-frame block-OMP record at the ECG scenario's
-// largest geometry (M 192, N_Φ 384, 48 atoms in blocks of 4) and a
-// 33-frame OMP record at the EEG scenario's middle one (M 150, 37
-// atoms). Both must report 0 allocs/op.
+// dictionary pass and each lane kernel call: an 11-frame block-OMP
+// record at the ECG scenario's largest geometry (M 192, N_Φ 384, 48
+// atoms in blocks of 4) and 33-frame OMP records at the EEG scenario's
+// middle and largest ones (M 150, 37 atoms; M 192, 48 atoms, where solve
+// cost, growing with atoms², is highest). All must report 0 allocs/op.
 func BenchmarkReconstructRecord(b *testing.B) {
 	cases := []struct {
 		name   string
@@ -206,6 +255,7 @@ func BenchmarkReconstructRecord(b *testing.B) {
 	}{
 		{"bomp-m192-11frames", 192, 11, ReconOptions{Method: MethodBOMP, MaxAtoms: 48, BlockLen: 4, Tol: 1e-4}},
 		{"omp-m150-33frames", 150, 33, ReconOptions{Method: MethodOMP, MaxAtoms: 150 / 4, Tol: 1e-4}},
+		{"omp-m192-33frames", 192, 33, ReconOptions{Method: MethodOMP, MaxAtoms: 192 / 4, Tol: 1e-4}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

@@ -135,3 +135,28 @@ func butterflies1AVX(re, im, wr, wi []float64)
 
 //go:noescape
 func butterflies2AVX(re, im, wr, wi []float64)
+
+// laneSolveLowerAVX is the vector body of LaneTri.SolveLower: keep is
+// laneKeep of the mask, l the factor through row to−1, x the vector
+// through entry to−1, and from < to.
+//
+//go:noescape
+func laneSolveLowerAVX(keep *[Lanes]uint64, l []float64, stride int, x []float64, from, to int)
+
+// laneSolveUpperAVX is the vector body of LaneTri.SolveUpper over
+// n = len(c)/Lanes ≥ 1 rows: keep is laneKeep of the mask, l the factor
+// through row n−1 and z as long as c.
+//
+//go:noescape
+func laneSolveUpperAVX(keep *[Lanes]uint64, l []float64, stride int, c, z []float64)
+
+// laneDotAVX and laneSubDotAVX are the vector bodies of LaneDot and
+// LaneSubDot: acc holds the lanes' sums on return (and, for
+// laneSubDotAVX, their starting values on entry); len(a) is a positive
+// multiple of Lanes and b as long.
+//
+//go:noescape
+func laneDotAVX(acc *[Lanes]float64, a, b []float64)
+
+//go:noescape
+func laneSubDotAVX(acc *[Lanes]float64, a, b []float64)

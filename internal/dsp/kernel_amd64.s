@@ -873,3 +873,225 @@ loop2:
 	JNZ        loop2
 	VZEROUPPER
 	RET
+
+// Lane kernels (lanes.go). Every vector holds entry i of the four lanes
+// (32 bytes at byte offset 32·i of a lane vector, 32·(i·stride + t) of
+// a factor), so each VMULPD, VSUBPD, VADDPD and VDIVPD runs one step of
+// four independent scalar chains, in the chains' own order. Y15 holds
+// the keep selector (all ones in the lanes outside the mask): every
+// result is blended with the old value of its slot (VBLENDVPD) before
+// it is stored, so the slots of masked-off lanes keep their bits.
+
+// func laneSolveLowerAVX(keep *[4]uint64, l []float64, stride int, x []float64, from, to int)
+// Rows run four at a time while four remain: the four sums subtract
+// their terms t < i side by side (four independent chains), then the
+// 4×4 triangle finishes them in row order, each new x feeding the rows
+// below it from its register. The last one to three rows run singly.
+// SI = l, DX = 32·stride (one factor row), DI = x, R8 = i, R9 = to,
+// R10 = &L[i][0].
+TEXT ·laneSolveLowerAVX(SB), NOSPLIT, $0-80
+	MOVQ    keep+0(FP), AX
+	VMOVUPD (AX), Y15
+	MOVQ    l_base+8(FP), SI
+	MOVQ    stride+32(FP), DX
+	SHLQ    $5, DX
+	MOVQ    x_base+40(FP), DI
+	MOVQ    from+64(FP), R8
+	MOVQ    to+72(FP), R9
+	MOVQ    R8, R10
+	IMULQ   DX, R10
+	ADDQ    SI, R10
+
+lsblock:
+	LEAQ    4(R8), AX
+	CMPQ    AX, R9
+	JGT     lssingle
+	LEAQ    (R10)(DX*1), R11
+	LEAQ    (R11)(DX*1), R12
+	LEAQ    (R12)(DX*1), R13
+	MOVQ    R8, CX
+	SHLQ    $5, CX
+	VMOVUPD (DI)(CX*1), Y0
+	VMOVUPD 32(DI)(CX*1), Y1
+	VMOVUPD 64(DI)(CX*1), Y2
+	VMOVUPD 96(DI)(CX*1), Y3
+	XORQ    BX, BX
+	TESTQ   CX, CX
+	JZ      lstri
+
+lsbloop:
+	VMOVUPD (DI)(BX*1), Y4
+	VMULPD  (R10)(BX*1), Y4, Y5
+	VSUBPD  Y5, Y0, Y0
+	VMULPD  (R11)(BX*1), Y4, Y6
+	VSUBPD  Y6, Y1, Y1
+	VMULPD  (R12)(BX*1), Y4, Y7
+	VSUBPD  Y7, Y2, Y2
+	VMULPD  (R13)(BX*1), Y4, Y8
+	VSUBPD  Y8, Y3, Y3
+	ADDQ    $32, BX
+	CMPQ    BX, CX
+	JLT     lsbloop
+
+lstri:
+	VDIVPD    (R10)(CX*1), Y0, Y0
+	VBLENDVPD Y15, (DI)(CX*1), Y0, Y0
+	VMOVUPD   Y0, (DI)(CX*1)
+	VMULPD    (R11)(CX*1), Y0, Y5
+	VSUBPD    Y5, Y1, Y1
+	VDIVPD    32(R11)(CX*1), Y1, Y1
+	VBLENDVPD Y15, 32(DI)(CX*1), Y1, Y1
+	VMOVUPD   Y1, 32(DI)(CX*1)
+	VMULPD    (R12)(CX*1), Y0, Y5
+	VSUBPD    Y5, Y2, Y2
+	VMULPD    32(R12)(CX*1), Y1, Y6
+	VSUBPD    Y6, Y2, Y2
+	VDIVPD    64(R12)(CX*1), Y2, Y2
+	VBLENDVPD Y15, 64(DI)(CX*1), Y2, Y2
+	VMOVUPD   Y2, 64(DI)(CX*1)
+	VMULPD    (R13)(CX*1), Y0, Y5
+	VSUBPD    Y5, Y3, Y3
+	VMULPD    32(R13)(CX*1), Y1, Y6
+	VSUBPD    Y6, Y3, Y3
+	VMULPD    64(R13)(CX*1), Y2, Y7
+	VSUBPD    Y7, Y3, Y3
+	VDIVPD    96(R13)(CX*1), Y3, Y3
+	VBLENDVPD Y15, 96(DI)(CX*1), Y3, Y3
+	VMOVUPD   Y3, 96(DI)(CX*1)
+	ADDQ      $4, R8
+	LEAQ      (R13)(DX*1), R10
+	JMP       lsblock
+
+lssingle:
+	CMPQ    R8, R9
+	JGE     lsdone
+	MOVQ    R8, CX
+	SHLQ    $5, CX
+	VMOVUPD (DI)(CX*1), Y0
+	XORQ    BX, BX
+	TESTQ   CX, CX
+	JZ      lssdiv
+
+lssloop:
+	VMOVUPD (DI)(BX*1), Y4
+	VMULPD  (R10)(BX*1), Y4, Y5
+	VSUBPD  Y5, Y0, Y0
+	ADDQ    $32, BX
+	CMPQ    BX, CX
+	JLT     lssloop
+
+lssdiv:
+	VDIVPD    (R10)(CX*1), Y0, Y0
+	VBLENDVPD Y15, (DI)(CX*1), Y0, Y0
+	VMOVUPD   Y0, (DI)(CX*1)
+	INCQ      R8
+	ADDQ      DX, R10
+	JMP       lssingle
+
+lsdone:
+	VZEROUPPER
+	RET
+
+// func laneSolveUpperAVX(keep *[4]uint64, l []float64, stride int, c, z []float64)
+// n = len(c)/4 ≥ 1. Entry i's chain starts from the entry just solved,
+// c_{i+1}, which stays in Y0; the older c_t come from memory. SI = l,
+// DX = 32·stride, DI = c, R8 = z, CX = 32·n, R9 = 32·i, R10 = &L[i][i].
+TEXT ·laneSolveUpperAVX(SB), NOSPLIT, $0-88
+	MOVQ      keep+0(FP), AX
+	VMOVUPD   (AX), Y15
+	MOVQ      l_base+8(FP), SI
+	MOVQ      stride+32(FP), DX
+	SHLQ      $5, DX
+	MOVQ      c_base+40(FP), DI
+	MOVQ      c_len+48(FP), CX
+	SHLQ      $3, CX
+	MOVQ      z_base+64(FP), R8
+	LEAQ      -32(CX), R9
+	MOVQ      R9, AX
+	SHRQ      $5, AX
+	IMULQ     DX, AX
+	LEAQ      (SI)(AX*1), R10
+	ADDQ      R9, R10
+	VMOVUPD   (R8)(R9*1), Y0
+	VDIVPD    (R10), Y0, Y0
+	VBLENDVPD Y15, (DI)(R9*1), Y0, Y0
+	VMOVUPD   Y0, (DI)(R9*1)
+
+usrow:
+	SUBQ    $32, R9
+	JLT     usdone
+	SUBQ    DX, R10
+	SUBQ    $32, R10
+	VMOVUPD (R8)(R9*1), Y1
+	LEAQ    (R10)(DX*1), AX
+	VMULPD  (AX), Y0, Y2
+	VSUBPD  Y2, Y1, Y1
+	LEAQ    64(R9), BX
+	ADDQ    DX, AX
+	CMPQ    BX, CX
+	JGE     usdiv
+
+usloop:
+	VMOVUPD (DI)(BX*1), Y3
+	VMULPD  (AX), Y3, Y2
+	VSUBPD  Y2, Y1, Y1
+	ADDQ    DX, AX
+	ADDQ    $32, BX
+	CMPQ    BX, CX
+	JLT     usloop
+
+usdiv:
+	VDIVPD    (R10), Y1, Y0
+	VBLENDVPD Y15, (DI)(R9*1), Y0, Y0
+	VMOVUPD   Y0, (DI)(R9*1)
+	JMP       usrow
+
+usdone:
+	VZEROUPPER
+	RET
+
+// func laneDotAVX(acc *[4]float64, a, b []float64)
+// acc = Σ a_i·b_i per lane from +0, one VMULPD then one VADDPD per term
+// in ascending i; len(a) is a positive multiple of 4.
+TEXT ·laneDotAVX(SB), NOSPLIT, $0-56
+	MOVQ   acc+0(FP), DI
+	MOVQ   a_base+8(FP), SI
+	MOVQ   a_len+16(FP), CX
+	MOVQ   b_base+32(FP), R8
+	VXORPD Y0, Y0, Y0
+	XORQ   AX, AX
+	SHRQ   $2, CX
+
+ldloop:
+	VMOVUPD (SI)(AX*8), Y1
+	VMULPD  (R8)(AX*8), Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	ADDQ    $4, AX
+	DECQ    CX
+	JNZ     ldloop
+	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func laneSubDotAVX(acc *[4]float64, a, b []float64)
+// acc −= a_i·b_i per lane, one VMULPD then one VSUBPD per term in
+// ascending i; len(a) is a positive multiple of 4.
+TEXT ·laneSubDotAVX(SB), NOSPLIT, $0-56
+	MOVQ    acc+0(FP), DI
+	MOVQ    a_base+8(FP), SI
+	MOVQ    a_len+16(FP), CX
+	MOVQ    b_base+32(FP), R8
+	VMOVUPD (DI), Y0
+	XORQ    AX, AX
+	SHRQ    $2, CX
+
+lsdloop:
+	VMOVUPD (SI)(AX*8), Y1
+	VMULPD  (R8)(AX*8), Y1, Y1
+	VSUBPD  Y1, Y0, Y0
+	ADDQ    $4, AX
+	DECQ    CX
+	JNZ     lsdloop
+	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET

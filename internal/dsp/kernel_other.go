@@ -42,3 +42,19 @@ func butterflies1AVX(re, im, wr, wi []float64) {
 func butterflies2AVX(re, im, wr, wi []float64) {
 	panic("dsp: vector kernel called without vector support")
 }
+
+func laneSolveLowerAVX(keep *[Lanes]uint64, l []float64, stride int, x []float64, from, to int) {
+	panic("dsp: vector kernel called without vector support")
+}
+
+func laneSolveUpperAVX(keep *[Lanes]uint64, l []float64, stride int, c, z []float64) {
+	panic("dsp: vector kernel called without vector support")
+}
+
+func laneDotAVX(acc *[Lanes]float64, a, b []float64) {
+	panic("dsp: vector kernel called without vector support")
+}
+
+func laneSubDotAVX(acc *[Lanes]float64, a, b []float64) {
+	panic("dsp: vector kernel called without vector support")
+}
