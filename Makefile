@@ -91,21 +91,26 @@ fmt:
 # verify is the tier-1 gate: formatting, vet, build, the full test
 # suite under the race detector with shuffled execution order (hidden
 # inter-test dependencies fail loudly), one run of every benchmark of
-# the kernel and reconstruction packages (`go test` compiles benchmarks
-# but never runs them, and a benchmark cited as evidence must not
-# panic), and short fuzz smokes over the streaming report emitters, the
-# search query parser, the journal decoder, the scenario name validator
-# and the POST /v1/evaluate body decoder (wire-facing parsers all). The
-# evaluate smoke bounds minimisation of each new corpus entry to 1 s:
-# its seed is a 96-point batch body, and minimising a body that size
-# would otherwise take the whole smoke.
+# the kernel and reconstruction packages and of the warm /v1/evaluate
+# benchmark (`go test` compiles benchmarks but never runs them, and a
+# benchmark cited as evidence must not panic), and short fuzz smokes
+# over the streaming report emitters, the search query parser, the
+# journal decoder, the scenario name validator, the POST /v1/evaluate
+# body decoder (wire-facing parsers all) and the /v1/evaluate reply
+# appender, refereed by encoding/json. The serve smokes bound
+# minimisation of each new corpus entry to 1 s: the decoder's seed is a
+# 96-point batch body, the appender's input has fifteen arguments, and
+# minimising either would otherwise take the whole smoke. Their -fuzz
+# patterns are anchored because go test fuzzes one target per run.
 verify: fmt
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dsp ./internal/cs
+	$(GO) test -run '^$$' -bench '^BenchmarkEvaluateWarm$$' -benchtime 1x ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzNDJSONRow -fuzztime 10s ./internal/report
 	$(GO) test -run '^$$' -fuzz FuzzParseGoal -fuzztime 10s ./internal/search
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzParseScenarioName -fuzztime 10s ./internal/scenario
-	$(GO) test -run '^$$' -fuzz FuzzDecodeEvaluateRequest -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvaluateRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzResultJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/serve

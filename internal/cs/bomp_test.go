@@ -244,6 +244,9 @@ func TestBOMPMatchesReference(t *testing.T) {
 		{"ragged-last-block", 130, 48, 12, 4, 1e-12, []int{128, 129}},
 		{"atoms-not-block-multiple", 128, 64, 10, 4, 1e-12, []int{20, 21, 22, 23}},
 		{"block-len-1", 128, 48, 12, 1, 1e-12, []int{3, 17, 60}},
+		// The block-length ablation's other two lengths.
+		{"block-len-2", 384, 150, 150 / 2, 2, 1e-4, []int{6, 7, 100, 101}},
+		{"block-len-8", 384, 150, 150 / 8, 8, 1e-4, []int{8, 9, 10, 11, 12, 13, 14, 15}},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

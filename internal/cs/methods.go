@@ -457,8 +457,24 @@ func (r *MethodReconstructor) bompStep(sc *bompScratch, live uint8) uint8 {
 			corr = l.pY // the first step's residual is y itself
 		}
 		best, bestScore := -1, 0.0
-		for blk := range l.selected {
-			if l.selected[blk] {
+		selected, whole := l.selected, 0
+		if blockLen == 4 {
+			// Whole blocks in a fixed-length loop. Each sum keeps the
+			// generic loop's order, and 0 + d₀² is d₀² bitwise (a square
+			// is never −0), so the scores are the generic loop's.
+			whole = k / 4
+			for blk, sel := range selected[:whole] {
+				if sel {
+					continue
+				}
+				d := corr[4*blk : 4*blk+4]
+				if s := d[0]*d[0] + d[1]*d[1] + d[2]*d[2] + d[3]*d[3]; s > bestScore {
+					best, bestScore = blk, s
+				}
+			}
+		}
+		for blk := whole; blk < len(selected); blk++ { // a ragged last block, or BlockLen ≠ 4
+			if selected[blk] {
 				continue
 			}
 			var s float64

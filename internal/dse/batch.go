@@ -193,8 +193,8 @@ func (s *Sweep) evalChunk(ctx context.Context, points []core.DesignPoint, idxs [
 	case 0:
 		return
 	case 1:
-		res, cached, dur := s.evalPoint(ctx, points[miss[0]])
-		complete(miss[0], res, cached, dur)
+		res, hit, shared, dur := s.evalPoint(ctx, points[miss[0]], time.Time{})
+		complete(miss[0], res, hit || shared, dur)
 		return
 	}
 	// The per-point failpoint fires first, exactly as on the per-point

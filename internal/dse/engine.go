@@ -227,8 +227,43 @@ func (s *Sweep) Metrics() Snapshot { return s.metrics.Snapshot() }
 // refinement, variant studies, the CLI's `point` subcommand) share the
 // sweep cache this way.
 func (s *Sweep) Evaluate(p core.DesignPoint) core.Result {
-	res, _, _ := s.evalPoint(context.Background(), p)
+	res, _, _, _ := s.evalPoint(context.Background(), p, time.Time{})
 	return res
+}
+
+// EvaluatePoint is a serving layer's synchronous one-point call:
+// lookup-or-evaluate in one step. A point in the store is answered from
+// it at once, with no deadline armed and no run started. Otherwise the
+// point is evaluated, or joins an identical evaluation already in
+// flight, under a deadline of timeout from the call, armed before the
+// evaluation starts. Once that deadline has passed EvaluatePoint
+// reports context.DeadlineExceeded; the evaluation still runs to its
+// end, and a sound result is still cached. cached reports a hit or a
+// join. timeout <= 0 leaves ctx's own deadline in charge.
+//
+// Like Evaluate it is not a Run: it emits no Event, calls neither the
+// progress callback nor the trace sink, and leaves the per-run progress
+// window (Total, Done, Elapsed) to the last Run. The cumulative counters
+// count its point as they count a Run's.
+func (s *Sweep) EvaluatePoint(ctx context.Context, p core.DesignPoint, timeout time.Duration) (res core.Result, cached bool, err error) {
+	if err = ctx.Err(); err != nil {
+		return core.Result{}, false, err
+	}
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	res, hit, shared, _ := s.evalPoint(ctx, p, deadline)
+	if hit {
+		return res, true, nil
+	}
+	if err = ctx.Err(); err != nil {
+		return core.Result{}, false, err
+	}
+	if !deadline.IsZero() && !time.Now().Before(deadline) {
+		return core.Result{}, false, context.DeadlineExceeded
+	}
+	return res, shared, nil
 }
 
 // EvaluatorID returns the identity under which this sweep's results are
@@ -324,8 +359,8 @@ func (s *Sweep) dispatch(ctx context.Context, points []core.DesignPoint, complet
 	workers = min(workers, len(points))
 	if s.batch == nil || s.batchSize == 1 || len(points) == 1 {
 		runPool(ctx, len(points), workers, func(idx int) {
-			res, cached, dur := s.evalPoint(ctx, points[idx])
-			complete(idx, res, cached, dur)
+			res, hit, shared, dur := s.evalPoint(ctx, points[idx], time.Time{})
+			complete(idx, res, hit || shared, dur)
 		})
 		return
 	}
@@ -372,33 +407,44 @@ dispatch:
 // buffer and handed to the store's Do, which serves a hit off the raw
 // bytes — so a memoised point costs zero allocations — and collapses
 // concurrent misses on one key into a single evaluation whose result
-// every caller shares (counted as Deduped in the metrics). ctx only
-// bounds retry backoff (see WithRetry); an in-flight evaluation always
-// runs to its end.
-func (s *Sweep) evalPoint(ctx context.Context, p core.DesignPoint) (res core.Result, cached bool, dur time.Duration) {
+// every caller shares (counted as Deduped in the metrics). hit and
+// shared report which of the two served the point. ctx only bounds
+// retry backoff (see WithRetry), narrowed to deadline when that is set;
+// an in-flight evaluation always runs to its end.
+func (s *Sweep) evalPoint(ctx context.Context, p core.DesignPoint, deadline time.Time) (res core.Result, hit, shared bool, dur time.Duration) {
 	if s.cache == nil {
-		start := time.Now()
-		res = s.evaluate(ctx, p)
-		return res, false, time.Since(start)
+		res, dur = s.evaluateBy(ctx, p, deadline)
+		return res, false, false, dur
 	}
 	kb := keyBufPool.Get().(*keyBuf)
 	kb.b = s.appendKey(kb.b[:0], p)
-	res, hit, shared := s.cacheDo(kb.b, p, func() core.Result {
-		start := time.Now()
-		r := s.evaluate(ctx, p)
-		dur = time.Since(start)
+	res, hit, shared = s.cacheDo(kb.b, p, func() core.Result {
+		var r core.Result
+		r, dur = s.evaluateBy(ctx, p, deadline)
 		return r
 	})
 	keyBufPool.Put(kb)
 	switch {
 	case hit:
 		s.metrics.cacheHits.Add(1)
-		return res, true, 0
 	case shared:
 		s.metrics.deduped.Add(1)
-		return res, true, 0
 	}
-	return res, false, dur
+	return res, hit, shared, dur
+}
+
+// evaluateBy is one timed miss: the evaluation policy (see evaluate)
+// under ctx, with deadline, when set, armed before the evaluation
+// starts.
+func (s *Sweep) evaluateBy(ctx context.Context, p core.DesignPoint, deadline time.Time) (core.Result, time.Duration) {
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
+	start := time.Now()
+	res := s.evaluate(ctx, p)
+	return res, time.Since(start)
 }
 
 // cacheDo guards the store's singleflight with the same no-panic

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -678,5 +679,57 @@ func TestSweepCacheHitSpeedup(t *testing.T) {
 	if warmDur*5 > cold {
 		t.Fatalf("cache speedup %.1fx < 5x (cold %v, warm %v)",
 			float64(cold)/float64(warmDur), cold, warmDur)
+	}
+}
+
+// TestEvaluatePointDeadlineBoundsOnlyMisses pins the serving layer's
+// one-point call: a miss runs under the deadline and reports
+// context.DeadlineExceeded once it passes, yet caches its row; a hit is
+// answered whatever the deadline; a join of an in-flight evaluation is
+// cached; and none of it is a Run, so the progress window stays put.
+func TestEvaluatePointDeadlineBoundsOnlyMisses(t *testing.T) {
+	ev := &fakeEvaluator{delay: 20 * time.Millisecond}
+	s, err := NewSweep(ev, WithCache(cache.New(0)), WithEvaluatorID("point"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	p := core.DesignPoint{Arch: core.ArchBaseline, Bits: 8, LNANoise: 2e-6}
+	if _, _, err := s.EvaluatePoint(ctx, p, time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a 20 ms miss under a 1 ms deadline: err %v, want %v", err, context.DeadlineExceeded)
+	}
+	r, cached, err := s.EvaluatePoint(ctx, p, time.Nanosecond)
+	if err != nil || !cached || r.Point != p {
+		t.Fatalf("the expired miss's row is not served as a hit: %+v cached %v err %v", r, cached, err)
+	}
+
+	q := core.DesignPoint{Arch: core.ArchBaseline, Bits: 6, LNANoise: 2e-6}
+	var wg sync.WaitGroup
+	var flags [2]bool
+	for i := range flags {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, cached, err := s.EvaluatePoint(ctx, q, time.Minute)
+			if err != nil || r.Point != q {
+				t.Errorf("concurrent miss: %+v err %v", r, err)
+			}
+			flags[i] = cached
+		}(i)
+	}
+	wg.Wait()
+
+	m := s.Metrics()
+	if got := ev.calls.Load(); got != 2 || m.Evaluated != 2 {
+		t.Errorf("evaluator calls %d, engine Evaluated %d, want 2 each", got, m.Evaluated)
+	}
+	// The two concurrent calls either joined (one cached, Deduped 1) or
+	// ran one after the other (the second a hit).
+	if flags[0] == flags[1] || m.CacheHits+m.Deduped != 2 {
+		t.Errorf("cached flags %v, hits %d, deduped %d: want one of the two served without evaluating",
+			flags, m.CacheHits, m.Deduped)
+	}
+	if m.Total != 0 || m.Done != 0 || m.Elapsed != 0 {
+		t.Errorf("progress window moved: total %d, done %d, elapsed %v", m.Total, m.Done, m.Elapsed)
 	}
 }

@@ -73,7 +73,9 @@ type Options struct {
 	Retry *dse.RetryPolicy
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every unset field at its default: the
+// options a suite built from o runs with (see Suite.Options).
+func (o Options) WithDefaults() Options {
 	if o.Records <= 0 {
 		o.Records = 40
 	}
@@ -118,7 +120,7 @@ type Suite struct {
 // NewSuite builds a suite with the gpdk045 technology and Table III system
 // constants.
 func NewSuite(opts Options) *Suite {
-	return &Suite{opts: opts.withDefaults(), tp: tech.GPDK045(), sys: tech.DefaultSystem()}
+	return &Suite{opts: opts.WithDefaults(), tp: tech.GPDK045(), sys: tech.DefaultSystem()}
 }
 
 // Options returns the effective (defaulted) options.

@@ -71,7 +71,7 @@ func TestSharedCacheInjection(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
+	o := Options{}.WithDefaults()
 	if o.Records != 40 || o.NoiseSteps != 8 || o.MinAccuracy != 0.98 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}

@@ -107,7 +107,7 @@ func NewFigsFromResults(rs []core.Result, minAccuracy float64) *FigsFromResults 
 // satisfied by the loaded data, so the Fig 7/9/10 extraction methods work
 // without any re-evaluation.
 func (f *FigsFromResults) staticSuite() *Suite {
-	s := &Suite{opts: Options{MinAccuracy: f.minAccuracy}.withDefaults()}
+	s := &Suite{opts: Options{MinAccuracy: f.minAccuracy}.WithDefaults()}
 	s.once.Do(func() {}) // no evaluator needed for front extraction
 	s.sweep = f.results  // pre-satisfy the sweep memo
 	return s

@@ -1,16 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
 	"efficsense/internal/cache"
 	"efficsense/internal/dse"
 	"efficsense/internal/experiments"
+	"efficsense/internal/scenario"
 )
 
 // newBenchServer wires the full middleware + handler stack (request-ID
@@ -55,23 +57,39 @@ func BenchmarkHealthz(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateWarmHTTP prices a cache-hit evaluation through the
-// whole HTTP stack: decode, validate, memoised engine call, encode.
-func BenchmarkEvaluateWarmHTTP(b *testing.B) {
-	srv := newBenchServer(b)
-	const body = `{"point":{"arch":"baseline","bits":8,"lna_noise":1e-6}}`
-	warm := httptest.NewRecorder()
-	srv.ServeHTTP(warm, httptest.NewRequest("POST", "/v1/evaluate", strings.NewReader(body)))
-	if warm.Code != http.StatusOK {
-		b.Fatalf("prime status %d: %s", warm.Code, warm.Body)
+// BenchmarkEvaluateWarm prices a warm single-point /v1/evaluate through
+// the production stack: it fills the store with the ECG default space
+// in one batch request, then sends the space's points one body at a
+// time through Server.ServeHTTP on a recorder, every one a cache hit.
+func BenchmarkEvaluateWarm(b *testing.B) {
+	srv := newProductionServer(b)
+	scn, err := scenario.Lookup("ecg-telemonitoring")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts := scn.Space(0).Points()
+	specs := make([]PointSpec, len(pts))
+	for i, p := range pts {
+		specs[i] = pointSpecOf(p)
+	}
+	fill, err := json.Marshal(EvaluateRequest{Points: specs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	postTo(b, srv, fill)
+	bodies := make([][]byte, len(specs))
+	for i, spec := range specs {
+		if bodies[i], err = json.Marshal(EvaluateRequest{Point: spec}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, httptest.NewRequest("POST", "/v1/evaluate", strings.NewReader(body)))
+		srv.ServeHTTP(w, httptest.NewRequest("POST", "/v1/evaluate", bytes.NewReader(bodies[i%len(bodies)])))
 		if w.Code != http.StatusOK {
-			b.Fatalf("status %d", w.Code)
+			b.Fatalf("status %d: %s", w.Code, w.Body)
 		}
 	}
 }

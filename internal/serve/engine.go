@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
+	"time"
 
 	"efficsense/internal/cache"
 	"efficsense/internal/core"
@@ -14,8 +16,10 @@ import (
 
 // Engine is the slice of the sweep engine the serving layer depends on.
 // *dse.Sweep implements it; tests substitute engines over fake
-// evaluators.
+// evaluators. EvaluatePoint serves /v1/evaluate's single points,
+// RunWithHook its batches, sweeps and searches.
 type Engine interface {
+	EvaluatePoint(ctx context.Context, p core.DesignPoint, timeout time.Duration) (core.Result, bool, error)
 	RunWithHook(ctx context.Context, points []core.DesignPoint, hook func(dse.Event)) ([]core.Result, error)
 	Metrics() dse.Snapshot
 }
@@ -31,10 +35,11 @@ func engineFingerprint(e Engine) string {
 
 // EngineFunc resolves the engine serving one option set. Implementations
 // must return the same Engine for equal options, so a repeated sweep of
-// the same space lands on a warm memoisation cache. Resolution may be
-// expensive (the production implementation trains a detector on first
-// use of an option set); the Manager calls it from job goroutines, never
-// from request handlers that must stay fast.
+// the same space lands on a warm memoisation cache. The first
+// resolution of an option set may be expensive (the production
+// implementation trains a detector then); the Manager calls it from job
+// goroutines and on every /v1/evaluate request, so a repeat must be
+// cheap — (*SuiteEngines).Engine answers one with a map lookup.
 type EngineFunc func(opts experiments.Options) (Engine, error)
 
 // DefaultCacheEntries bounds the daemon's shared evaluation cache when
@@ -55,7 +60,7 @@ const DefaultCacheEntries = 65536
 type SuiteEngines struct {
 	mu     sync.Mutex
 	cache  *cache.LRU
-	suites map[string]*experiments.Suite
+	suites map[suiteKey]*experiments.Suite
 }
 
 // NewSuiteEngines builds an empty provider around a fresh shared
@@ -66,12 +71,21 @@ func NewSuiteEngines(cacheEntries int) *SuiteEngines {
 	}
 	return &SuiteEngines{
 		cache:  cache.New(cacheEntries),
-		suites: make(map[string]*experiments.Suite),
+		suites: make(map[suiteKey]*experiments.Suite),
 	}
 }
 
 // Cache exposes the shared memoisation store (for /metrics exposition).
 func (se *SuiteEngines) Cache() *cache.LRU { return se.cache }
+
+// suiteKey identifies the evaluator an option set builds. Floats are
+// kept as their bits, so a NaN option still finds its own suite.
+type suiteKey struct {
+	scenario                                           string
+	seed                                               int64
+	records, trainRecords, noiseSteps, workers, epochs int
+	minAccuracy, windowSeconds                         uint64
+}
 
 // optionsKey canonicalises an option set: two option sets that build
 // equivalent evaluators map to the same key. Sinks (Progress, Trace),
@@ -80,7 +94,8 @@ func (se *SuiteEngines) Cache() *cache.LRU { return se.cache }
 // what a point evaluates to, and retry/batch size are server-wide
 // defaults (not settable over the wire), so they never split
 // otherwise-identical suites.
-func optionsKey(o experiments.Options) string {
+func optionsKey(o experiments.Options) suiteKey {
+	o = o.WithDefaults()
 	// The scenario is part of the evaluator identity: an unset name
 	// canonicalises to the default, so "no scenario" and the default
 	// scenario share one suite (they are the same workload by contract).
@@ -88,26 +103,28 @@ func optionsKey(o experiments.Options) string {
 	if name == "" {
 		name = scenario.DefaultName
 	}
-	return fmt.Sprintf("scn:%s|s%d|r%d|t%d|n%d|w%d|e%d|a%g|win%g",
-		name, o.Seed, o.Records, o.TrainRecords, o.NoiseSteps, o.Workers,
-		o.Epochs, o.MinAccuracy, o.WindowSeconds)
+	return suiteKey{
+		scenario: name, seed: o.Seed,
+		records: o.Records, trainRecords: o.TrainRecords, noiseSteps: o.NoiseSteps,
+		workers: o.Workers, epochs: o.Epochs,
+		minAccuracy: math.Float64bits(o.MinAccuracy), windowSeconds: math.Float64bits(o.WindowSeconds),
+	}
 }
 
 // Engine returns the (possibly shared) engine for opts, building the
-// backing suite on first use. The build — detector training, evaluator
-// precomputation — happens lazily inside the suite, on the calling
-// goroutine's first sweep; a misconfigured option set surfaces as an
-// error, not a panic.
+// backing suite on first use: detector training and evaluator
+// precomputation run on the goroutine of the first call for an option
+// set, and a misconfigured option set surfaces as an error, not a
+// panic. A repeat costs one map lookup: it builds no suite and formats
+// no key.
 func (se *SuiteEngines) Engine(opts experiments.Options) (eng Engine, err error) {
-	opts.Progress, opts.Trace = nil, nil
-	opts.Cache = se.cache
-	suite := experiments.NewSuite(opts)
-	key := optionsKey(suite.Options())
-
+	key := optionsKey(opts)
 	se.mu.Lock()
-	if existing, ok := se.suites[key]; ok {
-		suite = existing
-	} else {
+	suite, ok := se.suites[key]
+	if !ok {
+		opts.Progress, opts.Trace = nil, nil
+		opts.Cache = se.cache
+		suite = experiments.NewSuite(opts)
 		se.suites[key] = suite
 	}
 	se.mu.Unlock()

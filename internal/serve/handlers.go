@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -152,13 +153,33 @@ func (s *Server) requestCounts() map[int]int64 {
 	return out
 }
 
+// writeJSON renders v indented and writes it with code. The body is
+// rendered before the status goes out, so a value encoding/json refuses
+// (a non-finite float) answers 500 with the v1 error envelope instead
+// of code with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		// An envelope of two strings always encodes.
+		_ = enc.Encode(errorJSON{Error: ErrorDetail{Code: CodeInternal, Message: renderFailure(err)}})
+	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeBody writes a rendered JSON reply.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // a failed write means the client went away
 }
+
+// renderFailure is the message of the 500 a reply that cannot be
+// rendered becomes.
+func renderFailure(err error) string { return "rendering reply: " + err.Error() }
 
 // error writes the v1 error envelope and logs the failure with the
 // request's request_id — client errors at INFO (they are the caller's
@@ -258,9 +279,13 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusInternalServerError, CodeInternal, "%v", err)
 		return
 	}
-	rj := resultJSON(result)
-	rj.Cached = cached
-	writeJSON(w, http.StatusOK, rj)
+	// 1 KiB holds a row with a full power breakdown in one allocation.
+	body, err := appendEvaluateReply(make([]byte, 0, 1024), result, cached)
+	if err != nil {
+		s.error(w, r, http.StatusInternalServerError, CodeInternal, "%s", renderFailure(err))
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // evaluateBatch is handleEvaluate's batch arm. Spec validation is
@@ -308,17 +333,12 @@ func (s *Server) evaluateBatch(w http.ResponseWriter, r *http.Request, req Evalu
 		s.error(w, r, http.StatusInternalServerError, CodeInternal, "%v", err)
 		return
 	}
-	resp := EvaluateBatchResponse{Count: len(rs), Results: make([]ResultJSON, len(rs))}
-	for i, res := range rs {
-		rj := resultJSON(res)
-		rj.Cached = cached[i]
-		resp.Results[i] = rj
-		if res.Err != nil {
-			resp.Errors++
-			resp.Partial = true
-		}
+	body, err := appendEvaluateBatchReply(nil, rs, cached)
+	if err != nil {
+		s.error(w, r, http.StatusInternalServerError, CodeInternal, "%s", renderFailure(err))
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, body)
 }
 
 // retrySeconds rounds an honest Retry-After up to whole seconds (the

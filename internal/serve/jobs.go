@@ -824,9 +824,12 @@ func (m *Manager) retryAfterLocked() time.Duration {
 
 // Evaluate scores one design point synchronously through the shared
 // engine layer, honouring ctx and the configured deadline cap. The
-// cached flag reports a memoisation hit. Single evaluations bypass the
-// job slots: they are the interactive fast path, bounded by EvalTimeout
-// rather than queueing.
+// cached flag reports a memoisation hit (or a join of an identical
+// in-flight evaluation). Single evaluations bypass the job slots: they
+// are the interactive fast path, bounded by EvalTimeout rather than
+// queueing. After admission it is one engine call, lookup-or-evaluate:
+// a hit is answered from the store before any deadline is armed, and
+// the deadline bounds only a miss (see dse.Sweep.EvaluatePoint).
 func (m *Manager) Evaluate(ctx context.Context, spec *OptionsSpec, p core.DesignPoint, timeout time.Duration) (core.Result, bool, error) {
 	m.mu.Lock()
 	closed := m.closed
@@ -850,16 +853,7 @@ func (m *Manager) Evaluate(ctx context.Context, spec *OptionsSpec, p core.Design
 	if timeout <= 0 || timeout > m.cfg.EvalTimeout {
 		timeout = m.cfg.EvalTimeout
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	var cached bool
-	rs, err := engine.RunWithHook(ctx, []core.DesignPoint{p}, func(ev dse.Event) {
-		cached = ev.Cached
-	})
-	if err != nil {
-		return core.Result{}, false, err
-	}
-	return rs[0], cached, nil
+	return engine.EvaluatePoint(ctx, p, timeout)
 }
 
 // EvaluateBatch scores a batch of design points synchronously through
