@@ -60,18 +60,20 @@ wal-fuzz:
 stress:
 	$(GO) test -count=20 ./internal/serve ./internal/wal
 
-# purego runs the kernel, converter, reconstruction, detector, chain and
-# evaluator suites with the vector kernels (internal/dsp) compiled out.
-# The kernels promise results bit-identical to their pure-Go loops; the
-# kernel, FFT, Welch, DCT, SAR, OMP, block-OMP and detector reference
-# tests and the session identity tests check that promise in this build
-# too. It then reruns the kernel, converter, reconstruction and chain
-# suites built for GOAMD64=v3, where the compiler could use FMA: the Go
-# loops match the kernels only while it does not fuse a*b ± c, so a
-# toolchain that starts fusing fails here instead of moving results.
+# purego runs the random-stream, kernel, converter, reconstruction,
+# detector, chain and evaluator suites with the vector kernels
+# (internal/xrand, internal/dsp) compiled out. The kernels promise
+# results bit-identical to their pure-Go loops; the stream, kernel, FFT,
+# Welch, DCT, SAR, encoder, OMP, block-OMP and detector reference tests
+# and the session identity tests check that promise in this build too.
+# It then reruns the random-stream, kernel, converter, reconstruction and
+# chain suites built for GOAMD64=v3, where the compiler could use FMA:
+# the Go loops match the kernels (and math/rand) only while it does not
+# fuse a*b ± c, so a toolchain that starts fusing fails here instead of
+# moving results.
 purego:
-	$(GO) test -tags purego ./internal/dsp ./internal/adc ./internal/cs ./internal/classify ./internal/chain ./internal/core
-	GOAMD64=v3 $(GO) test ./internal/dsp ./internal/cs ./internal/adc ./internal/chain
+	$(GO) test -tags purego ./internal/xrand ./internal/dsp ./internal/adc ./internal/cs ./internal/classify ./internal/chain ./internal/core
+	GOAMD64=v3 $(GO) test ./internal/xrand ./internal/dsp ./internal/cs ./internal/adc ./internal/chain
 
 # setup-identity runs the suite set-up golden and the oracle tests of the
 # set-up kernels (coloured noise, resampling, the forward DCT, the sparse
@@ -91,7 +93,8 @@ fmt:
 # verify is the tier-1 gate: formatting, vet, build, the full test
 # suite under the race detector with shuffled execution order (hidden
 # inter-test dependencies fail loudly), one run of every benchmark of
-# the kernel and reconstruction packages and of the warm /v1/evaluate
+# the random-stream, kernel, converter and reconstruction packages and
+# of the warm /v1/evaluate
 # benchmark (`go test` compiles benchmarks but never runs them, and a
 # benchmark cited as evidence must not panic), and short fuzz smokes
 # over the streaming report emitters, the search query parser, the
@@ -106,7 +109,7 @@ verify: fmt
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dsp ./internal/cs
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/xrand ./internal/dsp ./internal/adc ./internal/cs
 	$(GO) test -run '^$$' -bench '^BenchmarkEvaluateWarm$$' -benchtime 1x ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzNDJSONRow -fuzztime 10s ./internal/report
 	$(GO) test -run '^$$' -fuzz FuzzParseGoal -fuzztime 10s ./internal/search

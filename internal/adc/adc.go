@@ -10,6 +10,7 @@ package adc
 import (
 	"math"
 
+	"efficsense/internal/dsp"
 	"efficsense/internal/xrand"
 )
 
@@ -23,6 +24,7 @@ type SAR struct {
 	ideal   []float64 // ideal bit weights, in volts
 	compStd float64   // comparator input-referred noise sigma (V)
 	rng     *xrand.Source
+	units   []float64 // ConvertInto's comparator draws for one block
 }
 
 // Config describes a SAR instance.
@@ -126,30 +128,48 @@ func (s *SAR) CodeToVoltage(code int) float64 {
 }
 
 // Convert digitises a waveform, returning the backend voltages.
-func (s *SAR) Convert(in []float64) []float64 {
-	out := make([]float64, len(in))
-	for i, v := range in {
-		out[i] = s.CodeToVoltage(s.ConvertCode(v))
-	}
-	return out
-}
+func (s *SAR) Convert(in []float64) []float64 { return s.ConvertInto(nil, in) }
 
 // ConvertInto digitises a waveform into caller-owned storage — Convert
 // without the allocation. dst is grown (reallocating only when capacity is
 // exceeded) to len(in) and fully overwritten; the returned slice aliases
 // it. dst may be the input slice itself (conversion is element-wise). The
-// comparator noise stream is consumed exactly as Convert would, so the two
-// are interchangeable mid-stream.
+// voltages and the comparator noise stream's consumption are exactly those
+// of len(in) sequential ConvertCode calls, so the two are interchangeable
+// mid-stream.
+//
+// The conversion runs a block of samples at a time: the block's Bits
+// unit draws per sample come from the stream in one FillUnitNormal call,
+// in ConvertCode's order, and dsp.SuccessiveApprox runs the block's
+// decisions several samples per register, each with ConvertCode's
+// arithmetic. Without comparator noise (compStd not positive) nothing
+// is drawn.
 func (s *SAR) ConvertInto(dst, in []float64) []float64 {
 	if cap(dst) < len(in) {
 		dst = make([]float64, len(in))
 	}
 	dst = dst[:len(in)]
-	for i, v := range in {
-		dst[i] = s.CodeToVoltage(s.ConvertCode(v))
+	half := s.vfs / 2
+	if !(s.compStd > 0) {
+		dsp.SuccessiveApprox(dst, in, nil, s.weights, 0, half, s.lsb)
+		return dst
+	}
+	if need := min(len(in), sarBlock) * s.bits; len(s.units) < need {
+		s.units = make([]float64, need)
+	}
+	for lo := 0; lo < len(in); {
+		hi := min(lo+len(s.units)/s.bits, len(in))
+		u := s.units[:(hi-lo)*s.bits]
+		s.rng.FillUnitNormal(u)
+		dsp.SuccessiveApprox(dst[lo:hi], in[lo:hi], u, s.weights, s.compStd, half, s.lsb)
+		lo = hi
 	}
 	return dst
 }
+
+// sarBlock is the most samples ConvertInto draws comparator noise for at
+// a time.
+const sarBlock = 128
 
 // ConvertCodes digitises a waveform, returning raw codes.
 func (s *SAR) ConvertCodes(in []float64) []int {

@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 
 	"efficsense/internal/dsp"
+	"efficsense/internal/isa/isatest"
 	"efficsense/internal/siggen"
+	"efficsense/internal/xrand"
 )
 
 func TestIdealQuantiserENOB(t *testing.T) {
@@ -198,12 +200,13 @@ func referenceConvertCode(s *SAR, v float64) int {
 
 // TestConvertCodeMatchesReference runs two identically seeded SARs side
 // by side, one through ConvertCode and one through the branchy
-// reference, at every resolution from 1 to 12 bits, with and without
+// reference, at every resolution from 1 to 24 bits, with and without
 // mismatch and comparator noise. Inputs cover the range, overrange and
-// exact code boundaries (where the >= decision ties). Codes must agree,
+// exact code boundaries (where the >= decision ties): all of them up to
+// 12 bits, 4096 evenly spaced ones above. Codes must agree,
 // and afterwards both comparator streams must be at the same position.
 func TestConvertCodeMatchesReference(t *testing.T) {
-	for bits := 1; bits <= 12; bits++ {
+	for bits := 1; bits <= 24; bits++ {
 		for _, cfg := range []Config{
 			{Bits: bits, VFS: 2, Seed: 3},
 			{Bits: bits, VFS: 2, Seed: 4, UnitCap: 1e-15, MismatchCoeff: 0.02},
@@ -212,9 +215,13 @@ func TestConvertCodeMatchesReference(t *testing.T) {
 			got, want := New(cfg), New(cfg)
 			var in []float64
 			in = append(in, siggen.Ramp(997, -1.1, 1.1)...)
-			for code := 0; code <= 1<<bits; code++ {
+			// Every code boundary up to 12 bits; above, 4096 evenly spaced
+			// ones and full scale.
+			step := max(1, 1<<bits>>12)
+			for code := 0; code <= 1<<bits; code += step {
 				in = append(in, float64(code)*got.LSB()-1)
 			}
+			in = append(in, 1)
 			for i, v := range in {
 				if g, w := got.ConvertCode(v), referenceConvertCode(want, v); g != w {
 					t.Fatalf("bits %d, noise %g: input %d (%v) converts to %d, reference %d",
@@ -225,5 +232,93 @@ func TestConvertCodeMatchesReference(t *testing.T) {
 				t.Fatalf("bits %d, noise %g: comparator streams diverged", bits, cfg.ComparatorNoise)
 			}
 		}
+	}
+}
+
+// sarCases are the converters the ConvertInto referee runs at each
+// resolution: comparator noise off, on and NaN (which ConvertCode treats
+// as off: NaN > 0 is false), all with capacitor mismatch.
+func sarCases(bits int) []Config {
+	lsb := 2 / math.Ldexp(1, bits)
+	var cfgs []Config
+	for i, noise := range []float64{0, 0.5 * lsb, math.NaN()} {
+		cfgs = append(cfgs, Config{Bits: bits, VFS: 2, Seed: int64(7 + i), UnitCap: 1e-15, MismatchCoeff: 0.02, ComparatorNoise: noise})
+	}
+	return cfgs
+}
+
+// sarInputs returns n inputs spanning beyond ±full scale (so codes clip
+// at both ends), with exact code boundaries, ±0 and ±full scale mixed in.
+func sarInputs(s *SAR, n int, rng *xrand.Source) []float64 {
+	in := make([]float64, n)
+	for i := range in {
+		switch rng.Intn(5) {
+		case 0:
+			in[i] = float64(rng.Intn(1<<s.Bits()+1))*s.LSB() - 1
+		case 1:
+			in[i] = []float64{0, math.Copysign(0, -1), 1, -1, 3, -3}[rng.Intn(6)]
+		default:
+			in[i] = 2.4*rng.Float64() - 1.2
+		}
+	}
+	return in
+}
+
+// TestConvertIntoMatchesConvertCode pins ConvertInto, on every kernel
+// tier, to ConvertCode: one SAR alternates ConvertCode and ConvertInto
+// calls (some in place) of 0 to 600 samples — past one block of draws —
+// while an identically seeded twin converts every sample through
+// ConvertCode alone. Every voltage must match bit for bit and the two
+// comparator streams must end at the same position, at every resolution
+// from 1 to 24 bits, with comparator noise off, on and NaN.
+func TestConvertIntoMatchesConvertCode(t *testing.T) {
+	isatest.ForEachTier(t, func(t *testing.T) {
+		rng := xrand.New(23)
+		for bits := 1; bits <= 24; bits++ {
+			for _, cfg := range sarCases(bits) {
+				got, twin := New(cfg), New(cfg)
+				for _, n := range []int{0, 1, 7, 8, 9, 17, 255, 256, 257, 600} {
+					in := sarInputs(got, n, rng)
+					want := make([]float64, n)
+					for i, v := range in {
+						want[i] = twin.CodeToVoltage(twin.ConvertCode(v))
+					}
+					var out []float64
+					if n%2 == 1 {
+						out = got.ConvertInto(nil, in)
+					} else {
+						out = append([]float64(nil), in...)
+						out = got.ConvertInto(out, out)
+					}
+					for i := range want {
+						if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("bits %d, noise %g, n %d: sample %d (%v) converts to %v, ConvertCode %v",
+								bits, cfg.ComparatorNoise, n, i, in[i], out[i], want[i])
+						}
+					}
+					for _, x := range in[:min(n, 1)] {
+						if g, w := got.ConvertCode(x), twin.ConvertCode(x); g != w {
+							t.Fatalf("bits %d, noise %g: ConvertCode after ConvertInto = %d, twin %d", bits, cfg.ComparatorNoise, g, w)
+						}
+					}
+				}
+				if g, w := got.rng.Float64(), twin.rng.Float64(); g != w {
+					t.Fatalf("bits %d, noise %g: comparator streams apart", bits, cfg.ComparatorNoise)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkSARConvert times ConvertInto at 8 bits over 4096 samples
+// with comparator noise, draws included; ns/op is per comparator
+// decision.
+func BenchmarkSARConvert(b *testing.B) {
+	s := New(Config{Bits: 8, VFS: 2, Seed: 1, UnitCap: 1e-15, MismatchCoeff: 0.02, ComparatorNoise: 1e-3})
+	in := siggen.Sine(4096, 50, 1e3, 0.9, 0)
+	dst := make([]float64, len(in))
+	b.ResetTimer()
+	for done := 0; done < b.N; done += len(in) * s.Bits() {
+		dst = s.ConvertInto(dst, in)
 	}
 }

@@ -174,10 +174,11 @@ func TrainDetector(ds *eeg.Dataset, cfg DetectorConfig) *Detector {
 			for l, lvl := range cfg.AugmentNoise {
 				v := rec.Samples
 				if lvl > 0 {
+					// s + Normal(0, σ) per sample, the draws in one block.
 					noisy := make([]float64, len(v))
-					sigma := lvl * rms
+					rng.FillNormal(noisy, 0, lvl*rms)
 					for i, s := range v {
-						noisy[i] = s + rng.Normal(0, sigma)
+						noisy[i] = s + noisy[i]
 					}
 					v = noisy
 				}

@@ -44,6 +44,8 @@ type Encoder struct {
 	// ch[i] is the actual value of hold capacitor i.
 	ch    []float64
 	noise *xrand.Source
+	// units holds one frame's kT/C unit draws, drawn in one call.
+	units []float64
 }
 
 // NewEncoder builds an encoder, drawing one mismatch realisation. It
@@ -128,6 +130,10 @@ func (e *Encoder) EncodeInto(dst, x []float64) []float64 {
 }
 
 // encodeFrameInto is EncodeFrame writing into caller storage (length M).
+// The frame's kT/C noise comes from one FillUnitNormal call, in the order
+// of one Normal call per noise term, and each term adds 0 + σ·u as
+// Normal(0, σ) does; a term whose σ is not positive draws nothing and
+// adds 0, as Normal does, and without noise (kT = 0) nothing is drawn.
 func (e *Encoder) encodeFrameInto(v, x []float64) {
 	for i := range v {
 		v[i] = 0
@@ -140,6 +146,12 @@ func (e *Encoder) encodeFrameInto(v, x []float64) {
 	if e.cfg.LeakageCurrent > 0 && e.cfg.SamplePeriod > 0 {
 		droop = e.cfg.LeakageCurrent * e.cfg.SamplePeriod
 	}
+	var u []float64
+	if kt > 0 {
+		u = e.frameUnits(kt)
+		e.noise.FillUnitNormal(u)
+	}
+	q := 0 // next unit draw
 	for j := range x {
 		if droop > 0 {
 			for i := range v {
@@ -161,17 +173,49 @@ func (e *Encoder) encodeFrameInto(v, x []float64) {
 			// φ1: sample x[j] on C_sample (kT/C sampling noise);
 			sample := x[j]
 			if kt > 0 {
-				sample += e.noise.Normal(0, math.Sqrt(kt/csk))
+				n := 0.0
+				if sd := math.Sqrt(kt / csk); !(sd <= 0) {
+					n = 0 + sd*u[q]
+					q++
+				}
+				sample += n
 			}
 			// φ2: share with C_hold (kT/C redistribution noise on the sum
 			// node, referred to the merged capacitance).
 			alpha := csk / (csk + chi)
 			v[row] = alpha*sample + (1-alpha)*v[row]
 			if kt > 0 {
-				v[row] += e.noise.Normal(0, math.Sqrt(kt/(csk+chi)))
+				n := 0.0
+				if sd := math.Sqrt(kt / (csk + chi)); !(sd <= 0) {
+					n = 0 + sd*u[q]
+					q++
+				}
+				v[row] += n
 			}
 		}
 	}
+}
+
+// frameUnits returns the storage for one frame's kT/C unit draws at
+// noise level kt: one per noise term of the frame whose σ is not ≤ 0,
+// counted on first use (the σ depend only on the capacitors).
+func (e *Encoder) frameUnits(kt float64) []float64 {
+	if e.units == nil {
+		n := 0
+		for _, rows := range e.cfg.Phi.Support {
+			for k, row := range rows {
+				csk := e.cs[k%len(e.cs)]
+				if !(math.Sqrt(kt/csk) <= 0) {
+					n++
+				}
+				if !(math.Sqrt(kt/(csk+e.ch[row])) <= 0) {
+					n++
+				}
+			}
+		}
+		e.units = make([]float64, n)
+	}
+	return e.units
 }
 
 // EffectiveMatrix returns the M×N linear map actually implemented by the

@@ -1,11 +1,16 @@
 package dsp
 
-import "math"
+import (
+	"math"
+
+	"efficsense/internal/isa"
+)
 
 // Vector kernels for the N-length loops of sparse reconstruction and of
 // the transforms: the Batch-OMP correlation update and atom selection
-// (internal/cs), the dictionary projections, both DCT directions, and
-// the FFT's butterfly stages. The vector paths (kernel_amd64.s) use only
+// (internal/cs), the dictionary projections, both DCT directions, the
+// FFT's butterfly stages and the SAR's decisions (sar.go), on the tier
+// internal/isa names. The vector paths (kernel_amd64.s) use only
 // per-lane IEEE-754 multiply, add, subtract, divide, AND and compare —
 // no FMA, no reassociation — so every element sees exactly the
 // arithmetic of the Go loops here, in the same order, and results are
@@ -14,34 +19,19 @@ import "math"
 // amd64 at GOAMD64 v1 and v3 (make purego runs the suites under v3).
 // Lengths not divisible by the vector width finish in the scalar loops.
 
-// kernelTier is an instruction-set level of the kernel bodies.
-type kernelTier int
-
-const (
-	tierGo     kernelTier = iota // the Go loops
-	tierAVX                      // 256-bit bodies
-	tierAVX512                   // 512-bit bodies (AVX512F)
-)
-
-var tierNames = [...]string{tierGo: "go", tierAVX: "avx", tierAVX512: "avx512"}
-
-// tier selects the bodies every kernel runs: the best the host supports
-// (hostTier, from CPUID alone). Only this package's tests lower it, to
-// run each body the host has.
-var tier = hostTier
-
-// Kernels names the kernel bodies in use: "avx512", "avx" or "go".
-// Results never depend on it; throughput does.
-func Kernels() string { return tierNames[tier] }
+// Kernels names the kernel bodies in use: "avx512", "avx" or "go"
+// (isa.Kernels, probed once by internal/isa). Results never depend on
+// it; throughput does.
+func Kernels() string { return isa.Kernels().String() }
 
 // SubRows4 computes dst[j] = (((src[j] - c0*r0[j]) - c1*r1[j]) -
 // c2*r2[j]) - c3*r3[j] for j in [0, len(dst)). All slices must be at
 // least len(dst) long; dst may alias src.
 func SubRows4(dst, src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 	n := 0
-	if tier >= tierAVX {
+	if isa.Kernels() >= isa.AVX {
 		if n = len(dst) &^ 7; n > 0 {
-			if tier == tierAVX512 {
+			if isa.Kernels() == isa.AVX512 {
 				subRows4AVX512(dst[:n], src[:n], r0[:n], r1[:n], r2[:n], r3[:n], c0, c1, c2, c3)
 			} else {
 				subRows4AVX(dst[:n], src[:n], r0[:n], r1[:n], r2[:n], r3[:n], c0, c1, c2, c3)
@@ -61,9 +51,9 @@ func SubRows4(dst, src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 // loaded and stored once. The rows must be at least len(dst) long.
 func AddRows4(dst, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 	n := 0
-	if tier >= tierAVX {
+	if isa.Kernels() >= isa.AVX {
 		if n = len(dst) &^ 7; n > 0 {
-			if tier == tierAVX512 {
+			if isa.Kernels() == isa.AVX512 {
 				addRows4AVX512(dst[:n], r0[:n], r1[:n], r2[:n], r3[:n], c0, c1, c2, c3)
 			} else {
 				addRows4AVX(dst[:n], r0[:n], r1[:n], r2[:n], r3[:n], c0, c1, c2, c3)
@@ -90,7 +80,7 @@ func AddRows4(dst, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 func SubRows4ArgMax(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask []uint64, den []float64) (int, float64) {
 	best, bestVal := -1, 0.0
 	n := 0
-	if tier >= tierAVX {
+	if isa.Kernels() >= isa.AVX {
 		if n = len(src) &^ 3; n > 0 {
 			// Each lane keeps the first of its own maxima (strict >, in
 			// ascending index); the overall winner is the largest lane
@@ -198,7 +188,7 @@ func (p *Panels) Project(dst, ys [][]float64) {
 // over whole panels: pan is a run of panels of m rows, y[:n] the vectors
 // and d[:n] the outputs, 16 per panel.
 func projectPanels(pan []float64, m, n int, y, d *[4][]float64) {
-	if tier == tierGo {
+	if isa.Kernels() == isa.Go {
 		projectGo(pan, m, n, y, d)
 		return
 	}
@@ -232,7 +222,7 @@ func projectGo(pan []float64, m, n int, y, d *[4][]float64) {
 // br·wi + bi·wr). len(re) must be a multiple of 2h and im as long.
 func butterflies(re, im, wr, wi []float64) {
 	h := len(wr)
-	if tier >= tierAVX && len(re) >= 8 && len(re)&7 == 0 {
+	if isa.Kernels() >= isa.AVX && len(re) >= 8 && len(re)&7 == 0 {
 		switch {
 		case h&3 == 0:
 			butterfliesAVX(re, im, wr, wi)

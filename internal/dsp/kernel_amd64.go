@@ -2,28 +2,7 @@
 
 package dsp
 
-// hostTier is the best kernel tier the CPU and OS support, checked once
-// at init via CPUID/XGETBV: AVX needs the CPU flag and OS support for
-// saving the YMM state (OSXSAVE + XCR0); AVX-512 needs AVX512F and OS
-// support for the opmask and ZMM state as well.
-var hostTier = detectTier()
-
-func detectTier() kernelTier {
-	switch {
-	case !cpuidHasAVX():
-		return tierGo
-	case !cpuidHasAVX512():
-		return tierAVX
-	}
-	return tierAVX512
-}
-
-// cpuidHasAVX reports whether the CPU and OS support AVX.
-func cpuidHasAVX() bool
-
-// cpuidHasAVX512 reports whether the CPU and OS support AVX512F; call it
-// only once cpuidHasAVX has reported OSXSAVE.
-func cpuidHasAVX512() bool
+import "efficsense/internal/isa"
 
 // subRows4AVX is the vector body of SubRows4; len(dst) must be a
 // positive multiple of 8 and every slice exactly that long.
@@ -61,7 +40,7 @@ func subRows4ArgMaxAVX(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, ma
 // current tier. The calls are direct, so escape analysis sees that the
 // bodies keep no pointer to y and d.
 func projectVec(pan []float64, m, n int, y, d *[4][]float64) {
-	if tier == tierAVX512 {
+	if isa.Kernels() == isa.AVX512 {
 		switch n {
 		case 1:
 			project1AVX512(pan, m, y, d)
@@ -160,3 +139,10 @@ func laneDotAVX(acc *[Lanes]float64, a, b []float64)
 
 //go:noescape
 func laneSubDotAVX(acc *[Lanes]float64, a, b []float64)
+
+// successiveApproxAVX512 is the vector body of SuccessiveApprox: eight
+// samples per ZMM register, len(dst) a positive multiple of 8, in as
+// long, len(w) ≥ 1 and u nil or len(dst)·len(w) long.
+//
+//go:noescape
+func successiveApproxAVX512(dst, in, u, w []float64, sigma, half, lsb float64)

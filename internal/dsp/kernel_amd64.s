@@ -34,53 +34,6 @@ GLOBL four<>(SB), RODATA|NOPTR, $8
 	MOVQ 72(AX), DI         \
 	MOVQ 48(AX), AX
 
-// func cpuidHasAVX() bool
-// AVX needs CPUID.1:ECX bits 27 (OSXSAVE) and 28 (AVX), plus XCR0 bits
-// 1 and 2 (the OS saves XMM and YMM state on context switch).
-TEXT ·cpuidHasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  no
-	MOVL $0, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
-// func cpuidHasAVX512() bool
-// AVX512F is CPUID.(EAX=7, ECX=0):EBX bit 16; the OS must also save the
-// opmask and ZMM state: XCR0 bits 5 (opmask), 6 (ZMM_Hi256) and 7
-// (Hi16_ZMM) on top of bits 1 and 2.
-TEXT ·cpuidHasAVX512(SB), NOSPLIT, $0-1
-	MOVL $0, AX
-	CPUID
-	CMPL AX, $7
-	JLT  no512
-	MOVL $7, AX
-	MOVL $0, CX
-	CPUID
-	BTL  $16, BX
-	JCC  no512
-	MOVL $0, CX
-	XGETBV
-	ANDL $0xe6, AX
-	CMPL AX, $0xe6
-	JNE  no512
-	MOVB $1, ret+0(FP)
-	RET
-
-no512:
-	MOVB $0, ret+0(FP)
-	RET
-
 // func subRows4AVX(dst, src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64)
 // dst[j] = (((src[j] - c0*r0[j]) - c1*r1[j]) - c2*r2[j]) - c3*r3[j],
 // 8 elements per iteration. VMULPD/VSUBPD are per-lane IEEE-754 double
@@ -1093,5 +1046,99 @@ lsdloop:
 	DECQ    CX
 	JNZ     lsdloop
 	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+DATA sarLanes<>+0(SB)/8, $0
+DATA sarLanes<>+8(SB)/8, $1
+DATA sarLanes<>+16(SB)/8, $2
+DATA sarLanes<>+24(SB)/8, $3
+DATA sarLanes<>+32(SB)/8, $4
+DATA sarLanes<>+40(SB)/8, $5
+DATA sarLanes<>+48(SB)/8, $6
+DATA sarLanes<>+56(SB)/8, $7
+GLOBL sarLanes<>(SB), RODATA|NOPTR, $64
+
+DATA sarOne<>+0(SB)/8, $1.0
+GLOBL sarOne<>(SB), RODATA|NOPTR, $8
+
+DATA sarHalf<>+0(SB)/8, $0.5
+GLOBL sarHalf<>(SB), RODATA|NOPTR, $8
+
+// func successiveApproxAVX512(dst, in, u, w []float64, sigma, half, lsb float64)
+// Eight samples per group, one per lane of Z0 (t), Z1 (acc) and Z2
+// (code). Per bit: trial = acc + w[b] (VADDPD), the comparator input
+// t + (0 + sigma·u) (VMULPD, VADDPD from +0, VADDPD; u of lane l is
+// gathered from sample l's run of len(w) draws) or t alone without
+// noise, the decision t' ≥ trial (VCMPPD GE_OQ: false for NaN, as Go's
+// >=), acc = trial and code = code·2 + 1 in the lanes that decided 1,
+// code·2 in the others. Then dst = (code + 0.5)·lsb − half.
+TEXT ·successiveApproxAVX512(SB), NOSPLIT, $0-120
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         in_base+24(FP), SI
+	MOVQ         u_base+48(FP), R8
+	MOVQ         w_base+72(FP), R9
+	MOVQ         w_len+80(FP), R10
+	VBROADCASTSD sigma+96(FP), Z10
+	VBROADCASTSD half+104(FP), Z11
+	VBROADCASTSD lsb+112(FP), Z12
+	VBROADCASTSD sarOne<>(SB), Z13
+	VBROADCASTSD sarHalf<>(SB), Z14
+	VPBROADCASTQ R10, Z15
+	VPMULUDQ     sarLanes<>(SB), Z15, Z15
+	MOVQ         R10, R11
+	SHLQ         $6, R11
+	VPXORQ       Z9, Z9, Z9
+	XORQ         AX, AX
+
+sargroup:
+	VMOVUPD (SI)(AX*8), Z0
+	VADDPD  Z11, Z0, Z0
+	VPXORQ  Z1, Z1, Z1
+	VPXORQ  Z2, Z2, Z2
+	MOVQ    R8, R12
+	XORQ    BX, BX
+	TESTQ   R8, R8
+	JZ      sarquiet
+
+sarnoisy:
+	VBROADCASTSD (R9)(BX*8), Z3
+	VADDPD       Z3, Z1, Z3
+	KXNORW       K2, K2, K2
+	VGATHERQPD   (R12)(Z15*8), K2, Z4
+	VMULPD       Z4, Z10, Z4
+	VADDPD       Z4, Z9, Z4
+	VADDPD       Z4, Z0, Z4
+	VCMPPD       $0x1d, Z3, Z4, K1
+	VMOVAPD      Z3, K1, Z1
+	VADDPD       Z2, Z2, Z2
+	VADDPD       Z13, Z2, K1, Z2
+	ADDQ         $8, R12
+	INCQ         BX
+	CMPQ         BX, R10
+	JLT          sarnoisy
+	ADDQ         R11, R8
+	JMP          sarstore
+
+sarquiet:
+	VBROADCASTSD (R9)(BX*8), Z3
+	VADDPD       Z3, Z1, Z3
+	VCMPPD       $0x1d, Z3, Z0, K1
+	VMOVAPD      Z3, K1, Z1
+	VADDPD       Z2, Z2, Z2
+	VADDPD       Z13, Z2, K1, Z2
+	INCQ         BX
+	CMPQ         BX, R10
+	JLT          sarquiet
+
+sarstore:
+	VADDPD  Z14, Z2, Z2
+	VMULPD  Z12, Z2, Z2
+	VSUBPD  Z11, Z2, Z2
+	VMOVUPD Z2, (DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JLT     sargroup
 	VZEROUPPER
 	RET

@@ -2,10 +2,9 @@
 
 package dsp
 
-// hostTier is the Go tier without the amd64 assembly kernels; the
-// wrappers in kernel.go then run their Go loops, which compute the exact
-// same per-element arithmetic.
-const hostTier = tierGo
+// The vector bodies are compiled out: isa.Host is isa.Go, so the
+// wrappers in kernel.go and lanes.go run their Go loops, which compute
+// the exact same per-element arithmetic, and never call these stubs.
 
 func subRows4AVX(dst, src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 	panic("dsp: vector kernel called without vector support")
@@ -56,5 +55,9 @@ func laneDotAVX(acc *[Lanes]float64, a, b []float64) {
 }
 
 func laneSubDotAVX(acc *[Lanes]float64, a, b []float64) {
+	panic("dsp: vector kernel called without vector support")
+}
+
+func successiveApproxAVX512(dst, in, u, w []float64, sigma, half, lsb float64) {
 	panic("dsp: vector kernel called without vector support")
 }

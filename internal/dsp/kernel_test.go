@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"efficsense/internal/isa/isatest"
 	"efficsense/internal/xrand"
 )
 
@@ -35,7 +36,7 @@ func referenceArgMax(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, excl
 // vector body and the tail, where the lowest index must win; on every
 // kernel tier.
 func TestSubRows4ArgMaxMatchesReference(t *testing.T) {
-	forEachTier(t, testSubRows4ArgMax)
+	isatest.ForEachTier(t, testSubRows4ArgMax)
 }
 
 func testSubRows4ArgMax(t *testing.T) {
@@ -116,7 +117,7 @@ func TestSubRows4ArgMaxAllExcluded(t *testing.T) {
 // formulas bit for bit at every length up to 37 (vector bodies and scalar
 // tail), including SubRows4 in place, on every kernel tier.
 func TestRowKernelsMatchScalar(t *testing.T) {
-	forEachTier(t, testRowKernels)
+	isatest.ForEachTier(t, testRowKernels)
 }
 
 func testRowKernels(t *testing.T) {
@@ -159,27 +160,6 @@ func checkBits(t *testing.T, name string, n int, got, want []float64) {
 			t.Fatalf("%s n=%d: element %d = %v, want %v", name, n, j, got[j], want[j])
 		}
 	}
-}
-
-// forEachTier runs fn as one subtest per kernel tier, widest first, with
-// the package's tier lowered to it; tiers the host lacks are skipped
-// with a message, and the tiers that ran are logged. The host's tier is
-// restored on return.
-func forEachTier(t *testing.T, fn func(t *testing.T)) {
-	t.Helper()
-	defer func() { tier = hostTier }()
-	var ran []string
-	for _, tr := range []kernelTier{tierAVX512, tierAVX, tierGo} {
-		t.Run(tierNames[tr], func(t *testing.T) {
-			if tr > hostTier {
-				t.Skipf("host lacks the %s kernels", tierNames[tr])
-			}
-			tier = tr
-			fn(t)
-			ran = append(ran, tierNames[tr])
-		})
-	}
-	t.Logf("kernel tiers run: %v", ran)
 }
 
 // specialValue returns one of the IEEE-754 edge cases Project must carry
@@ -225,7 +205,7 @@ var (
 // dictionary and vector entries. Output entries past K must stay
 // untouched.
 func TestProjectMatchesReference(t *testing.T) {
-	forEachTier(t, testProject)
+	isatest.ForEachTier(t, testProject)
 }
 
 func testProject(t *testing.T) {

@@ -13,6 +13,8 @@ package dsp
 // every tier; the avx512 tier runs the AVX bodies, four lanes filling
 // one YMM register.
 
+import "efficsense/internal/isa"
+
 // Lanes is the number of lock-step lanes a lane kernel carries.
 const Lanes = 4
 
@@ -68,7 +70,7 @@ func (f *LaneTri) SolveLower(mask uint8, x LaneVec, from, to int) {
 	}
 	l := f.data[:Lanes*((to-1)*f.stride+to)]
 	x = x[:Lanes*to]
-	if tier >= tierAVX {
+	if isa.Kernels() >= isa.AVX {
 		laneSolveLowerAVX(&laneKeep[mask], l, f.stride, x, from, to)
 		return
 	}
@@ -86,7 +88,7 @@ func (f *LaneTri) SolveUpper(mask uint8, c, z LaneVec, n int) {
 	}
 	l := f.data[:Lanes*((n-1)*f.stride+n)]
 	c, z = c[:Lanes*n], z[:Lanes*n]
-	if tier >= tierAVX {
+	if isa.Kernels() >= isa.AVX {
 		laneSolveUpperAVX(&laneKeep[mask], l, f.stride, c, z)
 		return
 	}
@@ -102,7 +104,7 @@ func LaneDot(a, b LaneVec, n int) [Lanes]float64 {
 		return acc
 	}
 	a, b = a[:Lanes*n], b[:Lanes*n]
-	if tier >= tierAVX {
+	if isa.Kernels() >= isa.AVX {
 		laneDotAVX(&acc, a, b)
 		return acc
 	}
@@ -124,7 +126,7 @@ func LaneSubDot(acc [Lanes]float64, a, b LaneVec, n int) [Lanes]float64 {
 		return acc
 	}
 	a, b = a[:Lanes*n], b[:Lanes*n]
-	if tier >= tierAVX {
+	if isa.Kernels() >= isa.AVX {
 		laneSubDotAVX(&acc, a, b)
 		return acc
 	}

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"testing"
 
+	"efficsense/internal/isa/isatest"
 	"efficsense/internal/xrand"
 )
 
@@ -164,7 +165,7 @@ func expect(v [Lanes][]float64, mask uint8, ref func(l int, v []float64)) [Lanes
 // without signed zeros, subnormals, infinities and the FPU's own NaN
 // among the factor and vector entries.
 func TestLaneKernelsMatchScalar(t *testing.T) {
-	forEachTier(t, testLaneKernels)
+	isatest.ForEachTier(t, testLaneKernels)
 }
 
 func testLaneKernels(t *testing.T) {

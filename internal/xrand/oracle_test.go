@@ -2,19 +2,23 @@ package xrand
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
 // oneOverFReference is OneOverF as it was before its loop invariants were
-// hoisted: every pole and weight recomputed per sample. It is the oracle
-// the hoisted form must match bit for bit.
-func oneOverFReference(s *Source, dst []float64, alpha float64) {
+// hoisted and its draws came in blocks: every pole and weight recomputed
+// per sample, one NormFloat64 per stage and sample from r. It is the
+// oracle OneOverF must match bit for bit.
+func oneOverFReference(r *rand.Rand, dst []float64, alpha float64) {
 	n := len(dst)
 	if n == 0 {
 		return
 	}
 	if alpha <= 0 {
-		s.FillNormal(dst, 0, 1)
+		for i := range dst {
+			dst[i] = 0 + 1*r.NormFloat64()
+		}
 		normaliseRMS(dst)
 		return
 	}
@@ -24,7 +28,7 @@ func oneOverFReference(s *Source, dst []float64, alpha float64) {
 		var v float64
 		for k := 0; k < stages; k++ {
 			a := math.Exp(-2 * math.Pi * math.Pow(0.5, float64(k)) * 0.25)
-			states[k] = a*states[k] + (1-a)*s.rng.NormFloat64()
+			states[k] = a*states[k] + (1-a)*r.NormFloat64()
 			v += states[k] * math.Pow(2, float64(k)*alpha/2) / math.Pow(2, float64(stages)*alpha/4)
 		}
 		dst[i] = v
@@ -35,11 +39,11 @@ func oneOverFReference(s *Source, dst []float64, alpha float64) {
 
 func TestOneOverFMatchesReference(t *testing.T) {
 	for _, alpha := range []float64{0, 1.1, 2} {
-		for _, n := range []int{1, 7, 4097} {
+		for _, n := range []int{1, 7, 63, 64, 65, 4097} {
 			got, want := make([]float64, n), make([]float64, n)
 			s, ref := New(42), New(42)
 			s.OneOverF(got, alpha)
-			oneOverFReference(ref, want, alpha)
+			oneOverFReference(ref.rng, want, alpha)
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("alpha %g n %d: sample %d = %v, reference %v", alpha, n, i, got[i], want[i])

@@ -5,6 +5,11 @@
 // that changing one block's consumption pattern never perturbs another
 // block's realisation — the property that makes design-space sweeps
 // comparable point to point.
+//
+// Every stream is math/rand's, bit for bit: a Source runs the generator
+// of rand.NewSource as a concrete ring (ring.go), so Gaussian draws can
+// be converted a block at a time (FillUnitNormal) while the uniform,
+// integer and permutation draws still go through rand.Rand.
 package xrand
 
 import (
@@ -13,15 +18,22 @@ import (
 	"math/rand"
 )
 
-// Source is a deterministic random stream. It wraps math/rand with the
-// distributions the simulator needs.
+// Source is a deterministic random stream: the stream of
+// rand.New(rand.NewSource(seed)), with the distributions the simulator
+// needs. Gaussian draws run on the ring directly; the other methods go
+// through a rand.Rand over the same ring, so every draw of every method
+// comes from one sequence in call order.
 type Source struct {
-	rng *rand.Rand
+	ring ring
+	rng  *rand.Rand // rand.New(&ring)
 }
 
 // New returns a Source seeded with the given value.
 func New(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed))}
+	s := new(Source)
+	s.ring.Seed(seed)
+	s.rng = rand.New(&s.ring)
+	return s
 }
 
 // Derive returns an independent child stream identified by label. Streams
@@ -52,30 +64,40 @@ func (s *Source) Float64() float64 { return s.rng.Float64() }
 func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 
 // Normal returns a Gaussian sample with the given mean and standard
-// deviation. A non-positive sigma returns mean exactly (a disabled noise
-// source draws nothing so streams stay aligned across noise settings).
+// deviation, mean + sigma·u for the next unit draw u. A non-positive
+// sigma returns mean exactly and draws nothing (a disabled noise source
+// leaves the stream where it was, so streams stay aligned across noise
+// settings); a NaN sigma draws.
 func (s *Source) Normal(mean, sigma float64) float64 {
 	if sigma <= 0 {
 		return mean
 	}
-	return mean + sigma*s.rng.NormFloat64()
+	return mean + sigma*s.ring.normal()
 }
 
-// FillUnitNormal fills dst with raw standard-normal draws, one per
-// element. Because Normal(0, sigma) is computed as 0 + sigma·NormFloat64,
-// a caller holding a bank of unit draws u can reproduce any Normal(0, s)
-// stream as s·u[i] — the trick the evaluation session uses to pay for a
-// noise stream once and replay it at every noise level of a batch.
-func (s *Source) FillUnitNormal(dst []float64) {
-	for i := range dst {
-		dst[i] = s.rng.NormFloat64()
-	}
-}
+// FillUnitNormal fills dst with standard-normal draws, one per element:
+// exactly the values, in order, of len(dst) calls to math/rand's
+// NormFloat64 on the same stream. Because Normal(0, sigma) is computed
+// as 0 + sigma·u, a caller holding a block of unit draws u reproduces
+// any run of Normal(0, s) calls as 0 + s·u[i]: the SAR and the
+// charge-sharing encoder draw their noise a block at a time this way,
+// and the evaluation session replays one noise stream at every noise
+// level of a batch.
+func (s *Source) FillUnitNormal(dst []float64) { s.ring.fillNormal(dst) }
 
-// FillNormal fills dst with independent N(mean, sigma²) samples.
+// FillNormal fills dst with independent N(mean, sigma²) samples, the
+// values of len(dst) Normal calls. A non-positive sigma fills mean and
+// draws nothing.
 func (s *Source) FillNormal(dst []float64, mean, sigma float64) {
-	for i := range dst {
-		dst[i] = s.Normal(mean, sigma)
+	if sigma <= 0 {
+		for i := range dst {
+			dst[i] = mean
+		}
+		return
+	}
+	s.FillUnitNormal(dst)
+	for i, u := range dst {
+		dst[i] = mean + sigma*u
 	}
 }
 
@@ -155,17 +177,29 @@ func (s *Source) OneOverF(dst []float64, alpha float64) {
 		weight[k] = math.Pow(2, float64(k)*alpha/2)
 	}
 	norm := math.Pow(2, float64(stages)*alpha/4)
-	for i := 0; i < n; i++ {
-		var v float64
-		for k := range stages {
-			states[k] = pole[k]*states[k] + gain[k]*s.rng.NormFloat64()
-			v += states[k] * weight[k] / norm
+	// The unit draws come a block of samples at a time, in the order the
+	// per-sample loop consumes them: sample by sample, stage by stage.
+	var units [oneOverFBlock * stages]float64
+	for lo := 0; lo < n; lo += oneOverFBlock {
+		block := dst[lo:min(lo+oneOverFBlock, n)]
+		u := units[:len(block)*stages]
+		s.FillUnitNormal(u)
+		for i := range block {
+			var v float64
+			for k, uk := range u[i*stages : (i+1)*stages] {
+				states[k] = pole[k]*states[k] + gain[k]*uk
+				v += states[k] * weight[k] / norm
+			}
+			block[i] = v
 		}
-		dst[i] = v
 	}
 	removeMean(dst)
 	normaliseRMS(dst)
 }
+
+// oneOverFBlock is the number of samples OneOverF draws units for at a
+// time.
+const oneOverFBlock = 64
 
 func removeMean(v []float64) {
 	var m float64

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -229,5 +230,45 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("invalid permutation %v", p)
 		}
 		seen[x] = true
+	}
+}
+
+// BenchmarkFillUnitNormal times Gaussian draws in blocks of 1024 through
+// FillUnitNormal, next to math/rand's NormFloat64 on the same seed; ns/op
+// is per draw.
+func BenchmarkFillUnitNormal(b *testing.B) {
+	b.Run("fill", func(b *testing.B) {
+		s, buf := New(1), make([]float64, 1024)
+		for done := 0; done < b.N; done += len(buf) {
+			s.FillUnitNormal(buf[:min(len(buf), b.N-done)])
+		}
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		r, buf := rand.New(rand.NewSource(1)), make([]float64, 1024)
+		for done := 0; done < b.N; done += len(buf) {
+			for i := range buf[:min(len(buf), b.N-done)] {
+				buf[i] = r.NormFloat64()
+			}
+		}
+	})
+}
+
+var sinkSource *Source
+
+// TestNewAllocs checks that seeding a Source allocates no more than the
+// math/rand generator it replaces did: one rand.Rand and one ring of the
+// size of math/rand's source (the seeding source is pooled).
+func TestNewAllocs(t *testing.T) {
+	seed := int64(0)
+	was := testing.AllocsPerRun(100, func() {
+		seed++
+		sinkSource = &Source{rng: rand.New(rand.NewSource(seed))}
+	})
+	now := testing.AllocsPerRun(100, func() {
+		seed++
+		sinkSource = New(seed)
+	})
+	if now > was {
+		t.Fatalf("New allocates %v times, math/rand's generator %v", now, was)
 	}
 }
