@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff chaos search-accept wal-fuzz verify fmt stress purego setup-identity
+.PHONY: build test race bench benchdiff chaos search-accept paper-accept wal-fuzz verify fmt stress purego setup-identity
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,16 @@ search-accept:
 		$(GO) test -count=1 -run 'TestSearchAcceptance' ./internal/search
 	@echo "wrote SEARCH_ACCEPT.txt"
 
+# paper-accept regenerates the canonical reproduction at full scale —
+# `efficsense all -records 120 -noise-steps 8 -seed 1 -csv F` and
+# `efficsense variants -records 120 -seed 1` — and compares it byte for
+# byte with results/all_records120.txt, results/sweep.csv and
+# results/variants_records120.txt (about 30 s). A change that moves a
+# printed figure fails here; a deliberate one regenerates those files
+# with the same commands and says so.
+paper-accept:
+	$(GO) test -count=1 -run '^TestPaperAccept$$' ./cmd/efficsense
+
 # wal-fuzz is a short fuzz smoke over the journal's record decoder: any
 # byte string must either decode to a record that re-encodes exactly or
 # fail cleanly — never panic, never accept a corrupted line. Recovery
@@ -65,7 +75,9 @@ stress:
 # (internal/xrand, internal/dsp) compiled out. The kernels promise
 # results bit-identical to their pure-Go loops; the stream, kernel, FFT,
 # Welch, DCT, SAR, encoder, OMP, block-OMP and detector reference tests
-# and the session identity tests check that promise in this build too.
+# and the chain and evaluator golden fixtures (every chain's Run digests,
+# EvaluateBatch and EvaluateSine bits) check that promise in this build
+# too.
 # It then reruns the random-stream, kernel, converter, reconstruction and
 # chain suites built for GOAMD64=v3, where the compiler could use FMA:
 # the Go loops match the kernels (and math/rand) only while it does not
@@ -93,8 +105,9 @@ fmt:
 # verify is the tier-1 gate: formatting, vet, build, the full test
 # suite under the race detector with shuffled execution order (hidden
 # inter-test dependencies fail loudly), one run of every benchmark of
-# the random-stream, kernel, converter and reconstruction packages and
-# of the warm /v1/evaluate
+# the root package (the paper's tables, figures and ablations), of the
+# random-stream, kernel, converter and reconstruction packages and of
+# the warm /v1/evaluate
 # benchmark (`go test` compiles benchmarks but never runs them, and a
 # benchmark cited as evidence must not panic), and short fuzz smokes
 # over the streaming report emitters, the search query parser, the
@@ -109,6 +122,7 @@ verify: fmt
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/xrand ./internal/dsp ./internal/adc ./internal/cs
 	$(GO) test -run '^$$' -bench '^BenchmarkEvaluateWarm$$' -benchtime 1x ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzNDJSONRow -fuzztime 10s ./internal/report

@@ -186,10 +186,12 @@ func BenchmarkBaselineChainRecord(b *testing.B) {
 	})
 	// 2150.4 Hz is the default simulation grid (4 × f_sample).
 	grid := dsp.Resample(benchRecord.Samples, benchRecord.Rate, 2150.4)
+	sess := chain.NewEvalSession(8)
+	var dst []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := c.RunGrid(grid)
-		if len(out.Samples) == 0 {
+		out := c.DigitizeSession(sess, c.AmplifySession(sess, grid), dst)
+		if dst = out.Samples; len(dst) == 0 {
 			b.Fatal("empty output")
 		}
 	}
@@ -205,10 +207,12 @@ func BenchmarkCSChainRecord(b *testing.B) {
 		M: 150,
 	})
 	grid := dsp.Resample(benchRecord.Samples, benchRecord.Rate, 2150.4)
+	sess := chain.NewEvalSession(9)
+	var dst []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := c.RunGrid(grid)
-		if len(out.Samples) == 0 {
+		out := c.FinishSession(sess, c.EncodeSession(sess, grid), dst)
+		if dst = out.Samples; len(dst) == 0 {
 			b.Fatal("empty output")
 		}
 	}
@@ -349,11 +353,12 @@ func BenchmarkAblationLeakageDroop(b *testing.B) {
 		Tech: tech.GPDK045(), Sys: tech.DefaultSystem(), Bits: 8, LNANoise: 3e-6, Seed: 13,
 	}
 	ref := chain.ReferenceGrid(common, grid)
+	sess := chain.NewEvalSession(common.Seed)
 	var snrOn, snrOff float64
 	for i := 0; i < b.N; i++ {
 		for _, leak := range []bool{false, true} {
 			c := chain.NewCS(chain.CSConfig{Common: common, M: 150, ModelLeakage: leak})
-			out := c.RunGrid(grid)
+			out := c.FinishSession(sess, c.EncodeSession(sess, grid), nil)
 			n := min(len(ref), len(out.Samples))
 			snr := dsp.SNRVersusReference(ref[:n], out.Samples[:n])
 			if leak {
@@ -407,11 +412,12 @@ func BenchmarkAblationAtomBudget(b *testing.B) {
 		Tech: tech.GPDK045(), Sys: tech.DefaultSystem(), Bits: 8, LNANoise: 3e-6, Seed: 15,
 	}
 	ref := chain.ReferenceGrid(common, grid)
+	sess := chain.NewEvalSession(common.Seed)
 	var snr8, snr64 float64
 	for i := 0; i < b.N; i++ {
 		for _, atoms := range []int{8, 64} {
 			c := chain.NewCS(chain.CSConfig{Common: common, M: 150, MaxAtoms: atoms})
-			out := c.RunGrid(grid)
+			out := c.FinishSession(sess, c.EncodeSession(sess, grid), nil)
 			n := min(len(ref), len(out.Samples))
 			snr := dsp.SNRVersusReference(ref[:n], out.Samples[:n])
 			if atoms == 8 {
@@ -457,11 +463,12 @@ func BenchmarkAblationReconMethod(b *testing.B) {
 		Tech: tech.GPDK045(), Sys: tech.DefaultSystem(), Bits: 8, LNANoise: 3e-6, Seed: 17,
 	}
 	ref := chain.ReferenceGrid(common, grid)
+	sess := chain.NewEvalSession(common.Seed)
 	snrs := map[cs.Method]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, m := range []cs.Method{cs.MethodOMP, cs.MethodBOMP, cs.MethodIHT, cs.MethodRidge} {
 			c := chain.NewCS(chain.CSConfig{Common: common, M: 150, ReconMethod: m})
-			out := c.RunGrid(grid)
+			out := c.FinishSession(sess, c.EncodeSession(sess, grid), nil)
 			n := min(len(ref), len(out.Samples))
 			snrs[m] = dsp.SNRVersusReference(ref[:n], out.Samples[:n])
 		}
@@ -481,11 +488,12 @@ func BenchmarkAblationHoldCap(b *testing.B) {
 		Tech: tech.GPDK045(), Sys: tech.DefaultSystem(), Bits: 8, LNANoise: 3e-6, Seed: 18,
 	}
 	ref := chain.ReferenceGrid(common, grid)
+	sess := chain.NewEvalSession(common.Seed)
 	var snrSmall, snrLarge float64
 	for i := 0; i < b.N; i++ {
 		for _, ch := range []float64{10e-15, 320e-15} {
 			c := chain.NewCS(chain.CSConfig{Common: common, M: 150, CHold: ch})
-			out := c.RunGrid(grid)
+			out := c.FinishSession(sess, c.EncodeSession(sess, grid), nil)
 			n := min(len(ref), len(out.Samples))
 			snr := dsp.SNRVersusReference(ref[:n], out.Samples[:n])
 			if ch < 100e-15 {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,12 +21,17 @@ func captureStdout(t *testing.T, f func() error) (string, error) {
 	}
 	os.Stdout = w
 	defer func() { os.Stdout = old }()
+	// Drain while f writes, so output beyond the pipe buffer cannot block.
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
 	errRun := f()
 	w.Close()
-	buf := make([]byte, 1<<20)
-	n, _ := r.Read(buf)
+	b := <-out
 	r.Close()
-	return string(buf[:n]), errRun
+	return string(b), errRun
 }
 
 func TestCmdTables(t *testing.T) {

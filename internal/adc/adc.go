@@ -46,10 +46,13 @@ type Config struct {
 	Seed int64
 }
 
-// New builds a SAR ADC. It panics on a non-positive resolution or range
-// (programming errors, not data errors).
+// MaxBits is the finest resolution the SAR model converts at.
+const MaxBits = 24
+
+// New builds a SAR ADC. It panics on a resolution outside [1, MaxBits] or
+// a non-positive range (programming errors, not data errors).
 func New(cfg Config) *SAR {
-	if cfg.Bits < 1 || cfg.Bits > 24 {
+	if cfg.Bits < 1 || cfg.Bits > MaxBits {
 		panic("adc: Bits must be in [1, 24]")
 	}
 	if cfg.VFS <= 0 {

@@ -66,6 +66,52 @@ func (c Common) GridRate() float64 {
 	return float64(c.SimOversample) * c.Sys.FSample()
 }
 
+// lnaGain is the gain that maps InputPeak to Headroom of the ADC's half
+// range.
+func (c Common) lnaGain() float64 {
+	return c.Headroom * (c.Sys.VFS / 2) / c.InputPeak
+}
+
+// newLNA is every chain's amplifier: the given gain, the swept noise
+// floor over the system LNA bandwidth, 0.1 % HD3 at full scale and
+// clipping at the ADC rails.
+func newLNA(cfg Common, gain float64) *blocks.LNA {
+	return &blocks.LNA{
+		Gain:         gain,
+		NoiseRMS:     cfg.LNANoise,
+		Bandwidth:    cfg.Sys.LNABandwidth(),
+		HD3FullScale: 0.001,
+		ClipLevel:    cfg.Sys.VFS / 2,
+	}
+}
+
+// newSAR is every chain's N-bit converter over a full scale of vfs, with
+// the technology's unit-capacitor mismatch and ComparatorNoiseLSB of its
+// LSB as comparator noise.
+func newSAR(cfg Common, vfs float64) *adc.SAR {
+	lsb := vfs / math.Pow(2, float64(cfg.Bits))
+	return adc.New(adc.Config{
+		Bits:            cfg.Bits,
+		VFS:             vfs,
+		UnitCap:         cfg.Tech.CUnitMin,
+		MismatchCoeff:   cfg.Tech.MismatchSigma(cfg.Tech.CUnitMin),
+		ComparatorNoise: cfg.ComparatorNoiseLSB * lsb,
+		Seed:            cfg.Seed,
+	})
+}
+
+// busiestRow returns the largest number of shares any measurement row of
+// phi receives per frame.
+func busiestRow(phi *cs.SRBM) int {
+	n := 0
+	for _, k := range phi.RowCounts() {
+		if k > n {
+			n = k
+		}
+	}
+	return n
+}
+
 // Output is a processed waveform with its rate and the coupled
 // power/area estimate of the producing chain.
 type Output struct {
@@ -90,30 +136,27 @@ type Baseline struct {
 	sampleCap float64
 	sar       *adc.SAR
 	lna       *blocks.LNA
+	sh        *blocks.SampleHold
 }
 
 // NewBaseline builds the classical chain for the given configuration.
-func NewBaseline(cfg Common) *Baseline {
-	cfg = cfg.withDefaults()
-	gain := cfg.Headroom * (cfg.Sys.VFS / 2) / cfg.InputPeak
+func NewBaseline(cfg Common) *Baseline { return newBaseline(cfg.withDefaults()) }
+
+// newBaseline is NewBaseline for a configuration with its defaults
+// applied (withDefaults is not idempotent for ComparatorNoiseLSB < 0).
+func newBaseline(cfg Common) *Baseline {
+	gain := cfg.lnaGain()
 	sampleCap := power.MinSampleCap(cfg.Tech, cfg.Sys, cfg.Bits)
-	lsb := cfg.Sys.VFS / math.Pow(2, float64(cfg.Bits))
-	sar := adc.New(adc.Config{
-		Bits:            cfg.Bits,
-		VFS:             cfg.Sys.VFS,
-		UnitCap:         cfg.Tech.CUnitMin,
-		MismatchCoeff:   cfg.Tech.MismatchSigma(cfg.Tech.CUnitMin),
-		ComparatorNoise: cfg.ComparatorNoiseLSB * lsb,
-		Seed:            cfg.Seed,
-	})
-	lna := &blocks.LNA{
-		Gain:         gain,
-		NoiseRMS:     cfg.LNANoise,
-		Bandwidth:    cfg.Sys.LNABandwidth(),
-		HD3FullScale: 0.001,
-		ClipLevel:    cfg.Sys.VFS / 2,
+	return &Baseline{
+		cfg: cfg, gain: gain, sampleCap: sampleCap,
+		sar: newSAR(cfg, cfg.Sys.VFS),
+		lna: newLNA(cfg, gain),
+		sh: &blocks.SampleHold{
+			Decimation:  cfg.SimOversample,
+			Cap:         sampleCap,
+			Temperature: cfg.Tech.Temperature,
+		},
 	}
-	return &Baseline{cfg: cfg, gain: gain, sampleCap: sampleCap, sar: sar, lna: lna}
 }
 
 // Gain returns the LNA gain chosen for this chain.
@@ -122,30 +165,7 @@ func (b *Baseline) Gain() float64 { return b.gain }
 // Run processes an electrode-scale waveform sampled at inputRate and
 // returns the digitised output at f_sample.
 func (b *Baseline) Run(input []float64, inputRate float64) Output {
-	return b.RunGrid(dsp.Resample(input, inputRate, b.cfg.GridRate()))
-}
-
-// RunGrid is Run for an input already on the simulation grid (GridRate),
-// the fast path for sweeps that evaluate many design points on the same
-// records.
-func (b *Baseline) RunGrid(grid []float64) Output {
-	cfg := b.cfg
-	ctx := blocks.NewContext(cfg.GridRate(), cfg.Seed)
-	amplified := b.lna.Process(ctx, grid)
-	sh := &blocks.SampleHold{
-		Decimation:  cfg.SimOversample,
-		Cap:         b.sampleCap,
-		Temperature: cfg.Tech.Temperature,
-	}
-	held := sh.Sample(ctx, amplified)
-	digital := b.sar.Convert(held)
-	return Output{
-		Samples:  digital,
-		Rate:     cfg.Sys.FSample(),
-		Gain:     b.gain,
-		Power:    b.PowerBreakdown(dsp.RMS(digital), dsp.Mean(digital)),
-		AreaCaps: b.Area(),
-	}
+	return runOnce(b.cfg, input, inputRate, b.AmplifySession, b.DigitizeSession)
 }
 
 // PowerBreakdown evaluates the Table II models for this configuration.
@@ -232,14 +252,12 @@ func (c CSConfig) withDefaults() CSConfig {
 
 // CSChain is the compressive-sensing chain of Fig 1b.
 type CSChain struct {
-	cfg     CSConfig
-	gain    float64
-	vfsCS   float64 // scaled measurement-converter reference
-	csample float64
-	enc     *cs.Encoder
-	rec     *cs.MethodReconstructor
-	sar     *adc.SAR
-	lna     *blocks.LNA
+	cfg  CSConfig
+	gain float64
+	enc  *cs.Encoder
+	rec  *cs.MethodReconstructor
+	sar  *adc.SAR
+	lna  *blocks.LNA
 }
 
 // NewCS builds the compressive-sensing chain. It panics if M is not set.
@@ -258,9 +276,8 @@ func NewCS(cfg CSConfig) *CSChain {
 	// factorisation — are shared through a geometry-keyed cache, so a sweep
 	// pays for them once per geometry rather than once per point.
 	plan := planForCS(cfg, csample)
-	phi := plan.phi
 	enc := cs.NewEncoder(cs.EncoderConfig{
-		Phi:                 phi,
+		Phi:                 plan.phi,
 		CSample:             csample,
 		CHold:               cfg.CHold,
 		MismatchSigmaSample: cfg.Tech.MismatchSigma(csample),
@@ -281,27 +298,11 @@ func NewCS(cfg CSConfig) *CSChain {
 	if dcGain < 1e-6 {
 		dcGain = 1e-6
 	}
-	gain := cfg.Headroom * (cfg.Sys.VFS / 2) / cfg.InputPeak
-	vfsCS := cfg.Sys.VFS * dcGain
-	lsb := vfsCS / math.Pow(2, float64(cfg.Bits))
-	sar := adc.New(adc.Config{
-		Bits:            cfg.Bits,
-		VFS:             vfsCS,
-		UnitCap:         cfg.Tech.CUnitMin,
-		MismatchCoeff:   cfg.Tech.MismatchSigma(cfg.Tech.CUnitMin),
-		ComparatorNoise: cfg.ComparatorNoiseLSB * lsb,
-		Seed:            cfg.Seed,
-	})
-	lna := &blocks.LNA{
-		Gain:         gain,
-		NoiseRMS:     cfg.LNANoise,
-		Bandwidth:    cfg.Sys.LNABandwidth(),
-		HD3FullScale: 0.001,
-		ClipLevel:    cfg.Sys.VFS / 2,
-	}
+	gain := cfg.lnaGain()
 	return &CSChain{
-		cfg: cfg, gain: gain, vfsCS: vfsCS, csample: csample,
-		enc: enc, rec: plan.rec, sar: sar, lna: lna,
+		cfg: cfg, gain: gain, enc: enc, rec: plan.rec,
+		sar: newSAR(cfg.Common, cfg.Sys.VFS*dcGain),
+		lna: newLNA(cfg.Common, gain),
 	}
 }
 
@@ -322,64 +323,52 @@ func (c *CSChain) MeasurementRate() float64 {
 // output at f_sample (whole frames only; a trailing partial frame is
 // dropped).
 func (c *CSChain) Run(input []float64, inputRate float64) Output {
-	return c.RunGrid(dsp.Resample(input, inputRate, c.cfg.GridRate()))
+	return runOnce(c.cfg.Common, input, inputRate, c.EncodeSession, c.FinishSession)
 }
 
-// RunGrid is Run for an input already on the simulation grid.
-func (c *CSChain) RunGrid(grid []float64) Output {
-	cfg := c.cfg
-	ctx := blocks.NewContext(cfg.GridRate(), cfg.Seed)
-	amplified := c.lna.Process(ctx, grid)
-	// The encoder's sampling capacitors take the samples directly; its
-	// own kT/C model injects the sampling noise, so the decimation here
-	// is ideal.
-	sampled := dsp.Decimate(amplified, cfg.SimOversample)
-	y := c.enc.Encode(sampled)
-	yq := c.sar.Convert(y)
-	recon := c.rec.Reconstruct(yq)
-	return Output{
-		Samples:  recon,
-		Rate:     cfg.Sys.FSample(),
-		Gain:     c.gain,
-		Power:    c.PowerBreakdown(dsp.RMS(yq), dsp.Mean(yq)),
-		AreaCaps: c.Area(),
-	}
-}
-
-// PowerBreakdown evaluates the Table II models for the CS configuration.
-// The ADC runs at the measurement rate f_sample·M/N_Φ; the CS encoder
-// logic runs at the input-side clock.
+// PowerBreakdown evaluates the Table II models for the CS configuration:
+// the encoder is the LNA's load (paper §III).
 func (c *CSChain) PowerBreakdown(vinRMS, vinMean float64) power.Breakdown {
-	cfg := c.cfg
-	fsCS := c.MeasurementRate()
-	fclkCS := float64(cfg.Bits+1) * fsCS
-	fclkIn := cfg.Sys.FClk(cfg.Bits)
+	return c.cfg.analogPower(c.gain, c.cfg.CHold, vinRMS, vinMean)
+}
+
+// analogPower is the breakdown both analog CS chains share: the LNA
+// driving lnaLoad, the ADC and transmitter at the measurement rate
+// f_sample·M/N_Φ, the CS encoder logic at the input-side clock and the
+// switch leakage.
+func (c CSConfig) analogPower(gain, lnaLoad, vinRMS, vinMean float64) power.Breakdown {
+	fsCS := c.Sys.FSample() * float64(c.M) / float64(c.NPhi)
+	fclkCS := float64(c.Bits+1) * fsCS
+	fclkIn := c.Sys.FClk(c.Bits)
 	lnaP := power.LNAParams{
-		GBW:       c.gain * cfg.Sys.LNABandwidth(),
-		CLoad:     cfg.CHold, // the encoder is the LNA's load (paper §III)
-		NoiseRMS:  cfg.LNANoise,
-		Bandwidth: cfg.Sys.LNABandwidth(),
-		FClk:      cfg.Sys.FSample(),
+		GBW:       gain * c.Sys.LNABandwidth(),
+		CLoad:     lnaLoad,
+		NoiseRMS:  c.LNANoise,
+		Bandwidth: c.Sys.LNABandwidth(),
+		FClk:      c.Sys.FSample(),
 	}
-	switches := 4*(cfg.M+cfg.Sparsity) + (2 << cfg.Bits)
+	switches := 4*(c.M+c.Sparsity) + (2 << c.Bits)
 	return power.Breakdown{
-		power.CompLNA:         power.LNA(cfg.Tech, cfg.Sys, lnaP),
-		power.CompComparator:  power.Comparator(cfg.Tech, cfg.Sys, cfg.Bits, fclkCS, fsCS, 0),
-		power.CompSARLogic:    power.SARLogic(cfg.Tech, cfg.Sys, cfg.Bits, fclkCS, fsCS),
-		power.CompDAC:         power.DAC(cfg.Sys, cfg.Bits, fclkCS, cfg.Tech.CUnitMin, vinRMS, vinMean),
-		power.CompTransmitter: power.Transmitter(cfg.Tech, cfg.Bits, fclkCS),
-		power.CompCSEncoder:   power.CSEncoderLogic(cfg.Tech, cfg.Sys, cfg.NPhi, fclkIn),
-		power.CompLeakage:     power.Leakage(cfg.Tech, cfg.Sys, switches),
+		power.CompLNA:         power.LNA(c.Tech, c.Sys, lnaP),
+		power.CompComparator:  power.Comparator(c.Tech, c.Sys, c.Bits, fclkCS, fsCS, 0),
+		power.CompSARLogic:    power.SARLogic(c.Tech, c.Sys, c.Bits, fclkCS, fsCS),
+		power.CompDAC:         power.DAC(c.Sys, c.Bits, fclkCS, c.Tech.CUnitMin, vinRMS, vinMean),
+		power.CompTransmitter: power.Transmitter(c.Tech, c.Bits, fclkCS),
+		power.CompCSEncoder:   power.CSEncoderLogic(c.Tech, c.Sys, c.NPhi, fclkIn),
+		power.CompLeakage:     power.Leakage(c.Tech, c.Sys, switches),
 	}
 }
 
 // Area returns the design capacitance in C_u,min multiples: the encoder
 // array plus the ADC.
-func (c *CSChain) Area() float64 {
-	cfg := c.cfg
-	total := power.CSEncoderCapacitance(cfg.Sparsity, cfg.M, c.csample, cfg.CHold) +
-		power.ADCCapacitance(cfg.Bits, cfg.Tech.CUnitMin, 0)
-	return power.CapCount(cfg.Tech, total)
+func (c *CSChain) Area() float64 { return c.cfg.analogArea() }
+
+// analogArea is the capacitance of both analog CS chains in C_u,min
+// multiples: the S sampling and M hold capacitors plus the ADC.
+func (c CSConfig) analogArea() float64 {
+	total := power.CSEncoderCapacitance(c.Sparsity, c.M, c.CHold/c.CRatio, c.CHold) +
+		power.ADCCapacitance(c.Bits, c.Tech.CUnitMin, 0)
+	return power.CapCount(c.Tech, total)
 }
 
 // Reference returns the band-limited ideal acquisition of the input at

@@ -4,39 +4,45 @@ import (
 	"math"
 	"sync"
 
+	"efficsense/internal/adc"
 	"efficsense/internal/blocks"
 	"efficsense/internal/cs"
 	"efficsense/internal/dsp"
 	"efficsense/internal/xrand"
 )
 
-// EvalSession is the reusable per-worker state of the batch evaluation
-// path: the replayed noise banks plus every intermediate waveform buffer
-// a chain run needs. One session serves any number of chain runs built
-// from the same seed; buffers grow to the largest record seen and are
-// then reused, so the steady state allocates nothing.
+// EvalSession is the reusable per-worker state of a chain run: the
+// replayed noise banks plus every intermediate waveform buffer a chain
+// run needs. One session serves any number of chain runs built from the
+// same seed; buffers grow to the largest record seen and are then reused,
+// so the steady state allocates nothing. Every chain runs in two halves
+// on a session: a front half (AmplifySession or EncodeSession) that does
+// not depend on the ADC resolution, and a back half (DigitizeSession or
+// FinishSession) that finishes one design point from it. Run is one
+// record through both halves on a fresh session; batch evaluation runs a
+// group's front half once per record and every member's back half on it.
 //
-// Bit-identity with the classic RunGrid path rests on two facts. First,
-// every chain run starts a fresh noise context from the same seed, so the
-// derived "lna-noise" and "sh-noise" streams are the same sequence for
-// every record and every design point — the session materialises each
-// sequence once as a bank of unit normals and replays it as sigma·u[i]
-// (exactly how xrand.Source.Normal scales its draws). Second, the
-// stateful streams (encoder kT/C, SAR comparator) live in the per-point
-// block instances, which consume them through the same ...Into methods in
-// the same record order as the classic path.
+// Replaying the banks reproduces the block models (blocks.LNA.Process,
+// blocks.SampleHold.Sample on a fresh blocks.NewContext) bit for bit, for
+// two reasons. First, every chain run starts a fresh noise context from
+// the same seed, so the derived "lna-noise" and "sh-noise" streams are
+// the same sequence for every record and every design point — the
+// session materialises each sequence once as a bank of unit normals and
+// replays it as sigma·u[i] (exactly how xrand.Source.Normal scales its
+// draws). Second, the stateful streams (encoder noise, SAR comparator)
+// live in the per-point block instances, which consume them in record
+// order.
 //
 // A session is not safe for concurrent use; pool one per worker.
 type EvalSession struct {
-	seed   int64
 	lnaSrc *xrand.Source // positioned after len(lnaUnit) draws
 	shSrc  *xrand.Source
 	lnaU   []float64 // unit-normal bank of the "lna-noise" stream
 	shU    []float64 // unit-normal bank of the "sh-noise" stream
 
 	amp []float64 // amplified waveform (grid rate)
-	dec []float64 // decimated waveform (f_sample)
-	y   []float64 // encoder measurements
+	dec []float64 // decimated or digitised waveform (f_sample)
+	y   []float64 // measurements
 	yq  []float64 // quantised measurements
 	rs  cs.ReconScratch
 }
@@ -48,14 +54,10 @@ func NewEvalSession(seed int64) *EvalSession {
 	// draw) and the sample & hold derives "sh-noise" second.
 	root := xrand.New(seed)
 	return &EvalSession{
-		seed:   seed,
 		lnaSrc: root.Derive("lna-noise"),
 		shSrc:  root.Derive("sh-noise"),
 	}
 }
-
-// Seed returns the seed the session's noise banks replay.
-func (s *EvalSession) Seed() int64 { return s.seed }
 
 // lnaUnits returns the first n draws of the "lna-noise" unit bank,
 // extending it lazily from the retained source.
@@ -89,13 +91,9 @@ func growFloats(v []float64, n int) []float64 {
 // writing into the session's amplifier buffer. The arithmetic — noise
 // sigma, per-sample sum, one-pole lowpass, cubic HD3 and clipping — is
 // the same expression sequence as Process, so the output is bit-identical
-// to a fresh-context run at the session seed.
+// to a fresh-context run at the session seed. It has no flicker path:
+// newLNA builds every chain's amplifier without one.
 func (s *EvalSession) lnaProcess(l *blocks.LNA, rate float64, in []float64) []float64 {
-	if l.FlickerCorner > 0 {
-		// The flicker path consumes the noise stream differently; take the
-		// classic path with a fresh context (identical by construction).
-		return l.Process(blocks.NewContext(rate, s.seed), in)
-	}
 	out := growFloats(s.amp, len(in))
 	s.amp = out
 	var sigma float64
@@ -138,6 +136,54 @@ func (s *EvalSession) lnaProcess(l *blocks.LNA, rate float64, in []float64) []fl
 	return out
 }
 
+// sampleHold replays blocks.SampleHold.Sample against the session's
+// "sh-noise" bank, writing the held samples into dst (grown as needed).
+func (s *EvalSession) sampleHold(sh *blocks.SampleHold, in, dst []float64) []float64 {
+	temp := sh.Temperature
+	if temp <= 0 {
+		temp = 300
+	}
+	var sigma float64
+	if sh.Cap > 0 {
+		sigma = math.Sqrt(1.380649e-23 * temp / sh.Cap)
+	}
+	d := sh.Decimation
+	dst = growFloats(dst, (len(in)+d-1)/d)
+	if sigma > 0 {
+		u := s.shUnits(len(dst))
+		for j := range dst {
+			dst[j] = in[j*d] + 0 + sigma*u[j]
+		}
+	} else {
+		for j := range dst {
+			dst[j] = in[j*d] + 0
+		}
+	}
+	return dst
+}
+
+// decimate keeps every d-th sample of in, in the session's decimation
+// buffer. The CS encoders' sampling capacitors take the samples
+// directly and their own models inject the sampling noise, so the
+// decimation is ideal.
+func (s *EvalSession) decimate(in []float64, d int) []float64 {
+	s.dec = growFloats(s.dec, (len(in)+d-1)/d)
+	for j := range s.dec {
+		s.dec[j] = in[j*d]
+	}
+	return s.dec
+}
+
+// runOnce is a chain's public Run: the input resampled onto the
+// simulation grid, then both halves on a fresh session, the output in
+// newly allocated storage.
+func runOnce(cfg Common, input []float64, inputRate float64,
+	front func(*EvalSession, []float64) []float64,
+	back func(s *EvalSession, front, dst []float64) Output) Output {
+	s := NewEvalSession(cfg.Seed)
+	return back(s, front(s, dsp.Resample(input, inputRate, cfg.GridRate())), nil)
+}
+
 // AmplifySession runs the baseline LNA over one grid record. The returned
 // slice is session scratch, valid until the next Amplify/Encode call — it
 // is shared across every design point of a batch group whose LNA settings
@@ -146,52 +192,27 @@ func (b *Baseline) AmplifySession(s *EvalSession, grid []float64) []float64 {
 	return s.lnaProcess(b.lna, b.cfg.GridRate(), grid)
 }
 
+// digitize runs the sample & hold (with the session's replayed kT/C
+// bank) and this chain's stateful SAR over an amplified waveform, into
+// dst.
+func (b *Baseline) digitize(s *EvalSession, amplified, dst []float64) []float64 {
+	dst = s.sampleHold(b.sh, amplified, dst)
+	return b.sar.ConvertInto(dst, dst)
+}
+
 // DigitizeSession finishes a baseline run from an amplified waveform:
-// sample & hold with the session's replayed kT/C noise bank, then SAR
-// conversion through this chain's stateful converter. dst receives the
-// digital output (grown as needed, fully overwritten) and is returned
-// inside the Output, so the caller owns the waveform storage.
+// sample & hold and SAR conversion. dst receives the digital output
+// (grown as needed, fully overwritten) and is returned inside the
+// Output, so the caller owns the waveform storage.
 func (b *Baseline) DigitizeSession(s *EvalSession, amplified, dst []float64) Output {
-	cfg := b.cfg
-	temp := cfg.Tech.Temperature
-	if temp <= 0 {
-		temp = 300
-	}
-	var sigma float64
-	if b.sampleCap > 0 {
-		sigma = math.Sqrt(1.380649e-23 * temp / b.sampleCap)
-	}
-	d := cfg.SimOversample
-	n := (len(amplified) + d - 1) / d
-	dst = growFloats(dst, n)
-	if sigma > 0 {
-		u := s.shUnits(n)
-		j := 0
-		for i := 0; i < len(amplified); i += d {
-			dst[j] = amplified[i] + 0 + sigma*u[j]
-			j++
-		}
-	} else {
-		j := 0
-		for i := 0; i < len(amplified); i += d {
-			dst[j] = amplified[i] + 0
-			j++
-		}
-	}
-	dst = b.sar.ConvertInto(dst, dst)
+	dst = b.digitize(s, amplified, dst)
 	return Output{
 		Samples:  dst,
-		Rate:     cfg.Sys.FSample(),
+		Rate:     b.cfg.Sys.FSample(),
 		Gain:     b.gain,
 		Power:    b.PowerBreakdown(dsp.RMS(dst), dsp.Mean(dst)),
 		AreaCaps: b.Area(),
 	}
-}
-
-// RunGridSession is RunGrid through the session path: identical results,
-// no per-run allocation beyond dst growth.
-func (b *Baseline) RunGridSession(s *EvalSession, grid, dst []float64) Output {
-	return b.DigitizeSession(s, b.AmplifySession(s, grid), dst)
 }
 
 // EncodeSession runs the CS front half — LNA, ideal decimation, the
@@ -202,16 +223,15 @@ func (b *Baseline) RunGridSession(s *EvalSession, grid, dst []float64) Output {
 // differs only in ADC resolution.
 func (c *CSChain) EncodeSession(s *EvalSession, grid []float64) []float64 {
 	amplified := s.lnaProcess(c.lna, c.cfg.GridRate(), grid)
-	d := c.cfg.SimOversample
-	n := (len(amplified) + d - 1) / d
-	s.dec = growFloats(s.dec, n)
-	j := 0
-	for i := 0; i < len(amplified); i += d {
-		s.dec[j] = amplified[i]
-		j++
-	}
-	s.y = c.enc.EncodeInto(s.y, s.dec)
+	s.y = c.enc.EncodeInto(s.y, s.decimate(amplified, c.cfg.SimOversample))
 	return s.y
+}
+
+// finish quantises measurements y through sar into the session's buffer
+// and reconstructs the frames from them into dst.
+func (s *EvalSession) finish(sar *adc.SAR, rec *cs.MethodReconstructor, y, dst []float64) (recon, yq []float64) {
+	s.yq = sar.ConvertInto(s.yq, y)
+	return rec.ReconstructInto(dst, s.yq, &s.rs), s.yq
 }
 
 // FinishSession completes a CS run from a measurement vector: SAR
@@ -219,22 +239,14 @@ func (c *CSChain) EncodeSession(s *EvalSession, grid []float64) []float64 {
 // reconstruction. dst receives the reconstructed waveform (grown as
 // needed, fully overwritten) and is returned inside the Output.
 func (c *CSChain) FinishSession(s *EvalSession, y, dst []float64) Output {
-	cfg := c.cfg
-	s.yq = c.sar.ConvertInto(s.yq, y)
-	yq := s.yq
+	recon, yq := s.finish(c.sar, c.rec, y, dst)
 	return Output{
-		Samples:  c.rec.ReconstructInto(dst, yq, &s.rs),
-		Rate:     cfg.Sys.FSample(),
+		Samples:  recon,
+		Rate:     c.cfg.Sys.FSample(),
 		Gain:     c.gain,
 		Power:    c.PowerBreakdown(dsp.RMS(yq), dsp.Mean(yq)),
 		AreaCaps: c.Area(),
 	}
-}
-
-// RunGridSession is RunGrid through the session path: identical results,
-// no per-run allocation beyond dst growth.
-func (c *CSChain) RunGridSession(s *EvalSession, grid, dst []float64) Output {
-	return c.FinishSession(s, c.EncodeSession(s, grid), dst)
 }
 
 // csPlanKey identifies everything the expensive, design-point-independent
@@ -289,19 +301,13 @@ func planForCS(cfg CSConfig, csample float64) *csPlan {
 	// concurrent duplicate builds of the same key are harmless (both
 	// produce identical read-only plans; one wins the map slot).
 	phi := cs.GenerateSRBM(cfg.M, cfg.NPhi, cfg.Sparsity, cfg.Seed)
-	maxCount := 0
-	for _, k := range phi.RowCounts() {
-		if k > maxCount {
-			maxCount = k
-		}
-	}
 	a := cs.NominalEffectiveMatrix(phi, csample, cfg.CHold)
 	rec := cs.NewMethodReconstructor(a, cfg.NPhi, cs.ReconOptions{
 		Method:   cfg.ReconMethod,
 		MaxAtoms: cfg.MaxAtoms,
 		Tol:      1e-4,
 	})
-	p := &csPlan{phi: phi, rec: rec, maxCount: maxCount}
+	p := &csPlan{phi: phi, rec: rec, maxCount: busiestRow(phi)}
 	csPlanMu.Lock()
 	if prior, ok := csPlans[key]; ok {
 		csPlanMu.Unlock()

@@ -20,16 +20,13 @@ import (
 // the full Nyquist rate → digital y = Φ·x → reduced-rate transmitter. It
 // saves transmission energy like the analog CS chain but pays the full
 // ADC/S&H power and a MAC unit — the trade the paper's Table I literature
-// ([2], [12]) analyses.
+// ([2], [12]) analyses. Up to the compressor it is the Fig 1a chain.
 type DigitalCS struct {
-	cfg       CSConfig
-	gain      float64
-	sampleCap float64
-	phi       *cs.SRBM
-	sar       *adc.SAR
-	lna       *blocks.LNA
-	rec       *cs.MethodReconstructor
-	accBits   int
+	base    *Baseline
+	cfg     CSConfig
+	phi     *cs.SRBM
+	rec     *cs.MethodReconstructor
+	accBits int
 }
 
 // NewDigitalCS builds the digital CS chain. It panics if M is not set.
@@ -38,72 +35,43 @@ func NewDigitalCS(cfg CSConfig) *DigitalCS {
 	if cfg.M <= 0 || cfg.M > cfg.NPhi {
 		panic("chain: digital CS requires 0 < M <= NPhi")
 	}
-	gain := cfg.Headroom * (cfg.Sys.VFS / 2) / cfg.InputPeak
-	sampleCap := power.MinSampleCap(cfg.Tech, cfg.Sys, cfg.Bits)
-	lsb := cfg.Sys.VFS / math.Pow(2, float64(cfg.Bits))
 	phi := cs.GenerateSRBM(cfg.M, cfg.NPhi, cfg.Sparsity, cfg.Seed)
-	maxCount := 0
-	for _, k := range phi.RowCounts() {
-		if k > maxCount {
-			maxCount = k
-		}
-	}
-	d := &DigitalCS{
-		cfg:       cfg,
-		gain:      gain,
-		sampleCap: sampleCap,
-		phi:       phi,
-		accBits:   power.AccumulatorBits(cfg.Bits, maxCount),
-		sar: adc.New(adc.Config{
-			Bits:            cfg.Bits,
-			VFS:             cfg.Sys.VFS,
-			UnitCap:         cfg.Tech.CUnitMin,
-			MismatchCoeff:   cfg.Tech.MismatchSigma(cfg.Tech.CUnitMin),
-			ComparatorNoise: cfg.ComparatorNoiseLSB * lsb,
-			Seed:            cfg.Seed,
+	return &DigitalCS{
+		base:    newBaseline(cfg.Common),
+		cfg:     cfg,
+		phi:     phi,
+		accBits: power.AccumulatorBits(cfg.Bits, busiestRow(phi)),
+		rec: cs.NewMethodReconstructor(phi.Dense(), cfg.NPhi, cs.ReconOptions{
+			Method: cs.MethodOMP, MaxAtoms: cfg.MaxAtoms, Tol: 1e-4,
 		}),
-		lna: &blocks.LNA{
-			Gain:         gain,
-			NoiseRMS:     cfg.LNANoise,
-			Bandwidth:    cfg.Sys.LNABandwidth(),
-			HD3FullScale: 0.001,
-			ClipLevel:    cfg.Sys.VFS / 2,
-		},
 	}
-	d.rec = cs.NewMethodReconstructor(phi.Dense(), cfg.NPhi, cs.ReconOptions{
-		Method: cs.MethodOMP, MaxAtoms: cfg.MaxAtoms, Tol: 1e-4,
-	})
-	return d
 }
 
 // Gain returns the LNA gain.
-func (d *DigitalCS) Gain() float64 { return d.gain }
+func (d *DigitalCS) Gain() float64 { return d.base.gain }
 
 // Run processes an electrode-scale waveform.
 func (d *DigitalCS) Run(input []float64, inputRate float64) Output {
-	return d.RunGrid(dsp.Resample(input, inputRate, d.cfg.GridRate()))
+	return runOnce(d.cfg.Common, input, inputRate, d.AmplifySession, d.DigitizeSession)
 }
 
-// RunGrid is Run for a grid-rate input.
-func (d *DigitalCS) RunGrid(grid []float64) Output {
-	cfg := d.cfg
-	ctx := blocks.NewContext(cfg.GridRate(), cfg.Seed)
-	amplified := d.lna.Process(ctx, grid)
-	sh := &blocks.SampleHold{
-		Decimation:  cfg.SimOversample,
-		Cap:         d.sampleCap,
-		Temperature: cfg.Tech.Temperature,
-	}
-	held := sh.Sample(ctx, amplified)
-	digital := d.sar.Convert(held)
-	// Exact digital compression; the MAC has no analog imperfections.
-	y := cs.DigitalEncode(d.phi, digital)
-	recon := d.rec.Reconstruct(y)
+// AmplifySession runs the LNA over one grid record, as
+// Baseline.AmplifySession does.
+func (d *DigitalCS) AmplifySession(s *EvalSession, grid []float64) []float64 {
+	return d.base.AmplifySession(s, grid)
+}
+
+// DigitizeSession finishes a digital-CS run from an amplified waveform:
+// the baseline's sample & hold and SAR, the exact digital compression
+// (the MAC has no analog imperfections) and reconstruction into dst.
+func (d *DigitalCS) DigitizeSession(s *EvalSession, amplified, dst []float64) Output {
+	s.dec = d.base.digitize(s, amplified, s.dec)
+	s.y = cs.DigitalEncodeInto(s.y, d.phi, s.dec)
 	return Output{
-		Samples:  recon,
-		Rate:     cfg.Sys.FSample(),
-		Gain:     d.gain,
-		Power:    d.PowerBreakdown(dsp.RMS(digital), dsp.Mean(digital)),
+		Samples:  d.rec.ReconstructInto(dst, s.y, &s.rs),
+		Rate:     d.cfg.Sys.FSample(),
+		Gain:     d.base.gain,
+		Power:    d.PowerBreakdown(dsp.RMS(s.dec), dsp.Mean(s.dec)),
 		AreaCaps: d.Area(),
 	}
 }
@@ -114,34 +82,18 @@ func (d *DigitalCS) RunGrid(grid []float64) Output {
 func (d *DigitalCS) PowerBreakdown(vinRMS, vinMean float64) power.Breakdown {
 	cfg := d.cfg
 	fclk, fs := cfg.Sys.FClk(cfg.Bits), cfg.Sys.FSample()
-	lnaP := power.LNAParams{
-		GBW:       d.gain * cfg.Sys.LNABandwidth(),
-		CLoad:     d.sampleCap,
-		NoiseRMS:  cfg.LNANoise,
-		Bandwidth: cfg.Sys.LNABandwidth(),
-		FClk:      fclk,
-	}
 	wordRate := fs * float64(cfg.M) / float64(cfg.NPhi)
 	addsPerSecond := float64(cfg.Sparsity) * fs
-	return power.Breakdown{
-		power.CompLNA:         power.LNA(cfg.Tech, cfg.Sys, lnaP),
-		power.CompSampleHold:  power.SampleHold(cfg.Tech, cfg.Sys, cfg.Bits, fclk),
-		power.CompComparator:  power.Comparator(cfg.Tech, cfg.Sys, cfg.Bits, fclk, fs, 0),
-		power.CompSARLogic:    power.SARLogic(cfg.Tech, cfg.Sys, cfg.Bits, fclk, fs),
-		power.CompDAC:         power.DAC(cfg.Sys, cfg.Bits, fclk, cfg.Tech.CUnitMin, vinRMS, vinMean),
-		power.CompTransmitter: power.TransmitterRate(cfg.Tech, d.accBits, wordRate),
-		power.CompCSEncoder: power.DigitalMAC(cfg.Tech, cfg.Sys, d.accBits, addsPerSecond) +
-			power.CSEncoderLogic(cfg.Tech, cfg.Sys, cfg.NPhi, fclk),
-		power.CompLeakage: power.Leakage(cfg.Tech, cfg.Sys, 2<<cfg.Bits),
-	}
+	p := d.base.PowerBreakdown(vinRMS, vinMean)
+	p[power.CompTransmitter] = power.TransmitterRate(cfg.Tech, d.accBits, wordRate)
+	p[power.CompCSEncoder] = power.DigitalMAC(cfg.Tech, cfg.Sys, d.accBits, addsPerSecond) +
+		power.CSEncoderLogic(cfg.Tech, cfg.Sys, cfg.NPhi, fclk)
+	return p
 }
 
 // Area returns the capacitor area — the digital variant adds no analog
 // capacitors beyond the Fig 1a chain.
-func (d *DigitalCS) Area() float64 {
-	return power.CapCount(d.cfg.Tech,
-		power.ADCCapacitance(d.cfg.Bits, d.cfg.Tech.CUnitMin, d.sampleCap))
-}
+func (d *DigitalCS) Area() float64 { return d.base.Area() }
 
 // ActiveCS is the active analog CS chain: one OTA integrator per
 // measurement row performs exact accumulation (scaled by 1/maxCount to
@@ -149,15 +101,13 @@ func (d *DigitalCS) Area() float64 {
 // outputs. The OTAs dominate its power — the paper's motivation for the
 // passive charge-sharing alternative.
 type ActiveCS struct {
-	cfg      CSConfig
-	gain     float64
-	intGain  float64 // integrator scale Cs/Cint, sized for the busiest row
-	otaNoise float64
-	enc      *cs.ActiveEncoder
-	rec      *cs.MethodReconstructor
-	sar      *adc.SAR
-	lna      *blocks.LNA
-	maxCount int
+	cfg     CSConfig
+	gain    float64
+	intGain float64 // integrator scale Cs/Cint, sized for the busiest row
+	enc     *cs.ActiveEncoder
+	rec     *cs.MethodReconstructor
+	sar     *adc.SAR
+	lna     *blocks.LNA
 }
 
 // NewActiveCS builds the active CS chain. It panics if M is not set.
@@ -166,17 +116,9 @@ func NewActiveCS(cfg CSConfig) *ActiveCS {
 	if cfg.M <= 0 || cfg.M > cfg.NPhi {
 		panic("chain: active CS requires 0 < M <= NPhi")
 	}
-	gain := cfg.Headroom * (cfg.Sys.VFS / 2) / cfg.InputPeak
+	gain := cfg.lnaGain()
 	phi := cs.GenerateSRBM(cfg.M, cfg.NPhi, cfg.Sparsity, cfg.Seed)
-	maxCount := 0
-	for _, k := range phi.RowCounts() {
-		if k > maxCount {
-			maxCount = k
-		}
-	}
-	if maxCount < 1 {
-		maxCount = 1
-	}
+	maxCount := max(busiestRow(phi), 1)
 	// Sampling kT/C of the integrator input capacitor (C_int/CRatio).
 	csIn := cfg.CHold / cfg.CRatio
 	otaNoise := math.Sqrt(cfg.Tech.KT() / csIn)
@@ -195,34 +137,17 @@ func NewActiveCS(cfg CSConfig) *ActiveCS {
 			a[i][j] *= intGain
 		}
 	}
-	lsb := cfg.Sys.VFS / math.Pow(2, float64(cfg.Bits))
-	c := &ActiveCS{
-		cfg:      cfg,
-		gain:     gain,
-		intGain:  intGain,
-		otaNoise: otaNoise,
-		enc:      enc,
+	return &ActiveCS{
+		cfg:     cfg,
+		gain:    gain,
+		intGain: intGain,
+		enc:     enc,
 		rec: cs.NewMethodReconstructor(a, cfg.NPhi, cs.ReconOptions{
 			Method: cs.MethodOMP, MaxAtoms: cfg.MaxAtoms, Tol: 1e-4,
 		}),
-		maxCount: maxCount,
-		sar: adc.New(adc.Config{
-			Bits:            cfg.Bits,
-			VFS:             cfg.Sys.VFS,
-			UnitCap:         cfg.Tech.CUnitMin,
-			MismatchCoeff:   cfg.Tech.MismatchSigma(cfg.Tech.CUnitMin),
-			ComparatorNoise: cfg.ComparatorNoiseLSB * lsb,
-			Seed:            cfg.Seed,
-		}),
-		lna: &blocks.LNA{
-			Gain:         gain,
-			NoiseRMS:     cfg.LNANoise,
-			Bandwidth:    cfg.Sys.LNABandwidth(),
-			HD3FullScale: 0.001,
-			ClipLevel:    cfg.Sys.VFS / 2,
-		},
+		sar: newSAR(cfg.Common, cfg.Sys.VFS),
+		lna: newLNA(cfg.Common, gain),
 	}
-	return c
 }
 
 // Gain returns the LNA gain.
@@ -235,22 +160,27 @@ func (c *ActiveCS) MeasurementRate() float64 {
 
 // Run processes an electrode-scale waveform.
 func (c *ActiveCS) Run(input []float64, inputRate float64) Output {
-	return c.RunGrid(dsp.Resample(input, inputRate, c.cfg.GridRate()))
+	return runOnce(c.cfg.Common, input, inputRate, c.EncodeSession, c.FinishSession)
 }
 
-// RunGrid is Run for a grid-rate input.
-func (c *ActiveCS) RunGrid(grid []float64) Output {
-	cfg := c.cfg
-	ctx := blocks.NewContext(cfg.GridRate(), cfg.Seed)
-	amplified := c.lna.Process(ctx, grid)
-	sampled := dsp.Decimate(amplified, cfg.SimOversample)
-	y := c.enc.Encode(sampled)
-	dsp.Scale(y, c.intGain)
-	yq := c.sar.Convert(y)
-	recon := c.rec.Reconstruct(yq)
+// EncodeSession runs the active-CS front half — LNA, ideal decimation,
+// the integrator bank, the 1/maxCount range scaling — over one grid
+// record. The returned measurements are session scratch, shared across
+// a group's resolutions as CSChain.EncodeSession's are.
+func (c *ActiveCS) EncodeSession(s *EvalSession, grid []float64) []float64 {
+	amplified := s.lnaProcess(c.lna, c.cfg.GridRate(), grid)
+	s.y = c.enc.EncodeInto(s.y, s.decimate(amplified, c.cfg.SimOversample))
+	dsp.Scale(s.y, c.intGain)
+	return s.y
+}
+
+// FinishSession completes an active-CS run from scaled measurements:
+// SAR conversion, then reconstruction into dst.
+func (c *ActiveCS) FinishSession(s *EvalSession, y, dst []float64) Output {
+	recon, yq := s.finish(c.sar, c.rec, y, dst)
 	return Output{
 		Samples:  recon,
-		Rate:     cfg.Sys.FSample(),
+		Rate:     c.cfg.Sys.FSample(),
 		Gain:     c.gain,
 		Power:    c.PowerBreakdown(dsp.RMS(yq), dsp.Mean(yq)),
 		AreaCaps: c.Area(),
@@ -258,48 +188,24 @@ func (c *ActiveCS) RunGrid(grid []float64) Output {
 }
 
 // PowerBreakdown evaluates the active-CS power: the integrator bank
-// replaces the passive network; ADC and transmitter run at the reduced
-// measurement rate; the matrix shift register is shared with the passive
-// design.
+// replaces the passive network and the LNA drives the sampling caps; ADC
+// and transmitter run at the reduced measurement rate; the matrix shift
+// register is shared with the passive design.
 func (c *ActiveCS) PowerBreakdown(vinRMS, vinMean float64) power.Breakdown {
 	cfg := c.cfg
 	fs := cfg.Sys.FSample()
-	fsCS := c.MeasurementRate()
-	fclkCS := float64(cfg.Bits+1) * fsCS
-	fclkIn := cfg.Sys.FClk(cfg.Bits)
-	lnaP := power.LNAParams{
-		GBW:       c.gain * cfg.Sys.LNABandwidth(),
-		CLoad:     cfg.CHold / cfg.CRatio, // LNA drives the sampling caps
-		NoiseRMS:  cfg.LNANoise,
-		Bandwidth: cfg.Sys.LNABandwidth(),
-		FClk:      fs,
-	}
+	p := cfg.analogPower(c.gain, cfg.CHold/cfg.CRatio, vinRMS, vinMean)
 	// Each integrator settles once per input sample; its noise budget is
 	// relaxed by the averaging over its mean accumulation count.
 	meanCount := float64(cfg.Sparsity) * float64(cfg.NPhi) / float64(cfg.M)
-	intP := power.IntegratorParams{
+	p[power.CompIntegrators] = power.IntegratorBank(cfg.Tech, cfg.Sys, cfg.M, power.IntegratorParams{
 		GBW:       4 * fs,
 		CInt:      cfg.CHold,
 		NoiseRMS:  cfg.LNANoise * math.Sqrt(meanCount),
 		Bandwidth: fs / 2,
-	}
-	switches := 4*(cfg.M+cfg.Sparsity) + (2 << cfg.Bits)
-	return power.Breakdown{
-		power.CompLNA:         power.LNA(cfg.Tech, cfg.Sys, lnaP),
-		power.CompIntegrators: power.IntegratorBank(cfg.Tech, cfg.Sys, cfg.M, intP),
-		power.CompComparator:  power.Comparator(cfg.Tech, cfg.Sys, cfg.Bits, fclkCS, fsCS, 0),
-		power.CompSARLogic:    power.SARLogic(cfg.Tech, cfg.Sys, cfg.Bits, fclkCS, fsCS),
-		power.CompDAC:         power.DAC(cfg.Sys, cfg.Bits, fclkCS, cfg.Tech.CUnitMin, vinRMS, vinMean),
-		power.CompTransmitter: power.Transmitter(cfg.Tech, cfg.Bits, fclkCS),
-		power.CompCSEncoder:   power.CSEncoderLogic(cfg.Tech, cfg.Sys, cfg.NPhi, fclkIn),
-		power.CompLeakage:     power.Leakage(cfg.Tech, cfg.Sys, switches),
-	}
+	})
+	return p
 }
 
 // Area returns the capacitor area: the integrator array plus the ADC.
-func (c *ActiveCS) Area() float64 {
-	cfg := c.cfg
-	total := power.CSEncoderCapacitance(cfg.Sparsity, cfg.M, cfg.CHold/cfg.CRatio, cfg.CHold) +
-		power.ADCCapacitance(cfg.Bits, cfg.Tech.CUnitMin, 0)
-	return power.CapCount(cfg.Tech, total)
-}
+func (c *ActiveCS) Area() float64 { return c.cfg.analogArea() }

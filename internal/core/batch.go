@@ -24,7 +24,7 @@ func (sc *evalScratch) row(i int) []float64 {
 }
 
 // pointAccum accumulates one design point's per-record outputs into the
-// figures of interest, mirroring the classic Evaluate loop exactly.
+// figures of interest.
 type pointAccum struct {
 	res    Result
 	snrSum float64
@@ -94,18 +94,7 @@ func (e *Evaluator) EvaluateBatch(ctx context.Context, pts []DesignPoint) []Resu
 			}
 			continue
 		}
-		switch k.Arch {
-		case ArchBaseline:
-			e.evalBaselineGroup(sc, pts, idxs, out)
-		case ArchCS:
-			e.evalCSGroup(sc, pts, idxs, out)
-		default:
-			// The digital and active CS variants build bespoke per-point
-			// reconstructors; they take the classic path unchanged.
-			for _, i := range idxs {
-				out[i] = e.evaluateClassic(pts[i])
-			}
-		}
+		e.evalGroup(sc, pts, idxs, out)
 	}
 	return out
 }
@@ -151,46 +140,26 @@ func (e *Evaluator) finishAccums(accs []*pointAccum, idxs []int, out []Result) {
 	}
 }
 
-func (e *Evaluator) evalBaselineGroup(sc *evalScratch, pts []DesignPoint, idxs []int, out []Result) {
-	chains := make([]*chain.Baseline, len(idxs))
+// evalGroup evaluates the points pts[idxs] of one GroupKey group. They
+// differ only in ADC resolution, which no chain's front half depends on,
+// so the lead's front half serves every member on each record; each
+// member's back half runs its own stateful converter.
+func (e *Evaluator) evalGroup(sc *evalScratch, pts []DesignPoint, idxs []int, out []Result) {
+	var front frontHalf
+	backs := make([]backHalf, len(idxs))
 	for j, i := range idxs {
-		common := e.common
-		common.Bits = pts[i].Bits
-		common.LNANoise = pts[i].LNANoise
-		chains[j] = chain.NewBaseline(common)
-	}
-	accs, rowsPer := e.newAccums(pts, idxs)
-	for ri, grid := range e.grids {
-		// The LNA settings are identical across the group, so the lead
-		// chain's amplified waveform serves every member.
-		amplified := chains[0].AmplifySession(sc.sess, grid)
-		for j, c := range chains {
-			slot := j*rowsPer + ri%rowsPer
-			o := c.DigitizeSession(sc.sess, amplified, sc.row(slot))
-			sc.rows[slot] = o.Samples
-			accs[j].add(e, ri, o)
+		f, b := newHalves(e.cfg, pts[i])
+		if j == 0 {
+			front = f
 		}
-	}
-	e.finishAccums(accs, idxs, out)
-}
-
-func (e *Evaluator) evalCSGroup(sc *evalScratch, pts []DesignPoint, idxs []int, out []Result) {
-	chains := make([]*chain.CSChain, len(idxs))
-	for j, i := range idxs {
-		common := e.common
-		common.Bits = pts[i].Bits
-		common.LNANoise = pts[i].LNANoise
-		chains[j] = chain.NewCS(e.csConfig(common, pts[i]))
+		backs[j] = b
 	}
 	accs, rowsPer := e.newAccums(pts, idxs)
 	for ri, grid := range e.grids {
-		// The encoder realisation is resolution-independent, so the lead
-		// chain's measurement vector serves every member; each member's
-		// own stateful SAR converts it.
-		y := chains[0].EncodeSession(sc.sess, grid)
-		for j, c := range chains {
+		shared := front(sc.sess, grid)
+		for j, back := range backs {
 			slot := j*rowsPer + ri%rowsPer
-			o := c.FinishSession(sc.sess, y, sc.row(slot))
+			o := back(sc.sess, shared, sc.row(slot))
 			sc.rows[slot] = o.Samples
 			accs[j].add(e, ri, o)
 		}

@@ -220,13 +220,77 @@ type Config struct {
 // (internal state is read-only after construction).
 type Evaluator struct {
 	cfg         Config
-	metric      Metric       // resolved quality metric (nil skips accuracy)
-	common      chain.Common // template (per-point fields zeroed)
-	grids       [][]float64  // records on the simulation grid
-	refs        [][]float64  // band-limited references at f_sample
+	metric      Metric      // resolved quality metric (nil skips accuracy)
+	grids       [][]float64 // records on the simulation grid
+	refs        [][]float64 // band-limited references at f_sample
 	labels      []eeg.Class
 	fingerprint string
 	scratch     sync.Pool // per-worker *evalScratch for the batch path
+}
+
+// DefaultNPhi is the CS frame length N_Φ of a Config that leaves NPhi
+// at 0 (Table III).
+const DefaultNPhi = 384
+
+// withDefaults fills the frame geometry and grid multiple.
+func (c Config) withDefaults() Config {
+	if c.NPhi <= 0 {
+		c.NPhi = DefaultNPhi
+	}
+	if c.Sparsity <= 0 {
+		c.Sparsity = 2
+	}
+	if c.SimOversample < 2 {
+		c.SimOversample = 4
+	}
+	return c
+}
+
+// common returns the chain parameters of a point under this
+// configuration.
+func (c Config) common(p DesignPoint) chain.Common {
+	return chain.Common{
+		Tech:          c.Tech,
+		Sys:           c.Sys,
+		Bits:          p.Bits,
+		LNANoise:      p.LNANoise,
+		InputPeak:     c.InputPeak,
+		SimOversample: c.SimOversample,
+		Seed:          c.Seed,
+	}
+}
+
+// frontHalf runs the part of a chain shared by a GroupKey group over one
+// grid record (AmplifySession or EncodeSession); backHalf finishes one
+// point from it into dst (DigitizeSession or FinishSession).
+type (
+	frontHalf func(s *chain.EvalSession, grid []float64) []float64
+	backHalf  func(s *chain.EvalSession, front, dst []float64) chain.Output
+)
+
+// newHalves builds the chain of a design point and returns its two
+// session halves. It is the one place a design point becomes a chain.
+func newHalves(cfg Config, p DesignPoint) (frontHalf, backHalf) {
+	common := cfg.common(p)
+	csCfg := chain.CSConfig{
+		Common: common, M: p.M, NPhi: cfg.NPhi, Sparsity: cfg.Sparsity, CHold: p.CHold,
+		ReconMethod: cfg.ReconMethod,
+	}
+	switch p.Arch {
+	case ArchBaseline:
+		c := chain.NewBaseline(common)
+		return c.AmplifySession, c.DigitizeSession
+	case ArchCS:
+		c := chain.NewCS(csCfg)
+		return c.EncodeSession, c.FinishSession
+	case ArchCSDigital:
+		c := chain.NewDigitalCS(csCfg)
+		return c.AmplifySession, c.DigitizeSession
+	case ArchCSActive:
+		c := chain.NewActiveCS(csCfg)
+		return c.EncodeSession, c.FinishSession
+	}
+	panic(fmt.Sprintf("core: unknown architecture %d", p.Arch))
 }
 
 // NewEvaluator precomputes the per-record grid inputs and references.
@@ -240,37 +304,20 @@ func NewEvaluator(cfg Config) (*Evaluator, error) {
 	if err := cfg.Sys.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg.NPhi <= 0 {
-		cfg.NPhi = 384
-	}
-	if cfg.Sparsity <= 0 {
-		cfg.Sparsity = 2
-	}
-	if cfg.SimOversample < 2 {
-		cfg.SimOversample = 4
-	}
+	cfg = cfg.withDefaults()
 	if cfg.Metric == nil && cfg.Detector != nil {
 		cfg.Metric = DetectorMetric{Detector: cfg.Detector}
 	}
-	e := &Evaluator{
-		cfg:    cfg,
-		metric: cfg.Metric,
-		common: chain.Common{
-			Tech:          cfg.Tech,
-			Sys:           cfg.Sys,
-			InputPeak:     cfg.InputPeak,
-			SimOversample: cfg.SimOversample,
-			Seed:          cfg.Seed,
-		},
-	}
+	e := &Evaluator{cfg: cfg, metric: cfg.Metric}
 	e.scratch.New = func() any {
 		return &evalScratch{sess: chain.NewEvalSession(cfg.Seed)}
 	}
-	e.grids = gridRecords(cfg.Dataset.Records, e.common.GridRate())
+	common := cfg.common(DesignPoint{})
+	e.grids = gridRecords(cfg.Dataset.Records, common.GridRate())
 	e.refs = make([][]float64, len(e.grids))
 	e.labels = make([]eeg.Class, len(e.grids))
 	par.For(len(e.grids), func(i int) {
-		e.refs[i] = chain.ReferenceGrid(e.common, e.grids[i])
+		e.refs[i] = chain.ReferenceGrid(common, e.grids[i])
 		e.labels[i] = cfg.Dataset.Records[i].Label
 	})
 	e.fingerprint = fingerprintConfig(cfg)
@@ -340,18 +387,6 @@ func fingerprintConfig(cfg Config) string {
 // workload) reuse evaluations across sweeps and evaluator rebuilds.
 func (e *Evaluator) Fingerprint() string { return e.fingerprint }
 
-// csConfig assembles the CS-family chain configuration for a point.
-func (e *Evaluator) csConfig(common chain.Common, p DesignPoint) chain.CSConfig {
-	return chain.CSConfig{
-		Common:      common,
-		M:           p.M,
-		NPhi:        e.cfg.NPhi,
-		Sparsity:    e.cfg.Sparsity,
-		CHold:       p.CHold,
-		ReconMethod: e.cfg.ReconMethod,
-	}
-}
-
 // Records returns the number of evaluation records.
 func (e *Evaluator) Records() int { return len(e.grids) }
 
@@ -362,79 +397,6 @@ func (e *Evaluator) OutputRate() float64 { return e.cfg.Sys.FSample() }
 // one: results are identical to (and produced by) the EvaluateBatch path.
 func (e *Evaluator) Evaluate(p DesignPoint) Result {
 	return e.EvaluateBatch(context.Background(), []DesignPoint{p})[0]
-}
-
-// evaluateClassic is the original per-point evaluation loop. It remains
-// the reference implementation the batch path is pinned against (the
-// golden equivalence tests), and the execution path for the CS variants
-// whose chains have no session form.
-func (e *Evaluator) evaluateClassic(p DesignPoint) Result {
-	common := e.common
-	common.Bits = p.Bits
-	common.LNANoise = p.LNANoise
-	var run func(grid []float64) chain.Output
-	var area float64
-	switch p.Arch {
-	case ArchBaseline:
-		b := chain.NewBaseline(common)
-		run = b.RunGrid
-		area = b.Area()
-	case ArchCS:
-		c := chain.NewCS(e.csConfig(common, p))
-		run = c.RunGrid
-		area = c.Area()
-	case ArchCSDigital:
-		c := chain.NewDigitalCS(e.csConfig(common, p))
-		run = c.RunGrid
-		area = c.Area()
-	case ArchCSActive:
-		c := chain.NewActiveCS(e.csConfig(common, p))
-		run = c.RunGrid
-		area = c.Area()
-	default:
-		panic(fmt.Sprintf("core: unknown architecture %d", p.Arch))
-	}
-	res := Result{Point: p, AreaCaps: area, Power: power.Breakdown{}}
-	waves := make([][]float64, len(e.grids))
-	var snrSum float64
-	var rate float64
-	for i, grid := range e.grids {
-		out := run(grid)
-		rate = out.Rate
-		// Refer the output back to electrode scale for the detector (the
-		// chain gain is a known design value, not information).
-		if out.Gain > 0 {
-			for j := range out.Samples {
-				out.Samples[j] /= out.Gain
-			}
-		}
-		waves[i] = out.Samples
-		n := len(out.Samples)
-		ref := e.refs[i]
-		if len(ref) < n {
-			n = len(ref)
-		}
-		snrSum += dsp.SNRVersusReference(ref[:n], out.Samples[:n])
-		for c, v := range out.Power {
-			res.Power[c] += v
-		}
-	}
-	nRec := float64(len(e.grids))
-	for c := range res.Power {
-		res.Power[c] /= nRec
-	}
-	res.TotalPower = res.Power.Total()
-	res.MeanSNRdB = snrSum / nRec
-	if e.metric != nil {
-		win := 0
-		if e.cfg.WindowSeconds > 0 {
-			win = int(e.cfg.WindowSeconds * rate)
-		}
-		res.Accuracy, res.Confusion = e.metric.Score(MetricContext{
-			Waves: waves, Refs: e.refs, Rate: rate, Labels: e.labels, WindowSamples: win,
-		})
-	}
-	return res
 }
 
 // SineResult is the outcome of a single-tone characterisation (Fig 4).
@@ -451,31 +413,14 @@ type SineResult struct {
 // returning SNDR and the power breakdown. freq of 0 selects a tone near
 // one third of the input bandwidth; seconds of 0 selects 30 s.
 func EvaluateSine(cfg Config, p DesignPoint, freq, seconds float64) SineResult {
-	if cfg.NPhi <= 0 {
-		cfg.NPhi = 384
-	}
-	if cfg.Sparsity <= 0 {
-		cfg.Sparsity = 2
-	}
-	if cfg.SimOversample < 2 {
-		cfg.SimOversample = 4
-	}
+	cfg = cfg.withDefaults()
 	if freq <= 0 {
 		freq = cfg.Sys.BWInput / 3.1
 	}
 	if seconds <= 0 {
 		seconds = 30
 	}
-	common := chain.Common{
-		Tech:          cfg.Tech,
-		Sys:           cfg.Sys,
-		Bits:          p.Bits,
-		LNANoise:      p.LNANoise,
-		InputPeak:     cfg.InputPeak,
-		SimOversample: cfg.SimOversample,
-		Seed:          cfg.Seed,
-	}
-	gridRate := common.GridRate()
+	gridRate := cfg.common(p).GridRate()
 	n := int(seconds * gridRate)
 	// Drive at ~70 % of the input range (matching the chain headroom).
 	amp := 175e-6
@@ -483,23 +428,9 @@ func EvaluateSine(cfg Config, p DesignPoint, freq, seconds float64) SineResult {
 		amp = 0.7 * cfg.InputPeak
 	}
 	in := siggen.Sine(n, freq, gridRate, amp, 0)
-	csCfg := chain.CSConfig{
-		Common: common, M: p.M, NPhi: cfg.NPhi, Sparsity: cfg.Sparsity, CHold: p.CHold,
-		ReconMethod: cfg.ReconMethod,
-	}
-	var out chain.Output
-	switch p.Arch {
-	case ArchBaseline:
-		out = chain.NewBaseline(common).RunGrid(in)
-	case ArchCS:
-		out = chain.NewCS(csCfg).RunGrid(in)
-	case ArchCSDigital:
-		out = chain.NewDigitalCS(csCfg).RunGrid(in)
-	case ArchCSActive:
-		out = chain.NewActiveCS(csCfg).RunGrid(in)
-	default:
-		panic(fmt.Sprintf("core: unknown architecture %d", p.Arch))
-	}
+	front, back := newHalves(cfg, p)
+	s := chain.NewEvalSession(cfg.Seed)
+	out := back(s, front(s, in), nil)
 	m := dsp.AnalyzeSine(out.Samples, out.Rate)
 	return SineResult{
 		Point:      p,

@@ -27,10 +27,11 @@ func TestEvaluatorPrepMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gridRate := ev.common.GridRate()
+		common := ev.cfg.common(DesignPoint{})
+		gridRate := common.GridRate()
 		for i, r := range ds.Records {
 			grid := dsp.Resample(r.Samples, r.Rate, gridRate)
-			ref := chain.ReferenceGrid(ev.common, grid)
+			ref := chain.ReferenceGrid(common, grid)
 			if ev.labels[i] != r.Label {
 				t.Fatalf("%s record %d: label %v, want %v", name, i, ev.labels[i], r.Label)
 			}

@@ -57,29 +57,33 @@ func (e *ActiveEncoder) EncodeFrame(x []float64) []float64 {
 	if len(x) != n {
 		panic(fmt.Sprintf("cs: EncodeFrame needs %d samples, got %d", n, len(x)))
 	}
-	v := make([]float64, e.cfg.Phi.M)
-	keep := 1 - e.cfg.GainError
-	for j := 0; j < n; j++ {
-		for _, row := range e.cfg.Phi.Support[j] {
-			sample := x[j]
-			if e.cfg.OTANoise > 0 {
-				sample += e.noise.Normal(0, e.cfg.OTANoise)
-			}
-			v[row] = v[row]*keep + sample
-		}
-	}
-	return v
+	return e.EncodeInto(nil, x)
 }
 
 // Encode processes whole frames, dropping a trailing partial frame.
-func (e *ActiveEncoder) Encode(x []float64) []float64 {
-	n := e.cfg.Phi.N
-	frames := len(x) / n
-	out := make([]float64, 0, frames*e.cfg.Phi.M)
-	for f := 0; f < frames; f++ {
-		out = append(out, e.EncodeFrame(x[f*n:(f+1)*n])...)
+func (e *ActiveEncoder) Encode(x []float64) []float64 { return e.EncodeInto(nil, x) }
+
+// EncodeInto is Encode against caller-owned storage: dst is grown
+// (reallocating only when capacity is exceeded) to frames·M and fully
+// overwritten; the returned slice aliases it.
+func (e *ActiveEncoder) EncodeInto(dst, x []float64) []float64 {
+	n, m := e.cfg.Phi.N, e.cfg.Phi.M
+	dst = grown(dst, len(x)/n*m)
+	keep := 1 - e.cfg.GainError
+	for f := 0; f < len(x)/n; f++ {
+		v, frame := dst[f*m:(f+1)*m], x[f*n:(f+1)*n]
+		clear(v)
+		for j, xj := range frame {
+			for _, row := range e.cfg.Phi.Support[j] {
+				sample := xj
+				if e.cfg.OTANoise > 0 {
+					sample += e.noise.Normal(0, e.cfg.OTANoise)
+				}
+				v[row] = v[row]*keep + sample
+			}
+		}
 	}
-	return out
+	return dst
 }
 
 // EffectiveMatrix returns the linear map of the active encoder: the plain
@@ -106,19 +110,21 @@ func (e *ActiveEncoder) EffectiveMatrix() [][]float64 {
 // DigitalEncode computes the exact digital matrix product y = Φ·x frame by
 // frame — what the digital-CS architecture's MAC unit does after the ADC.
 // No analog imperfections apply (the samples are already quantised).
-func DigitalEncode(phi *SRBM, x []float64) []float64 {
-	n := phi.N
-	frames := len(x) / n
-	out := make([]float64, 0, frames*phi.M)
-	for f := 0; f < frames; f++ {
-		v := make([]float64, phi.M)
-		base := f * n
-		for j := 0; j < n; j++ {
+func DigitalEncode(phi *SRBM, x []float64) []float64 { return DigitalEncodeInto(nil, phi, x) }
+
+// DigitalEncodeInto is DigitalEncode into caller-owned storage, grown as
+// needed and fully overwritten; the returned slice aliases it.
+func DigitalEncodeInto(dst []float64, phi *SRBM, x []float64) []float64 {
+	n, m := phi.N, phi.M
+	dst = grown(dst, len(x)/n*m)
+	clear(dst)
+	for f := 0; f < len(x)/n; f++ {
+		v := dst[f*m : (f+1)*m]
+		for j, xj := range x[f*n : (f+1)*n] {
 			for _, row := range phi.Support[j] {
-				v[row] += x[base+j]
+				v[row] += xj
 			}
 		}
-		out = append(out, v...)
 	}
-	return out
+	return dst
 }

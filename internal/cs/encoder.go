@@ -99,21 +99,12 @@ func (e *Encoder) EncodeFrame(x []float64) []float64 {
 
 // Encode processes a waveform frame by frame, dropping a trailing partial
 // frame, and returns the concatenated measurements (len = frames·M).
-func (e *Encoder) Encode(x []float64) []float64 {
-	n := e.cfg.Phi.N
-	frames := len(x) / n
-	out := make([]float64, 0, frames*e.cfg.Phi.M)
-	for f := 0; f < frames; f++ {
-		out = append(out, e.EncodeFrame(x[f*n:(f+1)*n])...)
-	}
-	return out
-}
+func (e *Encoder) Encode(x []float64) []float64 { return e.EncodeInto(nil, x) }
 
 // EncodeInto is Encode against caller-owned storage: dst is grown
 // (reallocating only when capacity is exceeded) to frames·M and fully
 // overwritten; the returned slice aliases it. The per-frame arithmetic and
-// the kT/C noise-stream consumption are exactly EncodeFrame's, so the
-// measurements are bit-identical to Encode on the same encoder state.
+// the kT/C noise-stream consumption are exactly EncodeFrame's.
 func (e *Encoder) EncodeInto(dst, x []float64) []float64 {
 	n := e.cfg.Phi.N
 	frames := len(x) / n

@@ -10,6 +10,7 @@ import (
 	"math"
 	"sort"
 
+	"efficsense/internal/adc"
 	"efficsense/internal/core"
 )
 
@@ -130,8 +131,9 @@ func (s Space) Validate() error {
 		return fmt.Errorf("dse: space has no LNA noise values")
 	}
 	for i, b := range s.Bits {
-		if b <= 0 {
-			return fmt.Errorf("dse: Bits[%d] = %d is not a valid ADC resolution", i, b)
+		if b <= 0 || b > adc.MaxBits {
+			return fmt.Errorf("dse: Bits[%d] = %d is not a valid ADC resolution (the SAR converts at 1 to %d bits)",
+				i, b, adc.MaxBits)
 		}
 	}
 	for i, v := range s.LNANoise {

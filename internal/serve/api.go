@@ -90,6 +90,9 @@ func (p PointSpec) DesignPoint(scn *scenario.Scenario) (core.DesignPoint, error)
 		if p.M <= 0 {
 			return core.DesignPoint{}, fmt.Errorf("%s needs a positive measurement count m, got %d", p.Arch, p.M)
 		}
+		if err := checkM(p.M); err != nil {
+			return core.DesignPoint{}, err
+		}
 		dp.M, dp.CHold = p.M, p.CHold
 		one.M, one.CHold = []int{dp.M}, []float64{dp.CHold}
 	}
@@ -100,6 +103,15 @@ func (p PointSpec) DesignPoint(scn *scenario.Scenario) (core.DesignPoint, error)
 		return core.DesignPoint{}, err
 	}
 	return dp, nil
+}
+
+// checkM rejects a measurement count above the frame length N_Φ. The
+// daemon's evaluators never set Config.NPhi, so theirs is core's default.
+func checkM(m int) error {
+	if m > core.DefaultNPhi {
+		return fmt.Errorf("m = %d exceeds the frame length N_Φ = %d", m, core.DefaultNPhi)
+	}
+	return nil
 }
 
 func pointSpecOf(p core.DesignPoint) PointSpec {
@@ -204,6 +216,11 @@ func (sp *SpaceSpec) space(opts experiments.Options) (dse.Space, error) {
 	}
 	if len(sp.CHold) > 0 {
 		s.CHold = sp.CHold
+	}
+	for i, m := range s.M {
+		if err := checkM(m); err != nil {
+			return dse.Space{}, fmt.Errorf("m[%d]: %w", i, err)
+		}
 	}
 	return s, s.Validate()
 }

@@ -238,6 +238,47 @@ func TestEvaluateRejectsNegativeCHold(t *testing.T) {
 	}
 }
 
+// TestWireRejectsOutOfRangePoints: a resolution the SAR model cannot
+// convert at, or more measurements than the evaluators' frame length,
+// used to reach the chain and come back as 200 with a recovered panic in
+// the row (partial: true in the batch form). Both /v1/evaluate arms and
+// a sweep's space now answer 400 naming the field (and the batch index),
+// and nothing is evaluated.
+func TestWireRejectsOutOfRangePoints(t *testing.T) {
+	ts, _, eval := newBatchTestServer(t, ManagerConfig{})
+	const good = `{"arch":"cs","bits":8,"lna_noise":6e-6,"m":150}`
+	for _, c := range []struct {
+		field string
+		point string
+		space string
+	}{
+		{"Bits", `{"arch":"cs","bits":25,"lna_noise":6e-6,"m":150}`, `{"architectures":["cs"],"bits":[8,25]}`},
+		{"Bits", `{"arch":"baseline","bits":30,"lna_noise":6e-6}`, `{"bits":[30]}`},
+		{"m", `{"arch":"cs","bits":8,"lna_noise":6e-6,"m":385}`, `{"architectures":["cs"],"m":[150,385]}`},
+		{"m", `{"arch":"cs","bits":8,"lna_noise":6e-6,"m":500}`, `{"m":[500]}`},
+	} {
+		for _, r := range []struct{ path, body, index string }{
+			{"/v1/evaluate", `{"point":` + c.point + `}`, "point:"},
+			{"/v1/evaluate", `{"points":[` + good + `,` + c.point + `]}`, "points[1]:"},
+			{"/v1/sweeps", `{"space":` + c.space + `}`, c.field},
+		} {
+			resp := postJSON(t, ts.URL+r.path, r.body)
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400 (%s)", r.path, r.body, resp.StatusCode, raw)
+				continue
+			}
+			if !strings.Contains(string(raw), r.index) || !strings.Contains(string(raw), c.field) {
+				t.Errorf("%s %s: error %s does not name %q and the %s field", r.path, r.body, raw, r.index, c.field)
+			}
+		}
+	}
+	if n := eval.calls.Load(); n != 0 {
+		t.Fatalf("rejected points reached the evaluator %d times", n)
+	}
+}
+
 // TestEvaluateBatchDeadlineDegradesRows: a deadline that fires mid-batch
 // yields HTTP 200 with error rows for the unfinished points — the batch
 // shape degrades, it does not turn into the single-point 504. The

@@ -48,6 +48,7 @@ func FuzzDecodeEvaluateRequest(f *testing.F) {
 	f.Add([]byte(`{"points": [{"arch": "cs", "bits": 6, "lna_noise": 6e-6, "m": 150}, {"arch": "cs", "bits": 8, "lna_noise": 6e-6, "m": 150}, {"arch": "cs", "bits": 10, "lna_noise": 6e-6, "m": 150}]}`))
 	f.Add([]byte(`{"point":{"arch":"cs","bits":8,"lna_noise":2e-6,"m":150,"chold":-1e-12}}`))
 	f.Add([]byte(`{"options":{"scenario":"eeg-epilepsy"},"points":[{"arch":"baseline","bits":4,"lna_noise":1e-6,"m":-3}]}`))
+	f.Add([]byte(`{"points":[{"arch":"cs","bits":30,"lna_noise":6e-6,"m":500}]}`))
 	f.Add([]byte(`{"points":[{}]}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(``))
