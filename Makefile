@@ -47,14 +47,21 @@ search-accept:
 	@echo "wrote SEARCH_ACCEPT.txt"
 
 # paper-accept regenerates the canonical reproduction at full scale —
-# `efficsense all -records 120 -noise-steps 8 -seed 1 -csv F` and
-# `efficsense variants -records 120 -seed 1` — and compares it byte for
-# byte with results/all_records120.txt, results/sweep.csv and
-# results/variants_records120.txt (about 30 s). A change that moves a
-# printed figure fails here; a deliberate one regenerates those files
-# with the same commands and says so.
+# `efficsense all -records 120 -noise-steps 8 -seed 1 -csv F`, the ECG
+# sweep `efficsense sweep -scenario ecg-telemonitoring -records 120
+# -noise-steps 8 -seed 1 -csv F` and `efficsense variants -records 120
+# -seed 1` — and compares it byte for byte with
+# results/all_records120.txt, results/sweep.csv, results/sweep_ecg.csv
+# and results/variants_records120.txt: first in the default build
+# (about 30 s), then with the vector kernels compiled out (-tags
+# purego, one to two minutes). The canonical run's kernel calls all
+# have lengths the vector loops cover, so a fault in a kernel's scalar
+# tail shows only in the second. A change that moves a printed figure
+# fails here; a deliberate one regenerates those files with the same
+# commands and says so.
 paper-accept:
 	$(GO) test -count=1 -run '^TestPaperAccept$$' ./cmd/efficsense
+	$(GO) test -count=1 -tags purego -run '^TestPaperAccept$$' ./cmd/efficsense
 
 # wal-fuzz is a short fuzz smoke over the journal's record decoder: any
 # byte string must either decode to a record that re-encodes exactly or

@@ -16,12 +16,16 @@ var raceEnabled bool
 //
 //	efficsense all -records 120 -noise-steps 8 -seed 1 -csv F
 //	    → results/all_records120.txt (stdout) and results/sweep.csv (F)
+//	efficsense sweep -scenario ecg-telemonitoring -records 120 \
+//	    -noise-steps 8 -seed 1 -csv F
+//	    → results/sweep_ecg.csv (F)
 //	efficsense variants -records 120 -seed 1
 //	    → results/variants_records120.txt
 //
 // A change that moves any printed figure or any sweep value fails here.
 // A deliberate change regenerates the files with these commands and says
-// so. The run takes about 25 s, so -short and -race builds skip it.
+// so. The run takes about 30 s, so -short and -race builds skip it;
+// `make paper-accept` runs it in the default and the purego build.
 func TestPaperAccept(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the full-scale reproduction")
@@ -33,13 +37,18 @@ func TestPaperAccept(t *testing.T) {
 		t.Skip("results/ was generated with the amd64 math kernels")
 	}
 	results := filepath.Join("..", "..", "results")
-	csv := filepath.Join(t.TempDir(), "sweep.csv")
+	dir := t.TempDir()
+	csv, ecg := filepath.Join(dir, "sweep.csv"), filepath.Join(dir, "sweep_ecg.csv")
 	for _, c := range []struct {
-		want string
+		want string // the committed file stdout must equal; "" for none
 		run  func() error
 	}{
 		{"all_records120.txt", func() error {
 			return cmdSuite("all", []string{"-records", "120", "-noise-steps", "8", "-seed", "1", "-csv", csv})
+		}},
+		{"", func() error {
+			return cmdSuite("sweep", []string{"-scenario", "ecg-telemonitoring",
+				"-records", "120", "-noise-steps", "8", "-seed", "1", "-csv", ecg})
 		}},
 		{"variants_records120.txt", func() error {
 			return cmdVariants([]string{"-records", "120", "-seed", "1"})
@@ -49,13 +58,17 @@ func TestPaperAccept(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.want, err)
 		}
-		requireSameBytes(t, filepath.Join(results, c.want), []byte(out))
+		if c.want != "" {
+			requireSameBytes(t, filepath.Join(results, c.want), []byte(out))
+		}
 	}
-	got, err := os.ReadFile(csv)
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range []string{csv, ecg} {
+		got, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBytes(t, filepath.Join(results, filepath.Base(f)), got)
 	}
-	requireSameBytes(t, filepath.Join(results, "sweep.csv"), got)
 }
 
 // requireSameBytes fails unless got equals the file at path, naming the

@@ -228,12 +228,19 @@ type Fig4Point struct {
 
 // Fig4 sweeps the LNA input-referred noise of the baseline system with a
 // sine stimulus and reports SNDR, total power and the per-block breakdown
-// (paper Fig 4). bits of 0 selects the paper's 8-bit configuration.
+// (paper Fig 4). bits of 0 selects the paper's 8-bit configuration. The
+// chain is the scenario's — its LNA gain and the stimulus follow the
+// scenario's input peak — but no dataset, metric or detector is built.
 func (s *Suite) Fig4(bits int) []Fig4Point {
 	if bits <= 0 {
 		bits = 8
 	}
-	cfg := core.Config{Tech: s.tp, Sys: s.sys, Seed: s.opts.Seed}
+	scn, err := scenario.Lookup(s.opts.Scenario)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	cfg := scn.EvaluatorConfig()
+	cfg.Tech, cfg.Sys, cfg.Seed = s.tp, s.sys, s.opts.Seed
 	noises := dse.GeomRange(1e-6, 20e-6, s.opts.NoiseSteps)
 	out := make([]Fig4Point, len(noises))
 	for i, vn := range noises {

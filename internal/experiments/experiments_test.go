@@ -8,6 +8,8 @@ import (
 	"efficsense/internal/cache"
 	"efficsense/internal/core"
 	"efficsense/internal/power"
+	"efficsense/internal/scenario"
+	"efficsense/internal/tech"
 )
 
 // The suite is expensive (detector training + full sweep), so the tests
@@ -304,5 +306,26 @@ func TestFig10OptimumPricing(t *testing.T) {
 	}
 	if prev < 0 {
 		t.Fatal("no cap admitted an optimum")
+	}
+}
+
+// TestFig4FollowsScenario: Fig 4 characterises the scenario's own chain.
+// Under ecg-telemonitoring every point equals core.EvaluateSine with the
+// scenario's evaluator config — the LNA gain and the stimulus set for
+// its 1.5 mV input peak, not for EEG.
+func TestFig4FollowsScenario(t *testing.T) {
+	s := NewSuite(Options{Scenario: "ecg-telemonitoring", Seed: 1, NoiseSteps: 2})
+	scn, err := scenario.Lookup("ecg-telemonitoring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := scn.EvaluatorConfig()
+	cfg.Tech, cfg.Sys, cfg.Seed = tech.GPDK045(), tech.DefaultSystem(), 1
+	for _, p := range s.Fig4(8) {
+		want := core.EvaluateSine(cfg, core.DesignPoint{Arch: core.ArchBaseline, Bits: 8, LNANoise: p.NoiseRMS}, 0, 20)
+		if p.SNDRdB != want.SNDRdB || p.ENOB != want.ENOB || p.TotalPower != want.TotalPower {
+			t.Fatalf("noise %g: Fig4 gives SNDR %g dB, power %g W; the scenario's chain gives %g dB, %g W",
+				p.NoiseRMS, p.SNDRdB, p.TotalPower, want.SNDRdB, want.TotalPower)
+		}
 	}
 }

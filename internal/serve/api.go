@@ -293,7 +293,7 @@ type SearchRequest struct {
 // spec parses the request's goal into a search.Spec. The query string
 // wins; the structured fields compose into the same grammar so both
 // paths share one validator. Budget and seed are attached by
-// SubmitSearch, not here.
+// searchJob, not here.
 func (r SearchRequest) spec() (search.Spec, error) {
 	structured := r.Goal != "" || r.Metric != "" || r.MaxPowerW != 0 ||
 		r.MinQuality != 0 || r.MaxAreaCaps != 0

@@ -17,11 +17,13 @@ package serve
 // startup failure.
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -156,17 +158,15 @@ func (m *Manager) walWarn(msg string, err error, attrs ...slog.Attr) {
 	m.cfg.Log.LogAttrs(context.Background(), slog.LevelWarn, msg, base...)
 }
 
-// journalJob appends (and fsyncs) the job-accepted record. Callers hold
-// m.mu; the job's spec fields are immutable from here on.
-func (m *Manager) journalJob(job *Job, sweep *SweepRequest, srch *SearchRequest) {
+// journalJob appends (and fsyncs) the job-accepted record: rec, which
+// carries the job's wire request, stamped with the job's identity.
+// Callers hold m.mu; the job's spec fields are immutable from here on.
+func (m *Manager) journalJob(job *Job, rec walJobRecord) {
 	if m.cfg.WAL == nil {
 		return
 	}
-	rec := walJobRecord{
-		ID: job.ID, Kind: job.kind, Tenant: job.tenant,
-		RequestID: job.requestID, Created: job.created,
-		Sweep: sweep, Search: srch,
-	}
+	rec.ID, rec.Kind, rec.Tenant = job.ID, job.kind, job.tenant
+	rec.RequestID, rec.Created = job.requestID, job.created
 	job.walJob = &rec
 	if err := m.cfg.WAL.AppendSync(walKindJob, rec); err != nil {
 		m.walWarn("wal: journaling job", err, slog.String("job_id", job.ID))
@@ -191,21 +191,28 @@ func (m *Manager) journalFinish(job *Job) {
 		return
 	}
 	job.mu.Lock()
-	rec := walStateRecord{Job: job.ID, State: string(job.state)}
-	if job.err != nil {
-		rec.Error = job.err.Error()
-	}
-	if job.kind == jobKindSearch {
-		rec.Search = job.searchOut
-		rec.Front = make([]walResult, len(job.results))
-		for i, r := range job.results {
-			rec.Front[i] = walResultOf(r)
-		}
-	}
+	rec := job.stateRecordLocked()
 	job.mu.Unlock()
 	if err := m.cfg.WAL.AppendSync(walKindState, rec); err != nil {
 		m.walWarn("wal: journaling terminal state", err, slog.String("job_id", job.ID))
 	}
+}
+
+// stateRecordLocked is the job's terminal-state record; a search's
+// carries its outcome and front. Callers hold j.mu.
+func (j *Job) stateRecordLocked() walStateRecord {
+	rec := walStateRecord{Job: j.ID, State: string(j.state)}
+	if j.err != nil {
+		rec.Error = j.err.Error()
+	}
+	if j.kind == jobKindSearch {
+		rec.Search = j.searchOut
+		rec.Front = make([]walResult, len(j.results))
+		for i, r := range j.results {
+			rec.Front[i] = walResultOf(r)
+		}
+	}
+	return rec
 }
 
 // walBucket is the journal form of one token-bucket level.
@@ -230,38 +237,53 @@ type walTenantRecord struct {
 // client could launder its own rate limit through SIGKILL. Callers hold
 // m.mu.
 func (m *Manager) journalTenant(ts *tenantState) {
-	if m.cfg.WAL == nil || (ts.limits.SubmitRate <= 0 && ts.limits.EvalRate <= 0) {
+	if m.cfg.WAL == nil || !ts.rateLimited() {
 		return
 	}
-	rec := walTenantRecord{
-		Tenant: ts.name,
-		Submit: walBucket{Tokens: ts.submit.tokens, Last: ts.submit.last},
-		Eval:   walBucket{Tokens: ts.eval.tokens, Last: ts.eval.last},
-	}
+	rec := ts.walRecord()
 	if err := m.cfg.WAL.Append(walKindTenant, rec); err != nil {
 		m.walWarn("wal: journaling tenant buckets", err, slog.String("tenant", ts.name))
 	}
 }
 
+// rateLimited reports whether the tenant has a bucket worth journaling.
+func (ts *tenantState) rateLimited() bool {
+	return ts.limits.SubmitRate > 0 || ts.limits.EvalRate > 0
+}
+
+// walRecord is the journal form of the tenant's bucket levels.
+func (ts *tenantState) walRecord() walTenantRecord {
+	return walTenantRecord{
+		Tenant: ts.name,
+		Submit: walBucket{Tokens: ts.submit.tokens, Last: ts.submit.last},
+		Eval:   walBucket{Tokens: ts.eval.tokens, Last: ts.eval.last},
+	}
+}
+
 // compactWAL rewrites the journal as a snapshot of the still-tracked
-// jobs — the clean-shutdown snapshot+truncate. Rows are reconstructed
-// from each job's result cloud (points are unique within a space, so a
-// result maps back to its original index); evicted jobs leave the
-// journal entirely. Called after the drain, so every tracked job is
-// terminal and quiescent.
+// jobs — the clean-shutdown snapshot+truncate — plus one record per
+// rate-limited tenant, so restored quota state survives it too. Rows are
+// reconstructed from each sweep's result cloud (points are unique
+// within a space, so a result maps back to its original index); evicted
+// jobs leave the journal entirely. Called after the drain, so every
+// tracked job is terminal and quiescent. Jobs are ordered by ID and
+// tenants by name, so the snapshot is deterministic.
 func (m *Manager) compactWAL() error {
 	m.mu.Lock()
 	jobs := make([]*Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		jobs = append(jobs, j)
 	}
-	m.mu.Unlock()
-	// Deterministic snapshot order: by ID.
-	for i := 1; i < len(jobs); i++ {
-		for k := i; k > 0 && jobs[k].ID < jobs[k-1].ID; k-- {
-			jobs[k], jobs[k-1] = jobs[k-1], jobs[k]
+	var tenants []walTenantRecord
+	for _, ts := range m.tenants {
+		if ts.rateLimited() {
+			tenants = append(tenants, ts.walRecord())
 		}
 	}
+	m.mu.Unlock()
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
+	sort.Slice(tenants, func(a, b int) bool { return tenants[a].Tenant < tenants[b].Tenant })
+
 	var records []wal.Record
 	add := func(kind string, payload interface{}) error {
 		line, err := wal.Encode(kind, payload)
@@ -277,25 +299,19 @@ func (m *Manager) compactWAL() error {
 	}
 	for _, j := range jobs {
 		j.mu.Lock()
-		jobRec := j.walJob
-		state := j.state
-		results := j.results
-		searchOut := j.searchOut
-		engineID := j.engineID
-		var errMsg string
-		if j.err != nil {
-			errMsg = j.err.Error()
-		}
+		jobRec, terminal := j.walJob, j.state.Terminal()
+		results, engineID := j.results, j.engineID
+		st := j.stateRecordLocked()
 		j.mu.Unlock()
-		if jobRec == nil || !state.Terminal() {
+		if jobRec == nil || !terminal {
 			continue // journalling was off for this job, or it never drained
 		}
 		if err := add(walKindJob, jobRec); err != nil {
 			return err
 		}
 		if j.kind == jobKindSweep {
-			idx := make(map[core.DesignPoint]int, len(j.points))
-			for i, p := range j.points {
+			idx := make(map[core.DesignPoint]int, j.total)
+			for i, p := range j.space.Points() {
 				idx[p] = i
 			}
 			for _, r := range results {
@@ -306,39 +322,11 @@ func (m *Manager) compactWAL() error {
 				}
 			}
 		}
-		st := walStateRecord{Job: j.ID, State: string(state), Error: errMsg}
-		if j.kind == jobKindSearch {
-			st.Search = searchOut
-			st.Front = make([]walResult, len(results))
-			for i, r := range results {
-				st.Front[i] = walResultOf(r)
-			}
-		}
 		if err := add(walKindState, st); err != nil {
 			return err
 		}
 	}
-	// One tenant record each, so restored quota state survives the
-	// snapshot+truncate too. Deterministic order: by tenant name.
-	m.mu.Lock()
-	tenantRecs := make([]walTenantRecord, 0, len(m.tenants))
-	for _, ts := range m.tenants {
-		if ts.limits.SubmitRate <= 0 && ts.limits.EvalRate <= 0 {
-			continue
-		}
-		tenantRecs = append(tenantRecs, walTenantRecord{
-			Tenant: ts.name,
-			Submit: walBucket{Tokens: ts.submit.tokens, Last: ts.submit.last},
-			Eval:   walBucket{Tokens: ts.eval.tokens, Last: ts.eval.last},
-		})
-	}
-	m.mu.Unlock()
-	for i := 1; i < len(tenantRecs); i++ {
-		for k := i; k > 0 && tenantRecs[k].Tenant < tenantRecs[k-1].Tenant; k-- {
-			tenantRecs[k], tenantRecs[k-1] = tenantRecs[k-1], tenantRecs[k]
-		}
-	}
-	for _, tr := range tenantRecs {
+	for _, tr := range tenants {
 		if err := add(walKindTenant, tr); err != nil {
 			return err
 		}
@@ -420,21 +408,15 @@ func (m *Manager) Recover(records []wal.Record) error {
 	for _, id := range order {
 		e := byID[id]
 		m.bumpSeq(id)
-		switch e.rec.Kind {
-		case jobKindSweep:
-			if err := m.recoverSweep(e.rec, e.rows, e.st); err != nil {
-				m.walWarn("wal: skipping unrecoverable sweep job", err,
-					slog.String("job_id", id))
-			}
-		case jobKindSearch:
-			if err := m.recoverSearch(e.rec, e.st); err != nil {
-				m.walWarn("wal: skipping unrecoverable search job", err,
-					slog.String("job_id", id))
-			}
-		default:
+		if e.rec.Kind != jobKindSweep && e.rec.Kind != jobKindSearch {
 			// A job kind from a future version: skip it, keep starting.
 			m.walWarn("wal: skipping job of unknown kind",
 				fmt.Errorf("kind %q (written by a newer version?)", e.rec.Kind),
+				slog.String("job_id", id))
+			continue
+		}
+		if err := m.recoverJob(e.rec, e.rows, e.st); err != nil {
+			m.walWarn("wal: skipping unrecoverable "+e.rec.Kind+" job", err,
 				slog.String("job_id", id))
 		}
 	}
@@ -465,79 +447,92 @@ func (m *Manager) bumpSeq(id string) {
 	m.mu.Unlock()
 }
 
-// recoverSweep rebuilds one journaled sweep job: terminal jobs become
-// queryable history, in-flight ones re-enqueue with their journaled rows
-// attached so only the complement is evaluated (checkReplayed decides,
-// once the engine is resolved, whether the rows may be kept).
-func (m *Manager) recoverSweep(rec walJobRecord, journaled map[int]walRowRecord, st *walStateRecord) error {
-	var req SweepRequest
-	if rec.Sweep != nil {
-		req = *rec.Sweep
+// recoverJob rebuilds one journaled job through its kind's derivation,
+// the one Submit or SubmitSearch used, under its journaled identity.
+// A terminal job becomes queryable history: a sweep's outcome is
+// distilled from its journaled rows in index order exactly as finish
+// distilled it, a search's outcome and front come back as journaled. An
+// in-flight job re-enqueues: a sweep with its journaled rows attached,
+// so only the complement is evaluated (checkReplayed decides, once the
+// engine is resolved, whether the rows may be kept), a search from
+// scratch — search.Run is deterministic, and its evaluations flow
+// through the shared memoisation cache anyway.
+func (m *Manager) recoverJob(rec walJobRecord, journaled map[int]walRowRecord, st *walStateRecord) error {
+	var job *Job
+	var err error
+	if rec.Kind == jobKindSearch {
+		var req SearchRequest
+		if rec.Search != nil {
+			req = *rec.Search
+		}
+		job, err = m.searchJob(req)
+	} else {
+		var req SweepRequest
+		if rec.Sweep != nil {
+			req = *rec.Sweep
+		}
+		job, err = m.sweepJob(req)
 	}
-	opts := req.Options.apply(m.cfg.Defaults)
-	if _, err := resolveScenario(&opts); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	space, err := req.Space.space(opts)
 	if err != nil {
-		return fmt.Errorf("space: %w", err)
+		return err
 	}
-	points := space.Points()
-	job := m.newJob(opts, space, points)
-	job.ID = rec.ID
-	job.requestID = rec.RequestID
-	job.tenant = rec.Tenant
-	if job.tenant == "" {
-		job.tenant = DefaultTenant
-	}
+	job.ID, job.requestID = rec.ID, rec.RequestID
+	job.tenant = cmp.Or(rec.Tenant, DefaultTenant)
 	job.created = rec.Created
 	job.walJob = &rec
-	rows := make(map[int]core.Result, len(journaled))
-	engineID, first := "", true
-	for i, rr := range journaled {
-		rows[i] = rr.Result.result()
-		if first {
-			engineID, first = rr.Engine, false
-		} else if rr.Engine != engineID {
-			engineID = "" // rows from more than one evaluator
-		}
+	var rows map[int]core.Result
+	var rowsEngine string
+	if job.kind == jobKindSweep {
+		rows, rowsEngine = restoreRows(journaled, job.total)
 	}
 
 	if st != nil && JobState(st.State).Terminal() {
-		// History: rebuild the terminal job exactly as finish left it.
-		job.engineID = engineID
-		results := make([]core.Result, 0, len(rows))
-		errs := 0
-		for i := 0; i < len(points); i++ {
-			if r, ok := rows[i]; ok {
-				results = append(results, r)
-				if r.Err != nil {
-					errs++
-				}
-			}
-		}
 		job.state = JobState(st.State)
-		job.results = results
-		job.done, job.total = len(results), len(points)
 		if st.Error != "" {
 			job.err = errors.New(st.Error)
 		}
-		partial := job.state != StateCompleted || errs > 0
-		if len(results) > 0 || job.state == StateCompleted {
-			job.outcome = outcomeOf(results, job.total, partial, opts.MinAccuracy)
+		attrs := []slog.Attr{slog.String("state", st.State)}
+		if job.kind == jobKindSearch {
+			job.searchOut = st.Search
+			job.results = make([]core.Result, len(st.Front))
+			for i, w := range st.Front {
+				job.results[i] = w.result()
+			}
+			if st.Search != nil {
+				job.done, job.total = st.Search.Evaluations, st.Search.Budget
+			}
+		} else {
+			results := make([]core.Result, 0, len(rows))
+			for i := 0; i < job.total; i++ { // index order, as the sweep ran
+				if r, ok := rows[i]; ok {
+					results = append(results, r)
+				}
+			}
+			job.engineID = rowsEngine
+			job.settleSweepLocked(results)
+			job.done = len(results)
+			m.walReplayedRows.Add(int64(len(results)))
+			attrs = append(attrs, slog.Int("rows", len(results)))
 		}
 		job.appendEventLocked("state", []byte(fmt.Sprintf(`{"state":%q,"replayed":true}`, job.state)))
-		m.trackReplayedJob(job)
+		m.mu.Lock()
+		m.jobs[job.ID] = job
+		m.mu.Unlock()
+		m.scheduleEvict(job)
 		m.walReplayedJobs.Add(1)
-		m.walReplayedRows.Add(int64(len(results)))
-		m.logJob(job, "sweep replayed from wal",
-			slog.String("state", string(job.state)), slog.Int("rows", len(results)))
+		m.logJob(job, job.kind+" replayed from wal", attrs...)
 		return nil
 	}
 
-	// In-flight: resume from the journaled rows.
 	if len(rows) > 0 {
-		job.replayed, job.replayedEngine = rows, engineID
+		job.replayed, job.replayedEngine = rows, rowsEngine
+	}
+	// The log line is built before the enqueue: from there on the job
+	// goroutine owns the progress window.
+	msg, attrs := "sweep resumed from wal", []slog.Attr{
+		slog.Int("replayed_rows", len(rows)), slog.Int("points", job.total)}
+	if job.kind == jobKindSearch {
+		msg, attrs = "search restarted from wal", []slog.Attr{slog.Int("budget", job.spec.MaxEvaluations)}
 	}
 	m.mu.Lock()
 	m.jobs[job.ID] = job
@@ -546,9 +541,28 @@ func (m *Manager) recoverSweep(rec walJobRecord, journaled map[int]walRowRecord,
 	m.enqueueLocked(ts, job)
 	m.mu.Unlock()
 	m.walResumedJobs.Add(1)
-	m.logJob(job, "sweep resumed from wal",
-		slog.Int("replayed_rows", len(rows)), slog.Int("points", len(points)))
+	m.logJob(job, msg, attrs...)
 	return nil
+}
+
+// restoreRows decodes a sweep's journaled rows inside its space of
+// total points, with the evaluator fingerprint they were all computed
+// under ("" when the journal names none, or several).
+func restoreRows(journaled map[int]walRowRecord, total int) (map[int]core.Result, string) {
+	rows := make(map[int]core.Result, len(journaled))
+	engineID, first := "", true
+	for i, rr := range journaled {
+		if i < 0 || i >= total {
+			continue
+		}
+		rows[i] = rr.Result.result()
+		if first {
+			engineID, first = rr.Engine, false
+		} else if rr.Engine != engineID {
+			engineID = "" // rows from more than one evaluator
+		}
+	}
+	return rows, engineID
 }
 
 // checkReplayed runs once a resumed sweep's engine is resolved: the
@@ -558,106 +572,19 @@ func (m *Manager) recoverSweep(rec walJobRecord, journaled map[int]walRowRecord,
 // engine without one — merging them with fresh rows would mix two
 // evaluation functions in one result cloud, so they are dropped with a
 // warning and the whole sweep is evaluated.
-func (m *Manager) checkReplayed(job *Job, engineID string) {
+func (m *Manager) checkReplayed(job *Job) {
 	n := len(job.replayed)
 	if n == 0 {
 		return
 	}
-	if job.replayedEngine != "" && job.replayedEngine == engineID {
+	if job.replayedEngine != "" && job.replayedEngine == job.engineID {
 		m.walReplayedRows.Add(int64(n))
 		return
 	}
 	m.walDiscardedRows.Add(int64(n))
 	m.walWarn("wal: re-evaluating a resumed sweep",
 		fmt.Errorf("its %d journaled rows were computed under evaluator %q, the engine is %q",
-			n, job.replayedEngine, engineID),
+			n, job.replayedEngine, job.engineID),
 		slog.String("job_id", job.ID))
 	job.replayed = nil
-}
-
-// recoverSearch rebuilds one journaled search job. Terminal jobs replay
-// with their stored outcome and front; an in-flight search re-runs from
-// scratch — the driver is deterministic, and its evaluations flow
-// through the shared memoisation cache anyway.
-func (m *Manager) recoverSearch(rec walJobRecord, st *walStateRecord) error {
-	var req SearchRequest
-	if rec.Search != nil {
-		req = *rec.Search
-	}
-	opts := req.Options.apply(m.cfg.Defaults)
-	if _, err := resolveScenario(&opts); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	spec, err := req.spec()
-	if err != nil {
-		return fmt.Errorf("spec: %w", err)
-	}
-	space, err := req.Space.space(opts)
-	if err != nil {
-		return fmt.Errorf("space: %w", err)
-	}
-	spec.Seed = req.Seed
-	spec.MaxEvaluations = req.MaxEvaluations
-	if spec.MaxEvaluations <= 0 {
-		spec.MaxEvaluations = min(max(space.Size()/10, 1), m.cfg.MaxSearchEvaluations)
-	}
-	if err := spec.Validate(); err != nil {
-		return fmt.Errorf("spec: %w", err)
-	}
-	job := m.newJob(opts, space, nil)
-	job.kind = jobKindSearch
-	job.ID = rec.ID
-	job.requestID = rec.RequestID
-	job.tenant = rec.Tenant
-	if job.tenant == "" {
-		job.tenant = DefaultTenant
-	}
-	job.created = rec.Created
-	job.walJob = &rec
-	job.spec = spec
-	job.total = spec.MaxEvaluations
-	if req.ProbeRecords > 0 && req.ProbeRecords != opts.Records {
-		probe := opts
-		probe.Records = req.ProbeRecords
-		job.probeOpts = &probe
-	}
-
-	if st != nil && JobState(st.State).Terminal() {
-		job.state = JobState(st.State)
-		job.searchOut = st.Search
-		job.results = make([]core.Result, len(st.Front))
-		for i, w := range st.Front {
-			job.results[i] = w.result()
-		}
-		if st.Search != nil {
-			job.done, job.total = st.Search.Evaluations, st.Search.Budget
-		}
-		if st.Error != "" {
-			job.err = errors.New(st.Error)
-		}
-		job.appendEventLocked("state", []byte(fmt.Sprintf(`{"state":%q,"replayed":true}`, job.state)))
-		m.trackReplayedJob(job)
-		m.walReplayedJobs.Add(1)
-		m.logJob(job, "search replayed from wal", slog.String("state", string(job.state)))
-		return nil
-	}
-
-	m.mu.Lock()
-	m.jobs[job.ID] = job
-	ts := m.tenantLocked(job.tenant)
-	m.wg.Add(1)
-	m.enqueueLocked(ts, job)
-	m.mu.Unlock()
-	m.walResumedJobs.Add(1)
-	m.logJob(job, "search restarted from wal", slog.Int("budget", spec.MaxEvaluations))
-	return nil
-}
-
-// trackReplayedJob registers a terminal replayed job and arms its TTL
-// eviction, exactly as finish would have.
-func (m *Manager) trackReplayedJob(job *Job) {
-	m.mu.Lock()
-	m.jobs[job.ID] = job
-	m.mu.Unlock()
-	m.scheduleEvict(job)
 }

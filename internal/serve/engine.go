@@ -15,22 +15,19 @@ import (
 )
 
 // Engine is the slice of the sweep engine the serving layer depends on.
-// *dse.Sweep implements it; tests substitute engines over fake
-// evaluators. EvaluatePoint serves /v1/evaluate's single points,
-// RunWithHook its batches, sweeps and searches.
+// *dse.Sweep is its one implementation — tests build real sweeps over
+// fake evaluators — and it stays an interface so an embedder holding an
+// Engine can reach the concrete sweep by type assertion (the benchmark
+// does, to time one layer at a time). EvaluatePoint serves
+// /v1/evaluate's single points, RunWithHook its batches and every sweep
+// job, EvaluateBatch the rounds of a search, and EvaluatorID names
+// the evaluator a sweep job's journaled rows were computed under.
 type Engine interface {
 	EvaluatePoint(ctx context.Context, p core.DesignPoint, timeout time.Duration) (core.Result, bool, error)
 	RunWithHook(ctx context.Context, points []core.DesignPoint, hook func(dse.Event)) ([]core.Result, error)
+	EvaluateBatch(ctx context.Context, pts []core.DesignPoint) []core.Result
+	EvaluatorID() string
 	Metrics() dse.Snapshot
-}
-
-// engineFingerprint returns the evaluator identity behind e (what the
-// engine keys its cache on), or "" when e does not expose one.
-func engineFingerprint(e Engine) string {
-	if f, ok := e.(interface{ EvaluatorID() string }); ok {
-		return f.EvaluatorID()
-	}
-	return ""
 }
 
 // EngineFunc resolves the engine serving one option set. Implementations

@@ -54,13 +54,13 @@ func NewServer(mgr *Manager, logger *slog.Logger) *Server {
 		reqDur:    make(map[string]*obs.Histogram),
 	}
 	s.route("POST /v1/evaluate", s.handleEvaluate)
-	s.route("POST /v1/sweeps", s.handleSubmit)
+	s.route("POST /v1/sweeps", handleSubmit(s, mgr.Submit))
 	s.route("GET /v1/sweeps", s.handleList)
 	s.route("GET /v1/sweeps/{id}", s.handleStatus)
 	s.route("GET /v1/sweeps/{id}/events", s.handleEvents)
 	s.route("GET /v1/sweeps/{id}/results", s.handleResults)
 	s.route("DELETE /v1/sweeps/{id}", s.handleCancel)
-	s.route("POST /v1/search", s.handleSearchSubmit)
+	s.route("POST /v1/search", handleSubmit(s, mgr.SubmitSearch))
 	s.route("GET /v1/search/{id}", s.handleStatus)
 	s.route("GET /v1/search/{id}/events", s.handleEvents)
 	s.route("GET /v1/search/{id}/results", s.handleResults)
@@ -258,25 +258,8 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	result, cached, err := s.mgr.Evaluate(r.Context(), req.Options, dp, timeout)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrRateLimited):
-		retry := retrySeconds(retryAfter(err, time.Second))
-		w.Header().Set("Retry-After", fmt.Sprint(retry))
-		s.error(w, r, http.StatusTooManyRequests, CodeRateLimited, "%v (retry after ~%ds)", err, retry)
-		return
-	case errors.Is(err, ErrShuttingDown):
-		w.Header().Set("Retry-After", fmt.Sprint(retrySeconds(drainRetryAfter)))
-		s.error(w, r, http.StatusServiceUnavailable, CodeShuttingDown, "%v", err)
-		return
-	case errors.Is(err, context.DeadlineExceeded):
-		s.error(w, r, http.StatusGatewayTimeout, CodeDeadline, "evaluation exceeded the deadline")
-		return
-	case errors.Is(err, context.Canceled):
-		// Client went away; nothing useful to write.
-		return
-	default:
-		s.error(w, r, http.StatusInternalServerError, CodeInternal, "%v", err)
+	if err != nil {
+		s.managerError(w, r, err)
 		return
 	}
 	// 1 KiB holds a row with a full power breakdown in one allocation.
@@ -312,25 +295,8 @@ func (s *Server) evaluateBatch(w http.ResponseWriter, r *http.Request, req Evalu
 		pts[i] = dp
 	}
 	rs, cached, err := s.mgr.EvaluateBatch(r.Context(), req.Options, pts, timeout)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrBadRequest):
-		s.error(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	case errors.Is(err, ErrRateLimited):
-		retry := retrySeconds(retryAfter(err, time.Second))
-		w.Header().Set("Retry-After", fmt.Sprint(retry))
-		s.error(w, r, http.StatusTooManyRequests, CodeRateLimited, "%v (retry after ~%ds)", err, retry)
-		return
-	case errors.Is(err, ErrShuttingDown):
-		w.Header().Set("Retry-After", fmt.Sprint(retrySeconds(drainRetryAfter)))
-		s.error(w, r, http.StatusServiceUnavailable, CodeShuttingDown, "%v", err)
-		return
-	case errors.Is(err, context.Canceled):
-		// Client went away; nothing useful to write.
-		return
-	default:
-		s.error(w, r, http.StatusInternalServerError, CodeInternal, "%v", err)
+	if err != nil {
+		s.managerError(w, r, err)
 		return
 	}
 	body, err := appendEvaluateBatchReply(nil, rs, cached)
@@ -352,14 +318,12 @@ func retrySeconds(d time.Duration) int {
 	return secs
 }
 
-// submitError maps Submit/SubmitSearch sentinel errors onto the wire,
-// reporting whether an error response was written. Every backpressure
-// response — rate-limited (429), saturated (429) and draining (503)
-// alike — carries an honest Retry-After so clients never guess.
-func (s *Server) submitError(w http.ResponseWriter, r *http.Request, err error) bool {
+// managerError maps the Manager's errors onto the wire, for every
+// endpoint alike. Every backpressure response — rate-limited (429),
+// saturated (429) and draining (503) — carries an honest Retry-After so
+// clients never guess; a request whose client went away gets no reply.
+func (s *Server) managerError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
-	case err == nil:
-		return false
 	case errors.Is(err, ErrBadRequest):
 		s.error(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
 	case errors.Is(err, ErrRateLimited):
@@ -375,48 +339,40 @@ func (s *Server) submitError(w http.ResponseWriter, r *http.Request, err error) 
 		// trying again is worthwhile instead of shipping a bare 503.
 		w.Header().Set("Retry-After", fmt.Sprint(retrySeconds(drainRetryAfter)))
 		s.error(w, r, http.StatusServiceUnavailable, CodeShuttingDown, "%v", err)
+	case errors.Is(err, context.DeadlineExceeded):
+		s.error(w, r, http.StatusGatewayTimeout, CodeDeadline, "evaluation exceeded the deadline")
+	case errors.Is(err, context.Canceled):
+		// Client went away; nothing useful to write.
 	default:
 		s.error(w, r, http.StatusInternalServerError, CodeInternal, "%v", err)
 	}
-	return true
 }
 
 // drainRetryAfter is the Retry-After a draining daemon advertises: long
 // enough for a restart, short enough that clients reconnect promptly.
 const drainRetryAfter = 10 * time.Second
 
-// handleSubmit accepts an asynchronous sweep: 202 + Location on success,
-// 429 + Retry-After when every slot is busy.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.error(w, r, http.StatusBadRequest, CodeBadRequest, "decoding request: %v", err)
-		return
+// handleSubmit is the handler of an asynchronous job submission — a
+// sweep on POST /v1/sweeps, a search on POST /v1/search: it decodes the
+// request, hands it to submit and answers 202 + Location with the job's
+// status, or the Manager's error (429 + Retry-After when the tenant may
+// not queue it).
+func handleSubmit[R any](s *Server, submit func(context.Context, R) (*Job, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req R
+		if err := decodeBody(r, &req); err != nil {
+			s.error(w, r, http.StatusBadRequest, CodeBadRequest, "decoding request: %v", err)
+			return
+		}
+		job, err := submit(r.Context(), req)
+		if err != nil {
+			s.managerError(w, r, err)
+			return
+		}
+		st := job.Status()
+		w.Header().Set("Location", st.StatusURL)
+		writeJSON(w, http.StatusAccepted, st)
 	}
-	job, err := s.mgr.Submit(r.Context(), req)
-	if s.submitError(w, r, err) {
-		return
-	}
-	st := job.Status()
-	w.Header().Set("Location", st.StatusURL)
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// handleSearchSubmit accepts an asynchronous goal-directed search: the
-// same 202/429/503 contract as sweeps, with the job under /v1/search.
-func (s *Server) handleSearchSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.error(w, r, http.StatusBadRequest, CodeBadRequest, "decoding request: %v", err)
-		return
-	}
-	job, err := s.mgr.SubmitSearch(r.Context(), req)
-	if s.submitError(w, r, err) {
-		return
-	}
-	st := job.Status()
-	w.Header().Set("Location", st.StatusURL)
-	writeJSON(w, http.StatusAccepted, st)
 }
 
 // validStateFilter accepts the JobState names a ?state= filter may use.

@@ -22,7 +22,7 @@ import (
 	"efficsense/internal/wal"
 )
 
-// JobState is the lifecycle of an asynchronous sweep job.
+// JobState is the lifecycle of an asynchronous job.
 type JobState string
 
 const (
@@ -42,19 +42,6 @@ const (
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool {
 	return s == StateCompleted || s == StateCancelled || s == StateFailed
-}
-
-// resolveScenario looks the option set's scenario up and canonicalises
-// the name in place (empty → the default's registered name), so
-// engine-key derivation and status rendering always see the same
-// identity regardless of how the request spelled it.
-func resolveScenario(opts *experiments.Options) (*scenario.Scenario, error) {
-	scn, err := scenario.Lookup(opts.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	opts.Scenario = scn.Name
-	return scn, nil
 }
 
 // Scenario resolves the workload a request's options select, with the
@@ -144,12 +131,13 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	return c
 }
 
-// Manager owns the server's sweep jobs: it admits them through
-// per-tenant token buckets and quotas, dispatches queued work through a
-// weighted-fair scheduler into a bounded pool of job slots, runs each
-// job against the shared engine layer, buffers per-point events for SSE
-// replay, journals specs and rows to the WAL (when configured), evicts
-// finished jobs after a TTL and drains cleanly on shutdown.
+// Manager owns the server's jobs, sweeps and searches alike: it admits
+// them through per-tenant token buckets and quotas, dispatches queued
+// work through a weighted-fair scheduler into a bounded pool of job
+// slots, runs each job against the shared engine layer, buffers its
+// events for SSE replay, journals specs and rows to the WAL (when
+// configured), evicts finished jobs after a TTL and drains cleanly on
+// shutdown.
 type Manager struct {
 	cfg ManagerConfig
 
@@ -176,17 +164,26 @@ type Manager struct {
 	walReplayedRows  atomic.Int64
 	walDiscardedRows atomic.Int64
 
-	submitted, rejected  atomic.Int64
-	completed, cancelled atomic.Int64
-	failed, evaluations  atomic.Int64
+	rejected, evaluations atomic.Int64
+	// Lifecycle counters per job kind, the total evaluation spend of
+	// every search run, and two live gauges tracking the most recent
+	// search round (front size, unspent budget).
+	sweeps, searches              jobCounters
+	searchEvaluations             atomic.Int64
+	searchFrontSize, searchBudget atomic.Int64
+}
 
-	// Search-job accounting: lifecycle counters, the total evaluation
-	// spend of every search driver, and two live gauges tracking the
-	// most recent search round (front size, unspent budget).
-	searchSubmitted, searchCompleted atomic.Int64
-	searchCancelled, searchFailed    atomic.Int64
-	searchEvaluations                atomic.Int64
-	searchFrontSize, searchBudget    atomic.Int64
+// jobCounters is one job kind's lifecycle accounting.
+type jobCounters struct {
+	submitted, completed, cancelled, failed atomic.Int64
+}
+
+// kindCounters returns the lifecycle accounting of a job kind.
+func (m *Manager) kindCounters(kind string) *jobCounters {
+	if kind == jobKindSearch {
+		return &m.searches
+	}
+	return &m.sweeps
 }
 
 // NewManager builds a Manager; cfg.Engines must be set.
@@ -258,8 +255,8 @@ type Job struct {
 	// all computed under ("" when the journal does not name one, or names
 	// several). When the job's engine has that fingerprint, those points
 	// are never re-evaluated and the engine runs only the complement;
-	// otherwise run drops them and evaluates the whole sweep. Set by
-	// Recover, read and cleared only by run; nil for fresh jobs.
+	// otherwise runSweep drops them and evaluates the whole sweep. Set by
+	// recovery, read and cleared only by runSweep; nil for fresh jobs.
 	replayed       map[int]core.Result
 	replayedEngine string
 	// walJob is the journaled job record (nil when durability is off),
@@ -267,12 +264,14 @@ type Job struct {
 	// after Submit/Recover.
 	walJob *walJobRecord
 
-	opts   experiments.Options
-	space  dse.Space
-	points []core.DesignPoint
+	// opts and space are the job's options and design space. The space
+	// is enumerated only where its points are needed: when a sweep runs
+	// and when the journal is compacted.
+	opts  experiments.Options
+	space dse.Space
 	// spec is the parsed query of a search job; probeOpts, when set, are
 	// the reduced-fidelity engine options of its probe rung (nil = every
-	// evaluation runs at full fidelity). Immutable after SubmitSearch.
+	// evaluation runs at full fidelity). Immutable after derivation.
 	spec      search.Spec
 	probeOpts *experiments.Options
 	ctx       context.Context
@@ -297,18 +296,11 @@ type Job struct {
 	engineID string
 }
 
-// jobID mints the next job identifier, "<kind>-<seq>", under m.mu.
-// Recovery's bumpSeq parses the suffix after the last '-'.
-func (m *Manager) jobID(kind string) string { return fmt.Sprintf("%s-%d", kind, m.seq) }
-
-func (m *Manager) newJob(opts experiments.Options, space dse.Space, points []core.DesignPoint) *Job {
+// newJob builds a pending job of the given kind; its derivation fills
+// in the kind's fields and admission or recovery its identity.
+func newJob(kind string, opts experiments.Options, space dse.Space) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &Job{
-		kind: jobKindSweep,
-		opts: opts, space: space, points: points,
-		ctx: ctx, cancel: cancel,
-		state: StatePending, created: time.Now(), total: len(points),
-	}
+	j := &Job{kind: kind, opts: opts, space: space, ctx: ctx, cancel: cancel, state: StatePending}
 	j.cond = sync.NewCond(&j.mu)
 	return j
 }
@@ -327,6 +319,48 @@ func (m *Manager) logJob(j *Job, msg string, attrs ...slog.Attr) {
 	m.cfg.Log.LogAttrs(context.Background(), slog.LevelInfo, msg, base...)
 }
 
+// options applies a request's option overrides to the server defaults
+// and canonicalises the scenario name (empty → the default's registered
+// name), so engine-key derivation and status rendering see one identity
+// however the request spelled it: the first step of every derivation
+// and of the synchronous lane.
+func (m *Manager) options(spec *OptionsSpec) (experiments.Options, error) {
+	opts := spec.apply(m.cfg.Defaults)
+	scn, err := scenario.Lookup(opts.Scenario)
+	if err != nil {
+		return opts, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	opts.Scenario = scn.Name
+	return opts, nil
+}
+
+// sweepJob derives a sweep job from its request: options, scenario and
+// space. Submit and recovery both call it, so a journaled sweep resumes
+// as exactly the job its submission built. The space is not enumerated
+// here: an oversized request is rejected on its size alone.
+func (m *Manager) sweepJob(req SweepRequest) (*Job, error) {
+	opts, err := m.options(req.Options)
+	if err != nil {
+		return nil, err
+	}
+	space, err := req.Space.space(opts)
+	if err != nil {
+		return nil, fmt.Errorf("%w: space: %v", ErrBadRequest, err)
+	}
+	job := newJob(jobKindSweep, opts, space)
+	job.total = space.Size()
+	return job, nil
+}
+
+// admitSpace rejects a space bigger than MaxSweepPoints.
+func (m *Manager) admitSpace(points int) error {
+	if points > m.cfg.MaxSweepPoints {
+		return fmt.Errorf("%w: space enumerates %d points, limit %d",
+			ErrBadRequest, points, m.cfg.MaxSweepPoints)
+	}
+	return nil
+}
+
 // Submit validates the request, admits it through the tenant's shaping
 // pipeline (token bucket, concurrency and queue quotas) and enqueues the
 // sweep for weighted-fair dispatch. It never blocks: a submission the
@@ -335,61 +369,52 @@ func (m *Manager) logJob(j *Job, msg string, attrs ...slog.Attr) {
 // and tenant are recorded on the job; the sweep itself outlives the
 // request and is NOT cancelled when ctx ends.
 func (m *Manager) Submit(ctx context.Context, req SweepRequest) (*Job, error) {
-	opts := req.Options.apply(m.cfg.Defaults)
-	if _, err := resolveScenario(&opts); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	space, err := req.Space.space(opts)
+	job, err := m.sweepJob(req)
 	if err != nil {
-		return nil, fmt.Errorf("%w: space: %v", ErrBadRequest, err)
+		return nil, err
 	}
-	if n := space.Size(); n > m.cfg.MaxSweepPoints {
-		return nil, fmt.Errorf("%w: space enumerates %d points, limit %d",
-			ErrBadRequest, n, m.cfg.MaxSweepPoints)
+	if err := m.admitSpace(job.total); err != nil {
+		return nil, err
 	}
-	points := space.Points()
-	tenant := TenantOf(ctx)
+	return m.accept(ctx, job, walJobRecord{Sweep: &req}, slog.Int("points", job.total))
+}
 
+// accept admits a validated job of either kind: the drain check, the
+// tenant's token bucket and quota, then the job's ID and counters, its
+// fsynced job record (rec carries the wire request recovery re-derives
+// it from), the "<kind> accepted" log line and the enqueue for
+// weighted-fair dispatch.
+func (m *Manager) accept(ctx context.Context, job *Job, rec walJobRecord, attrs ...slog.Attr) (*Job, error) {
+	tenant := TenantOf(ctx)
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		return nil, ErrShuttingDown
 	}
 	ts := m.tenantLocked(tenant)
 	if err := m.admitJobLocked(ts, time.Now()); err != nil {
-		m.mu.Unlock()
 		return nil, err
 	}
 	m.seq++
-	job := m.newJob(opts, space, points)
-	job.ID = m.jobID("sweep")
+	job.ID = fmt.Sprintf("%s-%d", job.kind, m.seq) // recovery's bumpSeq parses the suffix
 	job.requestID = obs.RequestID(ctx)
 	job.tenant = tenant
+	job.created = time.Now()
 	m.jobs[job.ID] = job
-	m.submitted.Add(1)
+	m.kindCounters(job.kind).submitted.Add(1)
 	ts.submitted++
 	m.wg.Add(1)
-	m.journalJob(job, &req, nil)
-	m.logJob(job, "sweep accepted",
-		slog.Int("points", len(points)), slog.String("tenant", tenant))
+	m.journalJob(job, rec)
+	m.logJob(job, job.kind+" accepted", append(attrs, slog.String("tenant", tenant))...)
 	m.enqueueLocked(ts, job)
-	m.mu.Unlock()
 	return job, nil
 }
 
-// runJob is the scheduler's dispatch target: one goroutine per job,
-// branching on the job kind.
+// runJob is the scheduler's dispatch target: it owns one job goroutine
+// end to end. It resolves the engines (which may train a detector on a
+// cold option set), hands the job to its kind's run body — an engine
+// run for a sweep, search.Run for a search — and finishes it.
 func (m *Manager) runJob(job *Job) {
-	if job.kind == jobKindSearch {
-		m.runSearch(job)
-		return
-	}
-	m.run(job)
-}
-
-// run owns a job goroutine end to end: resolve the engine (which may
-// train a detector on a cold option set), sweep, distil the outcome.
-func (m *Manager) run(job *Job) {
 	defer m.wg.Done()
 	defer m.release(job)
 	// A panic anywhere in the job goroutine (engine resolution, the
@@ -400,52 +425,73 @@ func (m *Manager) run(job *Job) {
 	defer func() {
 		if r := recover(); r != nil {
 			if !job.State().Terminal() {
-				m.finish(job, nil, fmt.Errorf("serve: job goroutine panicked: %v", r))
+				m.finish(job, nil, nil, fmt.Errorf("serve: job goroutine panicked: %v", r))
 			}
 		}
 	}()
 
+	var probe Engine
+	if job.probeOpts != nil {
+		var err error
+		if probe, err = m.cfg.Engines(*job.probeOpts); err != nil {
+			m.finish(job, nil, nil, fmt.Errorf("probe engine: %w", err))
+			return
+		}
+		m.registerEngine(probe)
+	}
 	engine, err := m.cfg.Engines(job.opts)
 	if err != nil {
-		m.finish(job, nil, fmt.Errorf("engine: %w", err))
+		m.finish(job, nil, nil, fmt.Errorf("engine: %w", err))
 		return
 	}
 	if err := fault.Fire(fault.PointJob); err != nil {
-		m.finish(job, nil, fmt.Errorf("job: %w", err))
+		m.finish(job, nil, nil, fmt.Errorf("job: %w", err))
 		return
 	}
 	m.registerEngine(engine)
-	engineID := engineFingerprint(engine)
 	job.mu.Lock()
 	job.engine = engine
-	job.engineID = engineID
+	job.engineID = engine.EvaluatorID()
 	job.mu.Unlock()
-	if job.ctx.Err() != nil { // cancelled while the suite was building
-		m.finish(job, nil, job.ctx.Err())
+	if job.ctx.Err() != nil { // cancelled while the engines were building
+		m.finish(job, nil, nil, job.ctx.Err())
 		return
 	}
 	job.setState(StateRunning)
-	m.logJob(job, "sweep started", slog.Int("points", len(job.points)))
+	if job.kind == jobKindSearch {
+		out, err := m.runSearch(job, probe, engine)
+		m.finish(job, nil, &out, err)
+		return
+	}
+	rs, err := m.runSweep(job, engine)
+	m.finish(job, rs, nil, err)
+}
 
-	m.checkReplayed(job, engineID)
+// runSweep is a sweep's run body: the engine evaluates the space's
+// points, or for a resumed sweep the complement of its journaled rows,
+// journaling each completed row and streaming it as a "point" event.
+func (m *Manager) runSweep(job *Job, engine Engine) ([]core.Result, error) {
+	m.logJob(job, "sweep started", slog.Int("points", job.total))
+	m.checkReplayed(job)
 
 	// A resumed sweep evaluates only the complement of its journaled
 	// rows: remap maps complement indices back to original point indices
 	// so events, journaled rows and the merged result cloud all speak the
 	// original space. For fresh jobs remap is nil and the hook is a thin
 	// journaling wrapper around onPoint.
-	pts := job.points
+	pts := job.space.Points()
 	var remap []int
 	base := len(job.replayed)
 	if base > 0 {
-		remap = make([]int, 0, len(job.points)-base)
-		pts = make([]core.DesignPoint, 0, len(job.points)-base)
-		for i, p := range job.points {
+		remap = make([]int, 0, len(pts)-base)
+		rest := make([]core.DesignPoint, 0, len(pts)-base)
+		for i, p := range pts {
 			if _, ok := job.replayed[i]; !ok {
 				remap = append(remap, i)
-				pts = append(pts, p)
+				rest = append(rest, p)
 			}
 		}
+		pts = rest
 		// Progress starts at the journaled rows, so a sweep whose every
 		// row was journaled still reports them done.
 		job.mu.Lock()
@@ -474,7 +520,7 @@ func (m *Manager) run(job *Job) {
 	if base > 0 {
 		rs = mergeResults(job, got)
 	}
-	m.finish(job, rs, err)
+	return rs, err
 }
 
 // mergeResults assembles a resumed job's result cloud — journaled rows
@@ -521,39 +567,28 @@ func (j *Job) setState(s JobState) {
 	j.appendEventLocked("state", []byte(fmt.Sprintf(`{"state":%q}`, s)))
 }
 
-// finish classifies the run's end, computes the outcome over whatever
-// results exist (full, partial or none) and schedules eviction. A job
-// whose sweep completed but degraded points along the way (evaluator
-// errors, recovered panics, exhausted retries) still lands in
-// StateCompleted — graceful degradation, never an aborted job — but its
-// outcome and "done" SSE event carry partial: true plus the degraded
-// count, so a client knows the cloud is not the full schedule. The
-// terminal "done" event also carries the engine's eval-duration
-// quantiles so a streaming client gets the latency story without a
-// second round trip.
-func (m *Manager) finish(job *Job, rs []core.Result, err error) {
-	errs := 0
-	for _, r := range rs {
-		if r.Err != nil {
-			errs++
-		}
+// finish ends a job of either kind: it classifies the end state,
+// distils the outcome from rs (a sweep's result cloud) or out (a
+// search's outcome; nil when the search never ran), then logs, journals
+// the terminal state and schedules eviction. A job that degraded points
+// along the way (evaluator errors, recovered panics, exhausted retries)
+// still lands in StateCompleted — graceful degradation, never an
+// aborted job — with partial: true and the degraded count on its
+// outcome and "done" event. A sweep's "done" event carries the engine's
+// eval-duration quantiles; a search accounts its budget exactly
+// (evaluations + remaining == budget, on the outcome, the gauges and
+// the "done" event alike).
+func (m *Manager) finish(job *Job, rs []core.Result, out *search.Outcome, err error) {
+	if job.kind == jobKindSearch && out == nil {
+		out = &search.Outcome{Budget: job.spec.MaxEvaluations}
 	}
-	state, errMsg, total, elapsed := m.finishLocked(job, rs, err, errs)
-
-	attrs := []slog.Attr{
-		slog.String("state", string(state)),
-		slog.Int("points", len(rs)),
-		slog.Int("total", total),
-		slog.Duration("elapsed", elapsed),
+	attrs := m.finishLocked(job, rs, out, err)
+	if out != nil {
+		m.searchEvaluations.Add(int64(out.Evaluations))
+		m.searchFrontSize.Store(int64(len(out.Front)))
+		m.searchBudget.Store(int64(out.Budget - out.Evaluations))
 	}
-	if errs > 0 {
-		attrs = append(attrs, slog.Int("degraded", errs))
-	}
-	if errMsg != "" {
-		attrs = append(attrs, slog.String("error", errMsg))
-	}
-	m.logJob(job, "sweep finished", attrs...)
-
+	m.logJob(job, job.kind+" finished", attrs...)
 	m.journalFinish(job)
 	m.scheduleEvict(job)
 }
@@ -570,49 +605,96 @@ func (m *Manager) scheduleEvict(job *Job) {
 	m.timers[job.ID] = time.AfterFunc(m.cfg.JobTTL, func() { m.evict(job.ID) })
 }
 
-// finishLocked is finish's under-lock half; the deferred unlock keeps
-// the job lock released even if outcome distillation panics (the job
-// goroutine's recover then degrades the job instead of deadlocking).
-func (m *Manager) finishLocked(job *Job, rs []core.Result, err error, errs int) (state JobState, errMsg string, total int, elapsed time.Duration) {
+// finishLocked is finish's under-lock half, returning the attributes of
+// the "finished" log line; the deferred unlock keeps the job lock
+// released even if outcome distillation panics (the job goroutine's
+// recover then degrades the job instead of deadlocking).
+func (m *Manager) finishLocked(job *Job, rs []core.Result, out *search.Outcome, err error) []slog.Attr {
 	job.mu.Lock()
 	defer job.mu.Unlock()
 	job.finished = time.Now()
-	job.results = rs
+	c := m.kindCounters(job.kind)
 	switch {
 	case err == nil:
 		job.state = StateCompleted
-		m.completed.Add(1)
+		c.completed.Add(1)
 	case job.cancelRequested && errors.Is(err, context.Canceled):
 		job.state = StateCancelled
-		m.cancelled.Add(1)
+		c.cancelled.Add(1)
 	default:
 		job.state = StateFailed
 		job.err = err
-		m.failed.Add(1)
+		c.failed.Add(1)
 	}
-	partial := job.state != StateCompleted || errs > 0
-	if len(rs) > 0 || job.state == StateCompleted {
-		job.outcome = outcomeOf(rs, job.total, partial, job.opts.MinAccuracy)
-	}
-	state = job.state
+	var errMsg string
 	if job.err != nil {
 		errMsg = job.err.Error()
 	}
-	var p50, p90, p99 float64
-	if job.engine != nil { // nil when engine resolution itself failed
-		snap := job.engine.Metrics()
-		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-		p50, p90, p99 = ms(snap.P50Eval), ms(snap.P90Eval), ms(snap.P99Eval)
+	state := string(job.state)
+	attrs := []slog.Attr{slog.String("state", state)}
+	var (
+		headers  []string
+		row      []interface{}
+		degraded int
+	)
+	if out != nil {
+		job.results = out.Front // /results streams the front as NDJSON rows
+		job.done, job.total = out.Evaluations, out.Budget
+		partial := out.Partial || job.state != StateCompleted
+		job.searchOut = searchOutcomeOf(job.spec, *out, partial)
+		degraded = out.Errors
+		headers = []string{"state", "scenario", "evaluations", "budget", "budget_remaining",
+			"front_size", "partial", "errors", "error"}
+		row = []interface{}{state, job.opts.Scenario, out.Evaluations, out.Budget,
+			out.Budget - out.Evaluations, len(out.Front), partial, out.Errors, errMsg}
+		attrs = append(attrs, slog.Int("evaluations", out.Evaluations),
+			slog.Int("budget", out.Budget), slog.Int("front", len(out.Front)))
+	} else {
+		var partial bool
+		degraded, partial = job.settleSweepLocked(rs)
+		var p50, p90, p99 float64
+		if job.engine != nil { // nil when engine resolution itself failed
+			snap := job.engine.Metrics()
+			ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+			p50, p90, p99 = ms(snap.P50Eval), ms(snap.P90Eval), ms(snap.P99Eval)
+		}
+		headers = []string{"state", "scenario", "done", "total", "partial", "errors", "error",
+			"eval_p50_ms", "eval_p90_ms", "eval_p99_ms"}
+		row = []interface{}{state, job.opts.Scenario, len(rs), job.total, partial, degraded, errMsg, p50, p90, p99}
+		attrs = append(attrs, slog.Int("points", len(rs)), slog.Int("total", job.total))
 	}
-	data, jerr := report.NDJSONRow(
-		[]string{"state", "scenario", "done", "total", "partial", "errors", "error",
-			"eval_p50_ms", "eval_p90_ms", "eval_p99_ms"},
-		[]interface{}{string(state), job.opts.Scenario, len(rs), job.total, partial, errs, errMsg, p50, p90, p99})
+	data, jerr := report.NDJSONRow(headers, row)
 	if jerr != nil {
 		data = []byte(`{}`)
 	}
 	job.appendEventLocked("done", data)
-	return state, errMsg, job.total, job.finished.Sub(job.created)
+	attrs = append(attrs, slog.Duration("elapsed", job.finished.Sub(job.created)))
+	if degraded > 0 {
+		attrs = append(attrs, slog.Int("degraded", degraded))
+	}
+	if errMsg != "" {
+		attrs = append(attrs, slog.String("error", errMsg))
+	}
+	return attrs
+}
+
+// settleSweepLocked records a sweep's result cloud and distils its
+// outcome: partial unless the sweep completed with every point sound,
+// and absent for a sweep that ended before any point did. finish and
+// the replay of a journaled terminal sweep share it. It returns the
+// degraded-point count. Callers hold j.mu.
+func (j *Job) settleSweepLocked(rs []core.Result) (errs int, partial bool) {
+	for _, r := range rs {
+		if r.Err != nil {
+			errs++
+		}
+	}
+	j.results = rs
+	partial = j.state != StateCompleted || errs > 0
+	if len(rs) > 0 || j.state == StateCompleted {
+		j.outcome = outcomeOf(rs, j.total, partial, j.opts.MinAccuracy)
+	}
+	return errs, partial
 }
 
 // evict forgets a finished job (jobs cannot leave a terminal state, so
@@ -661,7 +743,7 @@ func (m *Manager) Cancel(ctx context.Context, id string) (*Job, error) {
 		return nil, err
 	}
 	job.requestCancel()
-	m.logJob(job, "sweep cancel requested",
+	m.logJob(job, job.kind+" cancel requested",
 		slog.String("cancelled_by_request_id", obs.RequestID(ctx)))
 	return job, nil
 }
@@ -695,10 +777,7 @@ func (j *Job) Results() []core.Result {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	base := "/v1/sweeps/"
-	if j.kind == jobKindSearch {
-		base = "/v1/search/"
-	}
+	url := j.statusURL()
 	st := JobStatus{
 		ID:              j.ID,
 		Kind:            j.kind,
@@ -712,9 +791,9 @@ func (j *Job) Status() JobStatus {
 		Error:           "",
 		Result:          j.outcome,
 		Search:          j.searchOut,
-		StatusURL:       base + j.ID,
-		EventsURL:       base + j.ID + "/events",
-		ResultsURL:      base + j.ID + "/results",
+		StatusURL:       url,
+		EventsURL:       url + "/events",
+		ResultsURL:      url + "/results",
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -737,10 +816,6 @@ func (j *Job) Status() JobStatus {
 func (j *Job) Summary() JobSummary {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	base := "/v1/sweeps/"
-	if j.kind == jobKindSearch {
-		base = "/v1/search/"
-	}
 	return JobSummary{
 		ID:        j.ID,
 		Kind:      j.kind,
@@ -750,8 +825,16 @@ func (j *Job) Summary() JobSummary {
 		RequestID: j.requestID,
 		CreatedAt: j.created,
 		Progress:  ProgressJSON{Done: j.done, Total: j.total},
-		StatusURL: base + j.ID,
+		StatusURL: j.statusURL(),
 	}
+}
+
+// statusURL is the job's status path, under its kind's URL prefix.
+func (j *Job) statusURL() string {
+	if j.kind == jobKindSearch {
+		return "/v1/search/" + j.ID
+	}
+	return "/v1/sweeps/" + j.ID
 }
 
 // WaitEvents blocks until events after the given sequence number exist,
@@ -831,29 +914,41 @@ func (m *Manager) retryAfterLocked() time.Duration {
 // a hit is answered from the store before any deadline is armed, and
 // the deadline bounds only a miss (see dse.Sweep.EvaluatePoint).
 func (m *Manager) Evaluate(ctx context.Context, spec *OptionsSpec, p core.DesignPoint, timeout time.Duration) (core.Result, bool, error) {
-	m.mu.Lock()
-	closed := m.closed
-	m.mu.Unlock()
-	if closed {
-		return core.Result{}, false, ErrShuttingDown
-	}
-	if err := m.admitEval(ctx, 1); err != nil {
+	engine, timeout, err := m.evalEngine(ctx, spec, 1, timeout)
+	if err != nil {
 		return core.Result{}, false, err
 	}
-	m.evaluations.Add(1)
-	opts := spec.apply(m.cfg.Defaults)
-	if _, err := resolveScenario(&opts); err != nil {
-		return core.Result{}, false, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	return engine.EvaluatePoint(ctx, p, timeout)
+}
+
+// evalEngine is the synchronous lane's admission, shared by Evaluate and
+// EvaluateBatch: the drain check, the batch size limit, the tenant's
+// evaluate bucket and the request counter, then the options, the engine
+// and the deadline, capped by EvalTimeout.
+func (m *Manager) evalEngine(ctx context.Context, spec *OptionsSpec, points int, timeout time.Duration) (Engine, time.Duration, error) {
+	if m.Draining() {
+		return nil, 0, ErrShuttingDown
+	}
+	if max := m.cfg.MaxSweepPoints; points > max {
+		return nil, 0, fmt.Errorf("%w: batch of %d points exceeds the limit %d", ErrBadRequest, points, max)
+	}
+	if err := m.admitEval(ctx, points); err != nil {
+		return nil, 0, err
+	}
+	m.evaluations.Add(int64(points))
+	opts, err := m.options(spec)
+	if err != nil {
+		return nil, 0, err
 	}
 	engine, err := m.cfg.Engines(opts)
 	if err != nil {
-		return core.Result{}, false, fmt.Errorf("engine: %w", err)
+		return nil, 0, fmt.Errorf("engine: %w", err)
 	}
 	m.registerEngine(engine)
 	if timeout <= 0 || timeout > m.cfg.EvalTimeout {
 		timeout = m.cfg.EvalTimeout
 	}
-	return engine.EvaluatePoint(ctx, p, timeout)
+	return engine, timeout, nil
 }
 
 // EvaluateBatch scores a batch of design points synchronously through
@@ -865,30 +960,9 @@ func (m *Manager) Evaluate(ctx context.Context, spec *OptionsSpec, p core.Design
 // only errors when no rows can be produced at all (draining, engine
 // resolution failure, client disconnect).
 func (m *Manager) EvaluateBatch(ctx context.Context, spec *OptionsSpec, pts []core.DesignPoint, timeout time.Duration) ([]core.Result, []bool, error) {
-	m.mu.Lock()
-	closed := m.closed
-	m.mu.Unlock()
-	if closed {
-		return nil, nil, ErrShuttingDown
-	}
-	if max := m.cfg.MaxSweepPoints; len(pts) > max {
-		return nil, nil, fmt.Errorf("%w: batch of %d points exceeds the limit %d", ErrBadRequest, len(pts), max)
-	}
-	if err := m.admitEval(ctx, len(pts)); err != nil {
-		return nil, nil, err
-	}
-	m.evaluations.Add(int64(len(pts)))
-	opts := spec.apply(m.cfg.Defaults)
-	if _, err := resolveScenario(&opts); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	engine, err := m.cfg.Engines(opts)
+	engine, timeout, err := m.evalEngine(ctx, spec, len(pts), timeout)
 	if err != nil {
-		return nil, nil, fmt.Errorf("engine: %w", err)
-	}
-	m.registerEngine(engine)
-	if timeout <= 0 || timeout > m.cfg.EvalTimeout {
-		timeout = m.cfg.EvalTimeout
+		return nil, nil, err
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -983,16 +1057,16 @@ type Counters struct {
 // Counters aggregates the manager's counters and every engine's metrics.
 func (m *Manager) Counters() Counters {
 	c := Counters{
-		Submitted:             m.submitted.Load(),
+		Submitted:             m.sweeps.submitted.Load(),
 		Rejected:              m.rejected.Load(),
-		Completed:             m.completed.Load(),
-		Cancelled:             m.cancelled.Load(),
-		Failed:                m.failed.Load(),
+		Completed:             m.sweeps.completed.Load(),
+		Cancelled:             m.sweeps.cancelled.Load(),
+		Failed:                m.sweeps.failed.Load(),
 		Evaluations:           m.evaluations.Load(),
-		SearchSubmitted:       m.searchSubmitted.Load(),
-		SearchCompleted:       m.searchCompleted.Load(),
-		SearchCancelled:       m.searchCancelled.Load(),
-		SearchFailed:          m.searchFailed.Load(),
+		SearchSubmitted:       m.searches.submitted.Load(),
+		SearchCompleted:       m.searches.completed.Load(),
+		SearchCancelled:       m.searches.cancelled.Load(),
+		SearchFailed:          m.searches.failed.Load(),
 		SearchEvaluations:     m.searchEvaluations.Load(),
 		SearchFrontSize:       m.searchFrontSize.Load(),
 		SearchBudgetRemaining: m.searchBudget.Load(),

@@ -1,24 +1,19 @@
 package serve
 
 // Search jobs: the asynchronous POST /v1/search pipeline. A search job
-// shares everything structural with a sweep job — tenant admission and
-// weighted-fair dispatch, the event buffer and SSE replay, TTL
-// eviction, cancellation, drain —
-// but runs the internal/search driver instead of an exhaustive sweep:
-// a budget-bounded propose/observe loop that streams "front" events as
-// the Pareto front grows and finishes with a budget-accounted outcome.
+// goes through the sweep job's lifecycle — admission, weighted-fair
+// dispatch, the job goroutine, finish, the journal and recovery, the
+// event buffer and SSE replay, TTL eviction, cancellation, drain. What
+// is its own is the derivation from its request, the run body
+// (internal/search's Run: a budget-bounded propose/observe loop that
+// streams "front" events as the Pareto front grows instead of an
+// exhaustive sweep) and the outcome shape (a budget-accounted front).
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
-	"time"
 
-	"efficsense/internal/core"
-	"efficsense/internal/dse"
-	"efficsense/internal/fault"
-	"efficsense/internal/obs"
 	"efficsense/internal/report"
 	"efficsense/internal/search"
 )
@@ -30,15 +25,14 @@ var searchEventHeaders = []string{
 	"evaluations", "budget", "rung", "rung_name", "front_size", "hypervolume", "improved",
 }
 
-// SubmitSearch validates a goal-directed search request, admits it
-// through the tenant's shaping pipeline and enqueues it for
-// weighted-fair dispatch. Like Submit it never blocks: a submission the
-// tenant may not queue is rejected with an honest Retry-After, and the
-// job outlives the submitting request's context.
-func (m *Manager) SubmitSearch(ctx context.Context, req SearchRequest) (*Job, error) {
-	opts := req.Options.apply(m.cfg.Defaults)
-	if _, err := resolveScenario(&opts); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+// searchJob derives a search job from its request: options, scenario,
+// the parsed goal with its seed and budget (a tenth of the space when
+// the request names none, capped by MaxSearchEvaluations) and the probe
+// rung. SubmitSearch and recovery both call it.
+func (m *Manager) searchJob(req SearchRequest) (*Job, error) {
+	opts, err := m.options(req.Options)
+	if err != nil {
+		return nil, err
 	}
 	spec, err := req.spec()
 	if err != nil {
@@ -48,46 +42,16 @@ func (m *Manager) SubmitSearch(ctx context.Context, req SearchRequest) (*Job, er
 	if err != nil {
 		return nil, fmt.Errorf("%w: space: %v", ErrBadRequest, err)
 	}
-	size := space.Size()
-	if size > m.cfg.MaxSweepPoints {
-		return nil, fmt.Errorf("%w: space enumerates %d points, limit %d",
-			ErrBadRequest, size, m.cfg.MaxSweepPoints)
-	}
-	if req.ProbeRecords < 0 {
-		return nil, fmt.Errorf("%w: probe_records must be non-negative, got %d",
-			ErrBadRequest, req.ProbeRecords)
-	}
 	spec.Seed = req.Seed
 	spec.MaxEvaluations = req.MaxEvaluations
 	if spec.MaxEvaluations <= 0 {
 		// The search's reason to exist: a tenth of the exhaustive count.
-		spec.MaxEvaluations = min(max(size/10, 1), m.cfg.MaxSearchEvaluations)
-	}
-	if spec.MaxEvaluations > m.cfg.MaxSearchEvaluations {
-		return nil, fmt.Errorf("%w: max_evaluations %d exceeds the limit %d",
-			ErrBadRequest, spec.MaxEvaluations, m.cfg.MaxSearchEvaluations)
+		spec.MaxEvaluations = min(max(space.Size()/10, 1), m.cfg.MaxSearchEvaluations)
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-
-	tenant := TenantOf(ctx)
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrShuttingDown
-	}
-	ts := m.tenantLocked(tenant)
-	if err := m.admitJobLocked(ts, time.Now()); err != nil {
-		m.mu.Unlock()
-		return nil, err
-	}
-	m.seq++
-	job := m.newJob(opts, space, nil)
-	job.kind = jobKindSearch
-	job.ID = m.jobID("search")
-	job.requestID = obs.RequestID(ctx)
-	job.tenant = tenant
+	job := newJob(jobKindSearch, opts, space)
 	job.spec = spec
 	job.total = spec.MaxEvaluations
 	if req.ProbeRecords > 0 && req.ProbeRecords != opts.Records {
@@ -95,115 +59,55 @@ func (m *Manager) SubmitSearch(ctx context.Context, req SearchRequest) (*Job, er
 		probe.Records = req.ProbeRecords
 		job.probeOpts = &probe
 	}
-	m.jobs[job.ID] = job
-	m.searchSubmitted.Add(1)
-	ts.submitted++
-	m.wg.Add(1)
-	m.journalJob(job, nil, &req)
-	m.logJob(job, "search accepted",
-		slog.String("query", spec.Query()),
-		slog.Int("budget", spec.MaxEvaluations),
-		slog.Int("space", size),
-		slog.String("tenant", tenant))
-	m.enqueueLocked(ts, job)
-	m.mu.Unlock()
 	return job, nil
 }
 
-// runSearch owns a search job goroutine end to end: resolve the fidelity
-// engines, drive the search, distil the outcome. Like run, a panic
-// anywhere degrades this one job to failed, never the daemon.
-func (m *Manager) runSearch(job *Job) {
-	defer m.wg.Done()
-	defer m.release(job)
-	defer func() {
-		if r := recover(); r != nil {
-			if !job.State().Terminal() {
-				m.finishSearch(job, search.Outcome{Budget: job.spec.MaxEvaluations},
-					fmt.Errorf("serve: job goroutine panicked: %v", r))
-			}
-		}
-	}()
-
-	fids := make([]search.Fidelity, 0, 2)
-	if job.probeOpts != nil {
-		probe, err := m.cfg.Engines(*job.probeOpts)
-		if err != nil {
-			m.finishSearch(job, search.Outcome{Budget: job.spec.MaxEvaluations},
-				fmt.Errorf("probe engine: %w", err))
-			return
-		}
-		m.registerEngine(probe)
-		fids = append(fids, search.Fidelity{Name: "probe", Eval: searchEvaluator(probe)})
-	}
-	engine, err := m.cfg.Engines(job.opts)
+// SubmitSearch validates a goal-directed search request, admits it
+// through the tenant's shaping pipeline and enqueues it for
+// weighted-fair dispatch. Like Submit it never blocks: a submission the
+// tenant may not queue is rejected with an honest Retry-After, and the
+// job outlives the submitting request's context.
+func (m *Manager) SubmitSearch(ctx context.Context, req SearchRequest) (*Job, error) {
+	job, err := m.searchJob(req)
 	if err != nil {
-		m.finishSearch(job, search.Outcome{Budget: job.spec.MaxEvaluations},
-			fmt.Errorf("engine: %w", err))
-		return
+		return nil, err
 	}
-	if err := fault.Fire(fault.PointJob); err != nil {
-		m.finishSearch(job, search.Outcome{Budget: job.spec.MaxEvaluations},
-			fmt.Errorf("job: %w", err))
-		return
+	size := job.space.Size()
+	if err := m.admitSpace(size); err != nil {
+		return nil, err
 	}
-	m.registerEngine(engine)
-	job.mu.Lock()
-	job.engine = engine
-	job.mu.Unlock()
-	fids = append(fids, search.Fidelity{Name: "full", Eval: searchEvaluator(engine)})
-	if job.ctx.Err() != nil { // cancelled while the engines were building
-		m.finishSearch(job, search.Outcome{Budget: job.spec.MaxEvaluations}, job.ctx.Err())
-		return
+	if req.ProbeRecords < 0 {
+		return nil, fmt.Errorf("%w: probe_records must be non-negative, got %d",
+			ErrBadRequest, req.ProbeRecords)
 	}
-	job.setState(StateRunning)
+	if job.spec.MaxEvaluations > m.cfg.MaxSearchEvaluations {
+		return nil, fmt.Errorf("%w: max_evaluations %d exceeds the limit %d",
+			ErrBadRequest, job.spec.MaxEvaluations, m.cfg.MaxSearchEvaluations)
+	}
+	return m.accept(ctx, job, walJobRecord{Search: &req},
+		slog.String("query", job.spec.Query()),
+		slog.Int("budget", job.spec.MaxEvaluations),
+		slog.Int("space", size))
+}
+
+// runSearch is a search's run body: search.Run's propose/observe rounds
+// go through the probe engine (when the job has a probe rung) and the
+// full engine, each round streaming a "front" event.
+func (m *Manager) runSearch(job *Job, probe, engine Engine) (search.Outcome, error) {
 	m.logJob(job, "search started",
 		slog.String("query", job.spec.Query()),
 		slog.Int("budget", job.spec.MaxEvaluations))
-
-	out, err := search.Run(job.ctx, search.Config{
+	fids := make([]search.Fidelity, 0, 2)
+	if probe != nil {
+		fids = append(fids, search.Fidelity{Name: "probe", Eval: probe})
+	}
+	fids = append(fids, search.Fidelity{Name: "full", Eval: engine})
+	return search.Run(job.ctx, search.Config{
 		Space:      job.space,
 		Spec:       job.spec,
 		Fidelities: fids,
 		OnProgress: func(p search.Progress) { m.searchProgress(job, p) },
 	})
-	m.finishSearch(job, out, err)
-}
-
-// searchEvaluator adapts the serving Engine surface to the search
-// driver's batch contract. Engines that batch natively (*dse.Sweep)
-// are used directly; others are wrapped so a run-level failure degrades
-// into per-point error rows — never a short slice.
-func searchEvaluator(e Engine) search.Evaluator {
-	if ev, ok := e.(search.Evaluator); ok {
-		return ev
-	}
-	return engineEvaluator{e}
-}
-
-type engineEvaluator struct{ e Engine }
-
-func (a engineEvaluator) EvaluateBatch(ctx context.Context, pts []core.DesignPoint) []core.Result {
-	out := make([]core.Result, len(pts))
-	done := make([]bool, len(pts))
-	rs, err := a.e.RunWithHook(ctx, pts, func(ev dse.Event) {
-		if ev.Index >= 0 && ev.Index < len(out) {
-			out[ev.Index] = ev.Result
-			done[ev.Index] = true
-		}
-	})
-	if err == nil && len(rs) == len(pts) {
-		return rs
-	}
-	if err == nil {
-		err = errors.New("serve: engine returned a short result slice")
-	}
-	for i := range out {
-		if !done[i] {
-			out[i] = core.Result{Point: pts[i], Err: err}
-		}
-	}
-	return out
 }
 
 // searchProgress is the driver's per-round hook: it serialises one
@@ -223,71 +127,4 @@ func (m *Manager) searchProgress(j *Job, p search.Progress) {
 	j.done, j.total = p.Evaluations, p.Budget
 	j.appendEventLocked("front", data)
 	j.mu.Unlock()
-}
-
-// finishSearch is finish's search-job counterpart: classify the end
-// state, account the budget exactly (evaluations + remaining == budget,
-// on the outcome, the gauges and the terminal event alike) and schedule
-// eviction. A run that degraded rows or ran out of budget still lands
-// in StateCompleted with partial: true — the front is then a sound
-// lower bound, the same degradation contract sweeps honour.
-func (m *Manager) finishSearch(job *Job, out search.Outcome, err error) {
-	state, errMsg, elapsed := m.finishSearchLocked(job, out, err)
-	m.searchEvaluations.Add(int64(out.Evaluations))
-	m.searchFrontSize.Store(int64(len(out.Front)))
-	m.searchBudget.Store(int64(out.Budget - out.Evaluations))
-
-	attrs := []slog.Attr{
-		slog.String("state", string(state)),
-		slog.Int("evaluations", out.Evaluations),
-		slog.Int("budget", out.Budget),
-		slog.Int("front", len(out.Front)),
-		slog.Duration("elapsed", elapsed),
-	}
-	if out.Errors > 0 {
-		attrs = append(attrs, slog.Int("degraded", out.Errors))
-	}
-	if errMsg != "" {
-		attrs = append(attrs, slog.String("error", errMsg))
-	}
-	m.logJob(job, "search finished", attrs...)
-
-	m.journalFinish(job)
-	m.scheduleEvict(job)
-}
-
-func (m *Manager) finishSearchLocked(job *Job, out search.Outcome, err error) (state JobState, errMsg string, elapsed time.Duration) {
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	job.finished = time.Now()
-	job.results = out.Front // /results streams the front as NDJSON rows
-	switch {
-	case err == nil:
-		job.state = StateCompleted
-		m.searchCompleted.Add(1)
-	case job.cancelRequested && errors.Is(err, context.Canceled):
-		job.state = StateCancelled
-		m.searchCancelled.Add(1)
-	default:
-		job.state = StateFailed
-		job.err = err
-		m.searchFailed.Add(1)
-	}
-	job.done, job.total = out.Evaluations, out.Budget
-	partial := out.Partial || job.state != StateCompleted
-	job.searchOut = searchOutcomeOf(job.spec, out, partial)
-	state = job.state
-	if job.err != nil {
-		errMsg = job.err.Error()
-	}
-	data, jerr := report.NDJSONRow(
-		[]string{"state", "scenario", "evaluations", "budget", "budget_remaining",
-			"front_size", "partial", "errors", "error"},
-		[]interface{}{string(state), job.opts.Scenario, out.Evaluations, out.Budget,
-			out.Budget - out.Evaluations, len(out.Front), partial, out.Errors, errMsg})
-	if jerr != nil {
-		data = []byte(`{}`)
-	}
-	job.appendEventLocked("done", data)
-	return state, errMsg, job.finished.Sub(job.created)
 }
