@@ -109,9 +109,13 @@ setup-identity:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# verify is the tier-1 gate: formatting, vet, build, the full test
-# suite under the race detector with shuffled execution order (hidden
-# inter-test dependencies fail loudly), one run of every benchmark of
+# verify is the tier-1 gate: formatting, vet (of this module and of the
+# benchmark's module in bench/, which calls into dse, serve and
+# experiments, so an API change that breaks the benchmark fails here and
+# not only in CI's bench tests; vet compiles it without leaving a binary
+# behind), build, the full test suite under the race detector with
+# shuffled execution order (hidden inter-test dependencies fail
+# loudly), one run of every benchmark of
 # the root package (the paper's tables, figures and ablations), of the
 # random-stream, kernel, converter and reconstruction packages and of
 # the warm /v1/evaluate
@@ -127,6 +131,7 @@ fmt:
 # patterns are anchored because go test fuzzes one target per run.
 verify: fmt
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

@@ -27,8 +27,10 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -121,49 +123,99 @@ func suiteFlags(fs *flag.FlagSet) *experiments.Options {
 	fs.IntVar(&opts.TrainRecords, "train-records", 120, "detector training records")
 	fs.IntVar(&opts.NoiseSteps, "noise-steps", 8, "LNA-noise grid resolution")
 	fs.IntVar(&opts.Workers, "workers", 0, "sweep workers (0 = GOMAXPROCS)")
-	fs.IntVar(&opts.BatchSize, "batch-size", 0,
-		"cache-miss points per batched evaluator call (0 = engine default, 1 = per-point dispatch)")
 	fs.IntVar(&opts.Epochs, "epochs", 150, "detector training epochs")
 	fs.Float64Var(&opts.MinAccuracy, "min-accuracy", 0.98, "application accuracy constraint")
 	return opts
 }
 
 // newSuite wires progress reporting and the optional JSONL trace sink
-// into a suite. With rich=false a minimal "sweep d/t" counter is shown;
-// with rich=true each update adds throughput, mean per-point time, cache
-// hits and an ETA from the engine's metrics. The returned closer flushes
-// the trace file (call it after the figures render).
+// into a suite through the one hook of its sweep, Options.OnEvent (see
+// sweepHook). The returned closer flushes the trace file (call it after
+// the figures render).
 func newSuite(opts *experiments.Options, rich bool, tracePath string) (*experiments.Suite, func() error, error) {
 	closer := func() error { return nil }
+	var trace io.Writer
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
 		if err != nil {
 			return nil, nil, fmt.Errorf("opening trace sink: %w", err)
 		}
-		opts.Trace = f
+		trace = f
 		closer = f.Close
 	}
 	var suite *experiments.Suite
-	if rich {
-		opts.Progress = func(done, total int) {
-			m := suite.SweepMetrics()
-			fmt.Fprintf(os.Stderr, "\rsweep %d/%d  %.1f pt/s  %s/pt  %d cached  eta %s   ",
-				done, total, m.Throughput, m.MeanEval.Round(time.Millisecond),
-				m.CacheHits, m.ETA.Round(time.Second))
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	} else {
-		opts.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rsweep %d/%d", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	}
+	opts.OnEvent = sweepHook(os.Stderr, rich, func() dse.Snapshot { return suite.SweepMetrics() }, trace)
 	suite = experiments.NewSuite(*opts)
 	return suite, closer, nil
+}
+
+// sweepHook renders a sweep run's events. With rich=false it prints a
+// minimal "sweep d/t" counter on progress; with rich=true each line adds
+// the run's throughput and ETA, timed by the run's own clock from its
+// first event, and the mean per-point time and cache hits of metrics
+// (the engine's cumulative counters). With trace set it also writes one
+// JSONL line per point (see traceLine). The engine calls the hook
+// serially, so it needs no lock of its own.
+func sweepHook(progress io.Writer, rich bool, metrics func() dse.Snapshot, trace io.Writer) func(dse.Event) {
+	var first time.Time
+	return func(ev dse.Event) {
+		if rich {
+			if first.IsZero() {
+				first = time.Now()
+			}
+			// The points completed since the clock started, over the time
+			// since: the first event only starts the clock.
+			var rate float64
+			var eta time.Duration
+			if elapsed := time.Since(first); ev.Done > 1 && elapsed > 0 {
+				rate = float64(ev.Done-1) / elapsed.Seconds()
+				eta = time.Duration(float64(ev.Total-ev.Done) / rate * float64(time.Second))
+			}
+			m := metrics()
+			fmt.Fprintf(progress, "\rsweep %d/%d  %.1f pt/s  %s/pt  %d cached  eta %s   ",
+				ev.Done, ev.Total, rate, m.MeanEval.Round(time.Millisecond),
+				m.CacheHits, eta.Round(time.Second))
+		} else {
+			fmt.Fprintf(progress, "\rsweep %d/%d", ev.Done, ev.Total)
+		}
+		if ev.Done == ev.Total {
+			fmt.Fprintln(progress)
+		}
+		if trace != nil {
+			writeTraceLine(trace, ev)
+		}
+	}
+}
+
+// traceLine is one line of the -trace file.
+type traceLine struct {
+	Index      int     `json:"index"`
+	Point      string  `json:"point"`
+	Cached     bool    `json:"cached"`
+	DurationMS float64 `json:"duration_ms"`
+	Done       int     `json:"done"`
+	Total      int     `json:"total"`
+	Err        string  `json:"err,omitempty"`
+}
+
+// writeTraceLine writes ev to w as one JSON object and a newline.
+func writeTraceLine(w io.Writer, ev dse.Event) {
+	tl := traceLine{
+		Index:      ev.Index,
+		Point:      ev.Point.String(),
+		Cached:     ev.Cached,
+		DurationMS: float64(ev.Duration) / float64(time.Millisecond),
+		Done:       ev.Done,
+		Total:      ev.Total,
+	}
+	if ev.Result.Err != nil {
+		tl.Err = ev.Result.Err.Error()
+	}
+	line, err := json.Marshal(tl)
+	if err != nil {
+		return
+	}
+	_, _ = w.Write(append(line, '\n')) // best effort: a failed write never stops the sweep
 }
 
 // printSweepSummary reports the engine counters after a rich-progress run.

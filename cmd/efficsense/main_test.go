@@ -1,13 +1,21 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"efficsense/internal/cache"
+	"efficsense/internal/core"
+	"efficsense/internal/dse"
 	"efficsense/internal/experiments"
 )
 
@@ -111,28 +119,24 @@ func TestSuiteFlagsReachOptions(t *testing.T) {
 }
 
 // TestProgressAndTraceReachOptions pins the -progress/-trace plumbing:
-// newSuite must install a progress sink and route the trace path into
-// experiments.Options before the suite is built, or the engine silently
-// runs untraced.
+// newSuite must install the sweep hook in experiments.Options before the
+// suite is built, or the engine runs unobserved, and the hook must write
+// into the trace file the closer flushes.
 func TestProgressAndTraceReachOptions(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
 	opts := &experiments.Options{Seed: 1}
-	suite, closer, err := newSuite(opts, true, tracePath)
+	suite, closer, err := newSuite(opts, false, tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if suite == nil {
 		t.Fatal("no suite")
 	}
-	if opts.Progress == nil {
-		t.Fatal("rich mode left Options.Progress nil")
+	if opts.OnEvent == nil {
+		t.Fatal("minimal mode left Options.OnEvent nil")
 	}
-	if opts.Trace == nil {
-		t.Fatal("-trace did not reach Options.Trace")
-	}
-	if _, err := opts.Trace.Write([]byte("{\"probe\":true}\n")); err != nil {
-		t.Fatalf("trace sink not writable: %v", err)
-	}
+	p := core.DesignPoint{Arch: core.ArchBaseline, Bits: 8, LNANoise: 2e-6}
+	opts.OnEvent(dse.Event{Index: 0, Point: p, Result: core.Result{Point: p}, Done: 1, Total: 1})
 	if err := closer(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,23 +144,130 @@ func TestProgressAndTraceReachOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"probe":true`) {
+	if !strings.Contains(string(data), `"point":"baseline N=8 vn=2µV"`) {
 		t.Fatalf("trace file content %q", data)
 	}
 
-	// Minimal mode still reports progress; no trace path leaves Trace nil
-	// and the closer a no-op.
+	// Rich mode installs the hook too; no trace path leaves the closer a
+	// no-op.
 	opts2 := &experiments.Options{Seed: 1}
-	if _, closer2, err := newSuite(opts2, false, ""); err != nil {
+	if _, closer2, err := newSuite(opts2, true, ""); err != nil {
 		t.Fatal(err)
 	} else if err := closer2(); err != nil {
 		t.Fatal(err)
 	}
-	if opts2.Progress == nil {
-		t.Fatal("minimal mode left Options.Progress nil")
+	if opts2.OnEvent == nil {
+		t.Fatal("rich mode left Options.OnEvent nil")
 	}
-	if opts2.Trace != nil {
-		t.Fatal("Options.Trace set without -trace")
+}
+
+// traceEvents are a sound point, a cached one and a degraded one whose
+// error needs JSON escaping.
+func traceEvents() []dse.Event {
+	cs := core.DesignPoint{Arch: core.ArchCS, Bits: 8, LNANoise: 2e-6, M: 150, CHold: 80e-15}
+	base := core.DesignPoint{Arch: core.ArchBaseline, Bits: 6, LNANoise: 1.5e-6}
+	return []dse.Event{
+		{Index: 3, Point: cs, Result: core.Result{Point: cs, TotalPower: 2.4e-6},
+			Duration: 12345678 * time.Nanosecond, Done: 4, Total: 12},
+		{Index: 0, Point: base, Result: core.Result{Point: base}, Cached: true, Done: 5, Total: 12},
+		{Index: 11, Point: cs, Result: core.Result{Point: cs, Err: errors.New(`dse: evaluating cs panicked: "boom" <&>`)},
+			Duration: time.Nanosecond, Done: 12, Total: 12},
+	}
+}
+
+// traceReferee is the -trace file for traceEvents, byte for byte. Tools
+// read these files, so their bytes are pinned.
+const traceReferee = "{\"index\":3,\"point\":\"cs N=8 vn=2µV M=150 Ch=80fF\",\"cached\":false,\"duration_ms\":12.345678,\"done\":4,\"total\":12}\n" +
+	"{\"index\":0,\"point\":\"baseline N=6 vn=1.5µV\",\"cached\":true,\"duration_ms\":0,\"done\":5,\"total\":12}\n" +
+	"{\"index\":11,\"point\":\"cs N=8 vn=2µV M=150 Ch=80fF\",\"cached\":false,\"duration_ms\":0.000001,\"done\":12,\"total\":12,\"err\":\"dse: evaluating cs panicked: \\\"boom\\\" \\u003c\\u0026\\u003e\"}\n"
+
+// panicOn77 is a sweep evaluator whose M = 77 point panics.
+type panicOn77 struct{}
+
+func (panicOn77) Evaluate(p core.DesignPoint) core.Result {
+	if p.M == 77 {
+		panic("injected failure")
+	}
+	return core.Result{Point: p, TotalPower: 1e-6}
+}
+
+// TestTraceSinkEmitsOneJSONLinePerPoint pins the -trace file: the sweep
+// hook writes exactly traceReferee for traceEvents, and over real engine
+// runs one JSON line per completed point — cached and degraded points
+// included.
+func TestTraceSinkEmitsOneJSONLinePerPoint(t *testing.T) {
+	var buf bytes.Buffer
+	hook := sweepHook(io.Discard, false, nil, &buf)
+	for _, ev := range traceEvents() {
+		hook(ev)
+	}
+	if got := buf.String(); got != traceReferee {
+		t.Fatalf("trace bytes\n%q\nwant\n%q", got, traceReferee)
+	}
+
+	buf.Reset()
+	s, err := dse.NewSweep(panicOn77{}, dse.WithWorkers(4), dse.WithCache(cache.New(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]core.DesignPoint, 12)
+	for i := range pts {
+		pts[i] = core.DesignPoint{Arch: core.ArchCS, Bits: 6 + i%3, LNANoise: float64(i+1) * 1e-6, M: 75 + i}
+	}
+	for run := 0; run < 2; run++ { // the second run: cached points and a retried panic
+		if _, err := s.RunWithHook(context.Background(), pts, sweepHook(io.Discard, false, nil, &buf)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
+	if len(lines) != 2*len(pts) {
+		t.Fatalf("trace lines %d, want %d", len(lines), 2*len(pts))
+	}
+	var cached, errored int
+	for _, ln := range lines {
+		var tl traceLine
+		if err := json.Unmarshal(ln, &tl); err != nil {
+			t.Fatalf("bad trace line %q: %v", ln, err)
+		}
+		if tl.Point == "" || tl.Total != len(pts) || tl.Done < 1 || tl.Done > len(pts) {
+			t.Fatalf("malformed trace line: %+v", tl)
+		}
+		if tl.Cached {
+			cached++
+		}
+		if tl.Err != "" {
+			errored++
+		}
+	}
+	if cached != len(pts)-1 {
+		t.Fatalf("cached trace lines %d, want %d", cached, len(pts)-1)
+	}
+	if errored != 2 {
+		t.Fatalf("errored trace lines %d, want 2 (one per run)", errored)
+	}
+}
+
+// TestSweepHookRichProgress checks the rich progress line: the run's
+// own rate and ETA (nothing measurable at the first event, which starts
+// the clock), the engine's mean time and cache hits, and a newline once
+// the run is done.
+func TestSweepHookRichProgress(t *testing.T) {
+	var out bytes.Buffer
+	metrics := func() dse.Snapshot { return dse.Snapshot{CacheHits: 2, MeanEval: 40 * time.Millisecond} }
+	hook := sweepHook(&out, true, metrics, nil)
+	hook(dse.Event{Done: 1, Total: 3})
+	if got, want := out.String(), "\rsweep 1/3  0.0 pt/s  40ms/pt  2 cached  eta 0s   "; got != want {
+		t.Fatalf("first line %q, want %q", got, want)
+	}
+	time.Sleep(2 * time.Millisecond)
+	hook(dse.Event{Done: 2, Total: 3})
+	hook(dse.Event{Done: 3, Total: 3})
+	lines := strings.Split(out.String(), "\r")
+	if second := lines[2]; strings.Contains(second, " 0.0 pt/s") || !strings.HasPrefix(second, "sweep 2/3  ") {
+		t.Fatalf("second line %q: want a measured rate", second)
+	}
+	if last := lines[3]; !strings.HasPrefix(last, "sweep 3/3  ") || !strings.HasSuffix(last, "eta 0s   \n") {
+		t.Fatalf("last line %q", last)
 	}
 }
 

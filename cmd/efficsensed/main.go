@@ -104,8 +104,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&cfg.defaults.TrainRecords, "train-records", 120, "default detector training records")
 	fs.IntVar(&cfg.defaults.NoiseSteps, "noise-steps", 8, "default LNA-noise grid resolution")
 	fs.IntVar(&cfg.defaults.Workers, "workers", 0, "default sweep workers (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.defaults.BatchSize, "batch-size", 0,
-		"cache-miss points per batched evaluator call (0 = engine default, 1 = per-point dispatch)")
 	fs.IntVar(&cfg.defaults.Epochs, "epochs", 150, "default detector training epochs")
 	fs.Float64Var(&cfg.defaults.MinAccuracy, "min-accuracy", 0.98, "default accuracy constraint")
 
@@ -174,7 +172,6 @@ func (cfg *config) validate() error {
 		{cfg.manager.EvalTimeout > 0, fmt.Sprintf("-eval-timeout must be positive, got %s", cfg.manager.EvalTimeout)},
 		{cfg.cacheEntries > 0, fmt.Sprintf("-cache-entries must be positive, got %d", cfg.cacheEntries)},
 		{cfg.defaults.Workers >= 0, fmt.Sprintf("-workers must be non-negative, got %d", cfg.defaults.Workers)},
-		{cfg.defaults.BatchSize >= 0, fmt.Sprintf("-batch-size must be non-negative, got %d", cfg.defaults.BatchSize)},
 		{cfg.retryAttempts >= 0, fmt.Sprintf("-retry must be non-negative, got %d", cfg.retryAttempts)},
 		{cfg.retryBase > 0, fmt.Sprintf("-retry-base must be positive, got %s", cfg.retryBase)},
 		{cfg.tenantSubmitRate >= 0, fmt.Sprintf("-tenant-submit-rate must be non-negative, got %g", cfg.tenantSubmitRate)},

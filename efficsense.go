@@ -21,7 +21,6 @@ package efficsense
 
 import (
 	"context"
-	"io"
 
 	"efficsense/internal/cache"
 	"efficsense/internal/chain"
@@ -182,8 +181,8 @@ type (
 	// NewSweep.
 	Sweep = dse.Sweep
 	// SweepOption configures a Sweep at construction (WithWorkers,
-	// WithBatchSize, WithProgress, WithCache, WithTrace,
-	// WithEvaluatorID, WithRetry).
+	// WithCache, WithEvaluatorID, WithRetry). A run is observed through
+	// its own hook, (*Sweep).RunWithHook.
 	SweepOption = dse.Option
 	// PointEvaluator scores one design point (implemented by
 	// *Evaluator).
@@ -214,8 +213,8 @@ type (
 	// snapshot carried by SweepMetrics; it renders Prometheus exposition
 	// and estimates arbitrary quantiles.
 	EvalHistogram = obs.Snapshot
-	// SweepEvent is one structured per-point engine observation
-	// (WithEventHook, (*Sweep).RunWithHook).
+	// SweepEvent is one structured per-point engine observation, delivered
+	// to the run's hook ((*Sweep).RunWithHook) with the run's Done/Total.
 	SweepEvent = dse.Event
 	// Quality is a goal-function selector (paper Step 5).
 	Quality = dse.Quality
@@ -225,13 +224,13 @@ type (
 	RetryPolicy = dse.RetryPolicy
 )
 
-// DefaultBatchSize is the batch size NewSweep uses when WithBatchSize
-// is not given.
+// DefaultBatchSize is the most cache-miss points a Sweep hands a
+// BatchEvaluator in one call.
 const DefaultBatchSize = dse.DefaultBatchSize
 
 // NewSweep builds a validated sweep engine over an evaluator. When ev
 // also implements BatchEvaluator the engine dispatches cache misses in
-// group-ordered batches (see WithBatchSize).
+// group-ordered batches of up to DefaultBatchSize points.
 func NewSweep(ev PointEvaluator, opts ...SweepOption) (*Sweep, error) {
 	return dse.NewSweep(ev, opts...)
 }
@@ -246,14 +245,10 @@ func NewMemoryCache() *SweepCache { return cache.New(0) }
 func NewLRUCache(entries int) *SweepCache { return cache.New(entries) }
 
 // Sweep options (see the dse package for semantics).
-func WithWorkers(n int) SweepOption                     { return dse.WithWorkers(n) }
-func WithBatchSize(n int) SweepOption                   { return dse.WithBatchSize(n) }
-func WithProgress(fn func(done, total int)) SweepOption { return dse.WithProgress(fn) }
-func WithCache(c *SweepCache) SweepOption               { return dse.WithCache(c) }
-func WithTrace(w io.Writer) SweepOption                 { return dse.WithTrace(w) }
-func WithEventHook(fn func(SweepEvent)) SweepOption     { return dse.WithEventHook(fn) }
-func WithEvaluatorID(id string) SweepOption             { return dse.WithEvaluatorID(id) }
-func WithRetry(p RetryPolicy) SweepOption               { return dse.WithRetry(p) }
+func WithWorkers(n int) SweepOption         { return dse.WithWorkers(n) }
+func WithCache(c *SweepCache) SweepOption   { return dse.WithCache(c) }
+func WithEvaluatorID(id string) SweepOption { return dse.WithEvaluatorID(id) }
+func WithRetry(p RetryPolicy) SweepOption   { return dse.WithRetry(p) }
 
 // PaperSpace returns the Table III search grid.
 func PaperSpace(noiseSteps int) Space { return dse.PaperSpace(noiseSteps) }

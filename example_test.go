@@ -1,6 +1,7 @@
 package efficsense_test
 
 import (
+	"context"
 	"fmt"
 
 	"efficsense"
@@ -60,4 +61,39 @@ func ExampleOptimum() {
 	fmt.Println(ok, units.Format(best.TotalPower, "W"))
 	// Output:
 	// true 2.44µW
+}
+
+// bitsEval is a stand-in evaluator whose power grows with the ADC
+// resolution.
+type bitsEval struct{}
+
+func (bitsEval) Evaluate(p efficsense.DesignPoint) efficsense.Result {
+	return efficsense.Result{Point: p, TotalPower: float64(p.Bits) * 1e-6}
+}
+
+// ExampleSweep_RunWithHook watches a sweep's progress through the run's
+// own hook: one call per completed point, serially, with Done counting
+// up to Total.
+func ExampleSweep_RunWithHook() {
+	sweep, err := efficsense.NewSweep(bitsEval{}, efficsense.WithWorkers(2))
+	if err != nil {
+		panic(err)
+	}
+	var pts []efficsense.DesignPoint
+	for bits := 6; bits <= 9; bits++ {
+		pts = append(pts, efficsense.DesignPoint{Arch: efficsense.ArchBaseline, Bits: bits, LNANoise: 2e-6})
+	}
+	results, err := sweep.RunWithHook(context.Background(), pts, func(e efficsense.SweepEvent) {
+		fmt.Printf("%d/%d\n", e.Done, e.Total)
+	})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(len(results), "results")
+	// Output:
+	// 1/4
+	// 2/4
+	// 3/4
+	// 4/4
+	// 4 results
 }

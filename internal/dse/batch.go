@@ -28,18 +28,11 @@ type BatchEvaluator interface {
 	EvaluateBatch(ctx context.Context, pts []core.DesignPoint) []core.Result
 }
 
-// DefaultBatchSize is the chunk size the engine dispatches to a
-// BatchEvaluator when WithBatchSize is not given. Large enough to cover
+// DefaultBatchSize is the most cache-miss points the engine hands a
+// BatchEvaluator in one EvaluateBatch call. Large enough to cover
 // several ADC-resolution groups per call (the paper grid has three Bits
 // values per group), small enough to keep the worker pool's progress
 // granularity and cancellation latency reasonable.
-const DefaultBatchSize = 16
-
-// WithBatchSize bounds how many cache-miss points the engine hands to a
-// batch evaluator per EvaluateBatch call. n = 0 selects
-// DefaultBatchSize; n = 1 disables batch dispatch (every point takes the
-// historical per-point path); negative n is a construction error. The
-// option is inert when the evaluator does not implement BatchEvaluator.
 //
 // Batched misses trade singleflight de-duplication for work sharing: a
 // chunk with two or more misses evaluates them in one EvaluateBatch call
@@ -47,15 +40,7 @@ const DefaultBatchSize = 16
 // concurrent identical sweeps can at worst duplicate work, never corrupt
 // it). A chunk with a single miss keeps the per-point path and with it
 // the exactly-once flight guarantee.
-func WithBatchSize(n int) Option {
-	return func(s *Sweep) error {
-		if n < 0 {
-			return fmt.Errorf("dse: negative batch size %d", n)
-		}
-		s.batchSize = n
-		return nil
-	}
-}
+const DefaultBatchSize = 16
 
 // keyBuf is a pooled cache-key buffer: the warm path builds
 // "evalID/pointKey" into it and looks the bytes up directly, so a
@@ -75,11 +60,10 @@ func (s *Sweep) appendKey(dst []byte, p core.DesignPoint) []byte {
 // lookups, batch dispatch to a BatchEvaluator on the worker pool, panic
 // recovery, retries and metrics included — returning one result per
 // point in input order, so a Sweep is itself a BatchEvaluator. It is
-// Run's dispatcher without the progress window: no progress callback,
-// no events, no trace lines. Serving layers and search rounds hand their
-// points straight to it and get the degradation shape back: per-point
-// error rows, never a lost batch. A cancelled ctx degrades the points
-// never evaluated with ctx.Err().
+// Run's dispatcher without a hook: it delivers no events. Serving layers
+// and search rounds hand their points straight to it and get the
+// degradation shape back: per-point error rows, never a lost batch. A
+// cancelled ctx degrades the points never evaluated with ctx.Err().
 func (s *Sweep) EvaluateBatch(ctx context.Context, pts []core.DesignPoint) []core.Result {
 	out := make([]core.Result, len(pts))
 	if len(pts) == 0 {

@@ -64,19 +64,6 @@ func batchTestPoints(n int) []core.DesignPoint {
 	return pts
 }
 
-func TestWithBatchSizeValidation(t *testing.T) {
-	if _, err := NewSweep(&fakeBatchEvaluator{}, WithBatchSize(-1)); err == nil {
-		t.Fatal("negative batch size accepted")
-	}
-	s, err := NewSweep(&fakeBatchEvaluator{}, WithBatchSize(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.batchSize != DefaultBatchSize {
-		t.Fatalf("batch size 0 should select the default %d, got %d", DefaultBatchSize, s.batchSize)
-	}
-}
-
 func TestChunkByGroupOrdersAndBounds(t *testing.T) {
 	pts := batchTestPoints(12) // two groups of 6, interleaved in input order
 	chunks := chunkByGroup(pts, 4, 1)
@@ -265,10 +252,11 @@ func TestEvaluateBatchUsesEveryWorker(t *testing.T) {
 	}
 
 	serial := &barrierBatchEvaluator{fakeEvaluator: fakeEvaluator{delay: time.Millisecond}}
-	s1, err := NewSweep(serial, WithWorkers(1), WithBatchSize(4))
+	s1, err := NewSweep(serial, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1.batchSize = 4
 	s1.EvaluateBatch(context.Background(), batchTestPoints(24))
 	if got := serial.maxInFlight.Load(); got != 1 {
 		t.Fatalf("one worker ran %d chunks at once", got)
@@ -329,7 +317,7 @@ func TestRunPrefersBatchDispatch(t *testing.T) {
 	if snap.BatchSizeHist.Count == 0 || snap.BatchLatencyHist.Count == 0 {
 		t.Fatal("batch histograms unobserved")
 	}
-	perPoint, err := NewSweep(&fakeEvaluator{}, WithBatchSize(1))
+	perPoint, err := NewSweep(&fakeEvaluator{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,10 +380,11 @@ func TestBatchFaultDegradesOnlyItsBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := batchTestPoints(24)
-	s, err := NewSweep(&fakeBatchEvaluator{}, WithWorkers(1), WithBatchSize(4))
+	s, err := NewSweep(&fakeBatchEvaluator{}, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.batchSize = 4
 	rs, err := s.Run(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +412,7 @@ func TestBatchFaultRetriedPerPoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSweep(&fakeBatchEvaluator{}, WithWorkers(1), WithBatchSize(4),
+	s, err := NewSweep(&fakeBatchEvaluator{}, WithWorkers(1),
 		WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond}))
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +435,7 @@ func TestBatchFaultRetriedPerPoint(t *testing.T) {
 // that batch's points and is counted, instead of killing the worker.
 func TestBatchPanicDegradesBatch(t *testing.T) {
 	ev := &fakeBatchEvaluator{panicOnCall: true}
-	s, err := NewSweep(ev, WithWorkers(1), WithBatchSize(8))
+	s, err := NewSweep(ev, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +460,7 @@ func TestBatchLengthMismatchDegrades(t *testing.T) {
 	ev := &fakeBatchEvaluator{rows: func(pts []core.DesignPoint) []core.Result {
 		return make([]core.Result, len(pts)-1)
 	}}
-	s, err := NewSweep(ev, WithWorkers(1), WithBatchSize(4))
+	s, err := NewSweep(ev, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

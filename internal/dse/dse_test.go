@@ -214,17 +214,17 @@ func TestSweepRunsAllPointsInParallel(t *testing.T) {
 		{Arch: core.ArchCS, Bits: 8, LNANoise: 5e-6, M: 96},
 	}
 	var calls []int
-	sweep, err := NewSweep(ev, WithWorkers(3), WithProgress(func(done, total int) {
-		// The engine invokes Progress serially, so no locking is needed.
-		calls = append(calls, done)
-		if total != len(pts) {
-			t.Errorf("total = %d", total)
-		}
-	}))
+	sweep, err := NewSweep(ev, WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := sweep.Run(context.Background(), pts)
+	rs, err := sweep.RunWithHook(context.Background(), pts, func(e Event) {
+		// The engine invokes the hook serially, so no locking is needed.
+		calls = append(calls, e.Done)
+		if e.Total != len(pts) {
+			t.Errorf("total = %d", e.Total)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,8 @@ package dse
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -38,11 +36,10 @@ type Fingerprinter interface {
 // serve one anonymous evaluator the results of another).
 var anonEvalID atomic.Int64
 
-// Event is one structured engine observation: exactly one is emitted per
-// completed point, carrying the evaluated result and the per-run progress
-// window. The JSONL trace sink (WithTrace), the construction-time hook
-// (WithEventHook) and any per-run hook (RunWithHook) all render from the
-// same events.
+// Event is one structured engine observation: exactly one is delivered
+// per completed point to the run's hook (RunWithHook), carrying the
+// evaluated result and the run's progress. A caller that wants a
+// progress line, a throughput or a trace renders it from these events.
 type Event struct {
 	// Index is the point's position in the Run's input slice.
 	Index int
@@ -77,28 +74,24 @@ type Event struct {
 //     the worker and degraded into an error-carrying result instead of
 //     killing the run, and WithRetry re-attempts transient failures with
 //     exponential backoff and jitter before degrading;
-//   - observability: atomic counters, per-point duration statistics, ETA,
-//     structured per-point events (WithEventHook, RunWithHook) and an
-//     optional JSONL trace sink.
+//   - observability: cumulative atomic counters and per-point duration
+//     histograms (Metrics), and one structured event per completed point
+//     delivered to the run's own hook (RunWithHook).
 //
-// A Sweep may be reused for any number of Runs; metrics accumulate across
-// them. Concurrent Runs on one Sweep are safe but interleave the per-run
-// progress window (Total/Done/ETA); per-run hooks observe only their own
-// run.
+// A Sweep may be reused for any number of Runs, concurrent ones
+// included; metrics accumulate across them, and each run's hook
+// observes only its own run.
 type Sweep struct {
-	ev        PointEvaluator
-	batch     BatchEvaluator // non-nil when ev implements it
+	ev     PointEvaluator
+	batch  BatchEvaluator // non-nil when ev implements it
+	evalID string
+	// batchSize is the chunk size of batch dispatch: DefaultBatchSize,
+	// lowered only by this package's tests.
 	batchSize int
-	evalID    string
 	workers   int
-	progress  func(done, total int)
-	hook      func(Event)
 	cache     *cache.LRU
 	retry     *retrier
 	metrics   Metrics
-
-	traceMu sync.Mutex
-	trace   io.Writer
 }
 
 // Option configures a Sweep at construction.
@@ -112,17 +105,6 @@ func WithWorkers(n int) Option {
 			return fmt.Errorf("dse: negative worker count %d", n)
 		}
 		s.workers = n
-		return nil
-	}
-}
-
-// WithProgress installs a progress callback. The engine invokes it
-// serially — never from two workers at once — with strictly increasing
-// done counts, ending at done == total for a completed run. Keep it
-// fast: it runs under the engine's completion lock. A nil fn is a no-op.
-func WithProgress(fn func(done, total int)) Option {
-	return func(s *Sweep) error {
-		s.progress = fn
 		return nil
 	}
 }
@@ -144,28 +126,6 @@ func WithCache(c *cache.LRU) Option {
 //
 // Deprecated: use cache.New(0), which it returns.
 func NewMemoryCache() *cache.LRU { return cache.New(0) }
-
-// WithTrace attaches a JSONL trace sink: one JSON object per completed
-// point ({index, point, cached, duration_ms, done, total, err?}), written
-// serially. A nil writer is a no-op.
-func WithTrace(w io.Writer) Option {
-	return func(s *Sweep) error {
-		s.trace = w
-		return nil
-	}
-}
-
-// WithEventHook installs a structured per-point hook: the engine invokes
-// it once per completed point with the same Event the JSONL trace renders,
-// serially — never from two workers at once — with strictly increasing
-// Done counts within a run. Keep it fast: like the progress callback, it
-// runs under the engine's completion lock. A nil fn is a no-op.
-func WithEventHook(fn func(Event)) Option {
-	return func(s *Sweep) error {
-		s.hook = fn
-		return nil
-	}
-}
 
 // WithEvaluatorID overrides the evaluator identity used in cache keys.
 // Use it to share a cache between evaluators the engine cannot prove
@@ -190,7 +150,7 @@ func NewSweep(ev PointEvaluator, opts ...Option) (*Sweep, error) {
 	if ce, ok := ev.(*core.Evaluator); ok && ce == nil {
 		return nil, errors.New("dse: sweep requires a non-nil evaluator")
 	}
-	s := &Sweep{ev: ev}
+	s := &Sweep{ev: ev, batchSize: DefaultBatchSize}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -209,9 +169,6 @@ func NewSweep(ev PointEvaluator, opts ...Option) (*Sweep, error) {
 	// The batch-first upgrade: an evaluator that can score several points
 	// in one call gets cache misses dispatched in group-ordered chunks.
 	s.batch, _ = ev.(BatchEvaluator)
-	if s.batchSize == 0 {
-		s.batchSize = DefaultBatchSize
-	}
 	s.metrics.initHistogram()
 	return s, nil
 }
@@ -241,10 +198,8 @@ func (s *Sweep) Evaluate(p core.DesignPoint) core.Result {
 // end, and a sound result is still cached. cached reports a hit or a
 // join. timeout <= 0 leaves ctx's own deadline in charge.
 //
-// Like Evaluate it is not a Run: it emits no Event, calls neither the
-// progress callback nor the trace sink, and leaves the per-run progress
-// window (Total, Done, Elapsed) to the last Run. The cumulative counters
-// count its point as they count a Run's.
+// Like Evaluate it is not a Run: it delivers no Event. The cumulative
+// counters count its point as they count a Run's.
 func (s *Sweep) EvaluatePoint(ctx context.Context, p core.DesignPoint, timeout time.Duration) (res core.Result, cached bool, err error) {
 	if err = ctx.Err(); err != nil {
 		return core.Result{}, false, err
@@ -286,23 +241,24 @@ func (s *Sweep) Run(ctx context.Context, points []core.DesignPoint) ([]core.Resu
 	return s.RunWithHook(ctx, points, nil)
 }
 
-// RunWithHook is Run with an additional per-run event hook: hook observes
-// only this run's events (unlike the construction-time WithEventHook,
-// which sees every run), under the same delivery contract — serial calls,
-// strictly increasing Done. A serving layer multiplexing concurrent
-// sweeps over one shared engine uses it to give each job its own event
-// stream. A nil hook is a no-op.
+// RunWithHook is Run with a per-run event hook, the engine's one
+// observation channel: hook receives one Event per completed point of
+// this run only, serially — never from two workers at once — with
+// strictly increasing Done, ending at Done == Total for a completed run.
+// It runs under the run's completion lock, so keep it fast. A serving
+// layer multiplexing concurrent sweeps over one shared engine gives
+// each job its own event stream this way; the CLI renders its progress
+// line and JSONL trace from it. A nil hook is a no-op.
 func (s *Sweep) RunWithHook(ctx context.Context, points []core.DesignPoint, hook func(Event)) ([]core.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.metrics.beginRun(len(points))
 	results := make([]core.Result, len(points))
 	if len(points) == 0 {
 		return results, ctx.Err()
 	}
 	var (
-		mu        sync.Mutex // guards results, completed, done, progress
+		mu        sync.Mutex // guards results, completed, done and hook calls
 		completed = make([]bool, len(points))
 		done      int
 	)
@@ -311,24 +267,14 @@ func (s *Sweep) RunWithHook(ctx context.Context, points []core.DesignPoint, hook
 		results[idx] = res
 		completed[idx] = true
 		done++
-		d := done
-		s.metrics.done.Store(int64(d))
-		ev := Event{
-			Index: idx, Point: points[idx], Result: res,
-			Cached: cached, Duration: dur,
-			Done: d, Total: len(points),
-		}
-		if s.progress != nil {
-			s.progress(d, len(points))
-		}
-		if s.hook != nil {
-			s.hook(ev)
-		}
 		if hook != nil {
-			hook(ev)
+			hook(Event{
+				Index: idx, Point: points[idx], Result: res,
+				Cached: cached, Duration: dur,
+				Done: done, Total: len(points),
+			})
 		}
 		mu.Unlock()
-		s.writeTrace(ev)
 	}
 	s.dispatch(ctx, points, complete)
 	if err := ctx.Err(); err != nil {
@@ -346,9 +292,10 @@ func (s *Sweep) RunWithHook(ctx context.Context, points []core.DesignPoint, hook
 // dispatch is the engine's one dispatcher, shared by RunWithHook and
 // EvaluateBatch: it evaluates points on the worker pool and reports
 // each finished point through complete, from whichever worker finished
-// it. A BatchEvaluator gets its misses in group-ordered chunks cut to
-// fit the worker count (chunkByGroup); any other evaluator, a batch
-// size of 1 or a lone point takes the per-point path. Once ctx is done
+// it. A BatchEvaluator gets its misses in group-ordered chunks of up to
+// DefaultBatchSize points cut to fit the worker count (chunkByGroup); an
+// evaluator that implements only PointEvaluator, or a lone point, takes
+// the per-point path. Once ctx is done
 // no further chunk or point is evaluated, so some indices may never be
 // completed; callers decide what those become.
 func (s *Sweep) dispatch(ctx context.Context, points []core.DesignPoint, complete func(idx int, res core.Result, cached bool, dur time.Duration)) {
@@ -357,7 +304,7 @@ func (s *Sweep) dispatch(ctx context.Context, points []core.DesignPoint, complet
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, len(points))
-	if s.batch == nil || s.batchSize == 1 || len(points) == 1 {
+	if s.batch == nil || len(points) == 1 {
 		runPool(ctx, len(points), workers, func(idx int) {
 			res, hit, shared, dur := s.evalPoint(ctx, points[idx], time.Time{})
 			complete(idx, res, hit || shared, dur)
@@ -475,39 +422,4 @@ func (s *Sweep) safeEvaluate(p core.DesignPoint) (res core.Result) {
 		return core.Result{Point: p, Err: err}
 	}
 	return s.ev.Evaluate(p)
-}
-
-// traceEvent is one JSONL trace line.
-type traceEvent struct {
-	Index      int     `json:"index"`
-	Point      string  `json:"point"`
-	Cached     bool    `json:"cached"`
-	DurationMS float64 `json:"duration_ms"`
-	Done       int     `json:"done"`
-	Total      int     `json:"total"`
-	Err        string  `json:"err,omitempty"`
-}
-
-func (s *Sweep) writeTrace(ev Event) {
-	if s.trace == nil {
-		return
-	}
-	te := traceEvent{
-		Index:      ev.Index,
-		Point:      ev.Point.String(),
-		Cached:     ev.Cached,
-		DurationMS: float64(ev.Duration) / float64(time.Millisecond),
-		Done:       ev.Done,
-		Total:      ev.Total,
-	}
-	if ev.Result.Err != nil {
-		te.Err = ev.Result.Err.Error()
-	}
-	line, err := json.Marshal(te)
-	if err != nil {
-		return
-	}
-	s.traceMu.Lock()
-	s.trace.Write(append(line, '\n'))
-	s.traceMu.Unlock()
 }

@@ -1,9 +1,7 @@
 package dse
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -65,7 +63,7 @@ func TestNewSweepValidation(t *testing.T) {
 	if _, err := NewSweep(&fakeEvaluator{}, WithEvaluatorID("")); err == nil {
 		t.Fatal("empty evaluator ID accepted")
 	}
-	s, err := NewSweep(&fakeEvaluator{}, WithWorkers(0), WithProgress(nil), WithCache(nil), WithTrace(nil))
+	s, err := NewSweep(&fakeEvaluator{}, WithWorkers(0), WithCache(nil))
 	if err != nil {
 		t.Fatalf("valid configuration rejected: %v", err)
 	}
@@ -253,16 +251,16 @@ func TestCacheSharingIsKeyedOnEvaluatorIdentity(t *testing.T) {
 
 func TestProgressIsMonotonicAcrossManyWorkers(t *testing.T) {
 	var calls []int
-	s, err := NewSweep(&fakeEvaluator{}, WithWorkers(16), WithProgress(func(done, total int) {
-		calls = append(calls, done) // serial by contract: no lock needed
-		if total != 200 {
-			t.Errorf("total = %d", total)
-		}
-	}))
+	s, err := NewSweep(&fakeEvaluator{}, WithWorkers(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(context.Background(), fakePoints(200)); err != nil {
+	if _, err := s.RunWithHook(context.Background(), fakePoints(200), func(ev Event) {
+		calls = append(calls, ev.Done) // serial by contract: no lock needed
+		if ev.Total != 200 {
+			t.Errorf("total = %d", ev.Total)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 200 {
@@ -272,57 +270,6 @@ func TestProgressIsMonotonicAcrossManyWorkers(t *testing.T) {
 		if d != i+1 {
 			t.Fatalf("progress not monotonic at %d: %v...", i, calls[:i+1])
 		}
-	}
-}
-
-func TestTraceSinkEmitsOneJSONLinePerPoint(t *testing.T) {
-	var buf bytes.Buffer
-	store := cache.New(0)
-	s, err := NewSweep(&fakeEvaluator{panicOn: func(p core.DesignPoint) bool { return p.M == 77 }},
-		WithWorkers(4), WithTrace(&buf), WithCache(store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := fakePoints(12)
-	if _, err := s.Run(context.Background(), pts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(context.Background(), pts); err != nil { // second run: cached + retried panic
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	if len(lines) != 2*len(pts) {
-		t.Fatalf("trace lines %d, want %d", len(lines), 2*len(pts))
-	}
-	var cached, errored int
-	for _, ln := range lines {
-		var ev struct {
-			Index      int     `json:"index"`
-			Point      string  `json:"point"`
-			Cached     bool    `json:"cached"`
-			DurationMS float64 `json:"duration_ms"`
-			Done       int     `json:"done"`
-			Total      int     `json:"total"`
-			Err        string  `json:"err"`
-		}
-		if err := json.Unmarshal(ln, &ev); err != nil {
-			t.Fatalf("bad trace line %q: %v", ln, err)
-		}
-		if ev.Point == "" || ev.Total != len(pts) || ev.Done < 1 || ev.Done > len(pts) {
-			t.Fatalf("malformed trace event: %+v", ev)
-		}
-		if ev.Cached {
-			cached++
-		}
-		if ev.Err != "" {
-			errored++
-		}
-	}
-	if cached != len(pts)-1 {
-		t.Fatalf("cached trace events %d, want %d", cached, len(pts)-1)
-	}
-	if errored != 2 {
-		t.Fatalf("errored trace events %d, want 2 (one per run)", errored)
 	}
 }
 
@@ -336,20 +283,11 @@ func TestMetricsSnapshotFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := s.Metrics()
-	if m.Total != len(pts) || m.Done != len(pts) {
-		t.Fatalf("total/done %d/%d", m.Total, m.Done)
-	}
 	if m.Evaluated != int64(len(pts)) || m.CacheHits != 0 {
 		t.Fatalf("evaluated %d, hits %d", m.Evaluated, m.CacheHits)
 	}
-	if m.MeanEval < time.Millisecond || m.MinEval <= 0 || m.MaxEval < m.MinEval {
-		t.Fatalf("duration stats: mean %v min %v max %v", m.MeanEval, m.MinEval, m.MaxEval)
-	}
-	if m.Elapsed <= 0 || m.Throughput <= 0 {
-		t.Fatalf("elapsed %v throughput %g", m.Elapsed, m.Throughput)
-	}
-	if m.ETA != 0 {
-		t.Fatalf("finished run should have zero ETA, got %v", m.ETA)
+	if m.MeanEval < time.Millisecond {
+		t.Fatalf("mean eval %v", m.MeanEval)
 	}
 	// Warm re-run: counters accumulate, evaluations do not.
 	if _, err := s.Run(context.Background(), pts); err != nil {
@@ -406,23 +344,19 @@ func TestMetricsEvalQuantilesAndHistogram(t *testing.T) {
 }
 
 func TestEventHooksAreSerialAndCarryResults(t *testing.T) {
-	var global []Event
-	s, err := NewSweep(&fakeEvaluator{}, WithWorkers(8), WithCache(cache.New(0)),
-		WithEventHook(func(ev Event) {
-			global = append(global, ev) // serial by contract: no lock needed
-		}))
+	s, err := NewSweep(&fakeEvaluator{}, WithWorkers(8), WithCache(cache.New(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pts := fakePoints(40)
 	var run []Event
 	if _, err := s.RunWithHook(context.Background(), pts, func(ev Event) {
-		run = append(run, ev)
+		run = append(run, ev) // serial by contract: no lock needed
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(global) != len(pts) || len(run) != len(pts) {
-		t.Fatalf("event counts: global %d, run %d, want %d", len(global), len(run), len(pts))
+	if len(run) != len(pts) {
+		t.Fatalf("event count %d, want %d", len(run), len(pts))
 	}
 	for i, ev := range run {
 		if ev.Done != i+1 || ev.Total != len(pts) {
@@ -435,20 +369,20 @@ func TestEventHooksAreSerialAndCarryResults(t *testing.T) {
 			t.Fatalf("cold event %d malformed: %+v", i, ev)
 		}
 	}
-	// A warm re-run delivers cached events to the per-run hook only.
+	// A warm re-run delivers cached events.
 	run = nil
 	if _, err := s.RunWithHook(context.Background(), pts, func(ev Event) {
 		run = append(run, ev)
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if len(run) != len(pts) {
+		t.Fatalf("warm event count %d, want %d", len(run), len(pts))
+	}
 	for i, ev := range run {
 		if !ev.Cached || ev.Duration != 0 {
 			t.Fatalf("warm event %d not cached: %+v", i, ev)
 		}
-	}
-	if len(global) != 2*len(pts) {
-		t.Fatalf("construction hook saw %d events, want %d", len(global), 2*len(pts))
 	}
 }
 
@@ -685,8 +619,8 @@ func TestSweepCacheHitSpeedup(t *testing.T) {
 // TestEvaluatePointDeadlineBoundsOnlyMisses pins the serving layer's
 // one-point call: a miss runs under the deadline and reports
 // context.DeadlineExceeded once it passes, yet caches its row; a hit is
-// answered whatever the deadline; a join of an in-flight evaluation is
-// cached; and none of it is a Run, so the progress window stays put.
+// answered whatever the deadline; and a join of an in-flight evaluation
+// is cached.
 func TestEvaluatePointDeadlineBoundsOnlyMisses(t *testing.T) {
 	ev := &fakeEvaluator{delay: 20 * time.Millisecond}
 	s, err := NewSweep(ev, WithCache(cache.New(0)), WithEvaluatorID("point"))
@@ -728,8 +662,5 @@ func TestEvaluatePointDeadlineBoundsOnlyMisses(t *testing.T) {
 	if flags[0] == flags[1] || m.CacheHits+m.Deduped != 2 {
 		t.Errorf("cached flags %v, hits %d, deduped %d: want one of the two served without evaluating",
 			flags, m.CacheHits, m.Deduped)
-	}
-	if m.Total != 0 || m.Done != 0 || m.Elapsed != 0 {
-		t.Errorf("progress window moved: total %d, done %d, elapsed %v", m.Total, m.Done, m.Elapsed)
 	}
 }

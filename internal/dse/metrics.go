@@ -8,22 +8,18 @@ import (
 )
 
 // Metrics is the observability layer of a Sweep: lock-free counters
-// updated by the workers, snapshotted on demand. Counters are cumulative
-// across Runs of the same Sweep (a second constrained query keeps adding
-// to the same hit counts); Total/Done and the wall clock restart per Run
-// so progress displays and ETA stay meaningful.
+// updated by the workers, snapshotted on demand. Every figure is
+// cumulative across the Sweep's Runs and single-point calls (a second
+// constrained query keeps adding to the same hit counts); a run's own
+// progress, throughput and ETA belong to whoever owns the run, which
+// sees its points complete through RunWithHook.
 type Metrics struct {
-	total     atomic.Int64
-	done      atomic.Int64
 	evaluated atomic.Int64
 	cacheHits atomic.Int64
 	deduped   atomic.Int64
 	panics    atomic.Int64
 	retries   atomic.Int64
 	evalNanos atomic.Int64
-	minNanos  atomic.Int64
-	maxNanos  atomic.Int64
-	startNano atomic.Int64
 
 	batches     atomic.Int64
 	batchPoints atomic.Int64
@@ -63,44 +59,16 @@ func (m *Metrics) observeBatch(n int, d time.Duration) {
 	}
 }
 
-// beginRun resets the per-run progress window.
-func (m *Metrics) beginRun(total int) {
-	m.total.Store(int64(total))
-	m.done.Store(0)
-	m.startNano.Store(time.Now().UnixNano())
-}
-
 func (m *Metrics) observeEval(d time.Duration) {
-	n := int64(d)
 	m.evaluated.Add(1)
-	m.evalNanos.Add(n)
+	m.evalNanos.Add(int64(d))
 	if m.evalHist != nil {
 		m.evalHist.Observe(d.Seconds())
-	}
-	for {
-		cur := m.minNanos.Load()
-		if cur != 0 && cur <= n {
-			break
-		}
-		if m.minNanos.CompareAndSwap(cur, n) {
-			break
-		}
-	}
-	for {
-		cur := m.maxNanos.Load()
-		if cur >= n {
-			break
-		}
-		if m.maxNanos.CompareAndSwap(cur, n) {
-			break
-		}
 	}
 }
 
 // Snapshot is a point-in-time reading of a sweep's Metrics.
 type Snapshot struct {
-	// Total and Done describe the current (or last) Run.
-	Total, Done int
 	// Evaluated counts real evaluator calls; CacheHits counts points
 	// served from the memoisation cache; Deduped counts points served by
 	// joining an identical in-flight evaluation (the store's
@@ -115,11 +83,9 @@ type Snapshot struct {
 	// and BatchPoints the cache-miss points they carried; cumulative
 	// across Runs. Zero on per-point engines.
 	Batches, BatchPoints int64
-	// Elapsed is the wall-clock time since the current Run started.
-	Elapsed time.Duration
-	// MeanEval, MinEval, MaxEval summarise per-point evaluation time
-	// (cache hits excluded — they cost microseconds).
-	MeanEval, MinEval, MaxEval time.Duration
+	// MeanEval is the mean per-point evaluation time (cache hits
+	// excluded — they cost microseconds).
+	MeanEval time.Duration
 	// P50Eval, P90Eval, P99Eval are eval-duration quantiles estimated
 	// from EvalHist by linear interpolation within its fixed buckets —
 	// the tail the mean hides. Zero when no evaluation has happened (or
@@ -134,19 +100,12 @@ type Snapshot struct {
 	// feeding the serving layer's efficsense_batch_size_points and
 	// efficsense_batch_duration_seconds expositions.
 	BatchSizeHist, BatchLatencyHist obs.Snapshot
-	// Throughput is completed points per second in the current Run.
-	Throughput float64
-	// ETA estimates the time to finish the current Run at the observed
-	// throughput; zero when done or when no point has completed yet.
-	ETA time.Duration
 }
 
 // Snapshot returns a consistent-enough view for progress displays; it
 // does not pause the workers.
 func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
-		Total:       int(m.total.Load()),
-		Done:        int(m.done.Load()),
 		Evaluated:   m.evaluated.Load(),
 		CacheHits:   m.cacheHits.Load(),
 		Deduped:     m.deduped.Load(),
@@ -154,8 +113,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Retries:     m.retries.Load(),
 		Batches:     m.batches.Load(),
 		BatchPoints: m.batchPoints.Load(),
-		MinEval:     time.Duration(m.minNanos.Load()),
-		MaxEval:     time.Duration(m.maxNanos.Load()),
 	}
 	if s.Evaluated > 0 {
 		s.MeanEval = time.Duration(m.evalNanos.Load() / s.Evaluated)
@@ -171,15 +128,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	if m.batchHist != nil {
 		s.BatchLatencyHist = m.batchHist.Snapshot()
-	}
-	if start := m.startNano.Load(); start > 0 {
-		s.Elapsed = time.Since(time.Unix(0, start))
-	}
-	if s.Done > 0 && s.Elapsed > 0 {
-		s.Throughput = float64(s.Done) / s.Elapsed.Seconds()
-		if remaining := s.Total - s.Done; remaining > 0 {
-			s.ETA = time.Duration(float64(s.Elapsed) / float64(s.Done) * float64(remaining))
-		}
 	}
 	return s
 }

@@ -9,7 +9,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"efficsense/internal/cache"
@@ -39,10 +38,6 @@ type Options struct {
 	NoiseSteps int
 	// Workers bounds sweep parallelism (0 → GOMAXPROCS).
 	Workers int
-	// BatchSize bounds how many cache-miss points the engine hands to
-	// the evaluator per batched call (see dse.WithBatchSize): 0 selects
-	// dse.DefaultBatchSize, 1 disables batch dispatch entirely.
-	BatchSize int
 	// Epochs for detector training (default 150).
 	Epochs int
 	// MinAccuracy is the application constraint (paper: 0.98).
@@ -53,12 +48,10 @@ type Options struct {
 	// feature-MLP detector substitute; the windowed protocol remains
 	// available for studies.
 	WindowSeconds float64
-	// Progress, if set, receives sweep progress (serial, monotonic done
-	// counts — see dse.WithProgress).
-	Progress func(done, total int)
-	// Trace, if set, receives the sweep engine's JSONL per-point trace
-	// (see dse.WithTrace).
-	Trace io.Writer
+	// OnEvent, if set, observes the suite's design-space sweep: it is the
+	// hook of that engine run (see dse.Sweep.RunWithHook), called once
+	// per completed point, serially, with strictly increasing Done.
+	OnEvent func(dse.Event)
 	// Cache, if set, replaces the suite's private unbounded store, so
 	// many suites (for example a server's per-option-set instances)
 	// share one warm store — bounded, if it was built with a capacity.
@@ -169,10 +162,7 @@ func (s *Suite) init() {
 		}
 		sweepOpts := []dse.Option{
 			dse.WithWorkers(max(s.opts.Workers, 0)),
-			dse.WithBatchSize(max(s.opts.BatchSize, 0)),
-			dse.WithProgress(s.opts.Progress),
 			dse.WithCache(s.cache),
-			dse.WithTrace(s.opts.Trace),
 		}
 		if s.opts.Retry != nil {
 			policy := *s.opts.Retry
@@ -272,8 +262,8 @@ func (s *Suite) Cache() *cache.LRU {
 	return s.cache
 }
 
-// SweepMetrics snapshots the engine's counters (throughput, cache hits,
-// per-point durations, ETA of a running sweep).
+// SweepMetrics snapshots the engine's cumulative counters (evaluations,
+// cache hits, per-point durations).
 func (s *Suite) SweepMetrics() dse.Snapshot {
 	s.init()
 	return s.engine.Metrics()
@@ -295,7 +285,7 @@ func (s *Suite) SweepResultsContext(ctx context.Context) ([]core.Result, error) 
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
-	rs, err := s.engine.Run(ctx, space.Points())
+	rs, err := s.engine.RunWithHook(ctx, space.Points(), s.opts.OnEvent)
 	if err != nil {
 		return rs, err
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -34,6 +36,39 @@ func testSuite(t *testing.T) *Suite {
 		})
 	})
 	return suiteInst
+}
+
+// figSource is what the suite and a figure set rebuilt from a sweep CSV
+// both offer: the figures the shape criteria read.
+type figSource interface {
+	Fig7a() Fronts
+	Fig9() []Fig9Point
+	Fig10(caps []float64) []Fig10Front
+}
+
+// canonicalSweep rebuilds the figures of the committed canonical sweep,
+// results/sweep.csv (`efficsense sweep -records 120 -noise-steps 8 -seed
+// 1`, which `make paper-accept` keeps byte-identical to a fresh run). It
+// needs no suite and loads in milliseconds, so it runs under -short.
+func canonicalSweep(t *testing.T) figSource {
+	t.Helper()
+	f, err := os.Open(filepath.Join("..", "..", "results", "sweep.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rs, err := LoadResults(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewFigsFromResults(rs, 0)
+}
+
+// forShapeInputs runs a DESIGN.md §4 shape check on the canonical sweep
+// and on the small test suite (skipped under -short), one subtest each.
+func forShapeInputs(t *testing.T, check func(t *testing.T, src figSource)) {
+	t.Run("canonical", func(t *testing.T) { check(t, canonicalSweep(t)) })
+	t.Run("suite", func(t *testing.T) { check(t, testSuite(t)) })
 }
 
 func TestSharedCacheInjection(t *testing.T) {
@@ -103,7 +138,7 @@ func TestFig4ShapeMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestSweepAndFig7Shapes(t *testing.T) {
+func TestSuiteSweepSizeAndCaching(t *testing.T) {
 	s := testSuite(t)
 	rs := s.SweepResults()
 	wantPoints := 3*4 + 3*4*3 // PaperSpace(4)
@@ -115,26 +150,36 @@ func TestSweepAndFig7Shapes(t *testing.T) {
 	if &rs[0] != &rs2[0] {
 		t.Fatal("sweep should be cached")
 	}
-	f7a := s.Fig7a()
-	if len(f7a.Baseline) == 0 || len(f7a.CS) == 0 {
-		t.Fatal("empty Pareto fronts")
+}
+
+// frontExtent is a front's highest SNR and lowest power.
+func frontExtent(front []core.Result) (maxSNR, minPower float64) {
+	minPower = 1e18
+	for _, r := range front {
+		maxSNR = max(maxSNR, r.MeanSNRdB)
+		minPower = min(minPower, r.TotalPower)
 	}
-	// Baseline should reach the higher SNR end (paper: classical wins at
-	// high SNR).
-	maxB, maxC := 0.0, 0.0
-	for _, r := range f7a.Baseline {
-		if r.MeanSNRdB > maxB {
-			maxB = r.MeanSNRdB
+	return maxSNR, minPower
+}
+
+// TestSweepAndFig7Shapes checks shape criterion (ii): the Fig 7a fronts
+// cross. The baseline reaches the higher SNR (canonical sweep: 22.4 dB
+// against 8.9), the CS front the lower power (1.20 µW against 3.27).
+func TestSweepAndFig7Shapes(t *testing.T) {
+	forShapeInputs(t, func(t *testing.T, src figSource) {
+		f7a := src.Fig7a()
+		if len(f7a.Baseline) == 0 || len(f7a.CS) == 0 {
+			t.Fatal("empty Pareto fronts")
 		}
-	}
-	for _, r := range f7a.CS {
-		if r.MeanSNRdB > maxC {
-			maxC = r.MeanSNRdB
+		maxB, minPB := frontExtent(f7a.Baseline)
+		maxC, minPC := frontExtent(f7a.CS)
+		if maxB <= maxC {
+			t.Errorf("baseline max SNR %.1f dB should exceed CS max %.1f dB (Fig 7a: baseline wins at high SNR)", maxB, maxC)
 		}
-	}
-	if maxB <= maxC {
-		t.Errorf("baseline max SNR %.1f should exceed CS max %.1f (Fig 7a trend)", maxB, maxC)
-	}
+		if minPC >= minPB {
+			t.Errorf("CS min power %g W should undercut baseline min %g W (Fig 7a: CS wins at low SNR)", minPC, minPB)
+		}
+	})
 }
 
 func TestFig7bHeadlineResult(t *testing.T) {
@@ -188,44 +233,54 @@ func TestFig8SavingsComposition(t *testing.T) {
 	}
 }
 
+// TestFig9AreaSeparation checks the Fig 9 half of shape criterion (v):
+// every CS design costs more capacitor area than every baseline design
+// (canonical sweep: 6 074 against 257 C_u,min).
 func TestFig9AreaSeparation(t *testing.T) {
-	s := testSuite(t)
-	pts := s.Fig9()
-	var minCS, maxBase float64
-	minCS = 1e18
-	for _, p := range pts {
-		if p.Arch == core.ArchCS && p.AreaCaps < minCS {
-			minCS = p.AreaCaps
+	forShapeInputs(t, func(t *testing.T, src figSource) {
+		var minCS, maxBase float64
+		minCS = 1e18
+		for _, p := range src.Fig9() {
+			if p.Arch == core.ArchCS && p.AreaCaps < minCS {
+				minCS = p.AreaCaps
+			}
+			if p.Arch == core.ArchBaseline && p.AreaCaps > maxBase {
+				maxBase = p.AreaCaps
+			}
 		}
-		if p.Arch == core.ArchBaseline && p.AreaCaps > maxBase {
-			maxBase = p.AreaCaps
+		if minCS <= maxBase {
+			t.Fatalf("every CS design should out-area every baseline design: minCS %g vs maxBase %g",
+				minCS, maxBase)
 		}
-	}
-	if minCS <= maxBase {
-		t.Fatalf("every CS design should out-area every baseline design: minCS %g vs maxBase %g",
-			minCS, maxBase)
-	}
+	})
 }
 
+// TestFig10ConstraintMonotone checks the Fig 10 half of shape criterion
+// (v): the best accuracy never falls as the area cap loosens, and the
+// tight caps of 500 and 2 000 C_u,min keep no CS design.
 func TestFig10ConstraintMonotone(t *testing.T) {
-	s := testSuite(t)
-	fronts := s.Fig10(nil)
-	if len(fronts) != len(DefaultAreaCaps) {
-		t.Fatalf("front count %d", len(fronts))
-	}
-	// Looser caps can only improve the best achievable accuracy.
-	for i := 1; i < len(fronts); i++ {
-		if fronts[i].BestAccuracy+1e-12 < fronts[i-1].BestAccuracy {
-			t.Fatalf("best accuracy fell from %.4f to %.4f as the cap loosened",
-				fronts[i-1].BestAccuracy, fronts[i].BestAccuracy)
+	forShapeInputs(t, func(t *testing.T, src figSource) {
+		fronts := src.Fig10(nil)
+		if len(fronts) != len(DefaultAreaCaps) {
+			t.Fatalf("front count %d", len(fronts))
 		}
-	}
-	// The tightest cap excludes all CS designs (they are area-hungry).
-	for _, r := range fronts[0].Front {
-		if r.Point.Arch == core.ArchCS {
-			t.Fatalf("CS design %s survived the %0.f-cap", r.Point, fronts[0].MaxAreaCaps)
+		for i := 1; i < len(fronts); i++ {
+			if fronts[i].BestAccuracy+1e-12 < fronts[i-1].BestAccuracy {
+				t.Fatalf("best accuracy fell from %.4f to %.4f as the cap loosened",
+					fronts[i-1].BestAccuracy, fronts[i].BestAccuracy)
+			}
 		}
-	}
+		for _, f := range fronts {
+			if f.MaxAreaCaps > 2000 {
+				continue
+			}
+			for _, r := range f.Front {
+				if r.Point.Arch == core.ArchCS {
+					t.Fatalf("CS design %s survived the %.0f cap", r.Point, f.MaxAreaCaps)
+				}
+			}
+		}
+	})
 }
 
 func TestRenderersProduceOutput(t *testing.T) {

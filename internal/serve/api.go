@@ -480,10 +480,14 @@ func searchOutcomeOf(spec search.Spec, out search.Outcome, partial bool) *Search
 	return so
 }
 
-// EngineMetricsJSON is the wire form of a dse.Snapshot. The eval
-// quantiles come from the engine's fixed-bucket duration histogram, so
-// a slow sweep's tail is visible right on its status response instead
-// of only in aggregate /metrics.
+// EngineMetricsJSON is a job status's metrics block: the cumulative
+// counters and eval quantiles of the job's engine (a dse.Snapshot), and
+// the job's own throughput and ETA. The quantiles come from the
+// engine's fixed-bucket duration histogram, so a slow sweep's tail is
+// visible right on its status response instead of only in aggregate
+// /metrics. Throughput and ETA come from the job's progress and clock
+// alone, so other runs on a shared engine never move them, and they
+// hold still once the job ends.
 type EngineMetricsJSON struct {
 	Evaluated  int64   `json:"evaluated"`
 	CacheHits  int64   `json:"cache_hits"`
@@ -498,7 +502,7 @@ type EngineMetricsJSON struct {
 	ETAMS      float64 `json:"eta_ms"`
 }
 
-func engineMetricsJSON(s dse.Snapshot) *EngineMetricsJSON {
+func engineMetricsJSON(s dse.Snapshot, throughput float64, eta time.Duration) *EngineMetricsJSON {
 	return &EngineMetricsJSON{
 		Evaluated:  s.Evaluated,
 		CacheHits:  s.CacheHits,
@@ -509,8 +513,8 @@ func engineMetricsJSON(s dse.Snapshot) *EngineMetricsJSON {
 		P50EvalMS:  float64(s.P50Eval) / float64(time.Millisecond),
 		P90EvalMS:  float64(s.P90Eval) / float64(time.Millisecond),
 		P99EvalMS:  float64(s.P99Eval) / float64(time.Millisecond),
-		Throughput: s.Throughput,
-		ETAMS:      float64(s.ETA) / float64(time.Millisecond),
+		Throughput: throughput,
+		ETAMS:      float64(eta) / float64(time.Millisecond),
 	}
 }
 

@@ -282,18 +282,17 @@ func TestWireRejectsOutOfRangePoints(t *testing.T) {
 // TestEvaluateBatchDeadlineDegradesRows: a deadline that fires mid-batch
 // yields HTTP 200 with error rows for the unfinished points — the batch
 // shape degrades, it does not turn into the single-point 504. The
-// timing pins the deadline inside the second evaluation (one worker,
-// 80 ms per point, 100 ms budget), so the points the engine never
-// dispatched must come back as deadline rows.
+// timing pins the deadline inside the first two evaluations (two
+// workers, 80 ms per point, 50 ms budget), so the two points the engine
+// never dispatched must come back as deadline rows.
 func TestEvaluateBatchDeadlineDegradesRows(t *testing.T) {
-	ts, _, eval := newBatchTestServer(t, ManagerConfig{}, dse.WithWorkers(1), dse.WithBatchSize(1))
-	eval.delay = 80 * time.Millisecond
+	ts, _, _ := newTestServer(t, 80*time.Millisecond, ManagerConfig{})
 
 	body := `{"points":[
 		{"arch":"baseline","bits":4,"lna_noise":1e-6},
 		{"arch":"baseline","bits":5,"lna_noise":1e-6},
 		{"arch":"baseline","bits":6,"lna_noise":1e-6},
-		{"arch":"baseline","bits":7,"lna_noise":1e-6}],"timeout_ms":100}`
+		{"arch":"baseline","bits":7,"lna_noise":1e-6}],"timeout_ms":50}`
 	br := decodeBatch(t, postJSON(t, ts.URL+"/v1/evaluate", body))
 	if !br.Partial || br.Errors == 0 || br.Errors >= br.Count {
 		t.Fatalf("deadline batch should degrade some rows and keep others: %+v", br)

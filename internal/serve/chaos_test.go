@@ -394,11 +394,10 @@ func TestChaosBatchFaultDegradesOnlyItsBatch(t *testing.T) {
 	armFault(t, fault.PointBatch, fault.Config{
 		Kind: fault.KindError, Probability: 1, MaxInjections: 1, Seed: 11,
 	})
-	// One worker and a batch size of 4: the 24-point space (8 noise
-	// groups × 3 bits) flattens into exactly 6 full chunks, so the one
-	// injected fault costs exactly 4 points.
-	ts, mgr, eval := newBatchTestServer(t, ManagerConfig{},
-		dse.WithWorkers(1), dse.WithBatchSize(4))
+	// One worker at the engine's batch size of 16: the 24-point space
+	// (8 noise groups × 3 bits) cuts into chunks of 16 and 8, so the one
+	// injected fault — on the first chunk — costs exactly 16 points.
+	ts, mgr, eval := newBatchTestServer(t, ManagerConfig{}, dse.WithWorkers(1))
 
 	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps",
 		`{"space":{"architectures":["baseline"],"bits":[4,5,6],"noise_steps":8}}`))
@@ -406,16 +405,16 @@ func TestChaosBatchFaultDegradesOnlyItsBatch(t *testing.T) {
 	if final.State != string(StateCompleted) {
 		t.Fatalf("state %s, want completed: %s", final.State, final.Error)
 	}
-	if !final.Result.Partial || final.Result.Points != 24 || final.Result.Errors != 4 {
-		t.Fatalf("one faulted batch should cost exactly its 4 points: %+v", final.Result)
+	if !final.Result.Partial || final.Result.Points != 24 || final.Result.Errors != 16 {
+		t.Fatalf("one faulted batch should cost exactly its 16 points: %+v", final.Result)
 	}
-	// The faulted batch never reached the evaluator; the other 5 did.
-	// The engine counters record all 6 dispatched batches — the faulted
+	// The faulted batch never reached the evaluator; the other one did.
+	// The engine counters record both dispatched batches — the faulted
 	// one included, just as Evaluated counts failpoint-degraded points.
-	if got := eval.batchPoints.Load(); got != 20 {
-		t.Fatalf("evaluator saw %d batched points, want 20", got)
+	if got := eval.batchPoints.Load(); got != 8 {
+		t.Fatalf("evaluator saw %d batched points, want 8", got)
 	}
-	if c := mgr.Counters(); c.EngineBatches != 6 || c.EngineBatchPoints != 24 {
+	if c := mgr.Counters(); c.EngineBatches != 2 || c.EngineBatchPoints != 24 {
 		t.Fatalf("batch counters: %d batches, %d points", c.EngineBatches, c.EngineBatchPoints)
 	}
 
@@ -429,7 +428,7 @@ func TestChaosBatchFaultDegradesOnlyItsBatch(t *testing.T) {
 		t.Fatalf("healed rerun: %+v", final2.Result)
 	}
 	if got := eval.calls.Load(); got != 24 {
-		t.Fatalf("healed rerun should evaluate only the faulted 4: %d calls, want 24", got)
+		t.Fatalf("healed rerun should evaluate only the faulted 16: %d calls, want 24", got)
 	}
 }
 
@@ -566,21 +565,21 @@ func TestChaosSearchBatchFaultDegradesBudgetExactly(t *testing.T) {
 	armFault(t, fault.PointBatch, fault.Config{
 		Kind: fault.KindError, Probability: 1, MaxInjections: 1, Seed: 11,
 	})
-	// One worker and a batch size of 4: the strategy's opening proposal
-	// (2 groups × 3 noise quantiles = 6 probes) dispatches as chunks of
-	// 4 and 2, so the single injection degrades exactly 4 points.
-	ts, mgr, _ := newBatchTestServer(t, ManagerConfig{},
-		dse.WithWorkers(1), dse.WithBatchSize(4))
+	// Two workers: the strategy's opening proposal (2 groups × 3 noise
+	// quantiles = 6 probes) is cut for both workers into three chunks of
+	// 2, one per noise quantile, so the single injection degrades
+	// exactly 2 points and the other 4 keep the search going.
+	ts, mgr, _ := newBatchTestServer(t, ManagerConfig{})
 	body := `{"query":"max-snr","max_evaluations":16,
 		"space":{"architectures":["baseline"],"bits":[4,6],"noise_steps":8}}`
 
 	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/search", body))
-	final := waitTerminal(t, ts.URL, st.ID)
+	final := waitTerminalAt(t, ts.URL+st.StatusURL)
 	if final.State != string(StateCompleted) {
 		t.Fatalf("state %s, want completed: %s", final.State, final.Error)
 	}
 	so := final.Search
-	if so == nil || !so.Partial || so.Errors != 4 {
+	if so == nil || !so.Partial || so.Errors != 2 {
 		t.Fatalf("faulted search outcome: %+v", so)
 	}
 	if so.Evaluations+so.BudgetRemaining != so.Budget || so.Budget != 16 {
@@ -613,7 +612,7 @@ func TestChaosSearchBatchFaultDegradesBudgetExactly(t *testing.T) {
 	// same query now converges clean on the full two-point front.
 	fault.Reset()
 	st2 := decodeStatus(t, postJSON(t, ts.URL+"/v1/search", body))
-	final2 := waitTerminal(t, ts.URL, st2.ID)
+	final2 := waitTerminalAt(t, ts.URL+st2.StatusURL)
 	if final2.State != string(StateCompleted) || final2.Search == nil {
 		t.Fatalf("healed search: %+v", final2)
 	}

@@ -85,12 +85,11 @@ type suiteKey struct {
 }
 
 // optionsKey canonicalises an option set: two option sets that build
-// equivalent evaluators map to the same key. Sinks (Progress, Trace),
-// the cache pointer, the batch size and the retry policy are
-// deliberately excluded — they change how points are dispatched, never
-// what a point evaluates to, and retry/batch size are server-wide
-// defaults (not settable over the wire), so they never split
-// otherwise-identical suites.
+// equivalent evaluators map to the same key. The sweep hook (OnEvent),
+// the cache pointer and the retry policy are deliberately excluded —
+// they change how points are observed or dispatched, never what a point
+// evaluates to, and retry is a server-wide default (not settable over
+// the wire), so they never split otherwise-identical suites.
 func optionsKey(o experiments.Options) suiteKey {
 	o = o.WithDefaults()
 	// The scenario is part of the evaluator identity: an unset name
@@ -119,7 +118,7 @@ func (se *SuiteEngines) Engine(opts experiments.Options) (eng Engine, err error)
 	se.mu.Lock()
 	suite, ok := se.suites[key]
 	if !ok {
-		opts.Progress, opts.Trace = nil, nil
+		opts.OnEvent = nil
 		opts.Cache = se.cache
 		suite = experiments.NewSuite(opts)
 		se.suites[key] = suite

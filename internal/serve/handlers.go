@@ -426,8 +426,14 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, JobListJSON{Jobs: summaries, Count: len(summaries)})
 }
 
+// job resolves the {id} of a job route. A job answers only under its
+// own kind's prefix, the one its status_url names: a search's ID under
+// /v1/sweeps/, or a sweep's under /v1/search/, is not found.
 func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	job, err := s.mgr.Job(r.PathValue("id"))
+	if err == nil && job.kind != routeKind(r) {
+		job, err = nil, ErrNotFound
+	}
 	if err != nil {
 		s.error(w, r, http.StatusNotFound, CodeNotFound, "%v", err)
 		return nil, false
@@ -459,11 +465,23 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	_ = experiments.NDJSONResults(w, job.Results())
 }
 
+// routeKind is the job kind a job route's prefix serves.
+func routeKind(r *http.Request) string {
+	if strings.HasPrefix(r.URL.Path, "/v1/search/") {
+		return jobKindSearch
+	}
+	return jobKindSweep
+}
+
 // handleCancel requests cancellation and reports the (possibly already
-// terminal) status.
+// terminal) status. The job is looked up under the route's kind before
+// anything is cancelled.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, err := s.mgr.Cancel(r.Context(), r.PathValue("id"))
-	if err != nil {
+	job, ok := s.job(w, r)
+	if !ok {
+		return
+	}
+	if _, err := s.mgr.Cancel(r.Context(), job.ID); err != nil {
 		s.error(w, r, http.StatusNotFound, CodeNotFound, "%v", err)
 		return
 	}

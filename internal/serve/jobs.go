@@ -807,7 +807,8 @@ func (j *Job) Status() JobStatus {
 		st.Error = j.err.Error()
 	}
 	if j.engine != nil {
-		st.Metrics = engineMetricsJSON(j.engine.Metrics())
+		rate, eta := j.windowLocked(time.Now())
+		st.Metrics = engineMetricsJSON(j.engine.Metrics(), rate, eta)
 	}
 	return st
 }
@@ -867,17 +868,38 @@ func (j *Job) WaitEvents(ctx context.Context, after int) (evs []JobEvent, more b
 	}
 }
 
-// estimateRemaining guesses the job's remaining wall-clock time from its
-// own progress window.
+// windowLocked is the job's own progress window at now: its points (a
+// search's evaluations) per second from its start to now, or to its
+// finish once it is terminal, and the time its remaining points take at
+// that rate while it runs. Both are zero until a point has completed.
+// Callers hold j.mu.
+func (j *Job) windowLocked(now time.Time) (rate float64, remaining time.Duration) {
+	if j.done == 0 || j.started.IsZero() {
+		return 0, 0
+	}
+	if !j.finished.IsZero() {
+		now = j.finished
+	}
+	elapsed := now.Sub(j.started)
+	if elapsed <= 0 {
+		return 0, 0
+	}
+	if j.state == StateRunning && j.total > j.done {
+		remaining = time.Duration(float64(elapsed) / float64(j.done) * float64(j.total-j.done))
+	}
+	return float64(j.done) / elapsed.Seconds(), remaining
+}
+
+// estimateRemaining guesses a running job's remaining wall-clock time
+// from its own progress window.
 func (j *Job) estimateRemaining() (time.Duration, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateRunning || j.done == 0 || j.started.IsZero() {
 		return 0, false
 	}
-	elapsed := time.Since(j.started)
-	remaining := float64(elapsed) / float64(j.done) * float64(j.total-j.done)
-	return time.Duration(remaining), true
+	_, remaining := j.windowLocked(time.Now())
+	return remaining, true
 }
 
 // RetryAfter estimates how soon a rejected submission is worth retrying:

@@ -346,11 +346,11 @@ func TestScenarioCacheDisjoint(t *testing.T) {
 
 	// Real reconstructions are slower than the fake engines waitTerminal
 	// was sized for, so poll with a sweep-scale deadline here.
-	waitLong := func(id string) JobStatus {
+	waitLong := func(statusURL string) JobStatus {
 		t.Helper()
 		deadline := time.Now().Add(2 * time.Minute)
 		for time.Now().Before(deadline) {
-			resp, err := http.Get(ts.URL + "/v1/sweeps/" + id)
+			resp, err := http.Get(ts.URL + statusURL)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -367,7 +367,7 @@ func TestScenarioCacheDisjoint(t *testing.T) {
 	// An ECG sweep and a goal query run end to end through the registry.
 	sweep := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps",
 		`{"options":{"scenario":"ecg-telemonitoring"},"space":{"bits":[6],"noise_steps":1,"m":[75]}}`))
-	final := waitLong(sweep.ID)
+	final := waitLong(sweep.StatusURL)
 	if final.State != string(StateCompleted) || final.Scenario != "ecg-telemonitoring" {
 		t.Fatalf("ecg sweep: state %s scenario %s error %s", final.State, final.Scenario, final.Error)
 	}
@@ -376,7 +376,7 @@ func TestScenarioCacheDisjoint(t *testing.T) {
 	}
 	srch := decodeStatus(t, postJSON(t, ts.URL+"/v1/search",
 		`{"query":"max-snr","max_evaluations":4,"options":{"scenario":"ecg-telemonitoring"},"space":{"bits":[6],"noise_steps":2,"m":[75]}}`))
-	sfinal := waitLong(srch.ID)
+	sfinal := waitLong(srch.StatusURL)
 	if sfinal.State != string(StateCompleted) || sfinal.Scenario != "ecg-telemonitoring" {
 		t.Fatalf("ecg search: state %s scenario %s error %s", sfinal.State, sfinal.Scenario, sfinal.Error)
 	}

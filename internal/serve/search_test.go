@@ -269,6 +269,43 @@ func TestSearchCancelKeepsPartialFront(t *testing.T) {
 	}
 }
 
+// TestJobRoutesAnswerOnlyForTheirKind: a job answers only under the
+// prefix its status_url names. Status, events, results and DELETE of a
+// search under /v1/sweeps/, and of a sweep under /v1/search/, are 404
+// not_found in the usual envelope, and the wrong-prefix DELETE cancels
+// nothing: both jobs, still running when it arrives, complete.
+func TestJobRoutesAnswerOnlyForTheirKind(t *testing.T) {
+	ts, _, _ := newTestServer(t, 20*time.Millisecond, ManagerConfig{})
+	sweep := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps",
+		`{"space":{"architectures":["baseline"],"bits":[4,5,6],"noise_steps":8}}`))
+	search := decodeStatus(t, postJSON(t, ts.URL+"/v1/search", smallSearch))
+
+	for _, wrong := range []string{"/v1/search/" + sweep.ID, "/v1/sweeps/" + search.ID} {
+		for _, c := range []struct{ method, suffix string }{
+			{http.MethodGet, ""}, {http.MethodGet, "/events"},
+			{http.MethodGet, "/results"}, {http.MethodDelete, ""},
+		} {
+			req, _ := http.NewRequest(c.method, ts.URL+wrong+c.suffix, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusNotFound {
+				resp.Body.Close()
+				t.Fatalf("%s %s%s: status %d, want 404", c.method, wrong, c.suffix, resp.StatusCode)
+			}
+			if e := decodeErrorEnvelope(t, resp); e.Code != CodeNotFound {
+				t.Fatalf("%s %s%s: code %q, want %q", c.method, wrong, c.suffix, e.Code, CodeNotFound)
+			}
+		}
+	}
+	for _, st := range []JobStatus{sweep, search} {
+		if final := waitTerminalAt(t, ts.URL+st.StatusURL); final.State != string(StateCompleted) {
+			t.Fatalf("%s ended %s after wrong-prefix requests, want completed", st.ID, final.State)
+		}
+	}
+}
+
 // TestSearchValidation walks the 400 edges of POST /v1/search and the
 // 404 of an unknown search ID.
 func TestSearchValidation(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -610,6 +611,83 @@ func TestResultsConflictWhileRunning(t *testing.T) {
 	waitTerminal(t, ts.URL, st.ID)
 }
 
+// getStatus reads a job's status from its status URL.
+func getStatus(t *testing.T, base string, st JobStatus) JobStatus {
+	t.Helper()
+	resp, err := http.Get(base + st.StatusURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decodeStatus(t, resp)
+}
+
+// twoPointBatch is a batch /v1/evaluate body of two points no sweep in
+// these tests covers, so it runs on the shared engine.
+const twoPointBatch = `{"points":[{"arch":"baseline","bits":9,"lna_noise":1e-6},
+	{"arch":"baseline","bits":10,"lna_noise":1e-6}]}`
+
+// TestFinishedJobWindowHoldsStill: a finished sweep's
+// throughput_pts_per_s is its points over its own run time and its
+// eta_ms is 0, and both read the same 300 ms later and after a batch
+// /v1/evaluate on the same engine.
+func TestFinishedJobWindowHoldsStill(t *testing.T) {
+	ts, _, _ := newTestServer(t, 2*time.Millisecond, ManagerConfig{})
+	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps",
+		`{"space":{"architectures":["baseline"],"bits":[4,5,6],"noise_steps":8}}`))
+	final := waitTerminal(t, ts.URL, st.ID)
+	m := final.Metrics
+	if final.State != string(StateCompleted) || m == nil || final.StartedAt == nil || final.FinishedAt == nil {
+		t.Fatalf("finished sweep status: %+v", final)
+	}
+	want := float64(final.Progress.Done) / final.FinishedAt.Sub(*final.StartedAt).Seconds()
+	if math.Abs(m.Throughput-want) > 1e-3*want || m.ETAMS != 0 {
+		t.Fatalf("finished sweep: throughput %g (want %g from its own run), eta %g ms (want 0)",
+			m.Throughput, want, m.ETAMS)
+	}
+	time.Sleep(300 * time.Millisecond)
+	if got := getStatus(t, ts.URL, st).Metrics; got.Throughput != m.Throughput || got.ETAMS != m.ETAMS {
+		t.Fatalf("300 ms later: throughput %g, eta %g ms; want %g, %g", got.Throughput, got.ETAMS, m.Throughput, m.ETAMS)
+	}
+	if br := decodeBatch(t, postJSON(t, ts.URL+"/v1/evaluate", twoPointBatch)); br.Count != 2 || br.Errors != 0 {
+		t.Fatalf("batch evaluation: %+v", br)
+	}
+	if got := getStatus(t, ts.URL, st).Metrics; got.Throughput != m.Throughput || got.ETAMS != m.ETAMS {
+		t.Fatalf("after a batch evaluation: throughput %g, eta %g ms; want %g, %g", got.Throughput, got.ETAMS, m.Throughput, m.ETAMS)
+	}
+}
+
+// TestRunningJobETAIsItsOwn: while a sweep runs and a batch evaluation
+// hits its engine, its eta_ms is its own remaining points at its own
+// rate, so throughput × ETA is the points it has left.
+func TestRunningJobETAIsItsOwn(t *testing.T) {
+	ts, _, _ := newTestServer(t, 50*time.Millisecond, ManagerConfig{})
+	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps",
+		`{"space":{"architectures":["baseline"],"bits":[4,5,6],"noise_steps":8}}`))
+	t.Cleanup(func() {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+st.StatusURL, nil)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	})
+	for deadline := time.Now().Add(5 * time.Second); getStatus(t, ts.URL, st).Progress.Done == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no point of the sweep completed")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if br := decodeBatch(t, postJSON(t, ts.URL+"/v1/evaluate", twoPointBatch)); br.Count != 2 || br.Errors != 0 {
+		t.Fatalf("batch evaluation: %+v", br)
+	}
+	cur := getStatus(t, ts.URL, st)
+	m, left := cur.Metrics, float64(cur.Progress.Total-cur.Progress.Done)
+	if cur.State != string(StateRunning) || m == nil || left <= 0 {
+		t.Fatalf("sweep no longer running mid-test: %+v", cur)
+	}
+	if m.ETAMS <= 0 || math.Abs(m.Throughput*m.ETAMS/1e3-left) > 1e-6*left {
+		t.Fatalf("running sweep: throughput %g × eta %g ms ≠ its %g points left", m.Throughput, m.ETAMS, left)
+	}
+}
+
 // TestShutdownDrainsAndRejects: draining flips /healthz, rejects new
 // work, and a shutdown deadline cancels in-flight jobs into the
 // cancelled state.
@@ -686,7 +764,7 @@ func TestOptionsKeyCanonicalises(t *testing.T) {
 	implied := experiments.NewSuite(experiments.Options{Seed: 1}).Options()
 	explicit := experiments.NewSuite(experiments.Options{
 		Seed: 1, Records: 40, NoiseSteps: 8, MinAccuracy: 0.98,
-		Progress: func(done, total int) {},
+		OnEvent: func(dse.Event) {},
 	}).Options()
 	if optionsKey(implied) != optionsKey(explicit) {
 		t.Fatalf("defaulted option sets diverge: %q vs %q", optionsKey(implied), optionsKey(explicit))
