@@ -32,8 +32,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -74,14 +72,6 @@ type config struct {
 
 	walDir string
 
-	tenantSubmitRate  float64
-	tenantSubmitBurst int
-	tenantEvalRate    float64
-	tenantEvalBurst   int
-	tenantMaxJobs     int
-	tenantMaxQueue    int
-	tenantWeights     string
-
 	defaults experiments.Options
 	manager  serve.ManagerConfig
 }
@@ -107,7 +97,8 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&cfg.defaults.Epochs, "epochs", 150, "default detector training epochs")
 	fs.Float64Var(&cfg.defaults.MinAccuracy, "min-accuracy", 0.98, "default accuracy constraint")
 
-	fs.IntVar(&cfg.manager.MaxConcurrentJobs, "max-jobs", 2, "concurrent sweep job slots before 429")
+	fs.IntVar(&cfg.manager.MaxConcurrentJobs, "max-jobs", 2,
+		"concurrent job slots, shared by sweeps and searches, before 429")
 	fs.DurationVar(&cfg.manager.JobTTL, "job-ttl", 15*time.Minute, "how long finished jobs stay queryable")
 	fs.IntVar(&cfg.manager.MaxSweepPoints, "max-points", 100000, "largest accepted sweep")
 	fs.IntVar(&cfg.manager.MaxSearchEvaluations, "max-search-evals", 20000,
@@ -125,20 +116,6 @@ func parseFlags(args []string) (*config, error) {
 		"root seed for the -chaos schedule (replays a chaos run exactly)")
 	fs.StringVar(&cfg.walDir, "wal-dir", "",
 		"directory for the durable-jobs journal (empty = jobs are in-memory only); on startup the journal is replayed: finished jobs become queryable history, interrupted sweeps resume from their last journaled row")
-	fs.Float64Var(&cfg.tenantSubmitRate, "tenant-submit-rate", 0,
-		"per-tenant sustained job submissions per second (0 = unlimited)")
-	fs.IntVar(&cfg.tenantSubmitBurst, "tenant-submit-burst", 1,
-		"per-tenant job-submission burst capacity")
-	fs.Float64Var(&cfg.tenantEvalRate, "tenant-eval-rate", 0,
-		"per-tenant sustained synchronous-evaluation requests per second (0 = unlimited)")
-	fs.IntVar(&cfg.tenantEvalBurst, "tenant-eval-burst", 1,
-		"per-tenant synchronous-evaluation burst capacity")
-	fs.IntVar(&cfg.tenantMaxJobs, "tenant-max-jobs", 0,
-		"per-tenant concurrent job cap (0 = the global -max-jobs)")
-	fs.IntVar(&cfg.tenantMaxQueue, "tenant-max-queue", 0,
-		"per-tenant queued-job cap (0 = no queueing: reject at saturation)")
-	fs.StringVar(&cfg.tenantWeights, "tenant-weights", "",
-		"per-tenant fair-share weights, e.g. team-a=3,team-b=1 (unlisted tenants weigh 1)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -174,12 +151,6 @@ func (cfg *config) validate() error {
 		{cfg.defaults.Workers >= 0, fmt.Sprintf("-workers must be non-negative, got %d", cfg.defaults.Workers)},
 		{cfg.retryAttempts >= 0, fmt.Sprintf("-retry must be non-negative, got %d", cfg.retryAttempts)},
 		{cfg.retryBase > 0, fmt.Sprintf("-retry-base must be positive, got %s", cfg.retryBase)},
-		{cfg.tenantSubmitRate >= 0, fmt.Sprintf("-tenant-submit-rate must be non-negative, got %g", cfg.tenantSubmitRate)},
-		{cfg.tenantSubmitBurst > 0, fmt.Sprintf("-tenant-submit-burst must be positive, got %d", cfg.tenantSubmitBurst)},
-		{cfg.tenantEvalRate >= 0, fmt.Sprintf("-tenant-eval-rate must be non-negative, got %g", cfg.tenantEvalRate)},
-		{cfg.tenantEvalBurst > 0, fmt.Sprintf("-tenant-eval-burst must be positive, got %d", cfg.tenantEvalBurst)},
-		{cfg.tenantMaxJobs >= 0, fmt.Sprintf("-tenant-max-jobs must be non-negative, got %d", cfg.tenantMaxJobs)},
-		{cfg.tenantMaxQueue >= 0, fmt.Sprintf("-tenant-max-queue must be non-negative, got %d", cfg.tenantMaxQueue)},
 	}
 	for _, c := range checks {
 		if !c.ok {
@@ -189,61 +160,12 @@ func (cfg *config) validate() error {
 	if _, err := scenario.Lookup(cfg.defaults.Scenario); err != nil {
 		return fmt.Errorf("-scenario: %w", err)
 	}
-	if _, err := parseTenantWeights(cfg.tenantWeights); err != nil {
-		return fmt.Errorf("-tenant-weights: %w", err)
-	}
 	if cfg.chaos != "" {
 		if _, err := fault.ParseSpec(cfg.chaos, cfg.chaosSeed); err != nil {
 			return fmt.Errorf("-chaos: %w", err)
 		}
 	}
 	return nil
-}
-
-// parseTenantWeights parses "name=weight,name=weight" into per-tenant
-// fair-share weights.
-func parseTenantWeights(spec string) (map[string]int, error) {
-	out := make(map[string]int)
-	if spec == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("entry %q is not name=weight", part)
-		}
-		w, err := strconv.Atoi(val)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("tenant %q needs a positive integer weight, got %q", name, val)
-		}
-		out[name] = w
-	}
-	return out, nil
-}
-
-// tenancy assembles the per-tenant policy from the flags: every tenant
-// gets the default limits, tenants named in -tenant-weights override the
-// fair-share weight only.
-func (cfg *config) tenancy() serve.TenantPolicy {
-	def := serve.TenantLimits{
-		MaxConcurrentJobs: cfg.tenantMaxJobs,
-		MaxQueuedJobs:     cfg.tenantMaxQueue,
-		SubmitRate:        cfg.tenantSubmitRate,
-		SubmitBurst:       cfg.tenantSubmitBurst,
-		EvalRate:          cfg.tenantEvalRate,
-		EvalBurst:         cfg.tenantEvalBurst,
-	}
-	policy := serve.TenantPolicy{Default: def}
-	weights, _ := parseTenantWeights(cfg.tenantWeights) // validated at startup
-	for name, w := range weights {
-		limits := def
-		limits.Weight = w
-		if policy.Tenants == nil {
-			policy.Tenants = make(map[string]serve.TenantLimits)
-		}
-		policy.Tenants[name] = limits
-	}
-	return policy
 }
 
 // run brings the daemon up and blocks until ctx is cancelled (SIGINT /
@@ -281,7 +203,6 @@ func run(ctx context.Context, cfg *config, ready func(addr, opsAddr string)) err
 	mcfg.Engines = engines.Engine
 	mcfg.Cache = engines.Cache()
 	mcfg.Log = srvLog
-	mcfg.Tenancy = cfg.tenancy()
 	var walRecords []wal.Record
 	if cfg.walDir != "" {
 		walLog, records, err := wal.Open(cfg.walDir)

@@ -533,7 +533,6 @@ type JobStatus struct {
 	Kind            string             `json:"kind"`
 	Scenario        string             `json:"scenario,omitempty"`
 	State           string             `json:"state"`
-	Tenant          string             `json:"tenant,omitempty"`
 	RequestID       string             `json:"request_id,omitempty"`
 	CancelRequested bool               `json:"cancel_requested,omitempty"`
 	CreatedAt       time.Time          `json:"created_at"`
@@ -556,7 +555,6 @@ type JobSummary struct {
 	Kind      string       `json:"kind"`
 	Scenario  string       `json:"scenario,omitempty"`
 	State     string       `json:"state"`
-	Tenant    string       `json:"tenant,omitempty"`
 	RequestID string       `json:"request_id,omitempty"`
 	CreatedAt time.Time    `json:"created_at"`
 	Progress  ProgressJSON `json:"progress"`
@@ -637,12 +635,9 @@ const (
 	// CodeConflict: the resource exists but is in the wrong state, e.g.
 	// results of a still-running job (409).
 	CodeConflict ErrorCode = "conflict"
-	// CodeSaturated: the tenant's job slots and queue are full; retry
-	// after Retry-After (429).
+	// CodeSaturated: every job slot is busy; retry after Retry-After
+	// (429).
 	CodeSaturated ErrorCode = "saturated"
-	// CodeRateLimited: the tenant's token bucket is empty; retry after
-	// Retry-After (429).
-	CodeRateLimited ErrorCode = "rate_limited"
 	// CodeShuttingDown: the daemon is draining and rejects new work (503).
 	CodeShuttingDown ErrorCode = "shutting_down"
 	// CodeDeadline: the evaluation exceeded its deadline (504).

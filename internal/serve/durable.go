@@ -14,10 +14,12 @@ package serve
 //
 // Forward compatibility: a record kind or a job kind this binary does not
 // know (written by a future version) is skipped with a warning, never a
-// startup failure.
+// startup failure. Journals written by earlier versions replay too: the
+// record kind and the job-record key they carry that this version no
+// longer writes are skipped silently, and the first compaction drops
+// them.
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,9 +37,10 @@ import (
 
 // WAL record kinds (the wal.Record Kind discriminator).
 const (
-	walKindJob    = "job"
-	walKindRow    = "row"
-	walKindState  = "state"
+	walKindJob   = "job"
+	walKindRow   = "row"
+	walKindState = "state"
+	// walKindTenant named the token-bucket records of retired tenancy.
 	walKindTenant = "tenant"
 )
 
@@ -119,7 +122,6 @@ func (w walResult) result() core.Result {
 type walJobRecord struct {
 	ID        string         `json:"id"`
 	Kind      string         `json:"kind"`
-	Tenant    string         `json:"tenant,omitempty"`
 	RequestID string         `json:"request_id,omitempty"`
 	Created   time.Time      `json:"created"`
 	Sweep     *SweepRequest  `json:"sweep,omitempty"`
@@ -159,13 +161,14 @@ func (m *Manager) walWarn(msg string, err error, attrs ...slog.Attr) {
 }
 
 // journalJob appends (and fsyncs) the job-accepted record: rec, which
-// carries the job's wire request, stamped with the job's identity.
-// Callers hold m.mu; the job's spec fields are immutable from here on.
+// carries the job's wire request, stamped with the job's identity. It
+// runs before the job starts, outside the manager lock; the job's spec
+// fields are immutable from here on.
 func (m *Manager) journalJob(job *Job, rec walJobRecord) {
 	if m.cfg.WAL == nil {
 		return
 	}
-	rec.ID, rec.Kind, rec.Tenant = job.ID, job.kind, job.tenant
+	rec.ID, rec.Kind = job.ID, job.kind
 	rec.RequestID, rec.Created = job.requestID, job.created
 	job.walJob = &rec
 	if err := m.cfg.WAL.AppendSync(walKindJob, rec); err != nil {
@@ -215,74 +218,21 @@ func (j *Job) stateRecordLocked() walStateRecord {
 	return rec
 }
 
-// walBucket is the journal form of one token-bucket level.
-type walBucket struct {
-	Tokens float64   `json:"tokens"`
-	Last   time.Time `json:"last"`
-}
-
-// walTenantRecord journals a tenant's bucket levels after a token is
-// spent. Last-record-wins on recovery, so the steady state is one live
-// record per rate-limited tenant.
-type walTenantRecord struct {
-	Tenant string    `json:"tenant"`
-	Submit walBucket `json:"submit"`
-	Eval   walBucket `json:"eval"`
-}
-
-// journalTenant appends the tenant's current bucket levels (no fsync:
-// losing the very last spend costs one token, while fsyncing every
-// admission would put a disk flush on the request path). Without this
-// record a restart would refill every bucket to burst — a crash-looping
-// client could launder its own rate limit through SIGKILL. Callers hold
-// m.mu.
-func (m *Manager) journalTenant(ts *tenantState) {
-	if m.cfg.WAL == nil || !ts.rateLimited() {
-		return
-	}
-	rec := ts.walRecord()
-	if err := m.cfg.WAL.Append(walKindTenant, rec); err != nil {
-		m.walWarn("wal: journaling tenant buckets", err, slog.String("tenant", ts.name))
-	}
-}
-
-// rateLimited reports whether the tenant has a bucket worth journaling.
-func (ts *tenantState) rateLimited() bool {
-	return ts.limits.SubmitRate > 0 || ts.limits.EvalRate > 0
-}
-
-// walRecord is the journal form of the tenant's bucket levels.
-func (ts *tenantState) walRecord() walTenantRecord {
-	return walTenantRecord{
-		Tenant: ts.name,
-		Submit: walBucket{Tokens: ts.submit.tokens, Last: ts.submit.last},
-		Eval:   walBucket{Tokens: ts.eval.tokens, Last: ts.eval.last},
-	}
-}
-
 // compactWAL rewrites the journal as a snapshot of the still-tracked
-// jobs — the clean-shutdown snapshot+truncate — plus one record per
-// rate-limited tenant, so restored quota state survives it too. Rows are
-// reconstructed from each sweep's result cloud (points are unique
-// within a space, so a result maps back to its original index); evicted
-// jobs leave the journal entirely. Called after the drain, so every
-// tracked job is terminal and quiescent. Jobs are ordered by ID and
-// tenants by name, so the snapshot is deterministic.
+// jobs — the clean-shutdown snapshot+truncate. Rows are reconstructed
+// from each sweep's result cloud (points are unique within a space, so
+// a result maps back to its original index); evicted jobs leave the
+// journal entirely. Called after the drain, so every tracked job is
+// terminal and quiescent. Jobs are ordered by ID, so the snapshot is
+// deterministic.
 func (m *Manager) compactWAL() error {
 	m.mu.Lock()
 	jobs := make([]*Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		jobs = append(jobs, j)
 	}
-	var tenants []walTenantRecord
-	for _, ts := range m.tenants {
-		if ts.rateLimited() {
-			tenants = append(tenants, ts.walRecord())
-		}
-	}
 	m.mu.Unlock()
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
-	sort.Slice(tenants, func(a, b int) bool { return tenants[a].Tenant < tenants[b].Tenant })
 
 	var records []wal.Record
 	add := func(kind string, payload interface{}) error {
@@ -326,11 +276,6 @@ func (m *Manager) compactWAL() error {
 			return err
 		}
 	}
-	for _, tr := range tenants {
-		if err := add(walKindTenant, tr); err != nil {
-			return err
-		}
-	}
 	return m.cfg.WAL.Compact(records)
 }
 
@@ -352,7 +297,6 @@ func (m *Manager) Recover(records []wal.Record) error {
 	}
 	byID := make(map[string]*jobEntry)
 	var order []string
-	tenantRecs := make(map[string]walTenantRecord)
 	for _, rec := range records {
 		switch rec.Kind {
 		case walKindJob:
@@ -387,24 +331,12 @@ func (m *Manager) Recover(records []wal.Record) error {
 				e.st = &st
 			}
 		case walKindTenant:
-			var tr walTenantRecord
-			if err := json.Unmarshal(rec.Data, &tr); err != nil || tr.Tenant == "" {
-				m.walWarn("wal: skipping malformed tenant record", errOrDefault(err))
-				continue
-			}
-			tenantRecs[tr.Tenant] = tr // last record wins
+			// An older version's record of state this one does not keep.
 		default:
 			m.walWarn("wal: skipping record of unknown kind",
 				fmt.Errorf("kind %q (written by a newer version?)", rec.Kind))
 		}
 	}
-	m.mu.Lock()
-	for name, tr := range tenantRecs {
-		ts := m.tenantLocked(name)
-		ts.submit.restore(tr.Submit.Tokens, tr.Submit.Last)
-		ts.eval.restore(tr.Eval.Tokens, tr.Eval.Last)
-	}
-	m.mu.Unlock()
 	for _, id := range order {
 		e := byID[id]
 		m.bumpSeq(id)
@@ -477,7 +409,6 @@ func (m *Manager) recoverJob(rec walJobRecord, journaled map[int]walRowRecord, s
 		return err
 	}
 	job.ID, job.requestID = rec.ID, rec.RequestID
-	job.tenant = cmp.Or(rec.Tenant, DefaultTenant)
 	job.created = rec.Created
 	job.walJob = &rec
 	var rows map[int]core.Result
@@ -536,9 +467,9 @@ func (m *Manager) recoverJob(rec walJobRecord, journaled map[int]walRowRecord, s
 	}
 	m.mu.Lock()
 	m.jobs[job.ID] = job
-	ts := m.tenantLocked(job.tenant)
 	m.wg.Add(1)
-	m.enqueueLocked(ts, job)
+	m.waiting = append(m.waiting, job)
+	m.startLocked()
 	m.mu.Unlock()
 	m.walResumedJobs.Add(1)
 	m.logJob(job, msg, attrs...)

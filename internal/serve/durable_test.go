@@ -3,9 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
-	"errors"
+	"encoding/json"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -363,7 +364,7 @@ func twoPoints(t *testing.T) []core.DesignPoint {
 
 func sweepJobRecord(id string) walJobRecord {
 	return walJobRecord{
-		ID: id, Kind: jobKindSweep, Tenant: DefaultTenant,
+		ID: id, Kind: jobKindSweep,
 		Created: time.Date(2026, 8, 8, 0, 0, 0, 0, time.UTC),
 		Sweep:   &SweepRequest{Space: twoPointSpace},
 	}
@@ -551,73 +552,167 @@ func TestWALReplayIdempotent(t *testing.T) {
 	}
 }
 
-// TestChaosTenantBucketSurvivesRestart pins the PR 8 follow-on fix: a
-// tenant's token-bucket levels are journaled, so a crash-restart cannot
-// refill an exhausted bucket and hand the tenant a fresh burst.
-func TestChaosTenantBucketSurvivesRestart(t *testing.T) {
-	const sweep = `{"space":{"architectures":["baseline"],"bits":[4],"noise_steps":1}}`
-	tenancy := TenantPolicy{Default: TenantLimits{
-		// Refill is negligible on test timescales: the burst is the
-		// whole budget.
-		SubmitRate:  0.0001,
-		SubmitBurst: 2,
-	}}
+// olderJournal is a journal written by the journal code of the release
+// that still shaped traffic per tenant (3b15672), under a policy with a
+// submission rate: sweep-1, submitted with X-API-Key team-a, finished;
+// sweep-2, submitted without a key, was killed after three of its six
+// rows. Each job record carries a "tenant" key, and each submission's
+// "tenant" record (its bucket levels) precedes its job record.
+const olderJournal = `{"k":"tenant","d":{"tenant":"team-a","submit":{"tokens":3,"last":"2026-10-19T21:02:21.231925433Z"},"eval":{"tokens":1,"last":"0001-01-01T00:00:00Z"}},"c":2570009888}
+{"k":"job","d":{"id":"sweep-1","kind":"sweep","tenant":"team-a","request_id":"d9410a85669038fc","created":"2026-10-19T21:02:21.23202768Z","sweep":{"space":{"architectures":["baseline"],"bits":[4,6],"lna_noise":[1]}}},"c":3625242429}
+{"k":"row","d":{"job":"sweep-1","i":0,"engine":"test-eval","r":{"p":{"arch":"baseline","bits":4,"noise":1},"snr":12,"acc":0.99,"total_w":4000,"area":256}},"c":3638756774}
+{"k":"row","d":{"job":"sweep-1","i":1,"engine":"test-eval","r":{"p":{"arch":"baseline","bits":6,"noise":1},"snr":18,"acc":0.99,"total_w":6000,"area":384}},"c":1132114972}
+{"k":"state","d":{"job":"sweep-1","state":"completed"},"c":1737463639}
+{"k":"tenant","d":{"tenant":"default","submit":{"tokens":3,"last":"2026-10-19T21:02:21.239009899Z"},"eval":{"tokens":1,"last":"0001-01-01T00:00:00Z"}},"c":1758475669}
+{"k":"job","d":{"id":"sweep-2","kind":"sweep","tenant":"default","request_id":"2784a01df8f622ed","created":"2026-10-19T21:02:21.239033733Z","sweep":{"space":{"architectures":["baseline"],"bits":[4,6],"noise_steps":3}}},"c":361359651}
+{"k":"row","d":{"job":"sweep-2","i":0,"engine":"test-eval","r":{"p":{"arch":"baseline","bits":4,"noise":0.000001},"snr":12,"acc":0.99,"total_w":0.004,"area":256}},"c":1693240615}
+{"k":"row","d":{"job":"sweep-2","i":1,"engine":"test-eval","r":{"p":{"arch":"baseline","bits":4,"noise":0.000004472135954999579},"snr":12,"acc":0.99,"total_w":0.017888543819998316,"area":256}},"c":3851486488}
+{"k":"row","d":{"job":"sweep-2","i":2,"engine":"test-eval","r":{"p":{"arch":"baseline","bits":4,"noise":0.00002},"snr":12,"acc":0.99,"total_w":0.08,"area":256}},"c":1687932717}
+`
 
-	dirA := t.TempDir()
-	walA, _, err := wal.Open(dirA)
+// olderOutcome and olderResults are what that release reported for
+// sweep-1: the result block of its status and its results stream.
+const (
+	olderOutcome = `{"partial":false,"points":2,"total":2,"errors":0,"fronts":{"accuracy":{"baseline":[{"point":{"arch":"baseline","bits":4,"lna_noise":1},"snr_db":12,"accuracy":0.99,"total_w":4000,"area_caps":256}],"cs":[]},"snr":{"baseline":[{"point":{"arch":"baseline","bits":4,"lna_noise":1},"snr_db":12,"accuracy":0.99,"total_w":4000,"area_caps":256},{"point":{"arch":"baseline","bits":6,"lna_noise":1},"snr_db":18,"accuracy":0.99,"total_w":6000,"area_caps":384}],"cs":[]}},"optima":{"baseline":{"point":{"arch":"baseline","bits":4,"lna_noise":1},"snr_db":12,"accuracy":0.99,"total_w":4000,"area_caps":256},"cs":null},"min_accuracy":0.98}`
+	olderResults = `{"arch":"baseline","bits":4,"noise_vrms":1,"m":0,"chold_f":0,"snr_db":12,"accuracy":0.99,"total_w":4000,"area_caps":256}
+{"arch":"baseline","bits":6,"noise_vrms":1,"m":0,"chold_f":0,"snr_db":18,"accuracy":0.99,"total_w":6000,"area_caps":384}
+`
+)
+
+// TestChaosRestartReplaysOlderJournal: a journal the previous release
+// wrote, tenant records and keys included, replays without a warning.
+// The finished sweep comes back as history with that release's outcome
+// and rows, the killed one resumes from its three journaled rows and
+// finishes bit-identical to an uninterrupted run, and the compaction at
+// shutdown drops what this version no longer writes.
+func TestChaosRestartReplaysOlderJournal(t *testing.T) {
+	dir := t.TempDir()
+	journalLines(t, dir, []byte(olderJournal))
+	walLog, recs, err := wal.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvA, mgrA := newDurableServer(t, walA, &slowEval{}, ManagerConfig{Tenancy: tenancy})
+	if len(recs) != 10 || walLog.Stats().Dropped != 0 {
+		t.Fatalf("open replayed %d records and dropped %d, want 10 and 0", len(recs), walLog.Stats().Dropped)
+	}
+	ref := referenceNDJSON(t, restartSweep(), &slowEval{}, "test-eval")
 
-	// Spend the whole burst, then confirm the bucket is empty.
-	for i := 0; i < 2; i++ {
-		resp := postJSON(t, srvA.URL+"/v1/sweeps", sweep)
-		st := decodeStatus(t, resp)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submission %d rejected: %d", i+1, resp.StatusCode)
+	sink := &logSink{}
+	eval := &slowEval{}
+	srv, mgr := newDurableServer(t, walLog, eval, ManagerConfig{Log: slog.New(sinkHandler{sink: sink})})
+	if err := mgr.Recover(recs); err != nil {
+		t.Fatal(err)
+	}
+
+	done := waitTerminal(t, srv.URL, "sweep-1")
+	outcome, err := json.Marshal(done.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != string(StateCompleted) || string(outcome) != olderOutcome {
+		t.Fatalf("replayed sweep-1: state %q, outcome\n%s\nwant\n%s", done.State, outcome, olderOutcome)
+	}
+	if got := fetchNDJSON(t, srv.URL, "/v1/sweeps/sweep-1"); string(got) != olderResults {
+		t.Fatalf("replayed sweep-1 results:\n%s\nwant:\n%s", got, olderResults)
+	}
+
+	resumed := waitTerminal(t, srv.URL, "sweep-2")
+	if resumed.State != string(StateCompleted) || resumed.Progress.Done != 6 {
+		t.Fatalf("resumed sweep-2: %+v", resumed)
+	}
+	if got := eval.calls.Load(); got != 3 {
+		t.Fatalf("evaluator ran %d points, want 3 (the complement)", got)
+	}
+	if got := fetchNDJSON(t, srv.URL, "/v1/sweeps/sweep-2"); !bytes.Equal(got, ref) {
+		t.Fatalf("resumed results differ from the uninterrupted run:\nresumed:\n%s\nreference:\n%s", got, ref)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := mgr.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sink.mu.Lock()
+	for _, r := range sink.recs {
+		if r.level >= slog.LevelWarn {
+			t.Errorf("recovery logged %v %q %v", r.level, r.msg, r.attrs)
 		}
-		waitTerminal(t, srvA.URL, st.ID)
 	}
-	if _, err := mgrA.Submit(context.Background(), SweepRequest{}); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("third submission before restart: %v, want ErrRateLimited", err)
-	}
+	sink.mu.Unlock()
 
-	// SIGKILL disk image, restart, recover.
-	snapshot, err := os.ReadFile(filepath.Join(dirA, wal.FileName))
+	compacted, err := os.ReadFile(filepath.Join(dir, wal.FileName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirB := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dirB, wal.FileName), snapshot, 0o644); err != nil {
-		t.Fatal(err)
+	if bytes.Contains(compacted, []byte(`"tenant"`)) {
+		t.Fatalf("compacted journal still names a tenant:\n%s", compacted)
 	}
-	walB, recs, err := wal.Open(dirB)
+	kinds := map[string]int{}
+	for _, line := range bytes.SplitAfter(compacted, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		rec, err := wal.Decode(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds[rec.Kind]++
+	}
+	if want := map[string]int{walKindJob: 2, walKindRow: 8, walKindState: 2}; !maps.Equal(kinds, want) {
+		t.Fatalf("compacted journal holds %v records, want %v", kinds, want)
+	}
+}
+
+// evaluateOnAccept is a slog.Handler that, on the "sweep accepted"
+// record, runs a Manager.Evaluate from another goroutine and waits up
+// to two seconds for it to return, reporting whether it did.
+type evaluateOnAccept struct {
+	mgr      *Manager
+	returned chan bool
+}
+
+func (h *evaluateOnAccept) Enabled(context.Context, slog.Level) bool { return true }
+func (h *evaluateOnAccept) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *evaluateOnAccept) WithGroup(string) slog.Handler            { return h }
+
+func (h *evaluateOnAccept) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "sweep accepted" {
+		return nil
+	}
+	evaluated := make(chan struct{})
+	go func() {
+		defer close(evaluated)
+		p := core.DesignPoint{Arch: core.ArchBaseline, Bits: 8, LNANoise: 1e-6}
+		_, _, _ = h.mgr.Evaluate(context.Background(), nil, p, 0)
+	}()
+	select {
+	case <-evaluated:
+		h.returned <- true
+	case <-time.After(2 * time.Second):
+		h.returned <- false
+	}
+	return nil
+}
+
+// TestEvaluateRunsWhileAcceptJournals: a submission journals its job
+// record (an fsync) and logs its "accepted" line outside the manager
+// lock, so a synchronous evaluation never waits behind either.
+func TestEvaluateRunsWhileAcceptJournals(t *testing.T) {
+	walLog, _, err := wal.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvB, mgrB := newDurableServer(t, walB, &slowEval{}, ManagerConfig{Tenancy: tenancy})
-	if err := mgrB.Recover(recs); err != nil {
+	h := &evaluateOnAccept{returned: make(chan bool, 1)}
+	srv, mgr := newDurableServer(t, walLog, &slowEval{}, ManagerConfig{Log: slog.New(h)})
+	h.mgr = mgr
+	job, err := mgr.Submit(context.Background(), restartSweep())
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The exhausted bucket survived the restart: still rate-limited.
-	if _, err := mgrB.Submit(context.Background(), SweepRequest{}); !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("submission after restart: %v, want ErrRateLimited (bucket state lost)", err)
+	if !<-h.returned {
+		t.Fatal("Manager.Evaluate blocked while a submission journaled and logged its acceptance")
 	}
-	resp := postJSON(t, srvB.URL+"/v1/sweeps", sweep)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("HTTP submission after restart: %d, want 429", resp.StatusCode)
-	}
-
-	// Control: an unrelated fresh deployment (no journal) does get its
-	// burst — the limit above came from the restored levels, not the
-	// policy alone.
-	srvC, _ := newDurableServer(t, nil, &slowEval{}, ManagerConfig{Tenancy: tenancy})
-	resp = postJSON(t, srvC.URL+"/v1/sweeps", sweep)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("fresh deployment first submission: %d, want 202", resp.StatusCode)
+	if st := waitTerminal(t, srv.URL, job.ID); st.State != string(StateCompleted) {
+		t.Fatalf("sweep: %+v", st)
 	}
 }

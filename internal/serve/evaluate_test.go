@@ -76,7 +76,7 @@ func TestEvaluateNonFiniteAnswers500(t *testing.T) {
 // TestEvaluateCountsOneHitOrMissPerRequest pins the accounting of the
 // single-point path: a cold request adds exactly one miss to the store
 // and one evaluation to the engine, a warm one exactly one hit to each,
-// and every request one evaluation to the manager and its tenant. A
+// and every request one evaluation to the manager. A
 // cold request whose deadline expires answers 504 but still caches its
 // row.
 func TestEvaluateCountsOneHitOrMissPerRequest(t *testing.T) {
@@ -107,14 +107,10 @@ func TestEvaluateCountsOneHitOrMissPerRequest(t *testing.T) {
 			t.Fatalf("%s: cached %v, want %v", b, rj.Cached, cached)
 		}
 	}
-	type counts struct{ hits, misses, evaluated, engineHits, evaluations, tenant int64 }
+	type counts struct{ hits, misses, evaluated, engineHits, evaluations int64 }
 	read := func() counts {
 		st, snap := store.Stats(), eng.Metrics()
-		c := counts{st.Hits, st.Misses, snap.Evaluated, snap.CacheHits, mgr.Counters().Evaluations, 0}
-		for _, tc := range mgr.TenantCounters() {
-			c.tenant += tc.Evaluations
-		}
-		return c
+		return counts{st.Hits, st.Misses, snap.Evaluated, snap.CacheHits, mgr.Counters().Evaluations}
 	}
 	step := func(what string, do func(), want counts) {
 		t.Helper()
@@ -123,13 +119,13 @@ func TestEvaluateCountsOneHitOrMissPerRequest(t *testing.T) {
 		after := read()
 		got := counts{after.hits - before.hits, after.misses - before.misses,
 			after.evaluated - before.evaluated, after.engineHits - before.engineHits,
-			after.evaluations - before.evaluations, after.tenant - before.tenant}
+			after.evaluations - before.evaluations}
 		if got != want {
 			t.Fatalf("%s: counted %+v, want %+v", what, got, want)
 		}
 	}
 	const n = 4
-	cold, warm := counts{0, 1, 1, 0, 1, 1}, counts{1, 0, 0, 1, 1, 1}
+	cold, warm := counts{0, 1, 1, 0, 1}, counts{1, 0, 0, 1, 1}
 	for bits := 4; bits < 4+n; bits++ {
 		step("cold request", func() { post(body(bits), http.StatusOK, false) }, cold)
 	}
@@ -194,7 +190,7 @@ func (w *replyWriter) reset() {
 
 // raceBuild reports a -race build. There sync.Pool drops a share of
 // what is put back and the runtime allocates once more per request, so
-// a warm request averages 27.5 allocations instead of 26.
+// a warm request averages 24.5 allocations instead of 23.
 func raceBuild() bool {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
@@ -210,12 +206,13 @@ func raceBuild() bool {
 
 // TestEvaluateWarmRequestAllocs bounds a warm single-point request
 // through the production stack (middleware, strict decode,
-// SuiteEngines, the engine's hit path, the reply appender) at its 26
+// SuiteEngines, the engine's hit path, the reply appender) at its 23
 // heap allocations (the path it replaced, a one-point run under a
 // deadline timer rendered through encoding/json, made 74). Building a
 // suite to resolve the engine (+1), formatting its key (+2), arming a
-// deadline timer (+4), starting a one-point run or rendering through
-// encoding/json each exceeds the bound.
+// deadline timer (+4), reading and stamping a second request identity
+// (+3), starting a one-point run or rendering through encoding/json
+// each exceeds the bound.
 func TestEvaluateWarmRequestAllocs(t *testing.T) {
 	srv := newProductionServer(t)
 	body := []byte(`{"point":{"arch":"baseline","bits":8,"lna_noise":6e-6}}`)
@@ -233,9 +230,9 @@ func TestEvaluateWarmRequestAllocs(t *testing.T) {
 	if w.code != http.StatusOK || !strings.Contains(w.body.String(), `"cached": true`) {
 		t.Fatalf("warm request: status %d: %s", w.code, w.body.String())
 	}
-	bound := 26.0
+	bound := 23.0
 	if raceBuild() {
-		bound = 27
+		bound = 24
 	}
 	if avg := testing.AllocsPerRun(200, serve); avg > bound {
 		t.Fatalf("a warm request allocates %.0f times, want at most %.0f", avg, bound)

@@ -99,9 +99,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		reqID = obs.NewRequestID()
 	}
 	w.Header().Set("X-Request-ID", reqID)
-	ctx := obs.WithRequestID(r.Context(), reqID)
-	ctx = WithTenant(ctx, tenantName(r.Header.Get(TenantHeader)))
-	r = r.WithContext(ctx)
+	r = r.WithContext(obs.WithRequestID(r.Context(), reqID))
 
 	rec := &statusRecorder{ResponseWriter: w}
 	start := time.Now()
@@ -319,19 +317,15 @@ func retrySeconds(d time.Duration) int {
 }
 
 // managerError maps the Manager's errors onto the wire, for every
-// endpoint alike. Every backpressure response — rate-limited (429),
-// saturated (429) and draining (503) — carries an honest Retry-After so
-// clients never guess; a request whose client went away gets no reply.
+// endpoint alike. Every backpressure response — saturated (429) and
+// draining (503) — carries an honest Retry-After so clients never
+// guess; a request whose client went away gets no reply.
 func (s *Server) managerError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, ErrBadRequest):
 		s.error(w, r, http.StatusBadRequest, CodeBadRequest, "%v", err)
-	case errors.Is(err, ErrRateLimited):
-		retry := retrySeconds(retryAfter(err, time.Second))
-		w.Header().Set("Retry-After", fmt.Sprint(retry))
-		s.error(w, r, http.StatusTooManyRequests, CodeRateLimited, "%v (retry after ~%ds)", err, retry)
 	case errors.Is(err, ErrSaturated):
-		retry := retrySeconds(retryAfter(err, s.mgr.RetryAfter()))
+		retry := retrySeconds(s.mgr.RetryAfter())
 		w.Header().Set("Retry-After", fmt.Sprint(retry))
 		s.error(w, r, http.StatusTooManyRequests, CodeSaturated, "%v (retry after ~%ds)", err, retry)
 	case errors.Is(err, ErrShuttingDown):
@@ -355,8 +349,8 @@ const drainRetryAfter = 10 * time.Second
 // handleSubmit is the handler of an asynchronous job submission — a
 // sweep on POST /v1/sweeps, a search on POST /v1/search: it decodes the
 // request, hands it to submit and answers 202 + Location with the job's
-// status, or the Manager's error (429 + Retry-After when the tenant may
-// not queue it).
+// status, or the Manager's error (429 + Retry-After when every job slot
+// is busy).
 func handleSubmit[R any](s *Server, submit func(context.Context, R) (*Job, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req R

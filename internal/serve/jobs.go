@@ -55,7 +55,7 @@ func (m *Manager) Scenario(spec *OptionsSpec) (*scenario.Scenario, error) {
 // Sentinel errors the HTTP layer maps onto status codes.
 var (
 	// ErrSaturated: every job slot is busy (429 + Retry-After).
-	ErrSaturated = errors.New("serve: all sweep slots are busy")
+	ErrSaturated = errors.New("serve: all job slots are busy")
 	// ErrShuttingDown: the manager is draining (503).
 	ErrShuttingDown = errors.New("serve: shutting down")
 	// ErrNotFound: unknown job ID (404).
@@ -77,10 +77,10 @@ type ManagerConfig struct {
 	// shared cache): occupancy, capacity, hits and misses, evictions and
 	// singleflight shares.
 	Cache *cache.LRU
-	// MaxConcurrentJobs bounds simultaneously running sweeps (default 2).
-	// Submissions beyond it are rejected with ErrSaturated — the caller
-	// retries after Retry-After — rather than queued, so a burst cannot
-	// build unbounded state.
+	// MaxConcurrentJobs bounds simultaneously running jobs, sweeps and
+	// searches alike (default 2). Submissions beyond it are rejected with
+	// ErrSaturated — the caller retries after Retry-After — rather than
+	// queued, so a burst cannot build unbounded state.
 	MaxConcurrentJobs int
 	// JobTTL is how long finished jobs stay queryable (default 15m).
 	JobTTL time.Duration
@@ -98,12 +98,6 @@ type ManagerConfig struct {
 	// submitting request's request_id so a slow sweep correlates back to
 	// the call that created it. nil disables lifecycle logging.
 	Log *slog.Logger
-	// Tenancy shapes traffic per tenant (API key): submission and
-	// evaluation token buckets, concurrency and queue quotas, and
-	// weighted-fair dispatch of queued jobs. The zero value reproduces
-	// the pre-tenancy contract: one default tenant, no rate limits, no
-	// queueing.
-	Tenancy TenantPolicy
 	// WAL, when set, makes jobs durable: specs and completed result rows
 	// are journaled (fsync on job-state transitions), Recover replays
 	// terminal jobs as history and resumes in-flight sweeps from their
@@ -132,9 +126,8 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 }
 
 // Manager owns the server's jobs, sweeps and searches alike: it admits
-// them through per-tenant token buckets and quotas, dispatches queued
-// work through a weighted-fair scheduler into a bounded pool of job
-// slots, runs each job against the shared engine layer, buffers its
+// each into one bounded pool of job slots (or rejects it when every
+// slot is busy), runs it against the shared engine layer, buffers its
 // events for SSE replay, journals specs and rows to the WAL (when
 // configured), evicts finished jobs after a TTL and drains cleanly on
 // shutdown.
@@ -147,14 +140,13 @@ type Manager struct {
 	seq     int64
 	closed  bool
 	wg      sync.WaitGroup
-	// Traffic shaping: per-tenant state (buckets, quotas, queues), the
-	// count of occupied job slots, the stride scheduler's virtual time,
-	// and the TTL-eviction timers (stopped on Shutdown so a drained
-	// manager leaks no timers into embedders or tests).
-	tenants     map[string]*tenantState
-	runningJobs int
-	vtime       float64
-	timers      map[string]*time.Timer
+	// Admission: the count of occupied job slots, the jobs waiting for
+	// one in arrival order (only in-flight jobs resumed by Recover ever
+	// wait), and the TTL-eviction timers (stopped on Shutdown so a
+	// drained manager leaks no timers into embedders or tests).
+	running int
+	waiting []*Job
+	timers  map[string]*time.Timer
 	// Durability counters (efficsense_wal_* series): jobs replayed as
 	// history, sweeps resumed mid-flight, rows restored from the journal
 	// instead of re-evaluated, and journaled rows re-evaluated because a
@@ -196,7 +188,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		cfg:     cfg,
 		jobs:    make(map[string]*Job),
 		engines: make(map[Engine]struct{}),
-		tenants: make(map[string]*tenantState),
 		timers:  make(map[string]*time.Timer),
 	}, nil
 }
@@ -246,10 +237,6 @@ type Job struct {
 	// it, so "which call started this sweep" is always answerable.
 	requestID string
 	kind      string
-	// tenant is the submitting tenant's identity (API key, or
-	// DefaultTenant), immutable after Submit: quota release, fairness
-	// accounting and the status response all key on it.
-	tenant string
 	// replayed holds WAL-journaled results by original point index for a
 	// resumed sweep, and replayedEngine the evaluator fingerprint they were
 	// all computed under ("" when the journal does not name one, or names
@@ -361,13 +348,11 @@ func (m *Manager) admitSpace(points int) error {
 	return nil
 }
 
-// Submit validates the request, admits it through the tenant's shaping
-// pipeline (token bucket, concurrency and queue quotas) and enqueues the
-// sweep for weighted-fair dispatch. It never blocks: a submission the
-// tenant may not queue is rejected immediately with an honest
-// Retry-After. ctx is the submitting request's context — its request ID
-// and tenant are recorded on the job; the sweep itself outlives the
-// request and is NOT cancelled when ctx ends.
+// Submit validates the request and starts the sweep in a free job slot.
+// It never blocks: a submission that finds every slot busy is rejected
+// immediately with ErrSaturated. ctx is the submitting request's
+// context — its request ID is recorded on the job; the sweep itself
+// outlives the request and is NOT cancelled when ctx ends.
 func (m *Manager) Submit(ctx context.Context, req SweepRequest) (*Job, error) {
 	job, err := m.sweepJob(req)
 	if err != nil {
@@ -379,44 +364,65 @@ func (m *Manager) Submit(ctx context.Context, req SweepRequest) (*Job, error) {
 	return m.accept(ctx, job, walJobRecord{Sweep: &req}, slog.Int("points", job.total))
 }
 
-// accept admits a validated job of either kind: the drain check, the
-// tenant's token bucket and quota, then the job's ID and counters, its
-// fsynced job record (rec carries the wire request recovery re-derives
-// it from), the "<kind> accepted" log line and the enqueue for
-// weighted-fair dispatch.
+// accept admits a validated job of either kind. Under the manager lock
+// it runs the drain check, takes a free slot (ErrSaturated when every
+// slot is busy or promised to a waiting job) and gives the job its ID
+// and its table entry. Outside the lock it journals the job's fsynced
+// record (rec carries the wire request recovery re-derives it from) and
+// logs the "<kind> accepted" line, and only then starts the job, so no
+// row precedes its job record and the caller's reply follows the fsync.
 func (m *Manager) accept(ctx context.Context, job *Job, rec walJobRecord, attrs ...slog.Attr) (*Job, error) {
-	tenant := TenantOf(ctx)
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed {
+		m.mu.Unlock()
 		return nil, ErrShuttingDown
 	}
-	ts := m.tenantLocked(tenant)
-	if err := m.admitJobLocked(ts, time.Now()); err != nil {
-		return nil, err
+	if m.running+len(m.waiting) >= m.cfg.MaxConcurrentJobs {
+		m.mu.Unlock()
+		m.rejected.Add(1)
+		return nil, ErrSaturated
 	}
+	m.running++
 	m.seq++
 	job.ID = fmt.Sprintf("%s-%d", job.kind, m.seq) // recovery's bumpSeq parses the suffix
 	job.requestID = obs.RequestID(ctx)
-	job.tenant = tenant
 	job.created = time.Now()
 	m.jobs[job.ID] = job
 	m.kindCounters(job.kind).submitted.Add(1)
-	ts.submitted++
 	m.wg.Add(1)
+	m.mu.Unlock()
 	m.journalJob(job, rec)
-	m.logJob(job, job.kind+" accepted", append(attrs, slog.String("tenant", tenant))...)
-	m.enqueueLocked(ts, job)
+	m.logJob(job, job.kind+" accepted", attrs...)
+	go m.runJob(job)
 	return job, nil
 }
 
-// runJob is the scheduler's dispatch target: it owns one job goroutine
-// end to end. It resolves the engines (which may train a detector on a
-// cold option set), hands the job to its kind's run body — an engine
-// run for a sweep, search.Run for a search — and finishes it.
+// startLocked starts waiting jobs, oldest first, while slots are free.
+// Callers hold m.mu.
+func (m *Manager) startLocked() {
+	for m.running < m.cfg.MaxConcurrentJobs && len(m.waiting) > 0 {
+		job := m.waiting[0]
+		m.waiting = m.waiting[1:]
+		m.running++
+		go m.runJob(job)
+	}
+}
+
+// release frees a finished job's slot for the oldest waiting job.
+func (m *Manager) release() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.running--
+	m.startLocked()
+}
+
+// runJob owns one job goroutine, in the slot it holds, end to end. It
+// resolves the engines (which may train a detector on a cold option
+// set), hands the job to its kind's run body — an engine run for a
+// sweep, search.Run for a search — and finishes it.
 func (m *Manager) runJob(job *Job) {
 	defer m.wg.Done()
-	defer m.release(job)
+	defer m.release()
 	// A panic anywhere in the job goroutine (engine resolution, the
 	// serve/job failpoint, a bug in outcome distillation) must degrade
 	// this one job to failed, never take the daemon down. finish is
@@ -783,7 +789,6 @@ func (j *Job) Status() JobStatus {
 		Kind:            j.kind,
 		Scenario:        j.opts.Scenario,
 		State:           string(j.state),
-		Tenant:          j.tenant,
 		RequestID:       j.requestID,
 		CancelRequested: j.cancelRequested && !j.state.Terminal(),
 		CreatedAt:       j.created,
@@ -822,7 +827,6 @@ func (j *Job) Summary() JobSummary {
 		Kind:      j.kind,
 		Scenario:  j.opts.Scenario,
 		State:     string(j.state),
-		Tenant:    j.tenant,
 		RequestID: j.requestID,
 		CreatedAt: j.created,
 		Progress:  ProgressJSON{Done: j.done, Total: j.total},
@@ -904,17 +908,11 @@ func (j *Job) estimateRemaining() (time.Duration, bool) {
 
 // RetryAfter estimates how soon a rejected submission is worth retrying:
 // the smallest remaining-time estimate over the running jobs, clamped to
-// [1s, 5m]; 5s when nothing is measurable yet.
+// [1s, 5m]; 5s when nothing is measurable yet. Job locks nest inside the
+// manager lock, so estimateRemaining is safe here.
 func (m *Manager) RetryAfter() time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.retryAfterLocked()
-}
-
-// retryAfterLocked is RetryAfter under an already-held manager lock (the
-// admission pipeline computes honest Retry-After values there). Job
-// locks nest inside the manager lock, so estimateRemaining is safe here.
-func (m *Manager) retryAfterLocked() time.Duration {
 	best := time.Duration(math.MaxInt64)
 	for _, j := range m.jobs {
 		if est, ok := j.estimateRemaining(); ok && est < best {
@@ -936,7 +934,7 @@ func (m *Manager) retryAfterLocked() time.Duration {
 // a hit is answered from the store before any deadline is armed, and
 // the deadline bounds only a miss (see dse.Sweep.EvaluatePoint).
 func (m *Manager) Evaluate(ctx context.Context, spec *OptionsSpec, p core.DesignPoint, timeout time.Duration) (core.Result, bool, error) {
-	engine, timeout, err := m.evalEngine(ctx, spec, 1, timeout)
+	engine, timeout, err := m.evalEngine(spec, 1, timeout)
 	if err != nil {
 		return core.Result{}, false, err
 	}
@@ -944,18 +942,15 @@ func (m *Manager) Evaluate(ctx context.Context, spec *OptionsSpec, p core.Design
 }
 
 // evalEngine is the synchronous lane's admission, shared by Evaluate and
-// EvaluateBatch: the drain check, the batch size limit, the tenant's
-// evaluate bucket and the request counter, then the options, the engine
-// and the deadline, capped by EvalTimeout.
-func (m *Manager) evalEngine(ctx context.Context, spec *OptionsSpec, points int, timeout time.Duration) (Engine, time.Duration, error) {
+// EvaluateBatch: the drain check, the batch size limit and the request
+// counter, then the options, the engine and the deadline, capped by
+// EvalTimeout.
+func (m *Manager) evalEngine(spec *OptionsSpec, points int, timeout time.Duration) (Engine, time.Duration, error) {
 	if m.Draining() {
 		return nil, 0, ErrShuttingDown
 	}
 	if max := m.cfg.MaxSweepPoints; points > max {
 		return nil, 0, fmt.Errorf("%w: batch of %d points exceeds the limit %d", ErrBadRequest, points, max)
-	}
-	if err := m.admitEval(ctx, points); err != nil {
-		return nil, 0, err
 	}
 	m.evaluations.Add(int64(points))
 	opts, err := m.options(spec)
@@ -982,7 +977,7 @@ func (m *Manager) evalEngine(ctx context.Context, spec *OptionsSpec, points int,
 // only errors when no rows can be produced at all (draining, engine
 // resolution failure, client disconnect).
 func (m *Manager) EvaluateBatch(ctx context.Context, spec *OptionsSpec, pts []core.DesignPoint, timeout time.Duration) ([]core.Result, []bool, error) {
-	engine, timeout, err := m.evalEngine(ctx, spec, len(pts), timeout)
+	engine, timeout, err := m.evalEngine(spec, len(pts), timeout)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1158,7 +1153,7 @@ func (m *Manager) Draining() bool {
 }
 
 // Shutdown drains the manager: new submissions and evaluations are
-// rejected immediately, queued jobs still dispatch and drain, and
+// rejected immediately, waiting jobs still start and drain, and
 // in-flight jobs get until ctx expires to finish before being
 // cancelled. It returns nil on a clean drain and ctx.Err() when jobs
 // had to be cancelled; either way every job goroutine has exited by

@@ -207,8 +207,8 @@ func TestSearchLifecycleLogs(t *testing.T) {
 		keys []string
 	}{
 		{"search accepted",
-			map[string]string{"query": "max-snr", "budget": "12", "space": "16", "tenant": DefaultTenant},
-			[]string{"budget", "job_id", "query", "request_id", "space", "tenant"}},
+			map[string]string{"query": "max-snr", "budget": "12", "space": "16"},
+			[]string{"budget", "job_id", "query", "request_id", "space"}},
 		{"search started",
 			map[string]string{"query": "max-snr", "budget": "12"},
 			[]string{"budget", "job_id", "query", "request_id"}},
@@ -325,4 +325,50 @@ func TestSearchCancelLogsItsKind(t *testing.T) {
 	}
 	sink.find(t, "search cancel requested",
 		map[string]string{"job_id": st.ID, "cancelled_by_request_id": "cancel-rid-3"})
+}
+
+// TestShutdownStopsEvictionTimers: every finished job arms a
+// TTL-eviction timer, and Shutdown stops and drops them all — a drained
+// manager leaks no timers into its embedder, and the finished jobs stay
+// queryable (no eviction fires post-drain).
+func TestShutdownStopsEvictionTimers(t *testing.T) {
+	ts, mgr, _ := newTestServer(t, 0, ManagerConfig{JobTTL: time.Hour})
+
+	resp := postJSON(t, ts.URL+"/v1/sweeps", smallSweep)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d", resp.StatusCode)
+	}
+	id := decodeStatus(t, resp).ID
+	waitTerminal(t, ts.URL, id)
+
+	// The job turns terminal before its goroutine arms the timer, so
+	// wait for the timer rather than read the count once.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mgr.mu.Lock()
+		armed := len(mgr.timers)
+		mgr.mu.Unlock()
+		if armed == 1 {
+			break
+		}
+		if armed > 1 || time.Now().After(deadline) {
+			t.Fatalf("%d eviction timers armed after one finished job, want 1", armed)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := mgr.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	mgr.mu.Lock()
+	leaked := len(mgr.timers)
+	mgr.mu.Unlock()
+	if leaked != 0 {
+		t.Fatalf("%d eviction timers still armed after Shutdown, want 0", leaked)
+	}
+	if _, err := mgr.Job(id); err != nil {
+		t.Fatalf("finished job evicted after Shutdown: %v", err)
+	}
 }

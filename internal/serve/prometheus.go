@@ -115,38 +115,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Per-tenant traffic-shaping series, labelled by tenant. Tenants are
-	// sorted by name, so the exposition is deterministic.
-	if tcs := s.mgr.TenantCounters(); len(tcs) > 0 {
-		tenantSeries := []struct {
-			name, help, kind string
-			value            func(TenantCounters) int64
-		}{
-			{"efficsense_tenant_weight", "Fair-share weight of the tenant.", "gauge",
-				func(t TenantCounters) int64 { return int64(t.Weight) }},
-			{"efficsense_tenant_jobs_running", "Jobs the tenant is currently running.", "gauge",
-				func(t TenantCounters) int64 { return int64(t.Running) }},
-			{"efficsense_tenant_jobs_queued", "Jobs the tenant has admitted but not yet dispatched.", "gauge",
-				func(t TenantCounters) int64 { return int64(t.Queued) }},
-			{"efficsense_tenant_jobs_submitted_total", "Jobs the tenant submitted successfully.", "counter",
-				func(t TenantCounters) int64 { return t.Submitted }},
-			{"efficsense_tenant_rejected_rate_total", "Submissions rejected by the tenant's token bucket.", "counter",
-				func(t TenantCounters) int64 { return t.RejectedRate }},
-			{"efficsense_tenant_rejected_quota_total", "Submissions rejected by the tenant's concurrency/queue quota.", "counter",
-				func(t TenantCounters) int64 { return t.RejectedQuota }},
-			{"efficsense_tenant_evaluations_total", "Design points the tenant evaluated through the synchronous lane.", "counter",
-				func(t TenantCounters) int64 { return t.Evaluations }},
-			{"efficsense_tenant_eval_limited_total", "Synchronous evaluations rejected by the tenant's token bucket.", "counter",
-				func(t TenantCounters) int64 { return t.EvalLimited }},
-		}
-		for _, series := range tenantSeries {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", series.name, series.help, series.name, series.kind)
-			for _, t := range tcs {
-				fmt.Fprintf(w, "%s{tenant=%q} %d\n", series.name, t.Tenant, series.value(t))
-			}
-		}
-	}
-
 	// Durability series (all zero when no -wal-dir is configured).
 	counter("efficsense_wal_replayed_jobs_total", "Terminal jobs restored from the journal at startup.", c.WALReplayedJobs)
 	counter("efficsense_wal_resumed_jobs_total", "In-flight jobs resumed from the journal at startup.", c.WALResumedJobs)

@@ -1,9 +1,9 @@
 package serve
 
 // Search jobs: the asynchronous POST /v1/search pipeline. A search job
-// goes through the sweep job's lifecycle — admission, weighted-fair
-// dispatch, the job goroutine, finish, the journal and recovery, the
-// event buffer and SSE replay, TTL eviction, cancellation, drain. What
+// goes through the sweep job's lifecycle — admission into a job slot,
+// the job goroutine, finish, the journal and recovery, the event buffer
+// and SSE replay, TTL eviction, cancellation, drain. What
 // is its own is the derivation from its request, the run body
 // (internal/search's Run: a budget-bounded propose/observe loop that
 // streams "front" events as the Pareto front grows instead of an
@@ -62,11 +62,10 @@ func (m *Manager) searchJob(req SearchRequest) (*Job, error) {
 	return job, nil
 }
 
-// SubmitSearch validates a goal-directed search request, admits it
-// through the tenant's shaping pipeline and enqueues it for
-// weighted-fair dispatch. Like Submit it never blocks: a submission the
-// tenant may not queue is rejected with an honest Retry-After, and the
-// job outlives the submitting request's context.
+// SubmitSearch validates a goal-directed search request and starts the
+// search in a free job slot, which it shares with sweeps. Like Submit it
+// never blocks: a submission that finds every slot busy is rejected with
+// ErrSaturated, and the job outlives the submitting request's context.
 func (m *Manager) SubmitSearch(ctx context.Context, req SearchRequest) (*Job, error) {
 	job, err := m.searchJob(req)
 	if err != nil {

@@ -493,28 +493,72 @@ func TestCancelStopsJobPromptly(t *testing.T) {
 	resp2.Body.Close()
 }
 
-// TestSaturationReturns429 fills the single job slot and checks the
-// backpressure contract: 429 plus a Retry-After hint.
-func TestSaturationReturns429(t *testing.T) {
-	ts, mgr, _ := newTestServer(t, 30*time.Millisecond, ManagerConfig{MaxConcurrentJobs: 1})
-	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps",
-		`{"space":{"architectures":["baseline"],"bits":[4,5,6],"noise_steps":8}}`))
+// noiseGateEval evaluates like slowEval but blocks the points whose
+// LNANoise is gateNoise until its gate closes: a job over such a point
+// holds its slot for exactly as long as a test needs.
+type noiseGateEval struct {
+	slowEval
+	gate      chan struct{}
+	gateNoise float64
+}
 
-	resp := postJSON(t, ts.URL+"/v1/sweeps", smallSweep)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated submit status %d", resp.StatusCode)
+func (e *noiseGateEval) Evaluate(p core.DesignPoint) core.Result {
+	if p.LNANoise == e.gateNoise {
+		<-e.gate
 	}
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
-		t.Fatalf("Retry-After %q", resp.Header.Get("Retry-After"))
+	return e.slowEval.Evaluate(p)
+}
+
+// TestSaturationReturns429 holds the single job slot with a gated sweep
+// and checks the backpressure contract: a sweep or a search submitted
+// meanwhile answers 429 saturated with a Retry-After hint, while a
+// /v1/evaluate of another point — the priority lane, which never takes
+// a slot — answers 200. Once the slot frees, a submission is accepted.
+func TestSaturationReturns429(t *testing.T) {
+	eval := &noiseGateEval{gate: make(chan struct{}), gateNoise: 99}
+	release := sync.OnceFunc(func() { close(eval.gate) })
+	defer release()
+	ts, mgr := newDurableServer(t, nil, eval, ManagerConfig{MaxConcurrentJobs: 1})
+	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps",
+		`{"space":{"architectures":["baseline"],"bits":[4],"lna_noise":[99]}}`))
+
+	for i, sub := range []struct{ path, body string }{
+		{"/v1/sweeps", smallSweep},
+		{"/v1/search", smallSearch},
+	} {
+		resp := postJSON(t, ts.URL+sub.path, sub.body)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("saturated %s status %d", sub.path, resp.StatusCode)
+		}
+		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+			t.Fatalf("Retry-After %q", resp.Header.Get("Retry-After"))
+		}
+		if d := decodeErrorEnvelope(t, resp); d.Code != CodeSaturated {
+			t.Fatalf("saturated %s code %q", sub.path, d.Code)
+		}
+		if got := mgr.Counters().Rejected; got != int64(i+1) {
+			t.Fatalf("rejected counter %d, want %d", got, i+1)
+		}
 	}
-	if mgr.Counters().Rejected != 1 {
-		t.Fatalf("rejected counter %d", mgr.Counters().Rejected)
+
+	resp := postJSON(t, ts.URL+"/v1/evaluate", `{"point":{"arch":"baseline","bits":8,"lna_noise":1e-6}}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("evaluate while every slot is busy: status %d, want 200", resp.StatusCode)
 	}
-	if _, err := mgr.Cancel(context.Background(), st.ID); err != nil {
-		t.Fatal(err)
+	if job, err := mgr.Job(st.ID); err != nil || job.State().Terminal() {
+		t.Fatalf("the gated sweep no longer holds its slot (%v)", err)
 	}
-	waitTerminal(t, ts.URL, st.ID)
+
+	release()
+	if fin := waitTerminal(t, ts.URL, st.ID); fin.State != string(StateCompleted) {
+		t.Fatalf("gated sweep: %+v", fin)
+	}
+	resp = postJSON(t, ts.URL+"/v1/sweeps", smallSweep)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submission after the slot freed: status %d", resp.StatusCode)
+	}
+	waitTerminal(t, ts.URL, decodeStatus(t, resp).ID)
 }
 
 // TestEvaluateSyncAndWarm covers the synchronous endpoint: validation,
