@@ -151,24 +151,18 @@ func newSuite(opts *experiments.Options, rich bool, tracePath string) (*experime
 
 // sweepHook renders a sweep run's events. With rich=false it prints a
 // minimal "sweep d/t" counter on progress; with rich=true each line adds
-// the run's throughput and ETA, timed by the run's own clock from its
-// first event, and the mean per-point time and cache hits of metrics
-// (the engine's cumulative counters). With trace set it also writes one
-// JSONL line per point (see traceLine). The engine calls the hook
-// serially, so it needs no lock of its own.
+// the run's throughput and ETA, the points done over the time since the
+// run's start (Event.Start), and the mean per-point time and cache hits
+// of metrics (the engine's cumulative counters). With trace set it also
+// writes one JSONL line per point (see traceLine). The engine calls the
+// hook serially, so it needs no lock of its own.
 func sweepHook(progress io.Writer, rich bool, metrics func() dse.Snapshot, trace io.Writer) func(dse.Event) {
-	var first time.Time
 	return func(ev dse.Event) {
 		if rich {
-			if first.IsZero() {
-				first = time.Now()
-			}
-			// The points completed since the clock started, over the time
-			// since: the first event only starts the clock.
 			var rate float64
 			var eta time.Duration
-			if elapsed := time.Since(first); ev.Done > 1 && elapsed > 0 {
-				rate = float64(ev.Done-1) / elapsed.Seconds()
+			if elapsed := time.Since(ev.Start); !ev.Start.IsZero() && elapsed > 0 {
+				rate = float64(ev.Done) / elapsed.Seconds()
 				eta = time.Duration(float64(ev.Total-ev.Done) / rate * float64(time.Second))
 			}
 			m := metrics()

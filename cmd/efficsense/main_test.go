@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -248,9 +249,9 @@ func TestTraceSinkEmitsOneJSONLinePerPoint(t *testing.T) {
 }
 
 // TestSweepHookRichProgress checks the rich progress line: the run's
-// own rate and ETA (nothing measurable at the first event, which starts
-// the clock), the engine's mean time and cache hits, and a newline once
-// the run is done.
+// own rate and ETA, timed from the run's start (Event.Start; nothing is
+// measurable without one), the engine's mean time and cache hits, and a
+// newline once the run is done.
 func TestSweepHookRichProgress(t *testing.T) {
 	var out bytes.Buffer
 	metrics := func() dse.Snapshot { return dse.Snapshot{CacheHits: 2, MeanEval: 40 * time.Millisecond} }
@@ -259,15 +260,69 @@ func TestSweepHookRichProgress(t *testing.T) {
 	if got, want := out.String(), "\rsweep 1/3  0.0 pt/s  40ms/pt  2 cached  eta 0s   "; got != want {
 		t.Fatalf("first line %q, want %q", got, want)
 	}
-	time.Sleep(2 * time.Millisecond)
-	hook(dse.Event{Done: 2, Total: 3})
-	hook(dse.Event{Done: 3, Total: 3})
+	start := time.Now().Add(-time.Second)
+	hook(dse.Event{Done: 2, Total: 3, Start: start})
+	hook(dse.Event{Done: 3, Total: 3, Start: start})
 	lines := strings.Split(out.String(), "\r")
 	if second := lines[2]; strings.Contains(second, " 0.0 pt/s") || !strings.HasPrefix(second, "sweep 2/3  ") {
 		t.Fatalf("second line %q: want a measured rate", second)
 	}
 	if last := lines[3]; !strings.HasPrefix(last, "sweep 3/3  ") || !strings.HasSuffix(last, "eta 0s   \n") {
 		t.Fatalf("last line %q", last)
+	}
+}
+
+// slowBatches is a batch evaluator whose every EvaluateBatch call takes
+// at least batchDelay.
+type slowBatches struct{}
+
+const batchDelay = 50 * time.Millisecond
+
+func (slowBatches) Evaluate(p core.DesignPoint) core.Result {
+	return core.Result{Point: p, TotalPower: 1e-6}
+}
+
+func (s slowBatches) EvaluateBatch(_ context.Context, pts []core.DesignPoint) []core.Result {
+	time.Sleep(batchDelay)
+	rs := make([]core.Result, len(pts))
+	for i, p := range pts {
+		rs[i] = s.Evaluate(p)
+	}
+	return rs
+}
+
+// TestSweepHookRateFromRunStart drives the rich progress line from a
+// real run whose chunks each take at least batchDelay: a chunk's events
+// arrive together when it finishes, so every printed rate must be at
+// most the points done over batchDelay, the least time any of them can
+// have taken since the run started. A rate timed from the first event
+// reads the rest of the first chunk as done in no time.
+func TestSweepHookRateFromRunStart(t *testing.T) {
+	s, err := dse.NewSweep(slowBatches{}, dse.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]core.DesignPoint, 8) // two groups of four: chunks of four
+	for i := range pts {
+		pts[i] = core.DesignPoint{Arch: core.ArchCS, Bits: 5 + i%4, LNANoise: float64(1+i/4) * 1e-6, M: 100}
+	}
+	var out bytes.Buffer
+	if _, err := s.RunWithHook(context.Background(), pts, sweepHook(&out, true, func() dse.Snapshot { return dse.Snapshot{} }, nil)); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\r")
+	if len(lines) != len(pts) {
+		t.Fatalf("%d progress lines, want %d: %q", len(lines), len(pts), out.String())
+	}
+	for _, ln := range lines {
+		var done, total int
+		var rate float64
+		if _, err := fmt.Sscanf(ln, "sweep %d/%d  %f pt/s", &done, &total, &rate); err != nil {
+			t.Fatalf("progress line %q: %v", ln, err)
+		}
+		if limit := float64(done) / batchDelay.Seconds(); rate <= 0 || rate > limit+0.05 {
+			t.Fatalf("line %q: rate %.1f pt/s, want in (0, %.1f] for %d points done at least %v after the start", ln, rate, limit, done, batchDelay)
+		}
 	}
 }
 

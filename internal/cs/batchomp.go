@@ -26,7 +26,7 @@ type BatchOMP struct {
 	flat  []float64  // column-major dictionary: column j at [j*m, (j+1)*m)
 	pan   dsp.Panels // the dictionary in panels, for Dᵀy
 	gram  []float64  // row-major K×K Gram matrix: row i at [i*k, (i+1)*k)
-	norms []float64  // column norms
+	norms dsp.Norms  // column norms, with the reciprocals dsp.Select screens by
 	k, m  int
 }
 
@@ -46,12 +46,16 @@ type Scratch struct {
 
 // ompLane is one frame in flight in solveLanes.
 type ompLane struct {
-	p, corr []float64 // Dᵀy and the correlations, length K
-	// mask is the selection scan's exclusion mask (dsp.SubRows4ArgMax):
-	// absMask for an eligible column, 0 for a support atom or a
-	// zero-norm column. Every solve rebuilds it.
-	mask       []uint64
-	support    []int
+	p []float64 // Dᵀy, length K
+	// mask is the selection's exclusion mask (dsp.Select): absMask for
+	// an eligible column, 0 for a support atom or a zero-norm column.
+	// Every solve rebuilds it.
+	mask    []uint64
+	support []int
+	// gram holds the support atoms' Gram rows in support order, and c
+	// the lane's coefficients gathered for dsp.Select.
+	gram       [][]float64
+	c          []float64
 	prevEnergy float64 // the residual energy before the last atom
 	best       int     // the next atom and its selection score
 	bestVal    float64
@@ -64,8 +68,8 @@ const absMask = 1<<63 - 1
 func (s *Scratch) grow(k, rows int) {
 	for i := range s.lanes {
 		l := &s.lanes[i]
-		l.p, l.corr, l.mask = grown(l.p, k), grown(l.corr, k), grown(l.mask, k)
-		l.support = grown(l.support, rows)
+		l.p, l.mask = grown(l.p, k), grown(l.mask, k)
+		l.support, l.gram, l.c = grown(l.support, rows), grown(l.gram, rows), grown(l.c, rows)
 	}
 	s.theta = grown(s.theta, k)
 	// Factor rows and vector entries are written before they are read,
@@ -87,7 +91,7 @@ func NewBatchOMP(cols [][]float64) *BatchOMP {
 		copy(b.flat[j*b.m:(j+1)*b.m], c)
 	}
 	b.pan = dsp.NewPanels(cols)
-	b.norms = make([]float64, k)
+	norms := make([]float64, k)
 	b.gram = make([]float64, k*k)
 	for i := 0; i < k; i++ {
 		ci := cols[i]
@@ -100,8 +104,9 @@ func NewBatchOMP(cols [][]float64) *BatchOMP {
 			b.gram[i*k+j] = dot
 			b.gram[j*k+i] = dot
 		}
-		b.norms[i] = math.Sqrt(b.gram[i*k+i])
+		norms[i] = math.Sqrt(b.gram[i*k+i])
 	}
+	b.norms = dsp.NewNorms(norms)
 	return b
 }
 
@@ -175,14 +180,14 @@ func (b *BatchOMP) solveLanes(ys [][]float64, maxAtoms int, tol float64, sc *Scr
 	var energy0 [dsp.Lanes]float64 // ||y||² per lane
 	for f, y := range ys {
 		l := &sc.lanes[f]
-		l.support = l.support[:0]
+		l.support, l.gram = l.support[:0], l.gram[:0]
 		if energy0[f] = dsp.Energy(y); energy0[f] == 0 {
 			finish(f)
 			continue
 		}
-		for j, nj := range b.norms {
+		for j := range l.mask {
 			l.mask[j] = 0
-			if nj != 0 {
+			if b.norms.Norm(j) != 0 {
 				l.mask[j] = absMask
 			}
 		}
@@ -228,6 +233,7 @@ func (b *BatchOMP) solveLanes(ys [][]float64, maxAtoms int, tol float64, sc *Scr
 			}
 			sc.lf.Set(f, s, s, math.Sqrt(diag))
 			l.support = append(l.support, l.best)
+			l.gram = append(l.gram, b.gramRow(l.best))
 			l.mask[l.best] = 0
 			sc.pS.Set(f, s, l.p[l.best])
 			sc.z.Set(f, s, l.p[l.best])
@@ -267,47 +273,18 @@ func (b *BatchOMP) solveLanes(ys [][]float64, maxAtoms int, tol float64, sc *Scr
 	}
 }
 
-// updateSelect computes lane f's residual correlation corr = p -
-// G_S·coef and returns its best next atom (index and |corr|/norm score)
-// in one fused sweep. Support atoms are applied four at a time in support
-// order, so every element sees the same sequence of subtractions as
-// applying atoms one by one — bit-identical values. The last group of
-// 1–4 atoms is folded into the selection scan itself
-// (dsp.SubRows4ArgMax): those values live only in registers and are
-// never stored, because corr is consumed solely by this selection and
-// the next call restarts from p. With an empty support the scan runs over
-// p directly (the first selection needs no copy at all). Short groups
-// are padded with zero coefficients against a positive dummy row
-// (b.norms), and x - (+0) is exact for every float64 x. The lane's mask
-// excludes support atoms and zero-norm columns from the scan.
+// updateSelect returns lane f's best next atom, index and |corr|/norm
+// score, for its residual correlations corr = p − G_S·coef, which
+// dsp.Select forms column by column from the support atoms' Gram rows in
+// support order and never stores: corr only feeds this selection, and
+// the next call starts again from p. With an empty support it scores p
+// itself. The lane's mask excludes support atoms and zero-norm columns.
 func (b *BatchOMP) updateSelect(l *ompLane, coef dsp.LaneVec, f int) (int, float64) {
-	support, corr := l.support, l.corr
-	s := len(support)
-	norms := b.norms
-	src := l.p
-	base := 0
-	if s > 4 {
-		// All but the final 1–4 atoms stream through corr, four atoms per
-		// pass (wider passes spill registers on amd64 and lose); the first
-		// pass reads p so no upfront copy is needed. Grouping only changes
-		// how often corr is loaded and stored — each element still sees
-		// the subtractions in support order.
-		base = (s - 1) &^ 3
-		in := l.p[:len(corr)]
-		for si := 0; si < base; si += 4 {
-			dsp.SubRows4(corr, in, b.gramRow(support[si]), b.gramRow(support[si+1]),
-				b.gramRow(support[si+2]), b.gramRow(support[si+3]),
-				coef.At(f, si), coef.At(f, si+1), coef.At(f, si+2), coef.At(f, si+3))
-			in = corr
-		}
-		src = corr
+	c := l.c[:len(l.gram)]
+	for i := range c {
+		c[i] = coef.At(f, i)
 	}
-	g := [4][]float64{norms, norms, norms, norms}
-	var c [4]float64
-	for i := base; i < s; i++ {
-		g[i-base], c[i-base] = b.gramRow(support[i]), coef.At(f, i)
-	}
-	return dsp.SubRows4ArgMax(src, g[0], g[1], g[2], g[3], c[0], c[1], c[2], c[3], l.mask, norms)
+	return dsp.Select(l.p, l.gram, c, l.mask, &b.norms)
 }
 
 // gramRow returns row j of the Gram matrix: G_j·, the correlations of

@@ -249,10 +249,10 @@ func referenceSolveExit(b *BatchOMP, y []float64, maxAtoms int, tol float64) ([]
 		}
 		best, bestVal := -1, 0.0
 		for j, v := range corr {
-			if inSupport[j] || b.norms[j] == 0 {
+			if inSupport[j] || b.norms.Norm(j) == 0 {
 				continue
 			}
-			if a := math.Abs(v) / b.norms[j]; a > bestVal {
+			if a := math.Abs(v) / b.norms.Norm(j); a > bestVal {
 				best, bestVal = j, a
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,9 +117,12 @@ func groupOrder(pts []core.DesignPoint) []int {
 
 // TestChunkByGroupProperties checks the worker-aware cut rule over
 // random point sets: an exact cover in group order, chunks within size,
-// cuts inside a group only where a chunk is full, flat slicing whenever
-// target == size, and at least two chunks whenever two workers could
-// share the work.
+// cuts inside a group only where a chunk is full, full chunks of size
+// points wherever the target reaches size (in a batch of more than
+// workers × size points, a chunk whose ceil(r/(2·workers)) with r the
+// points not yet cut does; in a smaller one, flat slicing when
+// ceil(n/workers) == size), and at least two chunks whenever two
+// workers could share the work.
 func TestChunkByGroupProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 2000; iter++ {
@@ -174,7 +178,15 @@ func TestChunkByGroupProperties(t *testing.T) {
 			}
 		}
 
-		if target := min(size, (n+workers-1)/workers); target == size {
+		if n > workers*size {
+			off = 0
+			for _, c := range chunks {
+				if r := n - off; (r+2*workers-1)/(2*workers) >= size && len(c) != size {
+					t.Fatalf("%s: chunk at %d of %d points, want size %d with %d points left", label, off, len(c), size, r)
+				}
+				off += len(c)
+			}
+		} else if (n+workers-1)/workers == size {
 			var want [][]int
 			for off := 0; off < n; off += size {
 				want = append(want, flat[off:min(off+size, n)])
@@ -188,6 +200,39 @@ func TestChunkByGroupProperties(t *testing.T) {
 		}
 		if len(groupSize) == 1 && n <= size && len(chunks) != 1 {
 			t.Fatalf("%s: a single group of %d points was cut into %d chunks", label, n, len(chunks))
+		}
+	}
+}
+
+// TestChunkByGroupShrinksToOneGroup pins the cut of two batches the
+// benchmark sends on two workers: a 96-point sweep of 32 three-point
+// groups, whose last chunks are one group each, and a 7-point search
+// round of groups of 3, 2, 1 and 1 points, which keeps one chunk per
+// worker.
+func TestChunkByGroupShrinksToOneGroup(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		groups []int
+		want   []int
+	}{
+		{"sweep", []int{
+			3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3,
+			3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3,
+		}, []int{16, 16, 16, 12, 9, 6, 6, 3, 3, 3, 3, 3}},
+		{"search round", []int{3, 2, 1, 1}, []int{3, 4}},
+	} {
+		var pts []core.DesignPoint
+		for g, size := range tc.groups {
+			for b := 0; b < size; b++ {
+				pts = append(pts, core.DesignPoint{Arch: core.ArchCS, Bits: 6 + b, LNANoise: float64(g+1) * 1e-6, M: 100})
+			}
+		}
+		var got []int
+		for _, c := range chunkByGroup(pts, DefaultBatchSize, 2) {
+			got = append(got, len(c))
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("%s: chunks of %v points, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -56,6 +56,10 @@ type Event struct {
 	Duration time.Duration
 	// Done and Total describe the run's progress after this point.
 	Done, Total int
+	// Start is when the run began, the same for every event of one run,
+	// so a hook can time the run's rate and ETA from it: batch dispatch
+	// delivers a chunk's events only when the whole chunk is done.
+	Start time.Time
 }
 
 // Sweep evaluates design points in parallel: the production engine behind
@@ -253,6 +257,7 @@ func (s *Sweep) RunWithHook(ctx context.Context, points []core.DesignPoint, hook
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	start := time.Now()
 	results := make([]core.Result, len(points))
 	if len(points) == 0 {
 		return results, ctx.Err()
@@ -271,7 +276,7 @@ func (s *Sweep) RunWithHook(ctx context.Context, points []core.DesignPoint, hook
 			hook(Event{
 				Index: idx, Point: points[idx], Result: res,
 				Cached: cached, Duration: dur,
-				Done: done, Total: len(points),
+				Done: done, Total: len(points), Start: start,
 			})
 		}
 		mu.Unlock()

@@ -14,7 +14,9 @@ import (
 // per-lane IEEE-754 multiply, add, subtract, divide, AND and compare —
 // no FMA, no reassociation — so every element sees exactly the
 // arithmetic of the Go loops here, in the same order, and results are
-// bit-identical across the scalar and vector paths. The Go loops in turn
+// bit-identical across the scalar and vector paths (Select's screen
+// multiplies too, but only to decide which columns to divide; the
+// scores it returns are divisions). The Go loops in turn
 // rely on the compiler not fusing a*b ± c into an FMA, which holds on
 // amd64 at GOAMD64 v1 and v3 (make purego runs the suites under v3).
 // Lengths not divisible by the vector width finish in the scalar loops.
@@ -38,9 +40,14 @@ func SubRows4(dst, src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 			}
 		}
 	}
+	subRows4Go(dst[n:], src[n:], r0[n:], r1[n:], r2[n:], r3[n:], c0, c1, c2, c3)
+}
+
+// subRows4Go is the Go loop of SubRows4.
+func subRows4Go(dst, src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 	src = src[:len(dst)]
 	r0, r1, r2, r3 = r0[:len(dst)], r1[:len(dst)], r2[:len(dst)], r3[:len(dst)]
-	for j := n; j < len(dst); j++ {
+	for j := range dst {
 		dst[j] = (((src[j] - c0*r0[j]) - c1*r1[j]) - c2*r2[j]) - c3*r3[j]
 	}
 }
@@ -66,27 +73,75 @@ func AddRows4(dst, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 	}
 }
 
-// SubRows4ArgMax is the selection scan of greedy pursuit fused with the
-// last SubRows4 update: for j in [0, len(src)) it forms
-// v = (((src[j] - c0*r0[j]) - c1*r1[j]) - c2*r2[j]) - c3*r3[j] without
-// storing it, scores it as (v with its bits ANDed with mask[j]) / den[j],
-// and returns the lowest index with the largest score and that score,
-// under a strict > against a running best that starts at (-1, 0).
+// Norms is a dictionary's column norms with their screened reciprocals,
+// the scoring table of Select. inv[j] is fl(1/norm[j]) when that is a
+// normal float64 and +Inf otherwise, the condition Select's screen
+// relies on; building both here means no caller can hand Select a
+// reciprocal that breaks it. Read-only after NewNorms and safe for
+// concurrent use.
+type Norms struct {
+	norm, inv []float64
+}
+
+// NewNorms builds the table for the norms norm, which it keeps and the
+// caller must not modify afterwards.
+func NewNorms(norm []float64) Norms {
+	inv := make([]float64, len(norm))
+	for j, v := range norm {
+		r := 1 / v
+		if a := math.Abs(r); !(a >= 0x1p-1022 && a <= math.MaxFloat64) {
+			r = math.Inf(1)
+		}
+		inv[j] = r
+	}
+	return Norms{norm: norm, inv: inv}
+}
+
+// Norm returns column j's norm.
+func (n *Norms) Norm(j int) float64 { return n.norm[j] }
+
+// Select is the atom selection of greedy pursuit fused with its
+// correlation update. For j in [0, len(p)) it forms
+// v_j = ((p_j − c_0·rows[0][j]) − c_1·rows[1][j]) − … over every row in
+// order, one multiply and one subtract per row, without storing it,
+// scores it as x_j/norm_j, x_j being v_j with its bits ANDed with
+// mask[j], and returns the lowest index with the largest score and that
+// score, under a strict > against a running best that starts at (−1, 0).
+// With no rows it scores p itself.
 //
 // A mask of 0x7FFF_FFFF_FFFF_FFFF clears only the sign bit, so the score
-// is |v|/den[j]; a mask of 0 scores +0 (or NaN when den[j] is 0), which
-// never beats the running best, so that index is excluded. All slices
-// must be at least len(src) long.
-func SubRows4ArgMax(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask []uint64, den []float64) (int, float64) {
-	best, bestVal := -1, 0.0
-	n := 0
+// is |v|/norm; a mask of 0 scores +0 (or NaN when the norm is 0), which
+// never beats the running best, so that index is excluded. Zero-norm
+// columns must be excluded. mask, the norms and every row must be at
+// least len(p) long, and c as long as rows.
+//
+// The vector bodies keep a tile of v in registers across all the rows
+// and screen it before dividing (see selectAVX512); the Go body divides
+// every column. Either way the index and score are bitwise those of
+// the plain loop.
+func Select(p []float64, rows [][]float64, c []float64, mask []uint64, norms *Norms) (int, float64) {
+	k := len(p)
+	if len(c) != len(rows) || len(mask) < k || len(norms.norm) < k {
+		panic("dsp: Select length mismatch")
+	}
+	for _, r := range rows {
+		if len(r) < k {
+			panic("dsp: Select row shorter than p")
+		}
+	}
+	mask, norm := mask[:k], norms.norm[:k]
+	best, bestVal, n := -1, 0.0, 0
 	if isa.Kernels() >= isa.AVX {
-		if n = len(src) &^ 3; n > 0 {
+		width := 4
+		if isa.Kernels() == isa.AVX512 {
+			width = 8
+		}
+		if n = k &^ (width - 1); n > 0 {
 			// Each lane keeps the first of its own maxima (strict >, in
 			// ascending index); the overall winner is the largest lane
 			// value, the lowest index among equal ones.
-			lanes := argMaxLanes{idx: [4]float64{-1, -1, -1, -1}}
-			subRows4ArgMaxAVX(src[:n], r0[:n], r1[:n], r2[:n], r3[:n], c0, c1, c2, c3, mask[:n], den[:n], &lanes)
+			lanes := selectLanes{idx: [8]float64{-1, -1, -1, -1, -1, -1, -1, -1}}
+			selectVec(p[:n], rows, c, mask, norm, norms.inv, &lanes)
 			for l, v := range lanes.val {
 				i := int(lanes.idx[l])
 				if v > bestVal || (v == bestVal && v > 0 && i < best) {
@@ -95,12 +150,58 @@ func SubRows4ArgMax(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask 
 			}
 		}
 	}
+	if n < k {
+		best, bestVal = selectGo(p, n, rows, c, mask, norm, best, bestVal)
+	}
+	return best, bestVal
+}
+
+// selectBlock is the number of columns the Go body of Select updates at
+// a time, in a stack buffer: all of an EEG dictionary's K = 384, so
+// there it makes the same passes as over a K-length buffer.
+const selectBlock = 384
+
+// selectZero pads the Go body's last group of rows.
+var selectZero [selectBlock]float64
+
+// selectGo is the Go body of Select over columns [from, len(p)),
+// continuing from the running best (best, bestVal). Per block of
+// columns it applies all but the last one to four rows in SubRows4
+// passes, four rows each in row order, and fuses the last group into
+// the scoring scan, padded with zero coefficients against selectZero
+// (x − 0·0 is x for every float64 x): every column's chain is the plain
+// loop's, and every column is divided.
+func selectGo(p []float64, from int, rows [][]float64, c []float64, mask []uint64, norm []float64, best int, bestVal float64) (int, float64) {
+	var buf [selectBlock]float64
+	zero := selectZero[:]
+	last := max(len(rows)-1, 0) &^ 3
+	for j := from; j < len(p); j += selectBlock {
+		n := min(selectBlock, len(p)-j)
+		src := p[j : j+n]
+		for i := 0; i < last; i += 4 {
+			subRows4Go(buf[:n], src, rows[i][j:], rows[i+1][j:], rows[i+2][j:], rows[i+3][j:], c[i], c[i+1], c[i+2], c[i+3])
+			src = buf[:n]
+		}
+		g := [4][]float64{zero[:n], zero[:n], zero[:n], zero[:n]}
+		var cg [4]float64
+		for i := last; i < len(rows); i++ {
+			g[i-last], cg[i-last] = rows[i][j:], c[i]
+		}
+		best, bestVal = scoreGo(j, src, g[0], g[1], g[2], g[3], cg[0], cg[1], cg[2], cg[3], mask[j:], norm[j:], best, bestVal)
+	}
+	return best, bestVal
+}
+
+// scoreGo is the scoring scan of selectGo over the columns of src, the
+// first being column j0: v = (((src − c0·r0) − c1·r1) − c2·r2) − c3·r3,
+// scored (v AND mask)/norm against the running best.
+func scoreGo(j0 int, src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask []uint64, norm []float64, best int, bestVal float64) (int, float64) {
 	r0, r1, r2, r3 = r0[:len(src)], r1[:len(src)], r2[:len(src)], r3[:len(src)]
-	mask, den = mask[:len(src)], den[:len(src)]
-	for j := n; j < len(src); j++ {
-		v := (((src[j] - c0*r0[j]) - c1*r1[j]) - c2*r2[j]) - c3*r3[j]
-		if a := math.Float64frombits(math.Float64bits(v)&mask[j]) / den[j]; a > bestVal {
-			best, bestVal = j, a
+	mask, norm = mask[:len(src)], norm[:len(src)]
+	for j, x := range src {
+		v := (((x - c0*r0[j]) - c1*r1[j]) - c2*r2[j]) - c3*r3[j]
+		if a := math.Float64frombits(math.Float64bits(v)&mask[j]) / norm[j]; a > bestVal {
+			best, bestVal = j0+j, a
 		}
 	}
 	return best, bestVal
@@ -248,10 +349,10 @@ func butterflies(re, im, wr, wi []float64) {
 	}
 }
 
-// argMaxLanes is the per-lane state of the vector SubRows4ArgMax: each
+// selectLanes is the per-lane state of the vector Select bodies: each
 // lane's best score and its index (held as a float64, exact below 2^53).
-// A lane that never beat 0 keeps (0, -1).
-type argMaxLanes struct {
-	val [4]float64
-	idx [4]float64
+// A lane that never beat 0 keeps (0, −1); the AVX body uses lanes 0–3.
+type selectLanes struct {
+	val [8]float64
+	idx [8]float64
 }

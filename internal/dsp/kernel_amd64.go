@@ -28,13 +28,28 @@ func addRows4AVX(dst, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64)
 //go:noescape
 func addRows4AVX512(dst, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64)
 
-// subRows4ArgMaxAVX is the vector body of SubRows4ArgMax; len(src) must
-// be a positive multiple of 4 and every slice exactly that long. lanes
-// holds each lane's running best on entry and on return; lane l scans
-// indices l, l+4, l+8, ….
+// selectVec runs the vector body of Select at the current tier over
+// len(p) columns, a multiple of the tier's register width (8 on
+// AVX-512, 4 on AVX); lanes holds each lane's running best on entry and
+// on return, lane l scanning the columns ≡ l modulo that width. The
+// calls are direct, so escape analysis sees that the bodies keep no
+// pointer to their arguments.
+func selectVec(p []float64, rows [][]float64, c []float64, mask []uint64, norm, inv []float64, lanes *selectLanes) {
+	if isa.Kernels() == isa.AVX512 {
+		selectAVX512(p, rows, c, mask, norm, inv, lanes)
+		return
+	}
+	selectAVX(p, rows, c, mask, norm, inv, lanes)
+}
+
+// selectAVX512 and selectAVX are the vector bodies of Select: tiles of
+// four registers (32 and 16 columns), then one register at a time.
 //
 //go:noescape
-func subRows4ArgMaxAVX(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask []uint64, den []float64, lanes *argMaxLanes)
+func selectAVX512(p []float64, rows [][]float64, c []float64, mask []uint64, norm, inv []float64, lanes *selectLanes)
+
+//go:noescape
+func selectAVX(p []float64, rows [][]float64, c []float64, mask []uint64, norm, inv []float64, lanes *selectLanes)
 
 // projectVec runs the vector body of Project for n vectors at the
 // current tier. The calls are direct, so escape analysis sees that the

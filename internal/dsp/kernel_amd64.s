@@ -2,17 +2,6 @@
 
 #include "textflag.h"
 
-// Lane indices 0..3 and the per-iteration step, as float64 (AVX has no
-// 256-bit integer add; integers below 2^53 are exact in float64).
-DATA lanes0123<>+0(SB)/8, $0.0
-DATA lanes0123<>+8(SB)/8, $1.0
-DATA lanes0123<>+16(SB)/8, $2.0
-DATA lanes0123<>+24(SB)/8, $3.0
-GLOBL lanes0123<>(SB), RODATA|NOPTR, $32
-
-DATA four<>+0(SB)/8, $4.0
-GLOBL four<>(SB), RODATA|NOPTR, $8
-
 // PROJ_ARGS is the prologue of the Project bodies below (defined before
 // the first TEXT, so vet checks its argument names against no other
 // function): SI = pan, CX = the end of pan, DX = m, R8–R11 = the vectors
@@ -250,55 +239,376 @@ a512done:
 	VZEROUPPER
 	RET
 
-// func subRows4ArgMaxAVX(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask []uint64, den []float64, lanes *argMaxLanes)
-// Per lane, 4 elements per iteration: v = (((src - c0*r0) - c1*r1) -
-// c2*r2) - c3*r3 as in subRows4AVX, a = (v AND mask) / den, and the
-// lane's running best (value, index) takes (a, j) when a > best (ordered,
-// non-signalling: false for NaN), so each lane keeps the first of its
-// maxima. VANDPD, VDIVPD and VCMPPD are per-lane IEEE-754 operations, so
-// every a is bitwise the scalar loop's.
-TEXT ·subRows4ArgMaxAVX(SB), NOSPLIT, $0-208
-	MOVQ         src_base+0(FP), SI
-	MOVQ         src_len+8(FP), CX
-	MOVQ         r0_base+24(FP), R8
-	MOVQ         r1_base+48(FP), R9
-	MOVQ         r2_base+72(FP), R10
-	MOVQ         r3_base+96(FP), R11
-	VBROADCASTSD c0+120(FP), Y0
-	VBROADCASTSD c1+128(FP), Y1
-	VBROADCASTSD c2+136(FP), Y2
-	VBROADCASTSD c3+144(FP), Y3
-	MOVQ         mask_base+152(FP), R12
-	MOVQ         den_base+176(FP), R13
-	MOVQ         lanes+200(FP), DI
-	VMOVUPD      0(DI), Y6            // running best value per lane
-	VMOVUPD      32(DI), Y7           // its index
-	VMOVUPD      lanes0123<>(SB), Y8  // index of each lane's element
-	VBROADCASTSD four<>(SB), Y9
-	XORQ         AX, AX
-	SHRQ         $2, CX
+// Select bodies. func select<tier>(p []float64, rows [][]float64, c []float64, mask []uint64, norm, inv []float64, lanes *selectLanes)
+// walk p in tiles of four registers (32 columns on AVX-512, 16 on AVX)
+// and then one register at a time. A tile's v = p − c_0·rows[0] − … sits
+// in four accumulators from the load of p to the screen: each row adds
+// one VMULPD and one VSUBPD per register, in row order, so every column
+// sees exactly the plain loop's chain, and v is never stored. Then
+// x = v AND mask (VPANDQ, VANDPD) and the screen: q = x·inv (VMULPD) and
+// q' = q·(1 + 2^-50) (VMULPD) against T, the largest exact score any
+// lane has taken so far, held as 0 while it is below 2^-1000. A register
+// whose every lane has q' < T (VCMPPD NLT_UQ false: ordered and less)
+// is skipped; the others get a = x / norm (VDIVPD), and each lane's
+// running best (value, index) takes (a, j) when a > best (GT_OQ: false
+// for NaN), so each lane keeps the first of its maxima; after a
+// division T is recomputed from the lanes' bests.
+//
+// Why a skipped column cannot hold the maximum. inv is fl(1/norm) and
+// normal (NewNorms makes it +Inf otherwise). For x ≥ 0 and a normal
+// q ≥ 0, a = fl(x/norm) ≤ q·(1+u)/(1−u)² ≤ q·(1 + 3.01·2^-53) <
+// q·(1 + 2^-50)·(1 − 2^-53) ≤ fl(q·(1 + 2^-50)) = q', u = 2^-53 (an
+// overflowing x/norm gives q' = +Inf, never skipped). A subnormal or
+// zero q means x·inv < 2^-1022, so a < 2^-1021, below any T ≥ 2^-1000,
+// and with T held at 0 such a q' ≥ 0 is never skipped. A negative q or
+// −0 (a negative inv) has a ≤ 0, which never beats the initial 0. A NaN
+// or +Inf q fails the compare, so its register is divided. So a skipped
+// column has a < T; T is an exact score already taken, so the column is
+// not the maximum, and every column holding the maximum is divided and
+// compared in its lane in ascending index order, which keeps the
+// lowest-index tie rule of the plain loop.
 
-mloop:
-	VMOVUPD   (SI)(AX*8), Y4
-	VMULPD    (R8)(AX*8), Y0, Y5
-	VSUBPD    Y5, Y4, Y4
-	VMULPD    (R9)(AX*8), Y1, Y5
-	VSUBPD    Y5, Y4, Y4
-	VMULPD    (R10)(AX*8), Y2, Y5
-	VSUBPD    Y5, Y4, Y4
-	VMULPD    (R11)(AX*8), Y3, Y5
-	VSUBPD    Y5, Y4, Y4
-	VANDPD    (R12)(AX*8), Y4, Y4
-	VDIVPD    (R13)(AX*8), Y4, Y4
-	VCMPPD    $0x1e, Y6, Y4, Y5   // GT_OQ: a > best
-	VBLENDVPD Y5, Y4, Y6, Y6
-	VBLENDVPD Y5, Y8, Y7, Y7
-	VADDPD    Y9, Y8, Y8
-	ADDQ      $4, AX
-	DECQ      CX
-	JNZ       mloop
-	VMOVUPD   Y6, 0(DI)
-	VMOVUPD   Y7, 32(DI)
+// selSlack is 1 + 2^-50, selTiny 2^-1000 and selIdx the offsets 0–31
+// of a tile's columns, as float64.
+DATA selSlack<>+0(SB)/8, $0x3ff0000000000004
+GLOBL selSlack<>(SB), RODATA|NOPTR, $8
+
+DATA selTiny<>+0(SB)/8, $0x0170000000000000
+GLOBL selTiny<>(SB), RODATA|NOPTR, $8
+
+DATA selIdx<>+0(SB)/8, $0.0
+DATA selIdx<>+8(SB)/8, $1.0
+DATA selIdx<>+16(SB)/8, $2.0
+DATA selIdx<>+24(SB)/8, $3.0
+DATA selIdx<>+32(SB)/8, $4.0
+DATA selIdx<>+40(SB)/8, $5.0
+DATA selIdx<>+48(SB)/8, $6.0
+DATA selIdx<>+56(SB)/8, $7.0
+DATA selIdx<>+64(SB)/8, $8.0
+DATA selIdx<>+72(SB)/8, $9.0
+DATA selIdx<>+80(SB)/8, $10.0
+DATA selIdx<>+88(SB)/8, $11.0
+DATA selIdx<>+96(SB)/8, $12.0
+DATA selIdx<>+104(SB)/8, $13.0
+DATA selIdx<>+112(SB)/8, $14.0
+DATA selIdx<>+120(SB)/8, $15.0
+DATA selIdx<>+128(SB)/8, $16.0
+DATA selIdx<>+136(SB)/8, $17.0
+DATA selIdx<>+144(SB)/8, $18.0
+DATA selIdx<>+152(SB)/8, $19.0
+DATA selIdx<>+160(SB)/8, $20.0
+DATA selIdx<>+168(SB)/8, $21.0
+DATA selIdx<>+176(SB)/8, $22.0
+DATA selIdx<>+184(SB)/8, $23.0
+DATA selIdx<>+192(SB)/8, $24.0
+DATA selIdx<>+200(SB)/8, $25.0
+DATA selIdx<>+208(SB)/8, $26.0
+DATA selIdx<>+216(SB)/8, $27.0
+DATA selIdx<>+224(SB)/8, $28.0
+DATA selIdx<>+232(SB)/8, $29.0
+DATA selIdx<>+240(SB)/8, $30.0
+DATA selIdx<>+248(SB)/8, $31.0
+GLOBL selIdx<>(SB), RODATA|NOPTR, $256
+
+// SEL_ARGS loads the arguments of both bodies: SI = p, DX = len(p) in
+// bytes, R8 = the row headers and R9 their end, R10 = c, R11 = mask,
+// R12 = norm, R13 = inv and DI = lanes. In the loops AX is the byte
+// offset of the first column in the registers, BX and DI walk the row
+// headers and c, and CX holds the current row's address.
+#define SEL_ARGS \
+	MOVQ p_base+0(FP), SI      \
+	MOVQ p_len+8(FP), DX       \
+	SHLQ $3, DX                \
+	MOVQ rows_base+24(FP), R8  \
+	MOVQ rows_len+32(FP), R9   \
+	LEAQ (R9)(R9*2), R9        \
+	LEAQ (R8)(R9*8), R9        \
+	MOVQ c_base+48(FP), R10    \
+	MOVQ mask_base+72(FP), R11 \
+	MOVQ norm_base+96(FP), R12 \
+	MOVQ inv_base+120(FP), R13 \
+	MOVQ lanes+144(FP), DI
+
+// SEL_IDX puts the float64 column index of byte offset AX in the low
+// lane of X15 (BX is free outside the row loops).
+#define SEL_IDX \
+	MOVQ       AX, BX        \
+	SHRQ       $3, BX        \
+	VCVTSI2SDQ BX, X15, X15
+
+// ZDIV divides the ZMM register acc, at byte offset off within the
+// tile, if its screen mask kr has a lane set, and takes every lane
+// whose score beats its best; Z13 holds the tile's first index in every
+// lane.
+#define ZDIV(off, acc, kr, skip) \
+	KORTESTW kr, kr                    \
+	JZ       skip                      \
+	VDIVPD   off(R12)(AX*1), acc, Z5   \
+	VCMPPD   $0x1e, Z9, Z5, kr         \
+	VMOVAPD  Z5, kr, Z9                \
+	VADDPD   selIdx<>+off(SB), Z13, Z5 \
+	VMOVAPD  Z5, kr, Z10               \
+skip:
+
+// ZTHRESH sets Z7 to T: the largest lane best of Z9, or 0 below 2^-1000.
+#define ZTHRESH(keep) \
+	VEXTRACTF64X4 $1, Z9, Y5      \
+	VMAXPD        Y9, Y5, Y5      \
+	VEXTRACTF128  $1, Y5, X6      \
+	VMAXPD        X6, X5, X5      \
+	VPERMILPD     $1, X5, X6      \
+	VMAXSD        X6, X5, X5      \
+	VUCOMISD      selTiny<>(SB), X5 \
+	JAE           keep            \
+	VXORPD        X5, X5, X5      \
+keep:                               \
+	VBROADCASTSD  X5, Z7
+
+// ZSCREEN sets kr to the lanes of the ZMM register acc (at byte offset
+// off) that the screen cannot skip: NOT (q·(1 + 2^-50) < T), NaN
+// included.
+#define ZSCREEN(off, acc, tmp, kr) \
+	VPANDQ off(R11)(AX*1), acc, acc  \
+	VMULPD off(R13)(AX*1), acc, tmp  \
+	VMULPD Z8, tmp, tmp              \
+	VCMPPD $0x15, Z7, tmp, kr
+
+// func selectAVX512(p []float64, rows [][]float64, c []float64, mask []uint64, norm, inv []float64, lanes *selectLanes)
+// Tiles of 32 columns in Z0–Z3, then 8 at a time in Z0; Z9 and Z10 are
+// the eight lanes' bests and indices, Z7 T and Z8 the slack.
+TEXT ·selectAVX512(SB), NOSPLIT, $0-152
+	SEL_ARGS
+	VMOVUPD      0(DI), Z9
+	VMOVUPD      64(DI), Z10
+	VPXORQ       Z7, Z7, Z7
+	VBROADCASTSD selSlack<>(SB), Z8
+	XORQ         AX, AX
+
+ztile:
+	LEAQ    256(AX), BX
+	CMPQ    BX, DX
+	JGT     zone
+	VMOVUPD (SI)(AX*1), Z0
+	VMOVUPD 64(SI)(AX*1), Z1
+	VMOVUPD 128(SI)(AX*1), Z2
+	VMOVUPD 192(SI)(AX*1), Z3
+	MOVQ    R8, BX
+	MOVQ    R10, DI
+	CMPQ    BX, R9
+	JEQ     ztscreen
+
+ztrow:
+	MOVQ         (BX), CX
+	ADDQ         AX, CX
+	VBROADCASTSD (DI), Z4
+	VMULPD       (CX), Z4, Z5
+	VSUBPD       Z5, Z0, Z0
+	VMULPD       64(CX), Z4, Z6
+	VSUBPD       Z6, Z1, Z1
+	VMULPD       128(CX), Z4, Z5
+	VSUBPD       Z5, Z2, Z2
+	VMULPD       192(CX), Z4, Z6
+	VSUBPD       Z6, Z3, Z3
+	ADDQ         $24, BX
+	ADDQ         $8, DI
+	CMPQ         BX, R9
+	JNE          ztrow
+
+ztscreen:
+	ZSCREEN(0, Z0, Z5, K1)
+	ZSCREEN(64, Z1, Z6, K2)
+	ZSCREEN(128, Z2, Z5, K3)
+	ZSCREEN(192, Z3, Z6, K4)
+	KORW     K1, K2, K5
+	KORW     K3, K4, K6
+	KORTESTW K5, K6
+	JZ       ztnext
+	SEL_IDX
+	VBROADCASTSD X15, Z13
+	ZDIV(0, Z0, K1, ztd1)
+	ZDIV(64, Z1, K2, ztd2)
+	ZDIV(128, Z2, K3, ztd3)
+	ZDIV(192, Z3, K4, ztd4)
+	ZTHRESH(ztkeep)
+
+ztnext:
+	ADDQ $256, AX
+	JMP  ztile
+
+zone:
+	CMPQ    AX, DX
+	JGE     zdone
+	VMOVUPD (SI)(AX*1), Z0
+	MOVQ    R8, BX
+	MOVQ    R10, DI
+	CMPQ    BX, R9
+	JEQ     zoscreen
+
+zorow:
+	MOVQ         (BX), CX
+	VBROADCASTSD (DI), Z4
+	VMULPD       (CX)(AX*1), Z4, Z5
+	VSUBPD       Z5, Z0, Z0
+	ADDQ         $24, BX
+	ADDQ         $8, DI
+	CMPQ         BX, R9
+	JNE          zorow
+
+zoscreen:
+	ZSCREEN(0, Z0, Z5, K1)
+	KORTESTW K1, K1
+	JZ       zonext
+	SEL_IDX
+	VBROADCASTSD X15, Z13
+	ZDIV(0, Z0, K1, zod)
+	ZTHRESH(zokeep)
+
+zonext:
+	ADDQ $64, AX
+	JMP  zone
+
+zdone:
+	MOVQ    lanes+144(FP), DI
+	VMOVUPD Z9, 0(DI)
+	VMOVUPD Z10, 64(DI)
+	VZEROUPPER
+	RET
+
+// YDIV, YTHRESH and YSCREEN are ZDIV, ZTHRESH and ZSCREEN on YMM
+// registers: the screen's lanes are a compare mask (flag) and the
+// takes are blends; Y15 holds the tile's first index in every lane.
+#define YDIV(off, acc, flag, skip) \
+	VTESTPD   flag, flag                \
+	JZ        skip                      \
+	VDIVPD    off(R12)(AX*1), acc, Y5   \
+	VCMPPD    $0x1e, Y9, Y5, Y6         \
+	VBLENDVPD Y6, Y5, Y9, Y9            \
+	VADDPD    selIdx<>+off(SB), Y15, Y5 \
+	VBLENDVPD Y6, Y5, Y10, Y10          \
+skip:
+
+#define YTHRESH(keep) \
+	VEXTRACTF128 $1, Y9, X5        \
+	VMAXPD       X9, X5, X5        \
+	VPERMILPD    $1, X5, X6        \
+	VMAXSD       X6, X5, X5        \
+	VUCOMISD     selTiny<>(SB), X5 \
+	JAE          keep              \
+	VXORPD       X5, X5, X5        \
+keep:                                \
+	VMOVDDUP     X5, X5            \
+	VINSERTF128  $1, X5, Y5, Y7
+
+#define YSCREEN(off, acc, flag) \
+	VANDPD off(R11)(AX*1), acc, acc \
+	VMULPD off(R13)(AX*1), acc, flag \
+	VMULPD Y8, flag, flag           \
+	VCMPPD $0x15, Y7, flag, flag
+
+// YIDX broadcasts the index SEL_IDX left in X15 to all of Y15.
+#define YIDX \
+	SEL_IDX                      \
+	VMOVDDUP    X15, X15         \
+	VINSERTF128 $1, X15, Y15, Y15
+
+// func selectAVX(p []float64, rows [][]float64, c []float64, mask []uint64, norm, inv []float64, lanes *selectLanes)
+// Tiles of 16 columns in Y0–Y3, then 4 at a time in Y0; Y9 and Y10 are
+// the four lanes' bests and indices, Y7 T, Y8 the slack and Y11–Y14
+// the screen's flags. AVX only: no 256-bit integer operation.
+TEXT ·selectAVX(SB), NOSPLIT, $0-152
+	SEL_ARGS
+	VMOVUPD      0(DI), Y9
+	VMOVUPD      64(DI), Y10
+	VXORPD       Y7, Y7, Y7
+	VBROADCASTSD selSlack<>(SB), Y8
+	XORQ         AX, AX
+
+ytile:
+	LEAQ    128(AX), BX
+	CMPQ    BX, DX
+	JGT     yone
+	VMOVUPD (SI)(AX*1), Y0
+	VMOVUPD 32(SI)(AX*1), Y1
+	VMOVUPD 64(SI)(AX*1), Y2
+	VMOVUPD 96(SI)(AX*1), Y3
+	MOVQ    R8, BX
+	MOVQ    R10, DI
+	CMPQ    BX, R9
+	JEQ     ytscreen
+
+ytrow:
+	MOVQ         (BX), CX
+	ADDQ         AX, CX
+	VBROADCASTSD (DI), Y4
+	VMULPD       (CX), Y4, Y5
+	VSUBPD       Y5, Y0, Y0
+	VMULPD       32(CX), Y4, Y6
+	VSUBPD       Y6, Y1, Y1
+	VMULPD       64(CX), Y4, Y5
+	VSUBPD       Y5, Y2, Y2
+	VMULPD       96(CX), Y4, Y6
+	VSUBPD       Y6, Y3, Y3
+	ADDQ         $24, BX
+	ADDQ         $8, DI
+	CMPQ         BX, R9
+	JNE          ytrow
+
+ytscreen:
+	YSCREEN(0, Y0, Y11)
+	YSCREEN(32, Y1, Y12)
+	YSCREEN(64, Y2, Y13)
+	YSCREEN(96, Y3, Y14)
+	VORPD   Y11, Y12, Y5
+	VORPD   Y13, Y14, Y6
+	VORPD   Y5, Y6, Y5
+	VTESTPD Y5, Y5
+	JZ      ytnext
+	YIDX
+	YDIV(0, Y0, Y11, ytd1)
+	YDIV(32, Y1, Y12, ytd2)
+	YDIV(64, Y2, Y13, ytd3)
+	YDIV(96, Y3, Y14, ytd4)
+	YTHRESH(ytkeep)
+
+ytnext:
+	ADDQ $128, AX
+	JMP  ytile
+
+yone:
+	CMPQ    AX, DX
+	JGE     ydone
+	VMOVUPD (SI)(AX*1), Y0
+	MOVQ    R8, BX
+	MOVQ    R10, DI
+	CMPQ    BX, R9
+	JEQ     yoscreen
+
+yorow:
+	MOVQ         (BX), CX
+	VBROADCASTSD (DI), Y4
+	VMULPD       (CX)(AX*1), Y4, Y5
+	VSUBPD       Y5, Y0, Y0
+	ADDQ         $24, BX
+	ADDQ         $8, DI
+	CMPQ         BX, R9
+	JNE          yorow
+
+yoscreen:
+	YSCREEN(0, Y0, Y11)
+	VTESTPD Y11, Y11
+	JZ      yonext
+	YIDX
+	YDIV(0, Y0, Y11, yod)
+	YTHRESH(yokeep)
+
+yonext:
+	ADDQ $32, AX
+	JMP  yone
+
+ydone:
+	MOVQ    lanes+144(FP), DI
+	VMOVUPD Y9, 0(DI)
+	VMOVUPD Y10, 64(DI)
 	VZEROUPPER
 	RET
 

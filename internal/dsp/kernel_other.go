@@ -22,7 +22,7 @@ func addRows4AVX512(dst, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64) {
 	panic("dsp: vector kernel called without vector support")
 }
 
-func subRows4ArgMaxAVX(src, r0, r1, r2, r3 []float64, c0, c1, c2, c3 float64, mask []uint64, den []float64, lanes *argMaxLanes) {
+func selectVec(p []float64, rows [][]float64, c []float64, mask []uint64, norm, inv []float64, lanes *selectLanes) {
 	panic("dsp: vector kernel called without vector support")
 }
 

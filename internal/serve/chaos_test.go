@@ -395,8 +395,9 @@ func TestChaosBatchFaultDegradesOnlyItsBatch(t *testing.T) {
 		Kind: fault.KindError, Probability: 1, MaxInjections: 1, Seed: 11,
 	})
 	// One worker at the engine's batch size of 16: the 24-point space
-	// (8 noise groups × 3 bits) cuts into chunks of 16 and 8, so the one
-	// injected fault — on the first chunk — costs exactly 16 points.
+	// (8 noise groups × 3 bits) cuts into chunks of 12, 6, 3 and 3
+	// (each aims at half the points left, on one worker), so the one
+	// injected fault — on the first chunk — costs exactly 12 points.
 	ts, mgr, eval := newBatchTestServer(t, ManagerConfig{}, dse.WithWorkers(1))
 
 	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps",
@@ -405,16 +406,17 @@ func TestChaosBatchFaultDegradesOnlyItsBatch(t *testing.T) {
 	if final.State != string(StateCompleted) {
 		t.Fatalf("state %s, want completed: %s", final.State, final.Error)
 	}
-	if !final.Result.Partial || final.Result.Points != 24 || final.Result.Errors != 16 {
-		t.Fatalf("one faulted batch should cost exactly its 16 points: %+v", final.Result)
+	if !final.Result.Partial || final.Result.Points != 24 || final.Result.Errors != 12 {
+		t.Fatalf("one faulted batch should cost exactly its 12 points: %+v", final.Result)
 	}
-	// The faulted batch never reached the evaluator; the other one did.
-	// The engine counters record both dispatched batches — the faulted
-	// one included, just as Evaluated counts failpoint-degraded points.
-	if got := eval.batchPoints.Load(); got != 8 {
-		t.Fatalf("evaluator saw %d batched points, want 8", got)
+	// The faulted batch never reached the evaluator; the other three did.
+	// The engine counters record all four dispatched batches — the
+	// faulted one included, just as Evaluated counts failpoint-degraded
+	// points.
+	if got := eval.batchPoints.Load(); got != 12 {
+		t.Fatalf("evaluator saw %d batched points, want 12", got)
 	}
-	if c := mgr.Counters(); c.EngineBatches != 2 || c.EngineBatchPoints != 24 {
+	if c := mgr.Counters(); c.EngineBatches != 4 || c.EngineBatchPoints != 24 {
 		t.Fatalf("batch counters: %d batches, %d points", c.EngineBatches, c.EngineBatchPoints)
 	}
 
@@ -428,7 +430,7 @@ func TestChaosBatchFaultDegradesOnlyItsBatch(t *testing.T) {
 		t.Fatalf("healed rerun: %+v", final2.Result)
 	}
 	if got := eval.calls.Load(); got != 24 {
-		t.Fatalf("healed rerun should evaluate only the faulted 16: %d calls, want 24", got)
+		t.Fatalf("healed rerun should evaluate only the faulted 12: %d calls, want 24", got)
 	}
 }
 
