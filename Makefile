@@ -26,14 +26,14 @@ benchdiff:
 	bash bench/run.sh compare bench/baseline.json bench/out/run-seed1.json
 
 # chaos runs the fault-injection acceptance suites — seeded schedules
-# through the failpoint registry, the engine's retry path, the cache's
-# singleflight, the full HTTP stack and the kill-and-restart-mid-sweep
+# through the failpoint registry, the engine's degradation path, the
+# cache's singleflight, the full HTTP stack and the kill-and-restart-mid-sweep
 # durability scenario (resumed fronts must be bit-identical to an
 # uninterrupted run) — under the race detector. Deterministic by
 # construction (every schedule is seeded), so it gates CI like any
 # other test.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Fault|Retry|Inject' \
+	$(GO) test -race -count=1 -run 'Chaos|Fault|Inject(ed|ion)' \
 		./internal/fault ./internal/cache ./internal/dse ./internal/serve
 
 # search-accept is the adaptive-search acceptance gate: the budgeted

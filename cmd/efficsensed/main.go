@@ -35,9 +35,7 @@ import (
 	"syscall"
 	"time"
 
-	"efficsense/internal/dse"
 	"efficsense/internal/experiments"
-	"efficsense/internal/fault"
 	"efficsense/internal/scenario"
 	"efficsense/internal/serve"
 	"efficsense/internal/wal"
@@ -63,12 +61,6 @@ type config struct {
 	drain        time.Duration
 	quiet        bool
 	cacheEntries int
-
-	retryAttempts int
-	retryBase     time.Duration
-
-	chaos     string
-	chaosSeed int64
 
 	walDir string
 
@@ -106,14 +98,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.DurationVar(&cfg.manager.EvalTimeout, "eval-timeout", 2*time.Minute, "cap on synchronous evaluation deadlines")
 	fs.IntVar(&cfg.cacheEntries, "cache-entries", serve.DefaultCacheEntries,
 		"bound on the shared evaluation cache (LRU eviction beyond it)")
-	fs.IntVar(&cfg.retryAttempts, "retry", 0,
-		"total attempts per design point before it degrades (0 or 1 = no retries)")
-	fs.DurationVar(&cfg.retryBase, "retry-base", 5*time.Millisecond,
-		"backoff before the first retry (doubles per retry, 30%% jitter)")
-	fs.StringVar(&cfg.chaos, "chaos", "",
-		"fault-injection spec, e.g. dse/evaluate=error:0.1,serve/sse-flush=latency:0.5:20ms (testing only)")
-	fs.Int64Var(&cfg.chaosSeed, "chaos-seed", 1,
-		"root seed for the -chaos schedule (replays a chaos run exactly)")
 	fs.StringVar(&cfg.walDir, "wal-dir", "",
 		"directory for the durable-jobs journal (empty = jobs are in-memory only); on startup the journal is replayed: finished jobs become queryable history, interrupted sweeps resume from their last journaled row")
 	if err := fs.Parse(args); err != nil {
@@ -149,8 +133,6 @@ func (cfg *config) validate() error {
 		{cfg.manager.EvalTimeout > 0, fmt.Sprintf("-eval-timeout must be positive, got %s", cfg.manager.EvalTimeout)},
 		{cfg.cacheEntries > 0, fmt.Sprintf("-cache-entries must be positive, got %d", cfg.cacheEntries)},
 		{cfg.defaults.Workers >= 0, fmt.Sprintf("-workers must be non-negative, got %d", cfg.defaults.Workers)},
-		{cfg.retryAttempts >= 0, fmt.Sprintf("-retry must be non-negative, got %d", cfg.retryAttempts)},
-		{cfg.retryBase > 0, fmt.Sprintf("-retry-base must be positive, got %s", cfg.retryBase)},
 	}
 	for _, c := range checks {
 		if !c.ok {
@@ -159,11 +141,6 @@ func (cfg *config) validate() error {
 	}
 	if _, err := scenario.Lookup(cfg.defaults.Scenario); err != nil {
 		return fmt.Errorf("-scenario: %w", err)
-	}
-	if cfg.chaos != "" {
-		if _, err := fault.ParseSpec(cfg.chaos, cfg.chaosSeed); err != nil {
-			return fmt.Errorf("-chaos: %w", err)
-		}
 	}
 	return nil
 }
@@ -179,22 +156,6 @@ func run(ctx context.Context, cfg *config, ready func(addr, opsAddr string)) err
 	srvLog := logger
 	if cfg.quiet {
 		srvLog = nil
-	}
-
-	if cfg.retryAttempts >= 2 {
-		cfg.defaults.Retry = &dse.RetryPolicy{
-			MaxAttempts: cfg.retryAttempts,
-			BaseDelay:   cfg.retryBase,
-			Jitter:      0.3,
-		}
-	}
-	if cfg.chaos != "" {
-		if err := fault.EnableSpec(cfg.chaos, cfg.chaosSeed); err != nil {
-			return fmt.Errorf("arming -chaos spec: %w", err)
-		}
-		defer fault.Reset()
-		logger.Warn("fault injection ARMED — this daemon will misbehave on purpose",
-			"spec", cfg.chaos, "chaos_seed", cfg.chaosSeed)
 	}
 
 	engines := serve.NewSuiteEngines(cfg.cacheEntries)

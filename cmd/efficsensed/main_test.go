@@ -55,20 +55,6 @@ func TestParseFlagsDefaultsAndOverrides(t *testing.T) {
 	if cfg.cacheEntries != 512 {
 		t.Fatalf("cache override: got %d, want 512", cfg.cacheEntries)
 	}
-
-	cfg, err = parseFlags([]string{
-		"-retry", "3", "-retry-base", "2ms",
-		"-chaos", "dse/evaluate=error:0.25,serve/sse-flush=latency:0.5:10ms", "-chaos-seed", "42",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.retryAttempts != 3 || cfg.retryBase != 2*time.Millisecond {
-		t.Fatalf("retry overrides: %+v", cfg)
-	}
-	if cfg.chaosSeed != 42 || cfg.chaos == "" {
-		t.Fatalf("chaos overrides: %+v", cfg)
-	}
 }
 
 // TestParseFlagsRejectsDegenerateValues checks the validation sweep:
@@ -93,11 +79,6 @@ func TestParseFlagsRejectsDegenerateValues(t *testing.T) {
 		{"zero cache-entries", []string{"-cache-entries", "0"}, "-cache-entries"},
 		{"negative cache-entries", []string{"-cache-entries", "-8"}, "-cache-entries"},
 		{"negative workers", []string{"-workers", "-1"}, "-workers"},
-		{"negative retry", []string{"-retry", "-1"}, "-retry"},
-		{"zero retry-base", []string{"-retry-base", "0s"}, "-retry-base"},
-		{"chaos bad kind", []string{"-chaos", "dse/evaluate=explode"}, "-chaos"},
-		{"chaos latency without duration", []string{"-chaos", "serve/sse-flush=latency:0.5"}, "-chaos"},
-		{"chaos bad probability", []string{"-chaos", "dse/evaluate=error:2"}, "-chaos"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

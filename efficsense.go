@@ -35,7 +35,6 @@ import (
 	"efficsense/internal/scenario"
 	"efficsense/internal/search"
 	"efficsense/internal/tech"
-	"efficsense/internal/wal"
 )
 
 // Technology and system parameters (paper Table III).
@@ -181,8 +180,8 @@ type (
 	// NewSweep.
 	Sweep = dse.Sweep
 	// SweepOption configures a Sweep at construction (WithWorkers,
-	// WithCache, WithEvaluatorID, WithRetry). A run is observed through
-	// its own hook, (*Sweep).RunWithHook.
+	// WithCache, WithEvaluatorID). A run is observed through its own
+	// hook, (*Sweep).RunWithHook.
 	SweepOption = dse.Option
 	// PointEvaluator scores one design point (implemented by
 	// *Evaluator).
@@ -218,10 +217,6 @@ type (
 	SweepEvent = dse.Event
 	// Quality is a goal-function selector (paper Step 5).
 	Quality = dse.Quality
-	// RetryPolicy bounds per-point retries with exponential backoff and
-	// seeded jitter (WithRetry); only error-carrying results its
-	// Retryable predicate accepts are re-attempted.
-	RetryPolicy = dse.RetryPolicy
 )
 
 // DefaultBatchSize is the most cache-miss points a Sweep hands a
@@ -248,7 +243,6 @@ func NewLRUCache(entries int) *SweepCache { return cache.New(entries) }
 func WithWorkers(n int) SweepOption         { return dse.WithWorkers(n) }
 func WithCache(c *SweepCache) SweepOption   { return dse.WithCache(c) }
 func WithEvaluatorID(id string) SweepOption { return dse.WithEvaluatorID(id) }
-func WithRetry(p RetryPolicy) SweepOption   { return dse.WithRetry(p) }
 
 // PaperSpace returns the Table III search grid.
 func PaperSpace(noiseSteps int) Space { return dse.PaperSpace(noiseSteps) }
@@ -271,8 +265,8 @@ var (
 
 // Goal-directed search (budget-constrained adaptive exploration; see
 // DESIGN.md §12). A *Sweep satisfies SearchEvaluator directly, so the
-// search engine inherits caching, batching, retries and fault
-// injection unchanged.
+// search engine inherits caching, batching and panic recovery
+// unchanged.
 type (
 	// SearchGoal selects the objective (SearchMaxQuality paired with a
 	// Spec.Metric of "accuracy" or "snr", or SearchMinPower).
@@ -372,34 +366,3 @@ func Scenarios() []*Scenario { return scenario.All() }
 func SNRVersusReference(ref, out []float64) float64 {
 	return dsp.SNRVersusReference(ref, out)
 }
-
-// Durable job journal (crash-safe append-only JSONL; see DESIGN.md §13).
-// The efficsensed daemon journals job specs and result rows through it
-// so interrupted sweeps resume without re-evaluating finished points;
-// the same primitives are exported for embedders that run the serving
-// layer in-process.
-type (
-	// WALRecord is one journaled entry: an opaque payload under a kind
-	// discriminator, protected by a CRC32 checksum.
-	WALRecord = wal.Record
-	// WALLog is an open journal: goroutine-safe appends to one file.
-	WALLog = wal.Log
-	// WALStats is a journal's point-in-time accounting (appends, fsyncs,
-	// dropped records, file size).
-	WALStats = wal.Stats
-)
-
-// OpenWAL opens (creating if needed) the journal in dir, replays every
-// intact record — truncating a torn tail, skipping corrupt records —
-// and returns the log positioned for appending.
-func OpenWAL(dir string) (*WALLog, []WALRecord, error) { return wal.Open(dir) }
-
-// EncodeWALRecord renders one record as a self-checking JSONL line;
-// DecodeWALRecord parses and checksum-verifies one line back.
-func EncodeWALRecord(kind string, payload interface{}) ([]byte, error) {
-	return wal.Encode(kind, payload)
-}
-
-// DecodeWALRecord parses one journal line, verifying its checksum. It
-// never panics on hostile input.
-func DecodeWALRecord(line []byte) (WALRecord, error) { return wal.Decode(line) }

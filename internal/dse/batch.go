@@ -58,7 +58,7 @@ func (s *Sweep) appendKey(dst []byte, p core.DesignPoint) []byte {
 
 // EvaluateBatch scores a batch of points through the engine — cache
 // lookups, batch dispatch to a BatchEvaluator on the worker pool, panic
-// recovery, retries and metrics included — returning one result per
+// recovery and metrics included — returning one result per
 // point in input order, so a Sweep is itself a BatchEvaluator. It is
 // Run's dispatcher without a hook: it delivers no events. Serving layers
 // and search rounds hand their points straight to it and get the
@@ -162,9 +162,8 @@ func abs(x int) int {
 // immediately, a lone miss takes the per-point path (keeping the
 // store's singleflight guarantee), and two or more misses go to
 // the batch evaluator in one call. Per-point faults — the dse/evaluate
-// failpoint, error rows out of the batch — degrade (or retry) that point
-// alone; a batch-level fault or panic degrades exactly the points of
-// this batch.
+// failpoint, error rows out of the batch — degrade that point alone; a
+// batch-level fault or panic degrades exactly the points of this batch.
 func (s *Sweep) evalChunk(ctx context.Context, points []core.DesignPoint, idxs []int, complete func(idx int, res core.Result, cached bool, dur time.Duration)) {
 	miss := make([]int, 0, len(idxs))
 	if s.cache != nil {
@@ -186,20 +185,19 @@ func (s *Sweep) evalChunk(ctx context.Context, points []core.DesignPoint, idxs [
 	case 0:
 		return
 	case 1:
-		res, hit, shared, dur := s.evalPoint(ctx, points[miss[0]], time.Time{})
+		res, hit, shared, dur := s.evalPoint(points[miss[0]])
 		complete(miss[0], res, hit || shared, dur)
 		return
 	}
 	// The per-point failpoint fires first, exactly as on the per-point
-	// path: an injected fault degrades (or retries) its point alone and
-	// the survivors still batch together.
+	// path: an injected fault degrades its point alone and the survivors
+	// still batch together.
 	live := miss[:0]
 	for _, idx := range miss {
 		start := time.Now()
 		if err := fault.Fire(fault.PointEvaluate); err != nil {
 			s.metrics.observeEval(time.Since(start))
-			res := s.retryLoop(ctx, points[idx], core.Result{Point: points[idx], Err: err})
-			s.finishMiss(idx, points[idx], res, 0, complete)
+			s.finishMiss(idx, points[idx], core.Result{Point: points[idx], Err: err}, 0, complete)
 			continue
 		}
 		live = append(live, idx)
@@ -219,11 +217,7 @@ func (s *Sweep) evalChunk(ctx context.Context, points []core.DesignPoint, idxs [
 	share := dur / time.Duration(len(pts))
 	for k, idx := range live {
 		s.metrics.observeEval(share)
-		res := rs[k]
-		if res.Err != nil {
-			res = s.retryLoop(ctx, points[idx], res)
-		}
-		s.finishMiss(idx, points[idx], res, share, complete)
+		s.finishMiss(idx, points[idx], rs[k], share, complete)
 	}
 }
 

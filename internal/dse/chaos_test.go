@@ -2,9 +2,7 @@ package dse
 
 import (
 	"context"
-	"errors"
 	"testing"
-	"time"
 
 	"efficsense/internal/cache"
 	"efficsense/internal/core"
@@ -18,103 +16,6 @@ func chaosPoints(n int) []core.DesignPoint {
 		pts[i] = core.DesignPoint{Arch: core.ArchBaseline, Bits: 4 + i, LNANoise: 1e-6}
 	}
 	return pts
-}
-
-// TestRetryRecoversScheduledFaultsExactly pins the headline reconcile:
-// schedule exactly K injected evaluation errors with a retry budget no
-// point can exhaust, and the run must complete with zero degraded
-// points and Retries == K — every failed attempt retried, no matter how
-// the workers interleave over the schedule.
-func TestRetryRecoversScheduledFaultsExactly(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	const scheduled = 5
-	if err := fault.Enable(fault.PointEvaluate, fault.Config{
-		Kind: fault.KindError, Probability: 1, MaxInjections: scheduled,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// MaxAttempts exceeds the whole fault budget, so even the worst-case
-	// schedule (one point absorbing every injection) recovers.
-	s, err := NewSweep(okEval{}, WithWorkers(4), WithRetry(RetryPolicy{
-		MaxAttempts: scheduled + 2, BaseDelay: time.Microsecond,
-		Retryable: func(err error) bool { return errors.Is(err, fault.ErrInjected) },
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := s.Run(context.Background(), chaosPoints(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rs {
-		if r.Err != nil {
-			t.Fatalf("point %s degraded despite retries: %v", r.Point, r.Err)
-		}
-	}
-	snap := s.Metrics()
-	if snap.Retries != scheduled {
-		t.Fatalf("Retries = %d, want exactly the %d scheduled faults", snap.Retries, scheduled)
-	}
-	if got := fault.Injected(fault.PointEvaluate); got != scheduled {
-		t.Fatalf("failpoint injected %d, scheduled %d", got, scheduled)
-	}
-	if snap.Evaluated != int64(len(rs))+snap.Retries {
-		t.Fatalf("Evaluated = %d, want %d points + %d retries", snap.Evaluated, len(rs), snap.Retries)
-	}
-}
-
-// TestRetryExhaustionDegradesPoint: when every attempt fails, the point
-// degrades with the last error and the run still completes.
-func TestRetryExhaustionDegradesPoint(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	if err := fault.Enable(fault.PointEvaluate, fault.Config{
-		Kind: fault.KindError, Probability: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSweep(okEval{}, WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := s.Run(context.Background(), chaosPoints(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rs {
-		if !errors.Is(r.Err, fault.ErrInjected) {
-			t.Fatalf("want injected error on %s, got %v", r.Point, r.Err)
-		}
-	}
-	if snap := s.Metrics(); snap.Retries != 2*2 {
-		t.Fatalf("Retries = %d, want 2 points x 2 retries", snap.Retries)
-	}
-}
-
-// TestRetryPredicateGatesRetries: non-retryable errors degrade on first
-// failure, with no attempts burned.
-func TestRetryPredicateGatesRetries(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	if err := fault.Enable(fault.PointEvaluate, fault.Config{
-		Kind: fault.KindError, Probability: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSweep(okEval{}, WithRetry(RetryPolicy{
-		MaxAttempts: 5, BaseDelay: time.Microsecond,
-		Retryable: func(error) bool { return false },
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, _ := s.Run(context.Background(), chaosPoints(3))
-	for _, r := range rs {
-		if r.Err == nil {
-			t.Fatal("non-retryable failure unexpectedly recovered")
-		}
-	}
-	if snap := s.Metrics(); snap.Retries != 0 {
-		t.Fatalf("Retries = %d for a predicate that rejects everything", snap.Retries)
-	}
 }
 
 // TestInjectedPanicsDegradeThroughFlight drives panic injection through
@@ -161,10 +62,8 @@ func TestInjectedPanicsDegradeThroughFlight(t *testing.T) {
 // TestChaosScheduleIsSeedDeterministic replays one probabilistic fault
 // schedule twice from the same seed and demands identical degradation —
 // the property that makes a chaos failure reproducible. Each point
-// fires the failpoint exactly once (no retries: retried failures feed
-// back into the draw count, which is the schedule's one source of
-// non-determinism under concurrency), so 4 racing workers must still
-// land on the same fault count.
+// fires the failpoint exactly once, so 4 racing workers must still land
+// on the same fault count.
 func TestChaosScheduleIsSeedDeterministic(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	run := func(seed int64) int {
@@ -200,36 +99,6 @@ func TestChaosScheduleIsSeedDeterministic(t *testing.T) {
 	}
 	if d1 == 0 || d1 == 30 {
 		t.Fatalf("probability 0.4 over 30 points degraded %d — degenerate seed", d1)
-	}
-}
-
-// TestCancellationCutsBackoffShort: a cancelled run must not sit out its
-// remaining backoff sleeps.
-func TestCancellationCutsBackoffShort(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	if err := fault.Enable(fault.PointEvaluate, fault.Config{
-		Kind: fault.KindError, Probability: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSweep(okEval{}, WithWorkers(1), WithRetry(RetryPolicy{
-		MaxAttempts: 10, BaseDelay: 30 * time.Second, MaxDelay: 30 * time.Second,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err = s.Run(ctx, chaosPoints(3))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("cancelled run took %v — backoff ignored the context", d)
 	}
 }
 

@@ -74,10 +74,10 @@ type Event struct {
 //     evaluated once, so repeated constrained queries over the same grid
 //     (the Fig 9 area-capped and Fig 10 minimum-accuracy searches over
 //     the Fig 7 cloud) cost nothing after the first sweep;
-//   - fault tolerance: a panic while evaluating one point is recovered in
-//     the worker and degraded into an error-carrying result instead of
-//     killing the run, and WithRetry re-attempts transient failures with
-//     exponential backoff and jitter before degrading;
+//   - fault tolerance: a point whose evaluation fails or panics is
+//     degraded into an error-carrying result on its first attempt, and
+//     the run goes on; error rows are never cached, so a rerun
+//     re-evaluates exactly the failed points;
 //   - observability: cumulative atomic counters and per-point duration
 //     histograms (Metrics), and one structured event per completed point
 //     delivered to the run's own hook (RunWithHook).
@@ -94,7 +94,6 @@ type Sweep struct {
 	batchSize int
 	workers   int
 	cache     *cache.LRU
-	retry     *retrier
 	metrics   Metrics
 }
 
@@ -182,25 +181,25 @@ func (s *Sweep) Metrics() Snapshot { return s.metrics.Snapshot() }
 
 // Evaluate scores one point through the engine, so a Sweep is itself a
 // PointEvaluator. It is a batch of one: the same cache lookup, panic
-// recovery, retry and metrics path EvaluateBatch runs per miss, without
+// recovery and metrics path EvaluateBatch runs per miss, without
 // the batch's slice allocations — which is what keeps a memoised
 // (steady-state) Evaluate at zero allocations. Single-point paths (local
 // refinement, variant studies, the CLI's `point` subcommand) share the
 // sweep cache this way.
 func (s *Sweep) Evaluate(p core.DesignPoint) core.Result {
-	res, _, _, _ := s.evalPoint(context.Background(), p, time.Time{})
+	res, _, _, _ := s.evalPoint(p)
 	return res
 }
 
 // EvaluatePoint is a serving layer's synchronous one-point call:
 // lookup-or-evaluate in one step. A point in the store is answered from
-// it at once, with no deadline armed and no run started. Otherwise the
-// point is evaluated, or joins an identical evaluation already in
-// flight, under a deadline of timeout from the call, armed before the
-// evaluation starts. Once that deadline has passed EvaluatePoint
-// reports context.DeadlineExceeded; the evaluation still runs to its
-// end, and a sound result is still cached. cached reports a hit or a
-// join. timeout <= 0 leaves ctx's own deadline in charge.
+// it at once, whatever the deadline, and no run is started. Otherwise
+// the point is evaluated, or joins an identical evaluation already in
+// flight, under a deadline of timeout from the call: once the
+// evaluation ends past it, EvaluatePoint reports
+// context.DeadlineExceeded. The evaluation always runs to its end, and
+// a sound result is still cached. cached reports a hit or a join.
+// timeout <= 0 leaves ctx's own deadline in charge.
 //
 // Like Evaluate it is not a Run: it delivers no Event. The cumulative
 // counters count its point as they count a Run's.
@@ -212,7 +211,7 @@ func (s *Sweep) EvaluatePoint(ctx context.Context, p core.DesignPoint, timeout t
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
 	}
-	res, hit, shared, _ := s.evalPoint(ctx, p, deadline)
+	res, hit, shared, _ := s.evalPoint(p)
 	if hit {
 		return res, true, nil
 	}
@@ -311,7 +310,7 @@ func (s *Sweep) dispatch(ctx context.Context, points []core.DesignPoint, complet
 	workers = min(workers, len(points))
 	if s.batch == nil || len(points) == 1 {
 		runPool(ctx, len(points), workers, func(idx int) {
-			res, hit, shared, dur := s.evalPoint(ctx, points[idx], time.Time{})
+			res, hit, shared, dur := s.evalPoint(points[idx])
 			complete(idx, res, hit || shared, dur)
 		})
 		return
@@ -360,19 +359,17 @@ dispatch:
 // bytes — so a memoised point costs zero allocations — and collapses
 // concurrent misses on one key into a single evaluation whose result
 // every caller shares (counted as Deduped in the metrics). hit and
-// shared report which of the two served the point. ctx only bounds
-// retry backoff (see WithRetry), narrowed to deadline when that is set;
-// an in-flight evaluation always runs to its end.
-func (s *Sweep) evalPoint(ctx context.Context, p core.DesignPoint, deadline time.Time) (res core.Result, hit, shared bool, dur time.Duration) {
+// shared report which of the two served the point.
+func (s *Sweep) evalPoint(p core.DesignPoint) (res core.Result, hit, shared bool, dur time.Duration) {
 	if s.cache == nil {
-		res, dur = s.evaluateBy(ctx, p, deadline)
+		res, dur = s.attempt(p)
 		return res, false, false, dur
 	}
 	kb := keyBufPool.Get().(*keyBuf)
 	kb.b = s.appendKey(kb.b[:0], p)
 	res, hit, shared = s.cacheDo(kb.b, p, func() core.Result {
 		var r core.Result
-		r, dur = s.evaluateBy(ctx, p, deadline)
+		r, dur = s.attempt(p)
 		return r
 	})
 	keyBufPool.Put(kb)
@@ -385,18 +382,14 @@ func (s *Sweep) evalPoint(ctx context.Context, p core.DesignPoint, deadline time
 	return res, hit, shared, dur
 }
 
-// evaluateBy is one timed miss: the evaluation policy (see evaluate)
-// under ctx, with deadline, when set, armed before the evaluation
-// starts.
-func (s *Sweep) evaluateBy(ctx context.Context, p core.DesignPoint, deadline time.Time) (core.Result, time.Duration) {
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
+// attempt is one observed miss, the engine's only evaluation attempt
+// for it: safeEvaluate, timed into the duration metrics.
+func (s *Sweep) attempt(p core.DesignPoint) (core.Result, time.Duration) {
 	start := time.Now()
-	res := s.evaluate(ctx, p)
-	return res, time.Since(start)
+	res := s.safeEvaluate(p)
+	dur := time.Since(start)
+	s.metrics.observeEval(dur)
+	return res, dur
 }
 
 // cacheDo guards the store's singleflight with the same no-panic

@@ -181,7 +181,7 @@ func TestRunRecoversPanicsWithoutLosingOtherPoints(t *testing.T) {
 	if got := s.Metrics().Panics; got != 1 {
 		t.Fatalf("panic counter %d", got)
 	}
-	// Error results are not cached: a second run retries the bad point.
+	// Error results are not cached: a second run re-evaluates the bad point.
 	before := fe.calls.Load()
 	if _, err := s.Run(context.Background(), pts); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,6 @@ type Metrics struct {
 	cacheHits atomic.Int64
 	deduped   atomic.Int64
 	panics    atomic.Int64
-	retries   atomic.Int64
 	evalNanos atomic.Int64
 
 	batches     atomic.Int64
@@ -76,9 +75,6 @@ type Snapshot struct {
 	// were degraded into error-carrying results. All four are cumulative
 	// across Runs.
 	Evaluated, CacheHits, Deduped, Panics int64
-	// Retries counts re-attempted evaluations under WithRetry (each
-	// counted attempt is also in Evaluated); cumulative across Runs.
-	Retries int64
 	// Batches counts batched evaluator calls (BatchEvaluator dispatch)
 	// and BatchPoints the cache-miss points they carried; cumulative
 	// across Runs. Zero on per-point engines.
@@ -110,7 +106,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		CacheHits:   m.cacheHits.Load(),
 		Deduped:     m.deduped.Load(),
 		Panics:      m.panics.Load(),
-		Retries:     m.retries.Load(),
 		Batches:     m.batches.Load(),
 		BatchPoints: m.batchPoints.Load(),
 	}

@@ -58,12 +58,6 @@ type Options struct {
 	// Entries are keyed on the evaluator fingerprint, so sharing is
 	// always safe.
 	Cache *cache.LRU
-	// Retry, if set, opts the suite's engine into bounded per-point
-	// retries with backoff (see dse.WithRetry) — the daemon's resilience
-	// knob against transient evaluation failures. A zero policy Seed
-	// inherits the suite Seed, so retry jitter is reproducible alongside
-	// everything else.
-	Retry *dse.RetryPolicy
 }
 
 // WithDefaults returns o with every unset field at its default: the
@@ -160,18 +154,9 @@ func (s *Suite) init() {
 		if s.cache == nil {
 			s.cache = cache.New(0)
 		}
-		sweepOpts := []dse.Option{
+		engine, err := dse.NewSweep(ev,
 			dse.WithWorkers(max(s.opts.Workers, 0)),
-			dse.WithCache(s.cache),
-		}
-		if s.opts.Retry != nil {
-			policy := *s.opts.Retry
-			if policy.Seed == 0 {
-				policy.Seed = s.opts.Seed
-			}
-			sweepOpts = append(sweepOpts, dse.WithRetry(policy))
-		}
-		engine, err := dse.NewSweep(ev, sweepOpts...)
+			dse.WithCache(s.cache))
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))
 		}
@@ -272,8 +257,8 @@ func (s *Suite) SweepMetrics() dse.Snapshot {
 // SweepResultsContext runs (once) the full Table III design-space sweep
 // shared by Figs 7–10, honouring ctx: on cancellation it returns the
 // completed partial results and ctx.Err() without memoising, so a later
-// call can finish the sweep (the per-point cache makes the retry resume
-// where it stopped rather than start over).
+// call can finish the sweep (the per-point cache makes that call resume
+// where this one stopped rather than start over).
 func (s *Suite) SweepResultsContext(ctx context.Context) ([]core.Result, error) {
 	s.init()
 	s.sweepMu.Lock()

@@ -221,7 +221,7 @@ func CSVResults(w io.Writer, rs []core.Result) error {
 // line with the CSVResults columns — so sweep results stream line by
 // line through HTTP responses and log pipelines. A degraded point (a
 // result carrying an error: evaluator failure, recovered panic,
-// exhausted retries) gains an extra "err" field, so partial clouds are
+// injected fault) gains an extra "err" field, so partial clouds are
 // self-describing row by row; sound rows omit it.
 func NDJSONResults(w io.Writer, rs []core.Result) error {
 	headers := append(append(make([]string, 0, len(ResultHeaders)+1), ResultHeaders...), "err")

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestDisarmedFireIsNil(t *testing.T) {
@@ -47,20 +46,6 @@ func TestPanicInjection(t *testing.T) {
 		}
 	}()
 	_ = Fire("boom")
-}
-
-func TestLatencyInjectionSleeps(t *testing.T) {
-	t.Cleanup(Reset)
-	if err := Enable("slow", Config{Kind: KindLatency, Probability: 1, Latency: 20 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := Fire("slow"); err != nil {
-		t.Fatalf("latency injection returned %v", err)
-	}
-	if d := time.Since(start); d < 20*time.Millisecond {
-		t.Fatalf("latency injection returned after %v, want >= 20ms", d)
-	}
 }
 
 func TestMaxInjectionsBoundsTheSchedule(t *testing.T) {
@@ -120,38 +105,6 @@ func TestInjectionCountIsSeedDeterministic(t *testing.T) {
 	}
 }
 
-func TestSnapshotAccounting(t *testing.T) {
-	t.Cleanup(Reset)
-	if err := Enable("b", Config{Kind: KindError, Probability: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Enable("a", Config{Kind: KindLatency, Probability: 0, Latency: time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		_ = Fire("a")
-		_ = Fire("b")
-	}
-	snap := Snapshot()
-	if len(snap) != 2 || snap[0].Name != "a" || snap[1].Name != "b" {
-		t.Fatalf("snapshot not sorted by name: %+v", snap)
-	}
-	if snap[0].Calls != 5 || snap[0].Injected != 0 {
-		t.Fatalf("point a accounting: %+v", snap[0])
-	}
-	if snap[1].Calls != 5 || snap[1].Injected != 5 {
-		t.Fatalf("point b accounting: %+v", snap[1])
-	}
-	Disable("b")
-	if len(Snapshot()) != 1 || !Armed() {
-		t.Fatal("disabling one point should leave the other armed")
-	}
-	Disable("a")
-	if Armed() {
-		t.Fatal("registry still armed after last point disabled")
-	}
-}
-
 func TestEnableValidates(t *testing.T) {
 	t.Cleanup(Reset)
 	cases := []struct {
@@ -161,7 +114,6 @@ func TestEnableValidates(t *testing.T) {
 		{"", Config{Kind: KindError, Probability: 1}},
 		{"p", Config{Kind: KindError, Probability: -0.1}},
 		{"p", Config{Kind: KindError, Probability: 1.1}},
-		{"p", Config{Kind: KindLatency, Probability: 1}}, // no latency
 		{"p", Config{Kind: KindError, Probability: 1, MaxInjections: -1}},
 	}
 	for _, c := range cases {
@@ -171,61 +123,6 @@ func TestEnableValidates(t *testing.T) {
 	}
 	if Armed() {
 		t.Fatal("rejected configs must not arm the registry")
-	}
-}
-
-func TestParseSpec(t *testing.T) {
-	good := []struct {
-		spec string
-		want map[string]Config
-	}{
-		{"dse/evaluate=error", map[string]Config{
-			"dse/evaluate": {Kind: KindError, Probability: 1, Seed: 7}}},
-		{"dse/evaluate=error:0.25", map[string]Config{
-			"dse/evaluate": {Kind: KindError, Probability: 0.25, Seed: 7}}},
-		{" a=panic:0.5 , b=latency:1:15ms ", map[string]Config{
-			"a": {Kind: KindPanic, Probability: 0.5, Seed: 7},
-			"b": {Kind: KindLatency, Probability: 1, Latency: 15 * time.Millisecond, Seed: 7}}},
-	}
-	for _, c := range good {
-		got, err := ParseSpec(c.spec, 7)
-		if err != nil {
-			t.Fatalf("ParseSpec(%q): %v", c.spec, err)
-		}
-		if len(got) != len(c.want) {
-			t.Fatalf("ParseSpec(%q) = %+v, want %+v", c.spec, got, c.want)
-		}
-		for name, want := range c.want {
-			if got[name] != want {
-				t.Errorf("ParseSpec(%q)[%s] = %+v, want %+v", c.spec, name, got[name], want)
-			}
-		}
-	}
-	bad := []string{
-		"", ",", "noequals", "a=", "a=badkind", "a=error:nope",
-		"a=latency:0.5", "a=latency:0.5:xyz", "a=error:2",
-		"a=error:0.5:10ms:extra", "a=error,a=panic",
-	}
-	for _, spec := range bad {
-		if _, err := ParseSpec(spec, 1); err == nil {
-			t.Errorf("ParseSpec(%q) accepted an invalid spec", spec)
-		}
-	}
-}
-
-func TestEnableSpecArmsEveryClause(t *testing.T) {
-	t.Cleanup(Reset)
-	if err := EnableSpec("a=error:1,b=panic:0", 99); err != nil {
-		t.Fatal(err)
-	}
-	if !Armed() || len(Snapshot()) != 2 {
-		t.Fatalf("EnableSpec armed %d points, want 2", len(Snapshot()))
-	}
-	if err := Fire("a"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("armed point a: %v", err)
-	}
-	if err := Fire("b"); err != nil {
-		t.Fatalf("probability-0 point b injected: %v", err)
 	}
 }
 

@@ -493,7 +493,6 @@ type EngineMetricsJSON struct {
 	CacheHits  int64   `json:"cache_hits"`
 	Deduped    int64   `json:"deduped"`
 	Panics     int64   `json:"panics"`
-	Retries    int64   `json:"retries"`
 	MeanEvalMS float64 `json:"mean_eval_ms"`
 	P50EvalMS  float64 `json:"p50_eval_ms"`
 	P90EvalMS  float64 `json:"p90_eval_ms"`
@@ -508,7 +507,6 @@ func engineMetricsJSON(s dse.Snapshot, throughput float64, eta time.Duration) *E
 		CacheHits:  s.CacheHits,
 		Deduped:    s.Deduped,
 		Panics:     s.Panics,
-		Retries:    s.Retries,
 		MeanEvalMS: float64(s.MeanEval) / float64(time.Millisecond),
 		P50EvalMS:  float64(s.P50Eval) / float64(time.Millisecond),
 		P90EvalMS:  float64(s.P90Eval) / float64(time.Millisecond),

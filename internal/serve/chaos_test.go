@@ -33,51 +33,6 @@ func armFault(t *testing.T, name string, cfg fault.Config) {
 	t.Cleanup(fault.Reset)
 }
 
-// newChaosServer is newTestServerWithCache plus engine options (retry
-// policies, worker counts) chosen by the test.
-func newChaosServer(t *testing.T, delay time.Duration, cfg ManagerConfig, store *cache.LRU, extra ...dse.Option) (*httptest.Server, *Manager, *slowEval) {
-	t.Helper()
-	eval := &slowEval{delay: delay}
-	opts := append([]dse.Option{
-		dse.WithCache(store), dse.WithWorkers(2), dse.WithEvaluatorID("test-eval"),
-	}, extra...)
-	eng, err := dse.NewSweep(eval, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Engines = func(o experiments.Options) (Engine, error) { return eng, nil }
-	cfg.Cache = store
-	mgr, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewServer(mgr, nil))
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = mgr.Shutdown(ctx)
-		ts.Close()
-	})
-	return ts, mgr, eval
-}
-
-// labeledMetric extracts the value of a labelled series from a
-// Prometheus exposition by its full "name{labels}" prefix.
-func labeledMetric(t *testing.T, exposition, series string) float64 {
-	t.Helper()
-	for _, line := range strings.Split(exposition, "\n") {
-		if rest, ok := strings.CutPrefix(line, series+" "); ok {
-			var v float64
-			if _, err := fmt.Sscanf(rest, "%g", &v); err != nil {
-				t.Fatalf("series %s: unparsable value %q", series, rest)
-			}
-			return v
-		}
-	}
-	t.Fatalf("series %s absent from exposition:\n%s", series, exposition)
-	return 0
-}
-
 // TestChaosDegradedSweepCompletesPartial injects a bounded budget of
 // evaluation faults and checks graceful degradation through every
 // surface: the job still completes, the status JSON and the terminal SSE
@@ -163,56 +118,6 @@ func TestChaosDegradedSweepCompletesPartial(t *testing.T) {
 	}
 	if got := eval.calls.Load(); got != 6 {
 		t.Fatalf("healed rerun re-evaluated sound points: %d calls, want 6", got)
-	}
-}
-
-// TestChaosRetryAbsorbsFaultBudgetExactly is the reconciliation test:
-// with retries allowed more attempts than the fault budget can consume,
-// a chaos run must end clean — zero degraded points — and the retry
-// counter must equal the injection counter exactly, on the engine
-// snapshot, the job's metrics JSON and the Prometheus exposition alike.
-func TestChaosRetryAbsorbsFaultBudgetExactly(t *testing.T) {
-	const budget = 5
-	armFault(t, fault.PointEvaluate, fault.Config{
-		Kind: fault.KindError, Probability: 1, MaxInjections: budget, Seed: 9,
-	})
-	ts, _, _ := newChaosServer(t, 0, ManagerConfig{}, cache.New(128),
-		dse.WithRetry(dse.RetryPolicy{
-			// More attempts per point than the whole budget: no schedule,
-			// however adversarial, can exhaust a point.
-			MaxAttempts: budget + 2,
-			BaseDelay:   100 * time.Microsecond,
-			Jitter:      0.5,
-			Seed:        9,
-		}))
-
-	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps", smallSweep))
-	final := waitTerminal(t, ts.URL, st.ID)
-	if final.State != string(StateCompleted) {
-		t.Fatalf("state %s: %s", final.State, final.Error)
-	}
-	if final.Result.Partial || final.Result.Errors != 0 {
-		t.Fatalf("retries should have absorbed every fault: %+v", final.Result)
-	}
-	if inj := fault.Injected(fault.PointEvaluate); inj != budget {
-		t.Fatalf("injected %d, want the full budget %d", inj, budget)
-	}
-	if final.Metrics == nil || final.Metrics.Retries != budget {
-		t.Fatalf("status metrics retries: %+v", final.Metrics)
-	}
-
-	metrics := fetchMetrics(t, ts.URL)
-	if got := metricValue(t, metrics, "efficsense_engine_retries_total"); got != budget {
-		t.Errorf("exposed retries %g, want %d", got, budget)
-	}
-	if got := labeledMetric(t, metrics,
-		`efficsense_fault_injections_total{point="dse/evaluate",kind="error"}`); got != budget {
-		t.Errorf("exposed injections %g, want %d", got, budget)
-	}
-	// Fire consults the point once per attempt: 6 first tries + 5 retries.
-	if got := labeledMetric(t, metrics,
-		`efficsense_fault_calls_total{point="dse/evaluate",kind="error"}`); got != 6+budget {
-		t.Errorf("exposed fault calls %g, want %d", got, 6+budget)
 	}
 }
 
@@ -484,17 +389,17 @@ func TestChaosNoGoroutineLeaks(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	func() {
-		if err := fault.EnableSpec(
-			"dse/evaluate=error:0.3,serve/sse-flush=error:0.5", 13); err != nil {
-			t.Fatal(err)
-		}
 		defer fault.Reset()
+		for name, p := range map[string]float64{fault.PointEvaluate: 0.3, fault.PointSSEFlush: 0.5} {
+			if err := fault.Enable(name, fault.Config{Kind: fault.KindError, Probability: p, Seed: 13}); err != nil {
+				t.Fatal(err)
+			}
+		}
 
 		store := cache.New(64)
 		eval := &slowEval{delay: 2 * time.Millisecond}
 		eng, err := dse.NewSweep(eval,
-			dse.WithCache(store), dse.WithWorkers(2), dse.WithEvaluatorID("test-eval"),
-			dse.WithRetry(dse.RetryPolicy{MaxAttempts: 2, BaseDelay: 100 * time.Microsecond, Seed: 13}))
+			dse.WithCache(store), dse.WithWorkers(2), dse.WithEvaluatorID("test-eval"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,11 +85,10 @@ type suiteKey struct {
 }
 
 // optionsKey canonicalises an option set: two option sets that build
-// equivalent evaluators map to the same key. The sweep hook (OnEvent),
-// the cache pointer and the retry policy are deliberately excluded —
-// they change how points are observed or dispatched, never what a point
-// evaluates to, and retry is a server-wide default (not settable over
-// the wire), so they never split otherwise-identical suites.
+// equivalent evaluators map to the same key. The sweep hook (OnEvent)
+// and the cache pointer are deliberately excluded — they change how
+// points are observed or stored, never what a point evaluates to, so
+// they never split otherwise-identical suites.
 func optionsKey(o experiments.Options) suiteKey {
 	o = o.WithDefaults()
 	// The scenario is part of the evaluator identity: an unset name

@@ -577,7 +577,7 @@ func (j *Job) setState(s JobState) {
 // distils the outcome from rs (a sweep's result cloud) or out (a
 // search's outcome; nil when the search never ran), then logs, journals
 // the terminal state and schedules eviction. A job that degraded points
-// along the way (evaluator errors, recovered panics, exhausted retries)
+// along the way (evaluator errors, recovered panics, injected faults)
 // still lands in StateCompleted — graceful degradation, never an
 // aborted job — with partial: true and the degraded count on its
 // outcome and "done" event. A sweep's "done" event carries the engine's
@@ -1035,7 +1035,6 @@ type Counters struct {
 	EngineCacheHits                  int64
 	EngineDeduped                    int64
 	EnginePanics                     int64
-	EngineRetries                    int64
 	EngineMeanEval                   time.Duration
 	// EngineBatches counts batched evaluator calls across every engine,
 	// and EngineBatchPoints the cache-miss points they carried.
@@ -1121,7 +1120,6 @@ func (m *Manager) Counters() Counters {
 		c.EngineCacheHits += s.CacheHits
 		c.EngineDeduped += s.Deduped
 		c.EnginePanics += s.Panics
-		c.EngineRetries += s.Retries
 		c.EngineBatches += s.Batches
 		c.EngineBatchPoints += s.BatchPoints
 		c.EvalHist.Merge(s.EvalHist)

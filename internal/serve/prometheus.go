@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"efficsense/internal/dse"
-	"efficsense/internal/fault"
 	"efficsense/internal/obs"
 )
 
@@ -77,7 +76,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("efficsense_engine_cache_hits_total", "Design points served from the memoisation cache.", c.EngineCacheHits)
 	counter("efficsense_engine_dedup_total", "Design points served by joining an identical in-flight evaluation (singleflight).", c.EngineDeduped)
 	counter("efficsense_engine_panics_total", "Evaluator panics recovered into error results.", c.EnginePanics)
-	counter("efficsense_engine_retries_total", "Evaluations re-attempted under the engines' retry policy.", c.EngineRetries)
 	gauge("efficsense_engine_mean_eval_seconds", "Mean wall-clock seconds per real evaluation.", c.EngineMeanEval.Seconds())
 	counter("efficsense_engine_batches_total", "Batched evaluator calls dispatched by the engines.", c.EngineBatches)
 	counter("efficsense_engine_batch_points_total", "Cache-miss design points carried by batched evaluator calls.", c.EngineBatchPoints)
@@ -97,23 +95,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		batchDur = obs.NewHistogram(obs.EvalBuckets).Snapshot()
 	}
 	batchDur.WritePrometheus(w, "efficsense_batch_duration_seconds", "")
-
-	// Fault-injection accounting, rendered only while chaos is armed
-	// (efficsensed -chaos or a test schedule): reconciling these against
-	// the retry/panic/degradation counters above is how a chaos run
-	// proves the stack absorbed exactly the faults it was dealt.
-	if snap := fault.Snapshot(); len(snap) > 0 {
-		fmt.Fprintf(w, "# HELP efficsense_fault_injections_total Faults injected, by armed failpoint.\n")
-		fmt.Fprintf(w, "# TYPE efficsense_fault_injections_total counter\n")
-		for _, p := range snap {
-			fmt.Fprintf(w, "efficsense_fault_injections_total{point=%q,kind=%q} %d\n", p.Name, p.Kind.String(), p.Injected)
-		}
-		fmt.Fprintf(w, "# HELP efficsense_fault_calls_total Fire calls consulting each armed failpoint.\n")
-		fmt.Fprintf(w, "# TYPE efficsense_fault_calls_total counter\n")
-		for _, p := range snap {
-			fmt.Fprintf(w, "efficsense_fault_calls_total{point=%q,kind=%q} %d\n", p.Name, p.Kind.String(), p.Calls)
-		}
-	}
 
 	// Durability series (all zero when no -wal-dir is configured).
 	counter("efficsense_wal_replayed_jobs_total", "Terminal jobs restored from the journal at startup.", c.WALReplayedJobs)
