@@ -14,14 +14,13 @@ import (
 
 	"efficsense/internal/cache"
 	"efficsense/internal/core"
-	"efficsense/internal/fault"
 )
 
 func legacyBits(v float64) uint64 { return math.Float64bits(v) }
 
 // fakeBatchEvaluator upgrades fakeEvaluator with the BatchEvaluator
 // contract; rows, when set, overrides the produced results wholesale
-// (wrong-length returns, injected error rows).
+// (wrong-length returns, error rows, a call that fails whole).
 type fakeBatchEvaluator struct {
 	fakeEvaluator
 	batchCalls  atomic.Int64
@@ -46,12 +45,20 @@ func (f *fakeBatchEvaluator) EvaluateBatch(ctx context.Context, pts []core.Desig
 	if f.rows != nil {
 		return f.rows(pts)
 	}
+	return f.evaluateEach(pts)
+}
+
+// evaluateEach is the fake's sound batch: each point evaluated alone.
+func (f *fakeBatchEvaluator) evaluateEach(pts []core.DesignPoint) []core.Result {
 	rs := make([]core.Result, len(pts))
 	for i, p := range pts {
 		rs[i] = f.fakeEvaluator.Evaluate(p)
 	}
 	return rs
 }
+
+// errInjected is the error the fakes' scheduled faults carry.
+var errInjected = errors.New("injected fault")
 
 // batchPoints builds n points spread over two GroupKey groups (Bits is
 // the only axis that differs within a group).
@@ -301,7 +308,6 @@ func TestEvaluateBatchUsesEveryWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.batchSize = 4
 	s1.EvaluateBatch(context.Background(), batchTestPoints(24))
 	if got := serial.maxInFlight.Load(); got != 1 {
 		t.Fatalf("one worker ran %d chunks at once", got)
@@ -412,58 +418,66 @@ func TestSweepEvaluateBatch(t *testing.T) {
 	}
 }
 
-// TestBatchFaultDegradesOnlyItsBatch pins the blast-radius contract of
-// the dse/evaluate-batch failpoint: one injected batch fault degrades
+// TestBatchFaultDegradesOnlyItsBatch pins the blast-radius contract of a
+// batch-level fault: one batch evaluator call that fails whole degrades
 // exactly the points of that batch into error rows; every other batch
 // completes clean, and the job as a whole still returns len(points)
-// results.
+// results. The 24 points are two groups of 12, which one worker takes
+// as two chunks.
 func TestBatchFaultDegradesOnlyItsBatch(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	if err := fault.Enable(fault.PointBatch, fault.Config{
-		Kind: fault.KindError, Probability: 1, MaxInjections: 1,
-	}); err != nil {
-		t.Fatal(err)
+	var failed atomic.Bool
+	ev := &fakeBatchEvaluator{}
+	ev.rows = func(pts []core.DesignPoint) []core.Result {
+		if failed.CompareAndSwap(false, true) {
+			return batchErrorRows(pts, errInjected)
+		}
+		return ev.evaluateEach(pts)
 	}
 	pts := batchTestPoints(24)
-	s, err := NewSweep(&fakeBatchEvaluator{}, WithWorkers(1))
+	s, err := NewSweep(ev, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.batchSize = 4
 	rs, err := s.Run(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rs) != len(pts) {
+		t.Fatalf("%d results for %d points", len(rs), len(pts))
+	}
 	var degraded int
 	for _, r := range rs {
 		if r.Err != nil {
-			if !errors.Is(r.Err, fault.ErrInjected) {
+			if !errors.Is(r.Err, errInjected) {
 				t.Fatalf("unexpected error kind: %v", r.Err)
 			}
 			degraded++
 		}
 	}
-	if degraded != 4 {
-		t.Fatalf("one injected batch fault degraded %d points, want exactly the batch of 4", degraded)
+	if degraded != 12 {
+		t.Fatalf("one failed batch degraded %d points, want exactly the batch of 12", degraded)
 	}
 }
 
-// TestBatchPointFaultDegradesOnlyItsPoint pins the dse/evaluate
-// failpoint on the batch path: an injected fault degrades its point
-// alone, the surviving misses still reach the batch evaluator together,
-// every attempt is counted as evaluated, and the degraded rows are never
-// cached, so an unarmed rerun evaluates exactly them. A chunk whose
-// every miss is injected never calls the batch evaluator.
+// TestBatchPointFaultDegradesOnlyItsPoint pins per-point error rows on
+// the batch path: an error row out of the batch evaluator degrades its
+// point alone, every point is counted as evaluated, and the degraded
+// rows are never cached, so a rerun against a healed evaluator
+// evaluates exactly them.
 func TestBatchPointFaultDegradesOnlyItsPoint(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	const k = 2
 	pts := batchTestPoints(6) // two groups of 3: one chunk on one worker
-	if err := fault.Enable(fault.PointEvaluate, fault.Config{
-		Kind: fault.KindError, Probability: 1, MaxInjections: k,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	bad := func(p core.DesignPoint) bool { return p.Bits == 6 }
+	const k = 2 // the points with 6 bits
 	ev := &fakeBatchEvaluator{}
+	ev.rows = func(pts []core.DesignPoint) []core.Result {
+		rs := ev.evaluateEach(pts)
+		for i, p := range pts {
+			if bad(p) {
+				rs[i] = core.Result{Point: p, Err: errInjected}
+			}
+		}
+		return rs
+	}
 	s, err := NewSweep(ev, WithWorkers(1), WithCache(cache.New(0)), WithEvaluatorID("point-fault"))
 	if err != nil {
 		t.Fatal(err)
@@ -478,26 +492,24 @@ func TestBatchPointFaultDegradesOnlyItsPoint(t *testing.T) {
 			t.Fatalf("row %d is %s, want %s", i, r.Point, pts[i])
 		}
 		if r.Err != nil {
-			if !errors.Is(r.Err, fault.ErrInjected) {
-				t.Fatalf("row %d: unexpected error kind: %v", i, r.Err)
+			if !errors.Is(r.Err, errInjected) || !bad(r.Point) {
+				t.Fatalf("row %d: unexpected error: %v", i, r.Err)
 			}
 			failed = append(failed, r.Point)
 		}
 	}
 	if len(failed) != k {
-		t.Fatalf("%d rows degraded, want the %d injected", len(failed), k)
+		t.Fatalf("%d rows degraded, want the %d failed", len(failed), k)
 	}
-	if got := ev.batchPoints.Load(); got != int64(len(pts)-k) {
-		t.Fatalf("batch evaluator received %d points, want the %d survivors", got, len(pts)-k)
-	}
-	if ev.batchCalls.Load() != 1 {
-		t.Fatalf("%d batch calls, want the survivors in one", ev.batchCalls.Load())
+	if ev.batchCalls.Load() != 1 || ev.batchPoints.Load() != int64(len(pts)) {
+		t.Fatalf("%d batch calls over %d points, want the chunk's %d in one",
+			ev.batchCalls.Load(), ev.batchPoints.Load(), len(pts))
 	}
 	if got := s.Metrics().Evaluated; got != int64(len(pts)) {
 		t.Fatalf("Evaluated = %d, want %d", got, len(pts))
 	}
 
-	fault.Reset()
+	ev.rows = nil
 	calls := ev.calls.Load()
 	rerun, err := s.Run(context.Background(), pts)
 	if err != nil {
@@ -505,37 +517,14 @@ func TestBatchPointFaultDegradesOnlyItsPoint(t *testing.T) {
 	}
 	for i, r := range rerun {
 		if r.Err != nil {
-			t.Fatalf("unarmed rerun row %d: %v", i, r.Err)
+			t.Fatalf("healed rerun row %d: %v", i, r.Err)
 		}
 	}
 	if got := ev.calls.Load() - calls; got != k {
-		t.Fatalf("unarmed rerun evaluated %d points, want the %d that failed", got, k)
+		t.Fatalf("healed rerun evaluated %d points, want the %d that failed", got, k)
 	}
 	if got := s.Metrics().CacheHits; got != int64(len(pts)-k) {
-		t.Fatalf("unarmed rerun hit the cache %d times, want %d", got, len(pts)-k)
-	}
-
-	if err := fault.Enable(fault.PointEvaluate, fault.Config{
-		Kind: fault.KindError, Probability: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	all := &fakeBatchEvaluator{}
-	s, err = NewSweep(all, WithWorkers(1), WithCache(cache.New(0)), WithEvaluatorID("all-injected"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err = s.Run(context.Background(), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rs {
-		if !errors.Is(r.Err, fault.ErrInjected) {
-			t.Fatalf("all-injected row %d: err %v", i, r.Err)
-		}
-	}
-	if c := all.batchCalls.Load() + all.calls.Load(); c != 0 {
-		t.Fatalf("%d evaluator calls for a chunk whose every miss was injected", c)
+		t.Fatalf("healed rerun hit the cache %d times, want %d", got, len(pts)-k)
 	}
 }
 

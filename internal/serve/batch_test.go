@@ -18,19 +18,27 @@ import (
 )
 
 // slowBatchEval upgrades slowEval with the batch contract, so the serve
-// tests exercise the engines' batch dispatch end to end.
+// tests exercise the engines' batch dispatch end to end. failBatches is
+// the number of calls still to fail whole, every row an errInjected
+// row and no point evaluated (each call spends one).
 type slowBatchEval struct {
 	slowEval
 	batches     atomic.Int64
 	batchPoints atomic.Int64
+	failBatches atomic.Int64
 }
 
 func (e *slowBatchEval) EvaluateBatch(ctx context.Context, pts []core.DesignPoint) []core.Result {
 	e.batches.Add(1)
 	e.batchPoints.Add(int64(len(pts)))
+	fail := e.failBatches.Add(-1) >= 0
 	out := make([]core.Result, len(pts))
 	for i, p := range pts {
-		out[i] = e.Evaluate(p)
+		if fail {
+			out[i] = core.Result{Point: p, Err: errInjected}
+		} else {
+			out[i] = e.Evaluate(p)
+		}
 	}
 	return out
 }
@@ -41,24 +49,14 @@ func newBatchTestServer(t *testing.T, cfg ManagerConfig, extra ...dse.Option) (*
 	t.Helper()
 	eval := &slowBatchEval{}
 	opts := append([]dse.Option{
-		dse.WithCache(cache.New(128)), dse.WithWorkers(2), dse.WithEvaluatorID("test-eval"),
+		dse.WithCache(cache.New(DefaultCacheEntries)), dse.WithWorkers(2), dse.WithEvaluatorID("test-eval"),
 	}, extra...)
 	eng, err := dse.NewSweep(eval, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Engines = func(o experiments.Options) (Engine, error) { return eng, nil }
-	mgr, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewServer(mgr, nil))
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = mgr.Shutdown(ctx)
-		ts.Close()
-	})
+	ts, mgr := startServer(t, cfg)
 	return ts, mgr, eval
 }
 

@@ -8,43 +8,58 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"efficsense/internal/cache"
+	"efficsense/internal/core"
 	"efficsense/internal/dse"
 	"efficsense/internal/experiments"
-	"efficsense/internal/fault"
 )
 
-// This file is the chaos acceptance suite: seeded fault schedules driven
-// through the full HTTP stack (submit → SSE → status → results →
-// /metrics), asserting the resilience contract end to end. Every test
-// arms the process-global fault registry, so each one resets it on the
-// way out; the serve package's tests run sequentially, which keeps the
-// armed window private to the owning test.
+// This file is the chaos acceptance suite: faults driven through the
+// full HTTP stack (submit → SSE → status → results → /metrics),
+// asserting the resilience contract end to end. The faults come from
+// the fakes behind the stack, never from production code: an evaluator
+// that fails its next K calls or panics on chosen points, a batch
+// evaluator that fails a call whole, an EngineFunc that panics, and a
+// client that drops its event stream.
 
-// armFault arms one failpoint for the duration of the test.
-func armFault(t *testing.T, name string, cfg fault.Config) {
+// streamDropping collects a job's whole event stream through a client
+// that drops its connection after every n events and reconnects with
+// Last-Event-ID. It returns the events and the connections it took.
+func streamDropping(t *testing.T, url string, n int) (evs []sseEvent, conns int) {
 	t.Helper()
-	if err := fault.Enable(name, cfg); err != nil {
-		t.Fatal(err)
+	for len(evs) == 0 || evs[len(evs)-1].name != "done" {
+		if conns++; conns > 50 {
+			t.Fatal("stream never completed across 50 reconnects")
+		}
+		req, _ := http.NewRequest(http.MethodGet, url, nil)
+		if len(evs) > 0 {
+			req.Header.Set("Last-Event-ID", fmt.Sprint(evs[len(evs)-1].id))
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, readSSEN(t, resp.Body, n)...)
+		resp.Body.Close()
 	}
-	t.Cleanup(fault.Reset)
+	return evs, conns
 }
 
-// TestChaosDegradedSweepCompletesPartial injects a bounded budget of
-// evaluation faults and checks graceful degradation through every
-// surface: the job still completes, the status JSON and the terminal SSE
-// event carry partial: true with the degraded count, the NDJSON cloud
-// has per-point error rows, and — because degraded results are never
-// cached — a rerun after disarming heals exactly the failed points.
+// TestChaosDegradedSweepCompletesPartial fails a budget of evaluator
+// calls and checks graceful degradation through every surface: the job
+// still completes, the status JSON and the terminal SSE event carry
+// partial: true with the degraded count, the NDJSON cloud has per-point
+// error rows, and — because degraded results are never cached — a rerun
+// against the healed evaluator re-evaluates exactly the failed points.
 func TestChaosDegradedSweepCompletesPartial(t *testing.T) {
 	const budget = 2
-	armFault(t, fault.PointEvaluate, fault.Config{
-		Kind: fault.KindError, Probability: 1, MaxInjections: budget, Seed: 3,
-	})
 	ts, _, eval := newTestServer(t, time.Millisecond, ManagerConfig{})
+	eval.fails.Store(budget)
 
 	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps", smallSweep))
 	evResp, err := http.Get(ts.URL + st.EventsURL)
@@ -105,33 +120,32 @@ func TestChaosDegradedSweepCompletesPartial(t *testing.T) {
 		t.Fatalf("results NDJSON error rows %d, want %d:\n%s", got, budget, body)
 	}
 
-	// Faults were injected before the evaluator ran, so the degraded
-	// points cost no evaluation — and, crucially, were not cached.
-	if got := eval.calls.Load(); got != 6-budget {
-		t.Fatalf("evaluator calls %d, want %d", got, 6-budget)
+	// Every point reached the evaluator once; the failed ones were not
+	// cached, so the healed rerun evaluates exactly those again.
+	if got := eval.calls.Load(); got != 6 {
+		t.Fatalf("evaluator calls %d, want 6", got)
 	}
-	fault.Reset()
 	st2 := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps", smallSweep))
 	final2 := waitTerminal(t, ts.URL, st2.ID)
 	if final2.State != string(StateCompleted) || final2.Result.Partial || final2.Result.Errors != 0 {
 		t.Fatalf("healed rerun: %+v", final2.Result)
 	}
-	if got := eval.calls.Load(); got != 6 {
-		t.Fatalf("healed rerun re-evaluated sound points: %d calls, want 6", got)
+	if got := eval.calls.Load(); got != 6+budget {
+		t.Fatalf("healed rerun should evaluate only the %d failed points: %d calls, want %d", budget, got, 6+budget)
 	}
 }
 
-// TestChaosFlightPanicsKeepCacheBoundedOverHTTP drives a sweep through a
-// tiny cache while the singleflight failpoint panics probabilistically,
+// TestChaosEvaluatorPanicsKeepCacheBoundedOverHTTP drives a sweep whose
+// evaluator panics on a third of its points through a 4-entry cache,
 // and checks the bound is undisturbed, the panics degrade points instead
-// of killing the daemon, and the three layers of accounting — fault
-// registry, cache stats, engine metrics — agree to the unit.
-func TestChaosFlightPanicsKeepCacheBoundedOverHTTP(t *testing.T) {
-	armFault(t, fault.PointFlight, fault.Config{
-		Kind: fault.KindPanic, Probability: 0.3, Seed: 7,
-	})
+// of killing the daemon, and the accounting agrees to the unit: the
+// engine recovers every panic per point, so none escapes into a cache
+// flight.
+func TestChaosEvaluatorPanicsKeepCacheBoundedOverHTTP(t *testing.T) {
+	const panicking = 8 // the 5-bit points
 	store := cache.New(4)
-	ts, mgr, _ := newTestServerWithCache(t, 0, ManagerConfig{}, store)
+	ts, mgr, eval := newTestServerWithCache(t, 0, ManagerConfig{}, store)
+	eval.panicOn = func(p core.DesignPoint) bool { return p.Bits == 5 }
 
 	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps",
 		`{"space":{"architectures":["baseline"],"bits":[4,5,6],"noise_steps":8}}`))
@@ -139,44 +153,46 @@ func TestChaosFlightPanicsKeepCacheBoundedOverHTTP(t *testing.T) {
 	if final.State != string(StateCompleted) {
 		t.Fatalf("state %s: %s", final.State, final.Error)
 	}
-
-	injected := fault.Injected(fault.PointFlight)
-	if injected == 0 {
-		t.Fatal("seed 7 injected nothing; the test exercised no chaos")
-	}
-	if final.Result.Errors != int(injected) {
-		t.Fatalf("degraded points %d, want the injected panic count %d",
-			final.Result.Errors, injected)
+	if final.Result.Errors != panicking {
+		t.Fatalf("degraded points %d, want the %d panicking points", final.Result.Errors, panicking)
 	}
 	if !final.Result.Partial || final.Result.Points != 24 {
 		t.Fatalf("outcome: %+v", final.Result)
 	}
 	if n := store.Len(); n > store.Cap() {
-		t.Fatalf("cache holds %d entries above its cap %d under panic injection", n, store.Cap())
+		t.Fatalf("cache holds %d entries above its cap %d under evaluator panics", n, store.Cap())
 	}
 	c := mgr.Counters()
-	if c.EnginePanics != injected || c.CacheFlightPanics != injected {
-		t.Fatalf("engine panics %d, flight panics %d, want both %d",
-			c.EnginePanics, c.CacheFlightPanics, injected)
+	if c.EnginePanics != panicking || c.CacheFlightPanics != 0 {
+		t.Fatalf("engine panics %d, flight panics %d, want %d and 0",
+			c.EnginePanics, c.CacheFlightPanics, panicking)
 	}
 	metrics := fetchMetrics(t, ts.URL)
-	if got := metricValue(t, metrics, "efficsense_cache_flight_panics_total"); got != float64(injected) {
-		t.Errorf("exposed flight panics %g, want %d", got, injected)
+	if got := metricValue(t, metrics, "efficsense_cache_flight_panics_total"); got != 0 {
+		t.Errorf("exposed flight panics %g, want 0", got)
 	}
-	if got := metricValue(t, metrics, "efficsense_engine_panics_total"); got != float64(injected) {
-		t.Errorf("exposed engine panics %g, want %d", got, injected)
+	if got := metricValue(t, metrics, "efficsense_engine_panics_total"); got != panicking {
+		t.Errorf("exposed engine panics %g, want %d", got, panicking)
 	}
 }
 
-// TestChaosJobPanicFailsOneJobNotTheDaemon arms the job-lifecycle
-// failpoint to panic: the job must land in failed with a descriptive
-// error and a terminal SSE event, and the daemon must keep serving —
-// the very next submission (failpoint disarmed) runs clean.
+// TestChaosJobPanicFailsOneJobNotTheDaemon resolves the first job's
+// engine through an EngineFunc that panics: the job must land in failed
+// with a descriptive error and a terminal SSE event, and the daemon
+// must keep serving — the very next submission runs clean.
 func TestChaosJobPanicFailsOneJobNotTheDaemon(t *testing.T) {
-	armFault(t, fault.PointJob, fault.Config{
-		Kind: fault.KindPanic, Probability: 1, MaxInjections: 1, Seed: 1,
-	})
-	ts, mgr, _ := newTestServer(t, 0, ManagerConfig{})
+	eng, err := dse.NewSweep(&slowEval{},
+		dse.WithCache(cache.New(DefaultCacheEntries)), dse.WithWorkers(2), dse.WithEvaluatorID("test-eval"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resolutions atomic.Int64
+	ts, mgr := startServer(t, ManagerConfig{Engines: func(experiments.Options) (Engine, error) {
+		if resolutions.Add(1) == 1 {
+			panic("injected engine panic")
+		}
+		return eng, nil
+	}})
 
 	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps", smallSweep))
 	final := waitTerminal(t, ts.URL, st.ID)
@@ -203,7 +219,6 @@ func TestChaosJobPanicFailsOneJobNotTheDaemon(t *testing.T) {
 		t.Fatalf("failed counter %d, want 1", c.Failed)
 	}
 
-	fault.Reset()
 	st2 := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps", smallSweep))
 	final2 := waitTerminal(t, ts.URL, st2.ID)
 	if final2.State != string(StateCompleted) || final2.Result.Partial {
@@ -212,68 +227,25 @@ func TestChaosJobPanicFailsOneJobNotTheDaemon(t *testing.T) {
 }
 
 // TestChaosSSEResumeDeliversExactlyOnce is the resume-under-failure
-// acceptance test: the SSE flush failpoint severs the stream mid-sweep,
-// the client reconnects with Last-Event-ID each time, and across every
+// acceptance test: the client drops its stream after every five events
+// and reconnects with Last-Event-ID each time, and across every
 // connection the event sequence must arrive exactly once — no gaps, no
-// duplicates — while evaluation faults degrade points concurrently.
+// duplicates — while evaluator faults degrade points concurrently.
 func TestChaosSSEResumeDeliversExactlyOnce(t *testing.T) {
-	if err := fault.Enable(fault.PointSSEFlush, fault.Config{
-		Kind: fault.KindError, Probability: 1, MaxInjections: 3, Seed: 5,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fault.Enable(fault.PointEvaluate, fault.Config{
-		Kind: fault.KindError, Probability: 0.2, Seed: 5,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fault.Reset)
-	ts, _, _ := newTestServer(t, 5*time.Millisecond, ManagerConfig{})
+	const total, failing, perConn = 24, 4, 5
+	ts, _, eval := newTestServer(t, 5*time.Millisecond, ManagerConfig{})
+	eval.fails.Store(failing)
 
-	const total = 24
 	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps",
 		`{"space":{"architectures":["baseline"],"bits":[4,5,6],"noise_steps":8}}`))
-
-	var (
-		collected []sseEvent
-		lastID    int
-		conns     int
-		sawDone   bool
-	)
-	for !sawDone {
-		conns++
-		if conns > 50 {
-			t.Fatal("stream never completed across 50 reconnects")
-		}
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+st.EventsURL, nil)
-		if lastID > 0 {
-			req.Header.Set("Last-Event-ID", fmt.Sprint(lastID))
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs := readSSE(t, resp.Body)
-		resp.Body.Close()
-		for _, ev := range evs {
-			collected = append(collected, ev)
-			lastID = ev.id
-			if ev.name == "done" {
-				sawDone = true
-			}
-		}
-	}
-	// The flush failpoint fired its whole budget: at least as many
-	// reconnects as injected drops, plus the final clean connection.
-	if conns < 2 {
-		t.Fatalf("stream was never severed (%d connection)", conns)
-	}
-	if inj := fault.Injected(fault.PointSSEFlush); inj != 3 {
-		t.Fatalf("flush failpoint injected %d, want its full budget 3", inj)
+	collected, conns := streamDropping(t, ts.URL+st.EventsURL, perConn)
+	// Each connection but the last was dropped after perConn events.
+	if want := (len(collected) + perConn - 1) / perConn; conns != want || conns < 2 {
+		t.Fatalf("%d connections for %d events at %d each, want %d", conns, len(collected), perConn, want)
 	}
 
 	// Exactly-once: ids are the contiguous sequence 1..n with one done.
-	points, dones := 0, 0
+	points, errRows, dones := 0, 0, 0
 	for i, ev := range collected {
 		if ev.id != i+1 {
 			t.Fatalf("event %d has id %d: a gap or duplicate across reconnects", i, ev.id)
@@ -281,29 +253,68 @@ func TestChaosSSEResumeDeliversExactlyOnce(t *testing.T) {
 		switch ev.name {
 		case "point":
 			points++
+			if s, _ := ev.data["err"].(string); s != "" {
+				errRows++
+			}
 		case "done":
 			dones++
 		}
 	}
-	if points != total || dones != 1 {
-		t.Fatalf("collected %d point events and %d done events, want %d and 1", points, dones, total)
+	if points != total || dones != 1 || errRows != failing {
+		t.Fatalf("collected %d point events (%d degraded) and %d done events, want %d (%d) and 1",
+			points, errRows, dones, total, failing)
 	}
 }
 
-// TestChaosBatchFaultDegradesOnlyItsBatch arms the batch failpoint with
-// a single injection and drives a sweep through a batch-dispatching
-// engine: exactly the points of the faulted batch must degrade into
-// error rows — the job completes with partial: true, every other batch
-// is untouched, and the daemon keeps serving.
+// TestChaosDroppedClientReleasesStream: a client that drops its event
+// stream mid-job frees the stream at once — the SSE handler returns on
+// the disconnect, not when the job ends — and the job runs on to
+// completion without it.
+func TestChaosDroppedClientReleasesStream(t *testing.T) {
+	eval := &gatedEval{limit: 1, gate: make(chan struct{}), blocked: make(chan struct{}, 1)}
+	release := sync.OnceFunc(func() { close(eval.gate) })
+	defer release()
+	ts, _ := newDurableServer(t, nil, eval, ManagerConfig{})
+
+	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps", smallSweep))
+	resp, err := http.Get(ts.URL + st.EventsURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evs := readSSEN(t, resp.Body, 1); len(evs) != 1 {
+		t.Fatalf("stream ended before its first event: %+v", evs)
+	}
+	resp.Body.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for metricValue(t, fetchMetrics(t, ts.URL), "efficsense_sse_streams_active") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("a dropped client's stream is still active after 5 s")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := getStatus(t, ts.URL, st); got.State != string(StateRunning) {
+		t.Fatalf("job state %s once its stream was released, want running", got.State)
+	}
+
+	release()
+	if final := waitTerminal(t, ts.URL, st.ID); final.State != string(StateCompleted) {
+		t.Fatalf("state %s after the gate opened: %s", final.State, final.Error)
+	}
+}
+
+// TestChaosBatchFaultDegradesOnlyItsBatch drives a sweep through a
+// batch-dispatching engine whose batch evaluator fails its first call
+// whole: exactly the points of that batch must degrade into error rows
+// — the job completes with partial: true, every other batch is
+// untouched, and the daemon keeps serving.
 func TestChaosBatchFaultDegradesOnlyItsBatch(t *testing.T) {
-	armFault(t, fault.PointBatch, fault.Config{
-		Kind: fault.KindError, Probability: 1, MaxInjections: 1, Seed: 11,
-	})
 	// One worker at the engine's batch size of 16: the 24-point space
 	// (8 noise groups × 3 bits) cuts into chunks of 12, 6, 3 and 3
-	// (each aims at half the points left, on one worker), so the one
-	// injected fault — on the first chunk — costs exactly 12 points.
+	// (each aims at half the points left, on one worker), so the failed
+	// call — the first chunk's — costs exactly 12 points.
 	ts, mgr, eval := newBatchTestServer(t, ManagerConfig{}, dse.WithWorkers(1))
+	eval.failBatches.Store(1)
 
 	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps",
 		`{"space":{"architectures":["baseline"],"bits":[4,5,6],"noise_steps":8}}`))
@@ -312,22 +323,22 @@ func TestChaosBatchFaultDegradesOnlyItsBatch(t *testing.T) {
 		t.Fatalf("state %s, want completed: %s", final.State, final.Error)
 	}
 	if !final.Result.Partial || final.Result.Points != 24 || final.Result.Errors != 12 {
-		t.Fatalf("one faulted batch should cost exactly its 12 points: %+v", final.Result)
+		t.Fatalf("one failed batch should cost exactly its 12 points: %+v", final.Result)
 	}
-	// The faulted batch never reached the evaluator; the other three did.
-	// The engine counters record all four dispatched batches — the
-	// faulted one included, just as Evaluated counts failpoint-degraded
-	// points.
-	if got := eval.batchPoints.Load(); got != 12 {
-		t.Fatalf("evaluator saw %d batched points, want 12", got)
+	// All four batches reached the evaluator; the failed one evaluated
+	// no point.
+	if got := eval.batchPoints.Load(); got != 24 {
+		t.Fatalf("evaluator saw %d batched points, want 24", got)
+	}
+	if got := eval.calls.Load(); got != 12 {
+		t.Fatalf("evaluator evaluated %d points, want the 12 outside the failed batch", got)
 	}
 	if c := mgr.Counters(); c.EngineBatches != 4 || c.EngineBatchPoints != 24 {
 		t.Fatalf("batch counters: %d batches, %d points", c.EngineBatches, c.EngineBatchPoints)
 	}
 
-	// Degraded rows are never cached, so a rerun after disarming heals
-	// exactly the faulted batch.
-	fault.Reset()
+	// Degraded rows are never cached, so a rerun heals exactly the
+	// failed batch.
 	st2 := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps",
 		`{"space":{"architectures":["baseline"],"bits":[4,5,6],"noise_steps":8}}`))
 	final2 := waitTerminal(t, ts.URL, st2.ID)
@@ -335,23 +346,21 @@ func TestChaosBatchFaultDegradesOnlyItsBatch(t *testing.T) {
 		t.Fatalf("healed rerun: %+v", final2.Result)
 	}
 	if got := eval.calls.Load(); got != 24 {
-		t.Fatalf("healed rerun should evaluate only the faulted 12: %d calls, want 24", got)
+		t.Fatalf("healed rerun should evaluate only the failed 12: %d calls, want 24", got)
 	}
 }
 
 // TestChaosBatchEvaluateDegradesRowsNotRequest is the wire-level batch
-// degradation test: with the batch failpoint armed, POST /v1/evaluate
-// {"points": [...]} returns 200 with partial: true and per-point error
-// rows — never a failed request — and the very next batch (budget
-// exhausted) runs clean.
+// degradation test: when the batch evaluator fails its call whole, POST
+// /v1/evaluate {"points": [...]} returns 200 with partial: true and
+// per-point error rows — never a failed request — and the very next
+// batch runs clean.
 func TestChaosBatchEvaluateDegradesRowsNotRequest(t *testing.T) {
-	armFault(t, fault.PointBatch, fault.Config{
-		Kind: fault.KindError, Probability: 1, MaxInjections: 1, Seed: 4,
-	})
 	ts, _, eval := newBatchTestServer(t, ManagerConfig{})
+	eval.failBatches.Store(1)
 
 	// Four points of one ADC-resolution group: a single chunk, a single
-	// EvaluateBatch call, so the injection degrades all four rows.
+	// EvaluateBatch call, so the failed call degrades all four rows.
 	body := `{"points":[
 		{"arch":"baseline","bits":4,"lna_noise":1e-6},
 		{"arch":"baseline","bits":5,"lna_noise":1e-6},
@@ -367,37 +376,32 @@ func TestChaosBatchEvaluateDegradesRowsNotRequest(t *testing.T) {
 		}
 	}
 	if eval.calls.Load() != 0 {
-		t.Fatal("faulted batch should never reach the evaluator")
+		t.Fatal("the failed batch call evaluated a point")
 	}
 
-	// The budget is spent: the same batch now evaluates clean, proving
-	// the degraded rows were not cached.
+	// The same batch now evaluates clean, proving the degraded rows were
+	// not cached.
 	br2 := decodeBatch(t, postJSON(t, ts.URL+"/v1/evaluate", body))
 	if br2.Partial || br2.Errors != 0 {
-		t.Fatalf("post-budget batch: %+v", br2)
+		t.Fatalf("healed batch: %+v", br2)
 	}
 	if eval.calls.Load() != 4 {
-		t.Fatalf("post-budget batch evaluated %d points, want 4", eval.calls.Load())
+		t.Fatalf("healed batch evaluated %d points, want 4", eval.calls.Load())
 	}
 }
 
-// TestChaosNoGoroutineLeaks runs a full chaos scenario — evaluation
-// faults, severed SSE streams, a resumed client — then tears the stack
-// down and requires the goroutine count to return to its baseline:
-// injected failures must not strand workers, streams or job goroutines.
+// TestChaosNoGoroutineLeaks runs a full chaos scenario — evaluator
+// panics, a client that drops its stream every few events and resumes —
+// then tears the stack down and requires the goroutine count to return
+// to its baseline: failures must not strand workers, streams or job
+// goroutines.
 func TestChaosNoGoroutineLeaks(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	func() {
-		defer fault.Reset()
-		for name, p := range map[string]float64{fault.PointEvaluate: 0.3, fault.PointSSEFlush: 0.5} {
-			if err := fault.Enable(name, fault.Config{Kind: fault.KindError, Probability: p, Seed: 13}); err != nil {
-				t.Fatal(err)
-			}
-		}
-
 		store := cache.New(64)
 		eval := &slowEval{delay: 2 * time.Millisecond}
+		eval.panicOn = func(p core.DesignPoint) bool { return p.Bits == 6 }
 		eng, err := dse.NewSweep(eval,
 			dse.WithCache(store), dse.WithWorkers(2), dse.WithEvaluatorID("test-eval"))
 		if err != nil {
@@ -420,25 +424,7 @@ func TestChaosNoGoroutineLeaks(t *testing.T) {
 
 		st := decodeStatus(t, postJSON(t, ts.URL+"/v1/sweeps",
 			`{"space":{"architectures":["baseline"],"bits":[4,5,6],"noise_steps":8}}`))
-		lastID, sawDone := 0, false
-		for i := 0; !sawDone && i < 50; i++ {
-			req, _ := http.NewRequest(http.MethodGet, ts.URL+st.EventsURL, nil)
-			if lastID > 0 {
-				req.Header.Set("Last-Event-ID", fmt.Sprint(lastID))
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ev := range readSSE(t, resp.Body) {
-				lastID = ev.id
-				sawDone = sawDone || ev.name == "done"
-			}
-			resp.Body.Close()
-		}
-		if !sawDone {
-			t.Fatal("chaos sweep never streamed its done event")
-		}
+		streamDropping(t, ts.URL+st.EventsURL, 3)
 		if final := waitTerminal(t, ts.URL, st.ID); final.State != string(StateCompleted) {
 			t.Fatalf("state %s: %s", final.State, final.Error)
 		}
@@ -463,20 +449,19 @@ func TestChaosNoGoroutineLeaks(t *testing.T) {
 }
 
 // TestChaosSearchBatchFaultDegradesBudgetExactly drives a search job
-// through a batch-dispatching engine with one injected batch fault: the
-// job must still complete — partial, with exactly the faulted chunk
-// counted as errors, a sound subset front, and the evaluation budget
-// accounted to the point. A healed resubmission then converges clean on
-// the full front, riding the cache for the rows that survived.
+// through a batch-dispatching engine whose batch evaluator fails its
+// first call whole: the job must still complete — partial, with exactly
+// the failed chunk counted as errors, a sound subset front, and the
+// evaluation budget accounted to the point. A resubmission then
+// converges clean on the full front, riding the cache for the rows that
+// survived.
 func TestChaosSearchBatchFaultDegradesBudgetExactly(t *testing.T) {
-	armFault(t, fault.PointBatch, fault.Config{
-		Kind: fault.KindError, Probability: 1, MaxInjections: 1, Seed: 11,
-	})
 	// Two workers: the strategy's opening proposal (2 groups × 3 noise
 	// quantiles = 6 probes) is cut for both workers into three chunks of
-	// 2, one per noise quantile, so the single injection degrades
-	// exactly 2 points and the other 4 keep the search going.
-	ts, mgr, _ := newBatchTestServer(t, ManagerConfig{})
+	// 2, one per noise quantile, so the failed call degrades exactly 2
+	// points and the other 4 keep the search going.
+	ts, mgr, eval := newBatchTestServer(t, ManagerConfig{})
+	eval.failBatches.Store(1)
 	body := `{"query":"max-snr","max_evaluations":16,
 		"space":{"architectures":["baseline"],"bits":[4,6],"noise_steps":8}}`
 
@@ -515,9 +500,8 @@ func TestChaosSearchBatchFaultDegradesBudgetExactly(t *testing.T) {
 		t.Fatalf("results NDJSON leaked error rows:\n%s", raw)
 	}
 
-	// Healed rerun: budget spent, cache warm for the sound rows — the
-	// same query now converges clean on the full two-point front.
-	fault.Reset()
+	// Healed rerun: cache warm for the sound rows — the same query now
+	// converges clean on the full two-point front.
 	st2 := decodeStatus(t, postJSON(t, ts.URL+"/v1/search", body))
 	final2 := waitTerminalAt(t, ts.URL+st2.StatusURL)
 	if final2.State != string(StateCompleted) || final2.Search == nil {

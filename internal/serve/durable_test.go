@@ -44,18 +44,7 @@ func newDurableServerAs(t *testing.T, walLog *wal.Log, eval dse.PointEvaluator, 
 	cfg.Engines = func(opts experiments.Options) (Engine, error) { return eng, nil }
 	cfg.Cache = store
 	cfg.WAL = walLog
-	mgr, err := NewManager(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewServer(mgr, nil))
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = mgr.Shutdown(ctx)
-		ts.Close()
-	})
-	return ts, mgr
+	return startServer(t, cfg)
 }
 
 // gatedEval evaluates like slowEval but blocks from call limit+1 on

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -24,14 +25,29 @@ import (
 )
 
 // slowEval is a deterministic stand-in for the real evaluator: fast,
-// tunable latency, every design point admissible for the fronts.
+// tunable latency, every design point admissible for the fronts. It
+// is also where the chaos tests inject faults: fails is the number of
+// calls still to fail with errInjected (each call spends one, so it
+// goes negative once spent), and panicOn, when set, picks the points
+// whose evaluation panics.
 type slowEval struct {
-	delay time.Duration
-	calls atomic.Int64
+	delay   time.Duration
+	calls   atomic.Int64
+	fails   atomic.Int64
+	panicOn func(core.DesignPoint) bool
 }
+
+// errInjected is the error the fakes' scheduled faults carry.
+var errInjected = errors.New("injected fault")
 
 func (e *slowEval) Evaluate(p core.DesignPoint) core.Result {
 	e.calls.Add(1)
+	if e.panicOn != nil && e.panicOn(p) {
+		panic(fmt.Sprintf("injected panic at %s", p))
+	}
+	if e.fails.Add(-1) >= 0 {
+		return core.Result{Point: p, Err: errInjected}
+	}
 	if e.delay > 0 {
 		time.Sleep(e.delay)
 	}
@@ -45,12 +61,13 @@ func (e *slowEval) Evaluate(p core.DesignPoint) core.Result {
 }
 
 // newTestServer wires a real dse.Sweep over slowEval behind the full
-// HTTP stack, memoising through a bounded store so the tests exercise
-// exactly the production (daemon) cache path. Every option set resolves
-// to the same engine, so the warm cache behaviour is production's.
+// HTTP stack, memoising through a store of the daemon's default bound,
+// so the tests exercise exactly the production cache path and no test
+// sweep evicts a row. Every option set resolves to the same engine, so
+// the warm cache behaviour is production's.
 func newTestServer(t *testing.T, delay time.Duration, cfg ManagerConfig) (*httptest.Server, *Manager, *slowEval) {
 	t.Helper()
-	return newTestServerWithCache(t, delay, cfg, cache.New(128))
+	return newTestServerWithCache(t, delay, cfg, cache.New(DefaultCacheEntries))
 }
 
 // newTestServerWithCache is newTestServer with the memoisation store
@@ -65,6 +82,14 @@ func newTestServerWithCache(t *testing.T, delay time.Duration, cfg ManagerConfig
 	}
 	cfg.Engines = func(opts experiments.Options) (Engine, error) { return eng, nil }
 	cfg.Cache = store
+	ts, mgr := startServer(t, cfg)
+	return ts, mgr, eval
+}
+
+// startServer serves a Manager built from cfg over HTTP for the rest of
+// the test; cleanup shuts the manager down, then the server.
+func startServer(t *testing.T, cfg ManagerConfig) (*httptest.Server, *Manager) {
+	t.Helper()
 	mgr, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +101,7 @@ func newTestServerWithCache(t *testing.T, delay time.Duration, cfg ManagerConfig
 		_ = mgr.Shutdown(ctx)
 		ts.Close()
 	})
-	return ts, mgr, eval
+	return ts, mgr
 }
 
 // metricValue extracts the value of an unlabelled metric from a
@@ -158,6 +183,13 @@ type sseEvent struct {
 // streams itself) and parses the frames.
 func readSSE(t *testing.T, body io.Reader) []sseEvent {
 	t.Helper()
+	return readSSEN(t, body, -1)
+}
+
+// readSSEN is readSSE that stops reading after n events (n < 0: at
+// EOF). A client that closes the body then has dropped its stream.
+func readSSEN(t *testing.T, body io.Reader, n int) []sseEvent {
+	t.Helper()
 	var (
 		out []sseEvent
 		cur sseEvent
@@ -170,6 +202,9 @@ func readSSE(t *testing.T, body io.Reader) []sseEvent {
 		case line == "":
 			if cur.name != "" || cur.data != nil {
 				out = append(out, cur)
+				if len(out) == n {
+					return out
+				}
 			}
 			cur = sseEvent{}
 		case strings.HasPrefix(line, "id: "):
@@ -301,7 +336,7 @@ func TestSweepLifecycleAndWarmCache(t *testing.T) {
 		"efficsense_cache_hits_total 6",
 		"efficsense_jobs_completed_total 2",
 		"efficsense_cache_entries 6",
-		"efficsense_cache_capacity 128",
+		"efficsense_cache_capacity 65536",
 		"efficsense_cache_evictions_total 0",
 		`efficsense_http_requests_total{code="202"} 2`,
 	} {
