@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff chaos search-accept paper-accept wal-fuzz verify fmt stress purego setup-identity
+.PHONY: build test race bench benchdiff chaos search-accept paper-accept verify fmt stress purego setup-identity
 
 build:
 	$(GO) build ./...
@@ -25,16 +25,18 @@ bench:
 benchdiff:
 	bash bench/run.sh compare bench/baseline.json bench/out/run-seed1.json
 
-# chaos runs the fault-injection acceptance suites — seeded schedules
-# through the failpoint registry, the engine's degradation path, the
-# cache's singleflight, the full HTTP stack and the kill-and-restart-mid-sweep
-# durability scenario (resumed fronts must be bit-identical to an
-# uninterrupted run) — under the race detector. Deterministic by
-# construction (every schedule is seeded), so it gates CI like any
-# other test.
+# chaos runs the fault-injection acceptance suites under the race
+# detector: faults from the fakes behind the stack (evaluators that fail
+# or panic, a batch evaluator that fails a call whole, an engine
+# resolver that panics, a client that drops its event stream) through
+# the engine's degradation path, the cache's singleflight, the full
+# HTTP stack and the kill-and-restart-mid-sweep durability scenario
+# (resumed fronts must be bit-identical to an uninterrupted run).
+# Deterministic by construction (every fault is scheduled by call count
+# or by design point), so it gates CI like any other test.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Inject(ed|ion)' \
-		./internal/fault ./internal/cache ./internal/dse ./internal/serve
+		./internal/cache ./internal/dse ./internal/serve
 
 # search-accept is the adaptive-search acceptance gate: the budgeted
 # search must recover >= 95 % of the exhaustive Pareto front while
@@ -62,14 +64,6 @@ search-accept:
 paper-accept:
 	$(GO) test -count=1 -run '^TestPaperAccept$$' ./cmd/efficsense
 	$(GO) test -count=1 -tags purego -run '^TestPaperAccept$$' ./cmd/efficsense
-
-# wal-fuzz is a short fuzz smoke over the journal's record decoder: any
-# byte string must either decode to a record that re-encodes exactly or
-# fail cleanly — never panic, never accept a corrupted line. Recovery
-# feeds the decoder whatever a crashed process left on disk, so this is
-# the durability path's input-hardening gate.
-wal-fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/wal
 
 # stress repeats the timing-sensitive packages (the HTTP stack, the
 # journal) 20 times, so a flaky test fails before merge rather than on

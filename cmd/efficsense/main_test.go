@@ -215,7 +215,7 @@ func TestTraceSinkEmitsOneJSONLinePerPoint(t *testing.T) {
 	for i := range pts {
 		pts[i] = core.DesignPoint{Arch: core.ArchCS, Bits: 6 + i%3, LNANoise: float64(i+1) * 1e-6, M: 75 + i}
 	}
-	for run := 0; run < 2; run++ { // the second run: cached points and a retried panic
+	for run := 0; run < 2; run++ { // the second run: cached points and a re-evaluated panic
 		if _, err := s.RunWithHook(context.Background(), pts, sweepHook(io.Discard, false, nil, &buf)); err != nil {
 			t.Fatal(err)
 		}

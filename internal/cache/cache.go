@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"efficsense/internal/core"
-	"efficsense/internal/fault"
 )
 
 // defaultShards bounds lock contention: the store is split across up to
@@ -236,14 +235,7 @@ func (c *LRU) Do(key []byte, fn func() core.Result) (r core.Result, hit, shared 
 			close(cl.done)
 		}
 	}()
-	// The cache/flight failpoint injects into the computing goroutine:
-	// an error is shared with every waiter but never stored, a panic
-	// unwinds through the release path above.
-	if err := fault.Fire(fault.PointFlight); err != nil {
-		cl.val = core.Result{Err: err}
-	} else {
-		cl.val = fn()
-	}
+	cl.val = fn()
 	finished = true
 
 	sh.mu.Lock()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"efficsense/internal/core"
-	"efficsense/internal/fault"
 )
 
 // BatchEvaluator is optionally implemented by evaluators that can score
@@ -161,9 +160,9 @@ func abs(x int) int {
 // evalChunk serves one chunk of point indices: cache hits complete
 // immediately, a lone miss takes the per-point path (keeping the
 // store's singleflight guarantee), and two or more misses go to
-// the batch evaluator in one call. Per-point faults — the dse/evaluate
-// failpoint, error rows out of the batch — degrade that point alone; a
-// batch-level fault or panic degrades exactly the points of this batch.
+// the batch evaluator in one call. An error row out of the batch
+// degrades that point alone; a panic or a broken batch degrades exactly
+// the points of this batch.
 func (s *Sweep) evalChunk(ctx context.Context, points []core.DesignPoint, idxs []int, complete func(idx int, res core.Result, cached bool, dur time.Duration)) {
 	miss := make([]int, 0, len(idxs))
 	if s.cache != nil {
@@ -189,24 +188,8 @@ func (s *Sweep) evalChunk(ctx context.Context, points []core.DesignPoint, idxs [
 		complete(miss[0], res, hit || shared, dur)
 		return
 	}
-	// The per-point failpoint fires first, exactly as on the per-point
-	// path: an injected fault degrades its point alone and the survivors
-	// still batch together.
-	live := miss[:0]
-	for _, idx := range miss {
-		start := time.Now()
-		if err := fault.Fire(fault.PointEvaluate); err != nil {
-			s.metrics.observeEval(time.Since(start))
-			s.finishMiss(idx, points[idx], core.Result{Point: points[idx], Err: err}, 0, complete)
-			continue
-		}
-		live = append(live, idx)
-	}
-	if len(live) == 0 {
-		return
-	}
-	pts := make([]core.DesignPoint, len(live))
-	for k, idx := range live {
+	pts := make([]core.DesignPoint, len(miss))
+	for k, idx := range miss {
 		pts[k] = points[idx]
 	}
 	start := time.Now()
@@ -215,7 +198,7 @@ func (s *Sweep) evalChunk(ctx context.Context, points []core.DesignPoint, idxs [
 	s.metrics.observeBatch(len(pts), dur)
 	// Per-point duration metrics see each point's share of the batch.
 	share := dur / time.Duration(len(pts))
-	for k, idx := range live {
+	for k, idx := range miss {
 		s.metrics.observeEval(share)
 		s.finishMiss(idx, points[idx], rs[k], share, complete)
 	}
@@ -233,10 +216,10 @@ func (s *Sweep) finishMiss(idx int, p core.DesignPoint, res core.Result, dur tim
 	complete(idx, res, false, dur)
 }
 
-// evaluateBatchGuarded is one guarded batch evaluator call: the
-// dse/evaluate-batch failpoint fires first, a panic anywhere in the
-// batch is recovered, and a length-breaking evaluator is degraded — in
-// every case into error rows for exactly this batch's points.
+// evaluateBatchGuarded is one guarded batch evaluator call: a panic
+// anywhere in the batch is recovered, and a length-breaking evaluator
+// is degraded — in either case into error rows for exactly this batch's
+// points.
 func (s *Sweep) evaluateBatchGuarded(ctx context.Context, pts []core.DesignPoint) (rs []core.Result) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -244,9 +227,6 @@ func (s *Sweep) evaluateBatchGuarded(ctx context.Context, pts []core.DesignPoint
 			rs = batchErrorRows(pts, fmt.Errorf("dse: batch evaluation of %d points panicked: %v", len(pts), r))
 		}
 	}()
-	if err := fault.Fire(fault.PointBatch); err != nil {
-		return batchErrorRows(pts, fmt.Errorf("dse: batch of %d points: %w", len(pts), err))
-	}
 	rs = s.batch.EvaluateBatch(ctx, pts)
 	if len(rs) != len(pts) {
 		return batchErrorRows(pts, fmt.Errorf("dse: batch evaluator returned %d results for %d points", len(rs), len(pts)))

@@ -11,7 +11,6 @@ import (
 
 	"efficsense/internal/cache"
 	"efficsense/internal/core"
-	"efficsense/internal/fault"
 )
 
 // PointEvaluator scores one design point. *core.Evaluator implements it;
@@ -86,15 +85,12 @@ type Event struct {
 // included; metrics accumulate across them, and each run's hook
 // observes only its own run.
 type Sweep struct {
-	ev     PointEvaluator
-	batch  BatchEvaluator // non-nil when ev implements it
-	evalID string
-	// batchSize is the chunk size of batch dispatch: DefaultBatchSize,
-	// lowered only by this package's tests.
-	batchSize int
-	workers   int
-	cache     *cache.LRU
-	metrics   Metrics
+	ev      PointEvaluator
+	batch   BatchEvaluator // non-nil when ev implements it
+	evalID  string
+	workers int
+	cache   *cache.LRU
+	metrics Metrics
 }
 
 // Option configures a Sweep at construction.
@@ -153,7 +149,7 @@ func NewSweep(ev PointEvaluator, opts ...Option) (*Sweep, error) {
 	if ce, ok := ev.(*core.Evaluator); ok && ce == nil {
 		return nil, errors.New("dse: sweep requires a non-nil evaluator")
 	}
-	s := &Sweep{ev: ev, batchSize: DefaultBatchSize}
+	s := &Sweep{ev: ev}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -315,7 +311,7 @@ func (s *Sweep) dispatch(ctx context.Context, points []core.DesignPoint, complet
 		})
 		return
 	}
-	chunks := chunkByGroup(points, s.batchSize, workers)
+	chunks := chunkByGroup(points, DefaultBatchSize, workers)
 	runPool(ctx, len(chunks), workers, func(c int) {
 		s.evalChunk(ctx, points, chunks[c], complete)
 	})
@@ -394,8 +390,8 @@ func (s *Sweep) attempt(p core.DesignPoint) (core.Result, time.Duration) {
 
 // cacheDo guards the store's singleflight with the same no-panic
 // contract safeEvaluate gives the evaluator: a panic inside the cache
-// layer itself (a bug, or an armed cache/flight failpoint) degrades
-// this point instead of killing the worker — and with it the daemon.
+// layer itself (a bug) degrades this point instead of killing the
+// worker — and with it the daemon.
 func (s *Sweep) cacheDo(key []byte, p core.DesignPoint, fn func() core.Result) (res core.Result, hit, shared bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -406,9 +402,8 @@ func (s *Sweep) cacheDo(key []byte, p core.DesignPoint, fn func() core.Result) (
 	return s.cache.Do(key, fn)
 }
 
-// safeEvaluate is one guarded evaluator call: the dse/evaluate failpoint
-// fires first (errors degrade the point, injected panics land in the
-// same recovery as evaluator panics), then the evaluator runs.
+// safeEvaluate is one guarded evaluator call: a panic in the evaluator
+// degrades the point into an error row.
 func (s *Sweep) safeEvaluate(p core.DesignPoint) (res core.Result) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -416,8 +411,5 @@ func (s *Sweep) safeEvaluate(p core.DesignPoint) (res core.Result) {
 			res = core.Result{Point: p, Err: fmt.Errorf("dse: evaluating %s panicked: %v", p, r)}
 		}
 	}()
-	if err := fault.Fire(fault.PointEvaluate); err != nil {
-		return core.Result{Point: p, Err: err}
-	}
 	return s.ev.Evaluate(p)
 }

@@ -126,8 +126,8 @@ func (s Spec) feasible(r core.Result, q dse.Quality) bool {
 
 // Evaluator is the batch evaluation surface a search drives. *dse.Sweep
 // satisfies it directly, which is the production path: cache hits,
-// singleflight, panic recovery and the fault seams all apply
-// to search probes exactly as they do to sweep points. The contract is
+// singleflight and panic recovery all apply to search probes exactly
+// as they do to sweep points. The contract is
 // dse.BatchEvaluator's: one result per point, in input order, failures
 // as error rows, never a short slice.
 type Evaluator interface {

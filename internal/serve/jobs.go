@@ -14,7 +14,6 @@ import (
 	"efficsense/internal/core"
 	"efficsense/internal/dse"
 	"efficsense/internal/experiments"
-	"efficsense/internal/fault"
 	"efficsense/internal/obs"
 	"efficsense/internal/report"
 	"efficsense/internal/scenario"
@@ -423,11 +422,11 @@ func (m *Manager) release() {
 func (m *Manager) runJob(job *Job) {
 	defer m.wg.Done()
 	defer m.release()
-	// A panic anywhere in the job goroutine (engine resolution, the
-	// serve/job failpoint, a bug in outcome distillation) must degrade
-	// this one job to failed, never take the daemon down. finish is
-	// idempotence-guarded by the terminal check: a panic after a clean
-	// finish is swallowed rather than double-finishing.
+	// A panic anywhere in the job goroutine (engine resolution, a bug in
+	// outcome distillation) must degrade this one job to failed, never
+	// take the daemon down. finish is idempotence-guarded by the
+	// terminal check: a panic after a clean finish is swallowed rather
+	// than double-finishing.
 	defer func() {
 		if r := recover(); r != nil {
 			if !job.State().Terminal() {
@@ -448,10 +447,6 @@ func (m *Manager) runJob(job *Job) {
 	engine, err := m.cfg.Engines(job.opts)
 	if err != nil {
 		m.finish(job, nil, nil, fmt.Errorf("engine: %w", err))
-		return
-	}
-	if err := fault.Fire(fault.PointJob); err != nil {
-		m.finish(job, nil, nil, fmt.Errorf("job: %w", err))
 		return
 	}
 	m.registerEngine(engine)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-
-	"efficsense/internal/fault"
 )
 
 // handleEvents streams a job's buffered events as Server-Sent Events.
@@ -52,15 +50,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			after = ev.ID
 		}
 		if len(evs) > 0 {
-			// The serve/sse-flush failpoint models a dying client
-			// connection: an injected error drops the stream mid-job
-			// (everything already written in this batch may or may not
-			// have reached the client — exactly the ambiguity
-			// Last-Event-ID resumption exists for); an injected latency
-			// stalls the flush like a congested peer.
-			if err := fault.Fire(fault.PointSSEFlush); err != nil {
-				return
-			}
 			flusher.Flush()
 		}
 		if !more {
